@@ -256,35 +256,28 @@ func NewLearner(sys *System, mine MineOracle, opts LearnerOptions) *Learner {
 // DefaultLearnerOptions mirror the paper's configuration.
 func DefaultLearnerOptions() LearnerOptions { return core.DefaultOptions() }
 
-// VerifyCache is the cross-run verification cache: pooled solver/encoder
-// pairs, base-system learnt clauses and whole abduction verdicts shared
-// across Learner instances over the same system identity (circuit
-// fingerprint + environment-assumption key). CacheCounters snapshots its
-// effectiveness counters.
+// VerifyCache is the verification memo store: abduction verdicts and proven
+// abducts shared across Learner instances, keyed by cone fingerprint +
+// environment-assumption key. Only answers live here — a learner's solvers
+// last for one Learn. CacheCounters snapshots its effectiveness counters.
 type (
 	VerifyCache   = core.VerifyCache
 	CacheCounters = core.CacheCounters
 )
 
-// NewVerifyCache returns an empty cross-run cache with default bounds.
-// Pass it via LearnerOptions.Cache to isolate a workload from the shared
-// process-global cache.
+// NewVerifyCache returns an empty cache with default bounds. Pass it via
+// LearnerOptions.Cache to isolate a workload from the shared process-global
+// cache.
 func NewVerifyCache() *VerifyCache { return core.NewVerifyCache() }
 
-// NewVerifyCacheWithBudget returns a cross-run cache whose retained
-// encoders are bounded by the given total encoded-clause budget.
-func NewVerifyCacheWithBudget(clauseBudget int64) *VerifyCache {
-	return core.NewVerifyCacheWithBudget(clauseBudget)
-}
-
-// SharedVerifyCache returns the process-global cross-run cache used by
-// default when LearnerOptions.CrossRunCache is on.
+// SharedVerifyCache returns the process-global cache learners use when
+// LearnerOptions.Cache is nil.
 func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 
 // --- Persistent proof store -------------------------------------------------
 
 // ProofDB binds a verification cache to a versioned on-disk proof store
-// (learnt clauses + abduction verdicts, keyed by circuit fingerprint and
+// (abduction verdicts and abducts, keyed by cone fingerprint and
 // environment key) so separate process invocations share warm starts.
 // ProofDBConfig configures the binding (staleness bound, byte budget,
 // optional background flusher); ProofStoreOptions and ProofStoreStats are

@@ -45,14 +45,13 @@ func mustOoO(b *testing.B, v hh.OoOVariant) *hh.Target {
 	return t
 }
 
-// benchOpts are the default analysis options with the cross-run cache off:
-// these benchmarks pin per-run behaviour (every iteration a from-scratch
-// verification), and a cache warmed across b.N iterations would measure
-// hits instead. The BenchmarkCrossRun* family measures the cache itself.
-func benchOpts() hh.AnalysisOptions {
-	opts := hh.DefaultAnalysisOptions()
-	opts.Learner.CrossRunCache = false
-	return opts
+// cold gives the analysis a private, empty cache, so its next verification
+// solves every query: these benchmarks pin per-run behaviour (every
+// iteration a from-scratch verification), and a cache warmed across b.N
+// iterations would measure memo hits instead.
+func cold(a *hh.Analysis) *hh.Analysis {
+	a.Opts.Learner.Cache = hh.NewVerifyCache()
+	return a
 }
 
 func mustVerify(b *testing.B, tgt *hh.Target, safe []string, opts hh.AnalysisOptions) *hh.Result {
@@ -61,7 +60,7 @@ func mustVerify(b *testing.B, tgt *hh.Target, safe []string, opts hh.AnalysisOpt
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := a.Verify(safe)
+	res, err := cold(a).Verify(safe)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func BenchmarkTable1InvariantSize(b *testing.B) {
 		tgt, safe := mk(b)
 		b.Run(tgt.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, safe, benchOpts())
+				res := mustVerify(b, tgt, safe, hh.DefaultAnalysisOptions())
 				b.ReportMetric(float64(tgt.Circuit.NumStateBits()), "statebits")
 				b.ReportMetric(float64(res.Invariant.Size()), "invariant")
 			}
@@ -93,12 +92,12 @@ func BenchmarkTable1InvariantSize(b *testing.B) {
 // the in-order core (the per-instruction classification plus the proof).
 func BenchmarkTable2SafeSet(b *testing.B) {
 	tgt := mustInOrder(b)
-	a, err := hh.NewAnalysis(tgt, benchOpts())
+	a, err := hh.NewAnalysis(tgt, hh.DefaultAnalysisOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		syn, err := a.Synthesize()
+		syn, err := cold(a).Synthesize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +115,7 @@ func BenchmarkFig2Parallelism(b *testing.B) {
 	tgt := mustOoO(b, hh.MediumOoO)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.Workers = workers
 			for i := 0; i < b.N; i++ {
 				mustVerify(b, tgt, oooSafe(), opts)
@@ -138,7 +137,7 @@ func BenchmarkFig3Scaling(b *testing.B) {
 	}
 	for _, tgt := range targets {
 		b.Run(fmt.Sprintf("%s/bits=%d", tgt.Name, tgt.Circuit.NumStateBits()), func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.Workers = 0 // all cores, the paper's fixed-cluster line
 			for i := 0; i < b.N; i++ {
 				mustVerify(b, tgt, safe[tgt.Name], opts)
@@ -154,7 +153,7 @@ func BenchmarkFig4QueryTime(b *testing.B) {
 		tgt := mustOoO(b, v)
 		b.Run(tgt.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, oooSafe(), benchOpts())
+				res := mustVerify(b, tgt, oooSafe(), hh.DefaultAnalysisOptions())
 				b.ReportMetric(float64(res.Stats.MedianQueryTime().Microseconds()), "query-us")
 				b.ReportMetric(float64(res.Stats.MedianTaskTime().Microseconds()), "task-us")
 			}
@@ -169,7 +168,7 @@ func BenchmarkFig5Backtracks(b *testing.B) {
 		tgt := mustOoO(b, v)
 		b.Run(tgt.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, oooSafe(), benchOpts())
+				res := mustVerify(b, tgt, oooSafe(), hh.DefaultAnalysisOptions())
 				b.ReportMetric(float64(res.Stats.Tasks), "tasks")
 				b.ReportMetric(float64(res.Stats.Backtracks), "backtracks")
 			}
@@ -182,7 +181,7 @@ func BenchmarkFig5Backtracks(b *testing.B) {
 // universe solved by H-Houdini vs. monolithic Houdini vs. Sorcar.
 func BenchmarkSpeedupVsBaselines(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
-	opts := benchOpts()
+	opts := hh.DefaultAnalysisOptions()
 	opts.Examples.RunsPerInstr = 1
 	opts.Examples.CompositionRuns = 0
 	a, err := hh.NewAnalysis(tgt, opts)
@@ -203,7 +202,7 @@ func BenchmarkSpeedupVsBaselines(b *testing.B) {
 
 	b.Run("HHoudini", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := a.Verify(safe)
+			res, err := cold(a).Verify(safe)
 			if err != nil || res.Invariant == nil {
 				b.Fatalf("err=%v", err)
 			}
@@ -235,7 +234,7 @@ func BenchmarkAblationCoreMinimization(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
 	for _, min := range []bool{true, false} {
 		b.Run(fmt.Sprintf("minimize=%v", min), func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.MinimizeCores = min
 			for i := 0; i < b.N; i++ {
 				res := mustVerify(b, tgt, oooSafe(), opts)
@@ -251,7 +250,7 @@ func BenchmarkAblationStagedMining(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
 	for _, staged := range []bool{false, true} {
 		b.Run(fmt.Sprintf("staged=%v", staged), func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.StagedMining = staged
 			for i := 0; i < b.N; i++ {
 				res := mustVerify(b, tgt, oooSafe(), opts)
@@ -261,51 +260,18 @@ func BenchmarkAblationStagedMining(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncrementalSolver compares the pooled incremental SAT
-// backend against a fresh solver (and from-scratch Tseitin encoding) per
-// abduction query — the monolithic-restart behaviour the paper contrasts
-// against. The reported metrics quantify the encode-work drop: encoded
-// clauses/gates fall because cone and candidate encodings persist across
-// queries, and solver allocations fall because one pooled solver per cone
-// serves arbitrarily many queries. Under rich examples each target is
-// queried about once, so pooling pays mostly on shared cones; under the
-// weak-example regime backtracking re-queries warm cones heavily, which is
-// where the wall-time win concentrates (~2.6× fewer encoded clauses).
-func BenchmarkAblationIncrementalSolver(b *testing.B) {
-	tgt := mustOoO(b, hh.SmallOoO)
-	for _, examples := range []string{"rich", "weak"} {
-		for _, inc := range []bool{true, false} {
-			b.Run(fmt.Sprintf("examples=%s/incremental=%v", examples, inc), func(b *testing.B) {
-				opts := benchOpts()
-				opts.Learner.IncrementalSolver = inc
-				if examples == "weak" {
-					opts.Examples.RunsPerInstr = 1
-					opts.Examples.CompositionRuns = 0
-				}
-				for i := 0; i < b.N; i++ {
-					res := mustVerify(b, tgt, oooSafe(), opts)
-					b.ReportMetric(float64(res.Stats.EncodedClauses), "enc-clauses")
-					b.ReportMetric(float64(res.Stats.EncodedGates), "enc-gates")
-					b.ReportMetric(float64(res.Stats.SolverAllocs), "solvers")
-					b.ReportMetric(float64(res.Stats.PoolReuses), "reuses")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationExampleFiltering compares the paper's example regimes:
 // rich compositions (near-zero backtracking) against the weak single-run
 // examples (backtracking compensates).
 func BenchmarkAblationExampleFiltering(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
 	configs := map[string]hh.ExampleConfig{
-		"rich": benchOpts().Examples,
+		"rich": hh.DefaultAnalysisOptions().Examples,
 		"weak": {Seed: 1, RunsPerInstr: 1, DirtyPreamble: true},
 	}
 	for name, cfg := range configs {
 		b.Run(name, func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Examples = cfg
 			for i := 0; i < b.N; i++ {
 				res := mustVerify(b, tgt, oooSafe(), opts)
@@ -320,14 +286,14 @@ func BenchmarkAblationExampleFiltering(b *testing.B) {
 // ablation; the verification itself returns None).
 func BenchmarkAblationExampleMasking(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
-	opts := benchOpts()
+	opts := hh.DefaultAnalysisOptions()
 	opts.Examples.DisableMasking = true
 	a, err := hh.NewAnalysis(tgt, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := a.Verify(oooSafe())
+		res, err := cold(a).Verify(oooSafe())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +310,7 @@ func BenchmarkAblationExampleMasking(b *testing.B) {
 // of the miter'd ExecStage outputs.
 func BenchmarkAblationMemoization(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
-	a, err := hh.NewAnalysis(tgt, benchOpts())
+	a, err := hh.NewAnalysis(tgt, hh.DefaultAnalysisOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,9 +326,9 @@ func BenchmarkAblationMemoization(b *testing.B) {
 		hh.EqPred{Reg: "rob_head"},
 	}
 	lopts := hh.DefaultLearnerOptions()
-	lopts.CrossRunCache = false // isolate the shared-vs-separate contrast
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			lopts.Cache = hh.NewVerifyCache() // isolate the shared-vs-separate contrast
 			l := hh.NewLearner(sys, miner, lopts)
 			inv, err := l.Learn(targets)
 			if err != nil || inv == nil {
@@ -375,6 +341,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var tasks int64
 			for _, t := range targets {
+				lopts.Cache = hh.NewVerifyCache()
 				l := hh.NewLearner(sys, miner, lopts)
 				inv, err := l.Learn([]hh.Pred{t})
 				if err != nil || inv == nil {
@@ -401,7 +368,7 @@ func BenchmarkAblationClauseShare(b *testing.B) {
 	tgt := mustOoO(b, hh.SmallOoO)
 	for _, share := range []bool{true, false} {
 		b.Run(fmt.Sprintf("share=%v", share), func(b *testing.B) {
-			opts := benchOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.Workers = 4
 			opts.Learner.ShareClauses = share
 			opts.Examples.RunsPerInstr = 1

@@ -11,10 +11,8 @@
 //	experiments -audit      monolithic re-verification of learned invariants
 //	experiments -ablations  design-choice ablations (cores, staging, masking,
 //	                        annotations, example richness)
-//	experiments -satcore    SAT-core ablations (arena vs. recorded seed,
-//	                        clause sharing on/off, LBD vs. activity reduction)
+//	experiments -satcore    SAT-core ablation (mid-run clause sharing on/off)
 //	experiments -conetransfer  cone-level cache transfer across designs
-//	                        (whole-circuit vs. cone-fingerprint cache keys)
 //	experiments -all        everything above
 //
 // Use -quick to restrict the sweeps to the smaller design variants,
@@ -56,9 +54,8 @@ var (
 	flagSpeedup   = flag.Bool("speedup", false, "H-Houdini vs. monolithic baselines")
 	flagAudit     = flag.Bool("audit", false, "monolithic audit of learned invariants")
 	flagAblations = flag.Bool("ablations", false, "design-choice ablations")
-	flagCrossRun  = flag.Bool("crossrun", false, "cross-run cache sweep: repeated verification cold vs. warm")
-	flagSatCore   = flag.Bool("satcore", false, "SAT-core ablations: arena vs recorded seed, clause sharing on/off, LBD vs activity reduction")
-	flagConeXfer  = flag.Bool("conetransfer", false, "cone-level cache transfer: warm a design from a different design's proof store, whole-circuit vs cone keys")
+	flagSatCore   = flag.Bool("satcore", false, "SAT-core ablation: mid-run clause sharing on/off")
+	flagConeXfer  = flag.Bool("conetransfer", false, "cone-level cache transfer: warm a design from a different design's proof store")
 	flagAll       = flag.Bool("all", false, "run everything")
 	flagQuick     = flag.Bool("quick", false, "restrict sweeps to small variants")
 	flagDeterm    = flag.Bool("deterministic", false, "disable timing-dependent optimizations (mid-run clause sharing) for reproducible runs")
@@ -113,7 +110,7 @@ var stopProfiles = sync.OnceFunc(func() {
 func main() {
 	flag.Parse()
 	any := *flagTable1 || *flagTable2 || *flagFig2 || *flagFig3 || *flagFig4 ||
-		*flagFig5 || *flagSpeedup || *flagAudit || *flagAblations || *flagCrossRun ||
+		*flagFig5 || *flagSpeedup || *flagAudit || *flagAblations ||
 		*flagSatCore || *flagConeXfer || *flagAll
 	if !any {
 		flag.Usage()
@@ -162,9 +159,6 @@ func main() {
 	if *flagAll || *flagAblations {
 		ablations()
 	}
-	if *flagAll || *flagCrossRun {
-		crossrun()
-	}
 	if *flagAll || *flagSatCore {
 		satcore()
 	}
@@ -176,7 +170,7 @@ func main() {
 func die(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	// os.Exit skips defers: flush any proof stores bound during the sweep
-	// (the ablation/crossrun rows open them) so a cancellation mid-sweep
+	// (the ablation/conetransfer rows open them) so a cancellation mid-sweep
 	// still persists partial progress.
 	if cerr := hh.CloseProofDBs(); cerr != nil {
 		fmt.Fprintln(os.Stderr, "experiments: proof store close:", cerr)
@@ -221,11 +215,9 @@ func safeSetFor(t *hh.Target) []string {
 }
 
 func verify(t *hh.Target, opts hh.AnalysisOptions) (*hh.Analysis, *hh.Result) {
-	// Every figure/table run gets a private, cold cross-run cache: the cache
-	// code path stays exercised, but no run inherits another's solver state,
-	// keeping the sweep's timings comparable (the crossrun sweep measures
-	// warm-cache behaviour explicitly).
-	if opts.Learner.CrossRunCache && opts.Learner.Cache == nil {
+	// Every figure/table run gets a private, cold cache: no run inherits
+	// another's answers, keeping the sweep's timings comparable.
+	if opts.Learner.Cache == nil {
 		opts.Learner.Cache = hh.NewVerifyCache()
 	}
 	a, err := hh.NewAnalysis(t, opts)
@@ -447,7 +439,7 @@ func ablations() {
 	run := func(name string, opts hh.AnalysisOptions) {
 		// Isolate each row from the others (cold private cache) so rows are
 		// comparable; the dedicated rows below measure the cache itself.
-		if opts.Learner.CrossRunCache && opts.Learner.Cache == nil {
+		if opts.Learner.Cache == nil {
 			opts.Learner.Cache = hh.NewVerifyCache()
 		}
 		a, err := hh.NewAnalysis(tgt, opts)
@@ -495,14 +487,6 @@ func ablations() {
 	o.Learner.StagedMining = true
 	run("staged (incremental) mining", o)
 
-	o = defaultOpts()
-	o.Learner.IncrementalSolver = false
-	run("fresh solver per query (no pooling)", o)
-
-	o = defaultOpts()
-	o.Learner.CrossRunCache = false
-	run("no cross-run cache (cold run)", o)
-
 	// Budget-escalation ablation: a deliberately tiny first rung forces the
 	// retry ladder to engage on every nontrivial query (retries > 0 in the
 	// row output), against the disabled-ladder single-unbounded-attempt
@@ -516,8 +500,8 @@ func ablations() {
 	o.Learner.InitialSolverConflicts = -1
 	run("no budget escalation (unbounded)", o)
 
-	// Warm cross-run cache: verify once into a private cache, then measure a
-	// second, fully warmed verification of the same system.
+	// Warm cache: verify once into a private cache, then measure a second,
+	// fully warmed verification of the same system.
 	o = defaultOpts()
 	o.Learner.Cache = hh.NewVerifyCache()
 	{
@@ -526,10 +510,10 @@ func ablations() {
 			die(err)
 		}
 		if res, err := a.VerifyCtx(runCtx, safe); err != nil || res.Invariant == nil {
-			die(fmt.Errorf("cross-run warmup failed: %v", err))
+			die(fmt.Errorf("cache warmup failed: %v", err))
 		}
 	}
-	run("warm cross-run cache (2nd run)", o)
+	run("warm cache (2nd run)", o)
 
 	// Persistent proof store: a cold process (empty store) vs. a fresh
 	// process restored from the same on-disk store. Fresh VerifyCache
@@ -568,89 +552,18 @@ func ablations() {
 	run(fmt.Sprintf("parallel (workers=%d)", runtime.GOMAXPROCS(0)), o)
 }
 
-// crossrun measures the cross-run verification cache on the workload it was
-// built for: re-verifying the same (or a slightly mutated) safe set many
-// times, as safe-set synthesis and CI-style re-checks do. For each design
-// it runs N verifications cold (cache disabled) and N warm (one private
-// cache shared across the runs) and reports wall time, encode work and how
-// the cache answered.
-func crossrun() {
-	header("Cross-run cache: repeated verification, cold vs. warm")
-	const rounds = 3
-	fmt.Printf("%-12s %5s %12s %12s %14s %14s %10s %10s\n",
-		"Target", "runs", "cold(s)", "warm(s)", "cold-clauses", "warm-clauses", "enc-hits", "verdicts")
-	targets := evalTargets(*flagQuick)
-	if *flagQuick {
-		targets = targets[:1]
-	}
-	for _, t := range targets {
-		safe := safeSetFor(t)
-
-		coldOpts := defaultOpts()
-		coldOpts.Learner.CrossRunCache = false
-		aCold, err := hh.NewAnalysis(t, coldOpts)
-		if err != nil {
-			die(err)
-		}
-		var coldWall time.Duration
-		var coldClauses int64
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			res, err := aCold.VerifyCtx(runCtx, safe)
-			if err != nil {
-				die(err)
-			}
-			coldWall += time.Since(start)
-			if res.Invariant == nil {
-				die(fmt.Errorf("%s: cold verification failed: %s", t.Name, res.Reason))
-			}
-			coldClauses += res.Stats.EncodedClauses
-		}
-
-		warmOpts := defaultOpts()
-		warmOpts.Learner.Cache = hh.NewVerifyCache()
-		aWarm, err := hh.NewAnalysis(t, warmOpts)
-		if err != nil {
-			die(err)
-		}
-		var warmWall time.Duration
-		var warmClauses, encHits, verdictHits int64
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			res, err := aWarm.VerifyCtx(runCtx, safe)
-			if err != nil {
-				die(err)
-			}
-			warmWall += time.Since(start)
-			if res.Invariant == nil {
-				die(fmt.Errorf("%s: warm verification failed: %s", t.Name, res.Reason))
-			}
-			warmClauses += res.Stats.EncodedClauses
-			encHits += res.Stats.CacheEncoderHits
-			verdictHits += res.Stats.CacheVerdictHits
-		}
-
-		fmt.Printf("%-12s %5d %12.2f %12.2f %14d %14d %10d %10d\n",
-			t.Name, rounds, coldWall.Seconds(), warmWall.Seconds(),
-			coldClauses, warmClauses, encHits, verdictHits)
-	}
-}
-
 // conetransfer measures what the cone-fingerprint cache keys buy: a proof
 // store populated by verifying one design ("donor") warms the verification
 // of a DIFFERENT design ("recipient") exactly as far as their target cones
-// are isomorphic. Each donor→recipient pair runs twice — whole-circuit keys
-// (the pre-cone ablation: the recipient's circuit fingerprint differs, so
-// nothing transfers) and cone keys — through an on-disk proof store with
-// hh.CloseProofDBs() between runs, so each row models two separate
-// processes. The recipient is also verified cold; the warm invariant must
-// match it in size (transfer changes where answers come from, not what is
-// learned).
+// are isomorphic. Each donor→recipient pair runs through an on-disk proof
+// store with hh.CloseProofDBs() between runs, so each row models two
+// separate processes. The recipient is also verified cold; the warm
+// invariant must match it in size (transfer changes where answers come
+// from, not what is learned).
 //
 // The MediumOoO → MediumOoO+dbg pair is the headline: the recipient differs
 // only by an unread debug counter, so every target cone is untouched and
-// the cone-keyed warm fraction approaches 1 while whole-circuit keys
-// restart cold. SmallOoO → MediumOoO is the honest structural-transfer
+// the warm fraction approaches 1. SmallOoO → MediumOoO is the honest structural-transfer
 // row: queue/ROB resizing rewrites most cones (see EXPERIMENTS.md), so
 // only size-independent cones (register file, early multiplier pipeline)
 // carry over.
@@ -681,59 +594,49 @@ func conetransfer() {
 		}
 	}
 
-	fmt.Printf("%-28s %-6s %9s %9s %8s %8s %10s %10s %9s\n",
-		"donor -> recipient", "keys", "cold(s)", "warm(s)", "inv", "queries", "memo-hits", "disk-hits", "warmfrac")
+	fmt.Printf("%-28s %9s %9s %8s %8s %10s %10s %9s\n",
+		"donor -> recipient", "cold(s)", "warm(s)", "inv", "queries", "memo-hits", "disk-hits", "warmfrac")
 	for _, p := range pairs {
-		// Cold recipient baseline, once per pair.
-		coldOpts := defaultOpts()
-		coldOpts.Learner.CrossRunCache = false
+		// Cold recipient baseline (verify gives it a private, empty cache).
 		start := time.Now()
-		_, coldRes := verify(p.recipient, coldOpts)
+		_, coldRes := verify(p.recipient, defaultOpts())
 		coldWall := time.Since(start)
 
-		for _, cone := range []bool{false, true} {
-			dir, err := os.MkdirTemp("", "hh-conexfer-*")
-			if err != nil {
-				die(err)
-			}
-			donorOpts := defaultOpts()
-			donorOpts.Learner.Cache = hh.NewVerifyCache()
-			donorOpts.Learner.CacheDir = dir
-			donorOpts.Learner.ConeLevelCache = cone
-			verify(p.donor, donorOpts)
-			if err := hh.CloseProofDBs(); err != nil {
-				die(err)
-			}
-
-			warmOpts := defaultOpts()
-			warmOpts.Learner.Cache = hh.NewVerifyCache()
-			warmOpts.Learner.CacheDir = dir
-			warmOpts.Learner.ConeLevelCache = cone
-			start := time.Now()
-			_, warmRes := verify(p.recipient, warmOpts)
-			warmWall := time.Since(start)
-			if err := hh.CloseProofDBs(); err != nil {
-				die(err)
-			}
-			os.RemoveAll(dir)
-
-			if warmRes.Invariant.Size() != coldRes.Invariant.Size() {
-				die(fmt.Errorf("%s -> %s: warm invariant size %d != cold %d",
-					p.donor.Name, p.recipient.Name, warmRes.Invariant.Size(), coldRes.Invariant.Size()))
-			}
-			keys := "whole"
-			if cone {
-				keys = "cone"
-			}
-			hits := warmRes.Stats.CacheVerdictHits + warmRes.Stats.CacheAbductHits
-			frac := 0.0
-			if warmRes.Stats.Queries > 0 {
-				frac = float64(hits) / float64(warmRes.Stats.Queries)
-			}
-			fmt.Printf("%-28s %-6s %9.2f %9.2f %8d %8d %10d %10d %9.2f\n",
-				p.donor.Name+" -> "+p.recipient.Name, keys,
-				coldWall.Seconds(), warmWall.Seconds(), warmRes.Invariant.Size(),
-				warmRes.Stats.Queries, hits, warmRes.Stats.CacheDiskHits, frac)
+		dir, err := os.MkdirTemp("", "hh-conexfer-*")
+		if err != nil {
+			die(err)
 		}
+		donorOpts := defaultOpts()
+		donorOpts.Learner.Cache = hh.NewVerifyCache()
+		donorOpts.Learner.CacheDir = dir
+		verify(p.donor, donorOpts)
+		if err := hh.CloseProofDBs(); err != nil {
+			die(err)
+		}
+
+		warmOpts := defaultOpts()
+		warmOpts.Learner.Cache = hh.NewVerifyCache()
+		warmOpts.Learner.CacheDir = dir
+		start = time.Now()
+		_, warmRes := verify(p.recipient, warmOpts)
+		warmWall := time.Since(start)
+		if err := hh.CloseProofDBs(); err != nil {
+			die(err)
+		}
+		os.RemoveAll(dir)
+
+		if warmRes.Invariant.Size() != coldRes.Invariant.Size() {
+			die(fmt.Errorf("%s -> %s: warm invariant size %d != cold %d",
+				p.donor.Name, p.recipient.Name, warmRes.Invariant.Size(), coldRes.Invariant.Size()))
+		}
+		hits := warmRes.Stats.CacheVerdictHits + warmRes.Stats.CacheAbductHits
+		frac := 0.0
+		if warmRes.Stats.Queries > 0 {
+			frac = float64(hits) / float64(warmRes.Stats.Queries)
+		}
+		fmt.Printf("%-28s %9.2f %9.2f %8d %8d %10d %10d %9.2f\n",
+			p.donor.Name+" -> "+p.recipient.Name,
+			coldWall.Seconds(), warmWall.Seconds(), warmRes.Invariant.Size(),
+			warmRes.Stats.Queries, hits, warmRes.Stats.CacheDiskHits, frac)
 	}
 }

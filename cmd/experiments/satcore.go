@@ -2,55 +2,18 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
-	"testing"
 	"time"
 
 	hh "hhoudini"
-	"hhoudini/internal/sat"
 )
 
-// satcore prints the SAT-core ablation table (-satcore): the three design
-// choices of the flat-arena rebuild, each measured against its alternative.
-//
-//   - arena rows: the shared BENCH_sat.json workloads timed on this build and
-//     compared to the ns/op recorded on the pre-arena seed solver (the "off"
-//     arm lives in git history; the seed constants pin it).
-//   - sharing rows: one multi-worker OoO verification with the mid-run clause
-//     exchange on and one with it off, compared on wall time and total CDCL
-//     conflicts across all workers.
-//   - reduction rows: identical UNSAT instances solved with the LBD-guided
-//     learnt-DB reduction vs. the pre-arena activity-only policy
-//     (Solver.ActivityOnlyReduce), compared on conflicts to refutation.
+// satcore prints the SAT-core ablation table (-satcore): the smallest OoO
+// design verified with four workers in the weak-example regime (so
+// abduction queries conflict enough to have lemmas worth exchanging), once
+// with the mid-run clause exchange off and once with it on, compared on
+// wall time and total CDCL conflicts across all workers.
 func satcore() {
-	header("SAT core: arena throughput vs. pre-arena seed")
-	fmt.Printf("%-18s %12s %12s %10s %10s\n", "workload", "ns/op", "seed ns/op", "speedup", "allocs/op")
-	for _, w := range sat.BenchWorkloads() {
-		op := w.New()
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		ns := float64(r.NsPerOp())
-		fmt.Printf("%-18s %12.0f %12.0f %9.2fx %10d\n",
-			w.Name, ns, w.SeedNsOp, w.SeedNsOp/ns, r.AllocsPerOp())
-	}
-
 	header("SAT core: mid-run clause sharing on vs. off")
-	satcoreSharing()
-
-	header("SAT core: LBD-guided vs. activity-only learnt-DB reduction")
-	satcoreReduction()
-}
-
-// satcoreSharing runs the smallest OoO design with four workers in the
-// weak-example regime (so abduction queries conflict enough to have lemmas
-// worth exchanging) once per sharing setting.
-func satcoreSharing() {
 	t, err := hh.NewOoO(hh.OoOVariants()[0])
 	if err != nil {
 		die(err)
@@ -58,7 +21,7 @@ func satcoreSharing() {
 	fmt.Printf("%-10s %10s %12s %10s %10s\n", "sharing", "wall", "conflicts", "exported", "imported")
 	for _, share := range []bool{false, true} {
 		opts := defaultOpts()
-		opts.Learner.CrossRunCache = false
+		opts.Learner.Cache = hh.NewVerifyCache() // each arm solves for itself
 		opts.Learner.Workers = 4
 		opts.Learner.ShareClauses = share // ablation arm overrides -deterministic
 		opts.Examples.RunsPerInstr = 1
@@ -78,59 +41,5 @@ func satcoreSharing() {
 		fmt.Printf("%-10t %10s %12d %10d %10d\n",
 			share, time.Since(start).Round(time.Millisecond),
 			res.Stats.SolverConflicts, res.Stats.ShareExported, res.Stats.ShareImported)
-	}
-}
-
-// satcoreReduction refutes identical hard instances under both learnt-DB
-// reduction policies. PHP forces dense learning; the random 3SAT row sits
-// near the phase transition so the learnt DB grows large enough for the
-// reduction policy to matter.
-func satcoreReduction() {
-	pigeons := 9
-	if *flagQuick {
-		pigeons = 8
-	}
-	instances := []struct {
-		name  string
-		build func(*sat.Solver)
-	}{
-		{fmt.Sprintf("php_%d_%d", pigeons, pigeons-1), func(s *sat.Solver) {
-			sat.AddPigeonhole(s, pigeons, pigeons-1)
-		}},
-		{"random3sat_hard", func(s *sat.Solver) {
-			// Near the phase transition and large enough that the learnt DB
-			// crosses the reduction threshold several times.
-			const nVars, nClauses = 220, 970
-			rng := rand.New(rand.NewSource(3))
-			for s.NumVars() < nVars {
-				s.NewVar()
-			}
-			for i := 0; i < nClauses; i++ {
-				c := make([]sat.Lit, 3)
-				for j := range c {
-					c[j] = sat.MkLit(sat.Var(rng.Intn(nVars)), rng.Intn(2) == 1)
-				}
-				s.AddClause(c...)
-			}
-		}},
-	}
-	fmt.Printf("%-18s %-14s %10s %12s\n", "instance", "policy", "wall", "conflicts")
-	for _, inst := range instances {
-		for _, activityOnly := range []bool{false, true} {
-			s := sat.New()
-			s.ActivityOnlyReduce = activityOnly
-			inst.build(s)
-			start := time.Now()
-			st := s.Solve()
-			if st == sat.Unknown {
-				die(fmt.Errorf("%s: solver returned Unknown", inst.name))
-			}
-			policy := "lbd"
-			if activityOnly {
-				policy = "activity-only"
-			}
-			fmt.Printf("%-18s %-14s %10s %12d\n",
-				inst.name, policy, time.Since(start).Round(time.Millisecond), s.Stats.Conflicts)
-		}
 	}
 }

@@ -34,10 +34,7 @@ var (
 	flagSafe       = flag.String("safe", "", "comma-separated proposed safe set (empty: synthesize)")
 	flagSynthesize = flag.Bool("synthesize", false, "synthesize the safe set instead of verifying one")
 	flagWorkers    = flag.Int("workers", 1, "parallel learner workers (0 = GOMAXPROCS)")
-	flagIncr       = flag.Bool("incremental", true, "pooled incremental SAT backend (false: fresh solver per abduction query)")
-	flagCache      = flag.Bool("cache", true, "cross-run verification cache: share pooled solvers, learnt clauses and verdicts across Verify calls")
-	flagConeCache  = flag.Bool("cone-cache", true, "key the verification cache by per-target fan-in-cone fingerprints so results transfer across designs that share cones (false: whole-circuit keys)")
-	flagCacheDir   = flag.String("cache-dir", "", "persist the verification cache (learnt clauses + verdicts) in this directory across process runs")
+	flagCacheDir   = flag.String("cache-dir", "", "persist the verification cache (abduction verdicts and abducts) in this directory across process runs")
 	flagPersist    = flag.Bool("persist", false, "shorthand for -cache-dir "+hh.DefaultCacheDir)
 	flagVerbose    = flag.Bool("v", false, "verbose instrumentation (cache counter report)")
 	flagShowInv    = flag.Bool("show-invariant", false, "print every predicate of the learned invariant")
@@ -135,9 +132,6 @@ func main() {
 	tgt := buildDesign(*flagDesign)
 	opts := hh.DefaultAnalysisOptions()
 	opts.Learner.Workers = *flagWorkers
-	opts.Learner.IncrementalSolver = *flagIncr
-	opts.Learner.CrossRunCache = *flagCache
-	opts.Learner.ConeLevelCache = *flagConeCache
 	if *flagDeterm {
 		// Mid-run clause exchange makes solver behaviour depend on sibling
 		// timing; a deterministic run keeps every worker isolated.
@@ -180,7 +174,7 @@ func reportCacheCounters() bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "cache", "cache-dir", "persist", "cone-cache":
+		case "cache-dir", "persist":
 			set = true
 		}
 	})
@@ -268,12 +262,10 @@ func report(a *hh.Analysis, res *hh.Result, elapsed time.Duration) {
 		fmt.Printf("  solvers=%d pool-reuses=%d encoded gates=%d clauses=%d\n",
 			res.Stats.SolverAllocs, res.Stats.PoolReuses,
 			res.Stats.EncodedGates, res.Stats.EncodedClauses)
-		if *flagCache && reportCacheCounters() {
-			fmt.Printf("  cache: enc hit/miss=%d/%d verdict-hits=%d abduct-hits=%d clauses replayed/exported=%d/%d evictions=%d entries=%d (~%dB)\n",
-				res.Stats.CacheEncoderHits, res.Stats.CacheEncoderMisses,
+		if reportCacheCounters() {
+			fmt.Printf("  cache: verdict-hits=%d abduct-hits=%d entries=%d (~%dB)\n",
 				res.Stats.CacheVerdictHits, res.Stats.CacheAbductHits,
-				res.Stats.CacheClausesReplayed, res.Stats.CacheClausesExported,
-				res.Stats.CacheEvictions, res.Stats.CacheEntries, res.Stats.CacheBytes)
+				res.Stats.CacheEntries, res.Stats.CacheBytes)
 			if *flagCacheDir != "" {
 				fmt.Printf("  proofdb %s: disk-hits=%d loaded=%d flushes=%d\n",
 					*flagCacheDir, res.Stats.CacheDiskHits,

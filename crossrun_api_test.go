@@ -1,9 +1,10 @@
 package hhoudini_test
 
-// End-to-end tests of the cross-run verification cache through the public
-// facade: the ≥30% encode-work acceptance bound, verdict equivalence of
-// cached vs. cold pipelines (Verify, Synthesize, mutated safe sets), and
-// counter plumbing through hh.Result.Stats.
+// End-to-end tests of the verification cache through the public facade: the
+// ≥30% encode-work acceptance bound, verdict equivalence of memo-answered
+// vs. cold pipelines (Verify, Synthesize, mutated safe sets), and counter
+// plumbing through hh.Result.Stats. A cold run is one over a private, empty
+// cache (Cache: NewVerifyCache()).
 
 import (
 	"sort"
@@ -24,11 +25,7 @@ func execStageTarget(t *testing.T) *hh.Target {
 func analysisWith(t *testing.T, tgt *hh.Target, cache *hh.VerifyCache) *hh.Analysis {
 	t.Helper()
 	opts := hh.DefaultAnalysisOptions()
-	if cache == nil {
-		opts.Learner.CrossRunCache = false
-	} else {
-		opts.Learner.Cache = cache
-	}
+	opts.Learner.Cache = cache
 	a, err := hh.NewAnalysis(tgt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +54,8 @@ func TestCrossRunCacheReducesEncodeWork(t *testing.T) {
 	}
 
 	var cold int64
-	aCold := analysisWith(t, tgt, nil)
 	for i := 0; i < runs; i++ {
-		cold += verify(aCold).Stats.EncodedClauses
+		cold += verify(analysisWith(t, tgt, hh.NewVerifyCache())).Stats.EncodedClauses
 	}
 	if cold == 0 {
 		t.Fatal("cold runs encoded nothing; the metric is broken")
@@ -84,9 +80,10 @@ func TestCrossRunCacheReducesEncodeWork(t *testing.T) {
 		cold, warm, 100*float64(cold-warm)/float64(cold), verdictHits)
 }
 
-// TestCrossRunSynthesizeDifferential runs full safe-set synthesis with and
-// without the cache: the synthesized safe sets must be identical and the
-// final proof must audit in both configurations.
+// TestCrossRunSynthesizeDifferential runs full safe-set synthesis twice over
+// one cache — cold, then again with every repeated query answered from the
+// first run's memos: the synthesized safe sets must be identical and the
+// final proof must be produced both times.
 func TestCrossRunSynthesizeDifferential(t *testing.T) {
 	tgt := execStageTarget(t)
 
@@ -102,8 +99,12 @@ func TestCrossRunSynthesizeDifferential(t *testing.T) {
 		return syn
 	}
 
-	cold := synthesize(nil)
-	warm := synthesize(hh.NewVerifyCache())
+	cache := hh.NewVerifyCache()
+	cold := synthesize(cache)
+	warm := synthesize(cache)
+	if warm.Result.Stats.CacheVerdictHits+warm.Result.Stats.CacheAbductHits == 0 {
+		t.Fatal("second synthesis recorded no memo hits; the differential is vacuous")
+	}
 
 	sortedCopy := func(xs []string) []string {
 		out := append([]string(nil), xs...)
@@ -140,12 +141,11 @@ func TestCrossRunMutatedSafeSetsDifferential(t *testing.T) {
 		{"add"}, // repeat: warm run may answer from the memo
 	}
 
-	aCold := analysisWith(t, tgt, nil)
 	aWarm := analysisWith(t, tgt, hh.NewVerifyCache())
 
 	var warmHits int64
 	for i, safe := range sets {
-		rc, err := aCold.Verify(safe)
+		rc, err := analysisWith(t, tgt, hh.NewVerifyCache()).Verify(safe)
 		if err != nil {
 			t.Fatal(err)
 		}

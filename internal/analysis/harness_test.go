@@ -53,8 +53,6 @@ func TestMetaBuggyExactDiagnosticSet(t *testing.T) {
 	want := []string{
 		fmt.Sprintf("metabuggy.go:%d: [atomicstats] plain write to atomic counter stats.Hits (use sync/atomic)",
 			lineOf(t, main, "BUG(atomicstats)")),
-		fmt.Sprintf("metabuggy.go:%d: [pooledowner] checkout result discarded: the checked-out value leaves the cache and leaks",
-			lineOf(t, main, "BUG(pooledowner)")),
 		fmt.Sprintf("metabuggy.go:%d: [selectorrelease] NewSelector result dropped: the selector can never be Released",
 			lineOf(t, main, "BUG(selectorrelease)")),
 		fmt.Sprintf("metabuggy.go:%d: [lockscope] call through function value e.hook while holding e.mu (agent-visible callback under lock)",

@@ -16,7 +16,6 @@ func TestGoldenPasses(t *testing.T) {
 	}{
 		{"atomicstats", 2},
 		{"clausering", 2},
-		{"pooledowner", 2},
 		{"selectorrelease", 2},
 		{"flusherr", 2},
 		{"lockscope", 2},

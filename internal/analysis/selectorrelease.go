@@ -10,8 +10,7 @@ import (
 // incremental SAT backend. A selector allocated with NewSelector() guards a
 // clause group; the solver only reclaims the group when the selector is
 // Release()d, so a selector that is acquired and then forgotten pins dead
-// clauses in every pooled solver forever — a leak that compounds across the
-// cross-run cache's check-in/checkout cycles.
+// clauses in its pooled solver for the rest of the Learn.
 //
 // Within one function body, a freshly acquired selector must, on every
 // return path, have met one of:

@@ -15,22 +15,6 @@ func bumpPlain(s *stats) {
 	s.Hits++ // BUG(atomicstats): plain write
 }
 
-type enc struct{ n int }
-
-type cache struct{ m map[uint64]*enc }
-
-func (c *cache) checkout(key string, cone uint64) *enc {
-	e := c.m[cone]
-	delete(c.m, cone)
-	return e
-}
-
-func (c *cache) checkin(key string, cone uint64, e *enc) { c.m[cone] = e }
-
-func dropCheckout(c *cache) {
-	c.checkout("k", 1) // BUG(pooledowner): discarded checkout
-}
-
 type sel int
 
 type solver struct{ groups map[sel]bool }

@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // buildEmbedded builds a fixed two-register cone ("a", "b" over input "in"),
 // optionally embedded in a larger design: junk registers and logic declared
@@ -56,21 +52,6 @@ func TestConeFingerprintInvariantToEmbedding(t *testing.T) {
 	// Support order and duplicates must not matter.
 	if plain.ConeFingerprint([]string{"b", "a", "b"}) != plain.ConeFingerprint(sup) {
 		t.Fatal("cone fingerprint depends on support order/duplicates")
-	}
-	// Canonical AND names coincide across the embeddings even though the
-	// underlying global node ids differ.
-	collect := func(c *Circuit) map[string]bool {
-		out := make(map[string]bool)
-		for _, nm := range c.ConeNames(sup) {
-			if strings.HasPrefix(nm, "c:") {
-				out[nm] = true
-			}
-		}
-		return out
-	}
-	n1, n2 := collect(plain), collect(embedded)
-	if len(n1) == 0 || !reflect.DeepEqual(n1, n2) {
-		t.Fatalf("canonical AND names differ across embeddings: %d vs %d names", len(n1), len(n2))
 	}
 }
 
@@ -133,34 +114,6 @@ func TestConeFingerprintPerturbations(t *testing.T) {
 	}
 }
 
-func TestConeNamesForms(t *testing.T) {
-	c := buildEmbedded(t, false)
-	names := c.ConeNames([]string{"a", "b"})
-	hex := c.ConeFingerprint([]string{"a", "b"}).Hex()
-	if len(hex) != 32 {
-		t.Fatalf("Hex() length = %d, want 32", len(hex))
-	}
-	var sawGate, sawLatch, sawInput bool
-	for id, nm := range names {
-		switch {
-		case strings.HasPrefix(nm, "c:"):
-			sawGate = true
-			if !strings.HasPrefix(nm, "c:"+hex+":") {
-				t.Fatalf("gate name %q does not embed cone fp %s", nm, hex)
-			}
-		case strings.HasPrefix(nm, "r:"):
-			sawLatch = true
-		case strings.HasPrefix(nm, "i:"):
-			sawInput = true
-		default:
-			t.Fatalf("unexpected canonical name %q for node %d", nm, id)
-		}
-	}
-	if !sawGate || !sawLatch || !sawInput {
-		t.Fatalf("missing name class: gate=%v latch=%v input=%v", sawGate, sawLatch, sawInput)
-	}
-}
-
 // TestDuplicateInheritsFingerprint is the regression test for the
 // fpState-lost-on-duplicate fix. A first replay normalizes node numbering
 // (registers, then inputs, then gates), so its whole-circuit fingerprint is
@@ -198,15 +151,12 @@ func TestDuplicateInheritsFingerprint(t *testing.T) {
 	}
 
 	// Replay of a replay is node-identical: inheritance kicks in, observable
-	// as sharing — the memoized cone-name map is the very same object.
-	dup1.ConeNames(sup)
+	// as sharing — the cone memo table is the very same object.
 	dup3 := replay(dup1)
 	if dup3.Fingerprint() != dup1.Fingerprint() {
 		t.Fatalf("normalized replay fingerprint mismatch: %x vs %x", dup3.Fingerprint(), dup1.Fingerprint())
 	}
-	n1 := dup1.ConeNames(sup)
-	n2 := dup3.ConeNames(sup)
-	if reflect.ValueOf(n1).Pointer() != reflect.ValueOf(n2).Pointer() {
+	if dup1.coneTab() != dup3.coneTab() {
 		t.Fatal("normalized pure duplicate did not inherit the cone memo table")
 	}
 

@@ -31,9 +31,9 @@ type Encoder struct {
 	memo       map[string]sat.Lit
 	stats      EncoderStats
 
-	// Canonical variable naming for cross-solver clause exchange. A name
-	// denotes the same boolean function of the circuit state in every
-	// encoder over the same circuit fingerprint: node variables are named
+	// Canonical variable naming for clause exchange between the solvers of
+	// one Learn's workers. A name denotes the same boolean function of the
+	// circuit state in every encoder over the same circuit: node variables are named
 	// by node id ("n:<id>"), and auxiliary gates built inside a named scope
 	// (a Memo build or InScope region, which runs at most once per encoder
 	// and is a deterministic function of its key) are named positionally
@@ -43,16 +43,6 @@ type Encoder struct {
 	nameToVar map[string]sat.Var // canonical name → var
 	scope     string
 	scopeSeq  int
-
-	// Cone-canonical naming (cross-design clause exchange). When coneNames
-	// is installed the encoder abandons global-node-id names: nodes in the
-	// map use their canonical cone names ("c:<coneFP>:<k>"), latch and input
-	// leaves outside the map fall back to structural names ("r:<reg>:<bit>",
-	// "i:<port>:<bit>"), and AND gates outside the cone stay unnamed — their
-	// identity is not pinned by the cone fingerprint, so clauses touching
-	// them must never be exported.
-	coneMode  bool
-	coneNames map[int32]string
 }
 
 // NamedLit is a literal expressed over canonical variable names instead of
@@ -70,9 +60,9 @@ type EncoderStats struct {
 	Gates    int64 // auxiliary (Tseitin gate) variables introduced
 	Clauses  int64 // clauses added through the encoder
 	MemoHits int64 // Memo calls served from cache without re-encoding
-	// Imported counts clauses replayed in from a cross-run clause store via
+	// Imported counts clauses drained in from sibling workers via
 	// ImportNamedClause. They are deliberately not charged to Clauses:
-	// replayed clauses are reused work, not fresh encode work.
+	// imported clauses are reused work, not fresh encode work.
 	Imported int64
 }
 
@@ -91,14 +81,6 @@ func NewEncoder(c *Circuit, s *sat.Solver) *Encoder {
 	e.addClause(e.constFalse.Not())
 	e.lits[0] = e.constFalse
 	return e
-}
-
-// SetConeNames switches the encoder to cone-canonical naming using a name
-// map from Circuit.ConeNames. Must be called before any encoding (right
-// after NewEncoder); the map is borrowed and must not be mutated.
-func (e *Encoder) SetConeNames(names map[int32]string) {
-	e.coneMode = true
-	e.coneNames = names
 }
 
 // setName records the canonical name of a variable in both directions.
@@ -122,10 +104,6 @@ func (e *Encoder) VarName(v sat.Var) string {
 	}
 	return ""
 }
-
-// NamedVarCount returns the number of canonically named variables; the
-// cross-run replay loop uses it as a cheap "new encodings appeared" probe.
-func (e *Encoder) NamedVarCount() int { return len(e.nameToVar) }
 
 // InScope runs fn with gate naming scoped under key. The build must run at
 // most once per encoder per key and be a deterministic function of the key
@@ -157,31 +135,16 @@ func (e *Encoder) newGate() sat.Lit {
 	return l
 }
 
-// newNodeVar allocates the variable of a circuit node. In the default mode
-// it is named by global node id ("n:<id>") — stable across encoders of the
-// same circuit regardless of the order cones are encoded in. In cone mode
-// the canonical cone name (or structural leaf name) is used instead, and
-// AND gates outside the installed cone stay unnamed.
+// newNodeVar allocates the variable of a circuit node, named by global node
+// id ("n:<id>") — stable across encoders of the same circuit regardless of
+// the order cones are encoded in.
 func (e *Encoder) newNodeVar(id int32, gate bool) sat.Lit {
 	if gate {
 		e.stats.Gates++
 	}
 	l := sat.PosLit(e.S.NewVar())
-	e.setName(l.Var(), e.nodeVarName(id))
+	e.setName(l.Var(), "n:"+itoa(int(id)))
 	return l
-}
-
-func (e *Encoder) nodeVarName(id int32) string {
-	if !e.coneMode {
-		return "n:" + itoa(int(id))
-	}
-	if id == 0 {
-		return "n:0" // constant false means the same thing in every design
-	}
-	if nm, ok := e.coneNames[id]; ok {
-		return nm
-	}
-	return e.c.leafName(id) // "" for out-of-cone AND gates: stays unnamed
 }
 
 // itoa is strconv.Itoa without the import weight on the hot path.
@@ -233,27 +196,6 @@ func (e *Encoder) Memo(key string, build func() (sat.Lit, error)) (sat.Lit, erro
 	}
 	e.memo[key] = l
 	return l, nil
-}
-
-// ExportNamedLearnts translates the solver's exportable learnt clauses
-// (sat.Solver.ExportLearnts) into canonical named form. Clauses touching
-// any unnamed variable are dropped: their meaning is not portable.
-func (e *Encoder) ExportNamedLearnts(maxLen int) [][]NamedLit {
-	raw := e.S.ExportLearnts(maxLen)
-	out := make([][]NamedLit, 0, len(raw))
-clauses:
-	for _, cl := range raw {
-		named := make([]NamedLit, len(cl))
-		for i, l := range cl {
-			name := e.VarName(l.Var())
-			if name == "" {
-				continue clauses
-			}
-			named[i] = NamedLit{Name: name, Neg: l.Neg()}
-		}
-		out = append(out, named)
-	}
-	return out
 }
 
 // NameClause translates one clause of solver literals into canonical named

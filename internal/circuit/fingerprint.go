@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -13,10 +12,10 @@ import (
 // node (kind and operands), every input port, every register (name, width,
 // reset value, next-state function) and every named wire participate. Two
 // circuits with equal fingerprints are structurally identical transition
-// systems, so solver work derived from one — cone encodings, learnt
-// clauses, abduction verdicts — is sound to reuse on the other.
+// systems, so abduction answers derived from one are sound to reuse on the
+// other.
 //
-// The fingerprint is the top half of the cross-run verification cache key
+// The fingerprint is the top half of the whole-system verification cache key
 // (the other half is the environment-assumption identity, System.EnvKey in
 // internal/hhoudini): it is what makes "same design, new Learner" cache
 // hits safe and "changed design" runs miss. The hash is computed once per
@@ -109,9 +108,8 @@ func (c *Circuit) adoptIdentity(src *Circuit) {
 
 // ConeFP is a 128-bit canonical fingerprint of a register fan-in cone. Two
 // cones with equal fingerprints are structurally isomorphic under the
-// canonical local numbering, so solver artifacts derived from one — learnt
-// clauses over canonical names, abduction verdicts — are sound to reuse on
-// the other even when the surrounding designs differ. 128 bits because a
+// canonical local numbering, so abduction answers derived from one are
+// sound to reuse on the other even when the surrounding designs differ. 128 bits because a
 // collision would be unsound, not merely slow (same reasoning as the
 // verification cache's dual-hash verdict keys).
 type ConeFP struct {
@@ -119,7 +117,7 @@ type ConeFP struct {
 }
 
 // Hex renders the fingerprint as a fixed-width 32-character hex string —
-// the form embedded in cache keys and canonical gate names.
+// the form embedded in cache keys.
 func (f ConeFP) Hex() string {
 	var b [32]byte
 	hexPut(b[:16], f.A)
@@ -135,25 +133,18 @@ func hexPut(dst []byte, v uint64) {
 	}
 }
 
-// coneInfo is the memoized result of one canonical cone traversal: the
-// fingerprint plus the canonical node-name map handed to encoders.
-type coneInfo struct {
-	fp    ConeFP
-	names map[int32]string
-}
-
 // coneTable memoizes cone traversals per support set. It is shared between
 // a circuit and its pure duplicates (see adoptIdentity): node ids are
 // identical across a pure replay, so the memo transfers verbatim.
 type coneTable struct {
 	mu sync.Mutex
-	m  map[string]*coneInfo
+	m  map[string]ConeFP
 }
 
 func (c *Circuit) coneTab() *coneTable {
 	c.coneOnce.Do(func() {
 		if c.cones == nil {
-			c.cones = &coneTable{m: make(map[string]*coneInfo)}
+			c.cones = &coneTable{m: make(map[string]ConeFP)}
 		}
 	})
 	return c.cones
@@ -194,26 +185,12 @@ func canonSupport(support []string) string {
 // Results are memoized per support set; repeated cones cost one traversal.
 // Safe for concurrent use.
 func (c *Circuit) ConeFingerprint(support []string) ConeFP {
-	return c.coneInfoFor(support).fp
-}
-
-// ConeNames returns the canonical variable names of every node in the union
-// fan-in cone of the named registers: AND gates are named
-// "c:<coneFP.Hex()>:<local-id>" (the name embeds the cone identity, so an
-// equal name implies an equal Tseitin definition across designs), latch
-// leaves "r:<reg>:<bit>", and input leaves "i:<port>:<bit>". The returned
-// map is shared and memoized — callers must not mutate it.
-func (c *Circuit) ConeNames(support []string) map[int32]string {
-	return c.coneInfoFor(support).names
-}
-
-func (c *Circuit) coneInfoFor(support []string) *coneInfo {
 	key := canonSupport(support)
 	t := c.coneTab()
 	t.mu.Lock()
-	if ci, ok := t.m[key]; ok {
+	if fp, ok := t.m[key]; ok {
 		t.mu.Unlock()
-		return ci
+		return fp
 	}
 	t.mu.Unlock()
 
@@ -221,16 +198,14 @@ func (c *Circuit) coneInfoFor(support []string) *coneInfo {
 	if key != "" {
 		names = strings.Split(key, "\x00")
 	}
-	ci := c.computeCone(names)
+	fp := c.computeCone(names)
 
+	// A concurrent caller may have stored the same key meanwhile; the
+	// fingerprint is a pure function of the support, so either write wins.
 	t.mu.Lock()
-	if prev, ok := t.m[key]; ok {
-		ci = prev // lost a benign race; keep the canonical entry
-	} else {
-		t.m[key] = ci
-	}
+	t.m[key] = fp
 	t.mu.Unlock()
-	return ci
+	return fp
 }
 
 // ch128 is a per-node canonical structure hash: a 128-bit digest of the
@@ -238,8 +213,8 @@ func (c *Circuit) coneInfoFor(support []string) *coneInfo {
 // order-insensitive way. The builder normalizes AND operand order by global
 // signal value (And2 swaps), so stored operand order varies with
 // declaration order; canonicalization must therefore not depend on it —
-// g ↔ a∧b is symmetric, so commuting operands preserves the Tseitin
-// definition a canonical name stands for.
+// a∧b is symmetric, so commuting operands preserves the function the cone
+// computes.
 type ch128 struct{ a, b uint64 }
 
 const (
@@ -300,7 +275,7 @@ func chLess(x ch128, xi bool, y ch128, yi bool) bool {
 // order, and hashes each node's structure — expressed over local ids —
 // exactly once. The same byte stream feeds two independent FNV variants to
 // form the 128-bit fingerprint.
-func (c *Circuit) computeCone(support []string) *coneInfo {
+func (c *Circuit) computeCone(support []string) ConeFP {
 	h1 := fnv.New64a()
 	h2 := fnv.New64()
 	var buf [8]byte
@@ -400,16 +375,9 @@ func (c *Circuit) computeCone(support []string) *coneInfo {
 	// first; ties (isomorphic operand subtrees) fall back to ascending
 	// local id, which both orders agree on up to isomorphism.
 	local := make(map[int32]int32)
-	names := make(map[int32]string)
-	nextLocal := int32(0)
-	assign := func(id int32) int32 {
-		lid := nextLocal
-		local[id] = lid
-		nextLocal++
-		return lid
+	assign := func(id int32) {
+		local[id] = int32(len(local))
 	}
-	type andRef struct{ node, lid int32 }
-	var ands []andRef
 
 	visit := func(root int32) {
 		if _, ok := local[root]; ok {
@@ -443,27 +411,24 @@ func (c *Circuit) computeCone(support []string) *coneInfo {
 				if chLess(pb, ib, pa, ia) || (pa == pb && ia == ib && lb < la) {
 					la, lb, ia, ib = lb, la, ib, ia
 				}
-				lid := assign(f.id)
+				assign(f.id)
 				str("a")
 				u64(uint64(la))
 				boolBit(ia)
 				u64(uint64(lb))
 				boolBit(ib)
-				ands = append(ands, andRef{node: f.id, lid: lid})
 			case kLatch:
 				l := c.latches[nd.a]
 				assign(f.id)
 				str("r")
 				str(c.regs[l.reg].Name)
 				u64(uint64(l.bit))
-				names[f.id] = c.leafName(f.id)
 			case kInput:
 				assign(f.id)
 				port, off := c.inputBitRef(int32(nd.a))
 				str("i")
 				str(c.inputs[port].Name)
 				u64(uint64(off))
-				names[f.id] = c.leafName(f.id)
 			case kConst:
 				assign(f.id)
 				str("k")
@@ -495,12 +460,7 @@ func (c *Circuit) computeCone(support []string) *coneInfo {
 		}
 	}
 
-	ci := &coneInfo{fp: ConeFP{A: h1.Sum64(), B: h2.Sum64()}, names: names}
-	hex := ci.fp.Hex()
-	for _, a := range ands {
-		names[a.node] = "c:" + hex + ":" + strconv.Itoa(int(a.lid))
-	}
-	return ci
+	return ConeFP{A: h1.Sum64(), B: h2.Sum64()}
 }
 
 // inputBitRef resolves a global input-bit index to (port index, bit offset
@@ -519,23 +479,4 @@ func (c *Circuit) inputBitRef(g int32) (port, off int32) {
 		}
 	})
 	return c.inBitPort[g], c.inBitOff[g]
-}
-
-// leafName returns the canonical structural name of a latch or input node
-// ("r:<reg>:<bit>" / "i:<port>:<bit>"), or "" for other node kinds. These
-// names are free variables of the transition encoding: they carry no
-// Tseitin definition, so sharing them across designs is unconditionally
-// sound, and a design that lacks the referenced register or port simply
-// fails the import name lookup.
-func (c *Circuit) leafName(id int32) string {
-	nd := c.nodes[id]
-	switch nd.kind {
-	case kLatch:
-		l := c.latches[nd.a]
-		return "r:" + c.regs[l.reg].Name + ":" + itoa(l.bit)
-	case kInput:
-		port, off := c.inputBitRef(int32(nd.a))
-		return "i:" + c.inputs[port].Name + ":" + itoa(int(off))
-	}
-	return ""
 }

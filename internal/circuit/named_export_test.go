@@ -172,9 +172,11 @@ func TestImportNamedClauseUnknownName(t *testing.T) {
 	}
 }
 
-// TestExportNamedLearntsDropsUnnamed checks that exported clauses never
-// mention unnamed (selector or out-of-scope aux) variables: every literal in
-// every exported clause must resolve through VarName.
+// TestExportNamedLearntsDropsUnnamed checks that clauses published in
+// named form (NameClause, called from the solver's mid-run export hook)
+// never mention unnamed (selector or out-of-scope aux) variables: a clause
+// touching one is dropped whole, and every literal of every published
+// clause resolves through VarName.
 func TestExportNamedLearntsDropsUnnamed(t *testing.T) {
 	c := portabilityCircuit(t)
 	s := sat.New()
@@ -183,21 +185,31 @@ func TestExportNamedLearntsDropsUnnamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel := enc.NewSelector()
+	if enc.NameClause([]sat.Lit{xn[0], sel.Not()}) != nil {
+		t.Fatal("clause mentioning a selector was given a portable name")
+	}
+
+	var published [][]NamedLit
+	s.SetExchangeHooks(func(lits []sat.Lit, lbd int) {
+		if named := enc.NameClause(lits); named != nil {
+			published = append(published, named)
+		}
+	}, nil)
 	// Force some search with selector-guarded contradictory assumptions so
 	// learnt clauses (and selector-tainted ones) exist.
-	sel := enc.NewSelector()
 	enc.AssertLitWhen(sel, xn[0])
 	enc.AssertLitWhen(sel, xn[0].Not())
 	if st := s.Solve(sel); st != sat.Unsat {
 		t.Fatalf("contradiction under selector: %v, want Unsat", st)
 	}
-	for _, cl := range enc.ExportNamedLearnts(8) {
+	for _, cl := range published {
 		if len(cl) == 0 {
-			t.Fatal("empty exported clause")
+			t.Fatal("empty published clause")
 		}
 		for _, nl := range cl {
 			if nl.Name == "" {
-				t.Fatalf("exported clause %v carries an unnamed literal", cl)
+				t.Fatalf("published clause %v carries an unnamed literal", cl)
 			}
 		}
 	}

@@ -131,24 +131,20 @@ type abductResult struct {
 // candidate and the target hold on the positive examples (P-S) — the
 // UNSAT-ness must come from ¬p'_target, making the extraction sound.
 //
-// Two backends answer the query. The incremental backend (the default;
-// Options.IncrementalSolver) runs it against a pooled per-worker solver
-// keyed by target-cone signature: the cone encoding, the candidate
-// encodings and the solver's learnt clauses persist across queries, and
-// the query-specific facts p_target / ¬p'_target are scoped as assumptions
-// rather than destructive unit clauses. The fresh backend re-encodes
-// everything into a brand-new solver per query — the monolithic-restart
-// behaviour the paper contrasts against, kept for the ablation benches.
-// When a cross-run cache is attached, the whole query is additionally
-// memoized by (target, candidate set, minimize flag): predicate IDs are
-// canonical within one system identity, so an identical query re-issued by
-// a later Learner — the common case in safe-set synthesis, which re-runs
-// Verify after every mutation that leaves most cones untouched — is
-// answered without touching a solver. A memoized abduct is one the solver
-// really returned for this exact query on this exact system, so replaying
-// it preserves soundness; it may differ from what a fresh solver would
-// return now (cores are not unique), which is the same latitude the solver
-// itself already has.
+// The query runs against a pooled per-worker solver keyed by target-cone
+// signature (abductIncremental): the cone encoding, the candidate encodings
+// and the solver's learnt clauses persist across the queries of one Learn,
+// and the query-specific facts p_target / ¬p'_target are scoped as
+// assumptions rather than destructive unit clauses. For a cacheable system
+// the whole query is additionally memoized by (target, candidate set,
+// minimize flag): predicate IDs are canonical within one system identity,
+// so an identical query re-issued by a later Learner — the common case in
+// safe-set synthesis, which re-runs Verify after every mutation that leaves
+// most cones untouched — is answered without touching a solver. A memoized
+// abduct is one the solver really returned for this exact query on this
+// exact system, so replaying it preserves soundness; it may differ from
+// what a fresh solver would return now (cores are not unique), which is the
+// same latitude the solver itself already has.
 func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
 	start := time.Now()
 	defer func() {
@@ -162,9 +158,7 @@ func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductRe
 	var vk verdictKey
 	var ckey string
 	if l.cache != nil {
-		ckey = l.cacheKeyFor(target)
-	}
-	if l.cache != nil && ckey != "" {
+		ckey = l.coneIdentFor(target)
 		vk = verdictKeyFor(target, cands, l.opts.MinimizeCores)
 		if res, fromDisk, ok := l.cache.lookupVerdict(ckey, vk, target, cands); ok {
 			atomic.AddInt64(&l.stats.CacheVerdictHits, 1)
@@ -187,93 +181,18 @@ func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductRe
 			return abductResult{preds: preds, ok: true}, nil
 		}
 	}
-	var res abductResult
-	var err error
-	if l.opts.IncrementalSolver && pool != nil {
-		res, err = l.abductIncremental(target, cands, pool)
-	} else {
-		res, err = l.abductFresh(target, cands, pool)
+	solve := l.abductIncremental
+	if l.refAbduct != nil {
+		solve = l.refAbduct
 	}
-	if err == nil && l.cache != nil && ckey != "" {
+	res, err := solve(target, cands, pool)
+	if err == nil && l.cache != nil {
 		l.cache.storeVerdict(ckey, vk, res)
 		if res.ok {
 			l.cache.storeAbduct(ckey, target, res)
 		}
 	}
 	return res, err
-}
-
-// abductFresh is the fresh-solver backend: one new solver and a from-
-// scratch Tseitin encoding per query. pool (possibly nil) is only
-// consulted for its clause-exchange attachment: even a throwaway solver
-// publishes and drains shared lemmas while it runs.
-func (l *Learner) abductFresh(target Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
-	enc, err := l.sys.newEncoder()
-	if err != nil {
-		return abductResult{}, err
-	}
-	atomic.AddInt64(&l.stats.SolverAllocs, 1)
-	defer func() {
-		es := enc.Stats()
-		l.stats.addEncodeWork(es.Gates, es.Clauses)
-	}()
-	cur, err := target.Encode(enc, false)
-	if err != nil {
-		return abductResult{}, err
-	}
-	next, err := target.Encode(enc, true)
-	if err != nil {
-		return abductResult{}, err
-	}
-	enc.AssertLit(cur)
-	enc.AssertLit(next.Not())
-
-	sels := make([]sat.Lit, 0, len(cands))
-	bySel := make(map[sat.Lit]Pred, len(cands))
-	for _, p := range cands {
-		if p.ID() == target.ID() {
-			continue // already asserted unconditionally
-		}
-		lit, err := p.Encode(enc, false)
-		if err != nil {
-			return abductResult{}, err
-		}
-		s := enc.NewSelector()
-		enc.AssertLitWhen(s, lit) // s → p
-		sels = append(sels, s)
-		bySel[s] = p
-	}
-
-	// The throwaway solver still registers with the cancellation registry
-	// for the duration of the query: a cancelled LearnCtx must be able to
-	// interrupt fresh-backend searches too.
-	l.trackSolver(enc.S)
-	defer l.untrackSolver(enc.S)
-	if pool != nil && pool.exchange != nil {
-		pool.exchange.install(pool.worker, enc)
-	}
-
-	st, core, err := l.solveAbduction(enc.S, sels, target)
-	if err != nil {
-		return abductResult{}, err
-	}
-	if st == sat.Sat {
-		return abductResult{ok: false}, nil
-	}
-	if l.opts.MinimizeCores {
-		orderCoreForMinimization(core, func(s sat.Lit) int { return tierOf(bySel[s]) })
-		l.armMinimizeBudget(enc.S)
-		core = enc.S.MinimizeCore(core)
-	}
-	out := make([]Pred, 0, len(core))
-	for _, s := range core {
-		p, ok := bySel[s]
-		if !ok {
-			return abductResult{}, fmt.Errorf("hhoudini: core literal %v is not a selector", s)
-		}
-		out = append(out, p)
-	}
-	return abductResult{preds: out, ok: true}, nil
 }
 
 // abductIncremental is the pooled backend: the query runs against the
@@ -311,11 +230,6 @@ func (l *Learner) abductIncremental(target Pred, cands []Pred, pool *encoderPool
 		assumps = append(assumps, s)
 		bySel[s] = p
 	}
-
-	// With every encoding for this query in place (and thus every canonical
-	// name this solver will ever know for it), pull in any base-system
-	// learnt clauses other solvers of the same identity have derived.
-	pool.replayLearnts(pe)
 
 	st, core, err := l.solveAbduction(pe.enc.S, assumps, target)
 	if err != nil {

@@ -7,85 +7,66 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hhoudini/internal/circuit"
 	"hhoudini/internal/proofdb"
 )
 
-// VerifyCache is the process-wide, concurrency-safe verification cache that
-// outlives individual Learners. PR 1 made abduction incremental *within*
-// one Learn call; this extends the paper's "small, incremental, memoizable"
-// argument (§3.2) one level up, across Learner instances: safe-set
-// synthesis and the experiment sweeps re-verify near-identical systems many
-// times, and almost all of the solver work they rebuild is a pure function
-// of the system identity.
+// VerifyCache is the process-wide, concurrency-safe memo store that outlives
+// individual Learners: what crosses a Learn is the *answer* of a sub-problem
+// (§3.2.1 memoizes the abduct of H-Houdini(p_target)), never solver state —
+// a worker's solvers live in its encoderPool for one Learn and are dropped.
+// Safe-set synthesis and the experiment sweeps re-verify near-identical
+// systems many times, and an answer is a pure function of the system
+// identity, so a repeat is served without building a solver at all.
 //
-// The cache is keyed at the top level by System.CacheKey — the circuit's
-// structural fingerprint combined with the environment-assumption identity
+// Keys are cone-level (System.ConeCacheKey): the canonical fingerprint of
+// the target's fan-in cone combined with the environment-assumption identity
 // (EnvKey). Changing the safe set changes the EnvKey, so stale entries can
 // never be consulted; that is the whole invalidation story, by
-// construction. Under each key three layers of reuse live side by side:
+// construction. Under each key live two memos:
 //
-//  1. pooled solver/encoder pairs, checked in at Learner retirement and
-//     checked out (single-owner) by later Learners over the same system —
-//     the cone encodings, predicate encodings, candidate selectors and the
-//     solver's learnt clauses all survive;
-//  2. a learnt-clause store holding base-system clauses (sat.Solver
-//     ExportLearnts) in canonical named form, replayed into fresh or
-//     pooled solvers of the same identity;
-//  3. a verdict memo for whole relative-induction queries:
-//     (target, candidate-set signature, minimize flag) → SAT/UNSAT + core,
-//     which lets repeated Synthesize re-verification skip entire queries.
+//  1. the verdict memo for whole relative-induction queries:
+//     (target, candidate-set signature, minimize flag) → SAT/UNSAT + core;
+//  2. the subset-abduct memo: target → proven abducts, each of which answers
+//     any query whose candidate set contains it.
 //
-// Memory is bounded: cached encoders are evicted LRU once their summed
-// encoded-clause footprint exceeds the budget (their learnt clauses are
-// exported to the store first, so eviction degrades gracefully), the
-// clause store and verdict memo are capped per key, and whole keys are
-// evicted LRU beyond maxKeys.
+// Memory is bounded: both memos are capped per key, and whole keys are
+// evicted LRU beyond maxKeys. The same records are what internal/proofdb
+// persists (SnapshotData / Restore / delta sinks).
 type VerifyCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	useSeq  uint64 // global LRU clock
 
-	// curRecords/curBytes are the durable-layer footprint (stored clauses,
-	// verdicts, abducts), maintained incrementally by every mutation under
-	// vc.mu so Len/Bytes are O(1); bytesHighWater tracks the largest
-	// curBytes ever observed (never reset — the capacity-planning gauge the
-	// service reports).
+	// curRecords/curBytes are the cache's footprint (verdicts, abducts),
+	// maintained incrementally by every mutation under vc.mu so Len/Bytes
+	// are O(1); bytesHighWater tracks the largest curBytes ever observed
+	// (never reset — the capacity-planning gauge the service reports).
 	curRecords     int
 	curBytes       int64
 	bytesHighWater int64
 
-	clauseBudget int64 // max summed encoded clauses across cached encoders
-	maxKeys      int
-	maxStore     int // max clauses in one key's clause store
-	maxVerdicts  int // max verdict memo entries per key
+	maxKeys     int
+	maxVerdicts int // max verdict memo entries per key
 
 	// Process-lifetime counters (atomics; see Counters).
-	encoderHits   int64
-	encoderMisses int64
-	checkins      int64
-	evictions     int64
 	keyEvictions  int64
 	verdictHits   int64
 	verdictMisses int64
 	abductHits    int64
-	clausesStored int64
-	replayed      int64
 
 	// Persistence counters (internal/proofdb wiring): records restored
-	// from a disk snapshot, verdict hits answered by restored memos, and
-	// flushes of this cache into a proof store.
-	diskClausesLoaded  int64
+	// from a disk snapshot, hits answered by restored memos, and flushes of
+	// this cache into a proof store.
 	diskVerdictsLoaded int64
 	diskVerdictHits    int64
 	diskFlushes        int64
 
-	// sinks receive the durable delta of every live mutation (new verdict,
-	// new abduct, clauses harvested at check-in) — the write-ahead feed a
-	// bound ProofDB journals as the facts land, so the crash-loss window is
-	// the sync policy's, not the flush interval's. Registered under vc.mu;
-	// invoked strictly outside it (a sink appends to a store whose own lock
-	// ordering must stay independent of the cache's).
+	// sinks receive the delta of every live mutation (new verdict, new
+	// abduct) — the write-ahead feed a bound ProofDB journals as the facts
+	// land, so the crash-loss window is the sync policy's, not the flush
+	// interval's. Registered under vc.mu; invoked strictly outside it (a
+	// sink appends to a store whose own lock ordering must stay independent
+	// of the cache's).
 	sinks   []deltaSink
 	sinkSeq int64
 }
@@ -96,24 +77,13 @@ type deltaSink struct {
 	fn func(*proofdb.Snapshot)
 }
 
-// Default sizing. The evaluated designs encode a few hundred to a few
-// thousand clauses per pooled solver; a 4M-clause budget keeps every cone
-// of a MegaOoO-scale sweep warm while bounding worst-case memory.
+// Default sizing.
 const (
-	DefaultCacheClauseBudget = 4 << 20
-	// Keys were design-global before cone-level keying (a handful per
-	// process); with Options.ConeLevelCache every distinct target cone is
-	// its own key, so the LRU must hold a design's worth of cones — the
-	// evaluated OoO designs have a few hundred. Worst-case memory stays
-	// bounded: pooled encoders by the global clause budget, clause stores
-	// and verdict memos by the per-key caps below.
+	// Every distinct target cone is its own key, so the LRU must hold a
+	// design's worth of cones — the evaluated OoO designs have a few
+	// hundred. Worst-case memory stays bounded by the per-key caps below.
 	defaultCacheMaxKeys     = 512
-	defaultCacheMaxStore    = 4096
 	defaultCacheMaxVerdicts = 1 << 16
-	// exportMaxLen caps the length of learnt clauses admitted to the
-	// clause store; long clauses rarely prune search enough to repay
-	// replay cost.
-	exportMaxLen = 8
 	// maxAbductsPerTarget caps the subset-abduct memo per (key, target):
 	// distinct proven abducts for one target are rare (candidate drift
 	// yields near-identical cores), so a small cap bounds the containment
@@ -123,22 +93,11 @@ const (
 
 type cacheEntry struct {
 	lastUse uint64
-	// pins counts live sessions holding solver state checked out under this
-	// key (encoder pool attachments). A pinned entry is exempt from whole-
-	// key LRU eviction: retiring it mid-job would reset the append-only
-	// clause store a checked-out encoder indexes by position (silently
-	// disabling replay for the rest of the job) and discard verdicts the
-	// session is still warm on. Unpin happens at pool retirement.
-	pins int
-	// bytes/records mirror this entry's share of the cache's durable
-	// footprint (clauses, verdicts, abducts, key string), maintained by the
-	// add paths so whole-key eviction can decrement in O(1).
-	bytes    int64
-	records  int
-	encoders map[uint64]*cachedEncoder // cone key → retired pooled encoder
-
-	clauses   []storedClause
-	clauseSet map[string]struct{}
+	// bytes/records mirror this entry's share of the cache's footprint
+	// (verdicts, abducts, key string), maintained by the add paths so
+	// whole-key eviction can decrement in O(1).
+	bytes   int64
+	records int
 
 	verdicts map[verdictKey]verdictVal
 
@@ -158,16 +117,6 @@ type abductRec struct {
 	fromDisk bool     // restored from a persistent proof store
 }
 
-type cachedEncoder struct {
-	pe      *pooledEncoder
-	size    int64 // encoded clauses at check-in (budget accounting)
-	lastUse uint64
-}
-
-type storedClause struct {
-	lits []circuit.NamedLit
-}
-
 // verdictKey identifies one abduction query up to semantics: the target,
 // the candidate set (order-independent) and the core-minimization flag.
 // Two independent 64-bit FNV hashes make accidental collisions — which
@@ -185,24 +134,15 @@ type verdictVal struct {
 
 // NewVerifyCache returns an empty cache with default bounds.
 func NewVerifyCache() *VerifyCache {
-	return NewVerifyCacheWithBudget(DefaultCacheClauseBudget)
-}
-
-// NewVerifyCacheWithBudget returns an empty cache whose pooled encoders
-// are bounded by the given total encoded-clause budget (≤0 disables
-// encoder caching entirely; the clause store and verdict memo still work).
-func NewVerifyCacheWithBudget(clauseBudget int64) *VerifyCache {
 	return &VerifyCache{
-		entries:      make(map[string]*cacheEntry),
-		clauseBudget: clauseBudget,
-		maxKeys:      defaultCacheMaxKeys,
-		maxStore:     defaultCacheMaxStore,
-		maxVerdicts:  defaultCacheMaxVerdicts,
+		entries:     make(map[string]*cacheEntry),
+		maxKeys:     defaultCacheMaxKeys,
+		maxVerdicts: defaultCacheMaxVerdicts,
 	}
 }
 
-// sharedCache is the process-global instance used when Options.CrossRunCache
-// is on and no explicit Options.Cache is supplied.
+// sharedCache is the process-global instance used when no explicit
+// Options.Cache is supplied.
 var sharedCache = NewVerifyCache()
 
 // SharedCache returns the process-global verification cache.
@@ -210,26 +150,19 @@ func SharedCache() *VerifyCache { return sharedCache }
 
 // CacheCounters is a snapshot of cache effectiveness counters.
 type CacheCounters struct {
-	EncoderHits   int64 // pooled encoders served to a new Learner
-	EncoderMisses int64 // checkout attempts that found no cached encoder
-	Checkins      int64 // encoders retired into the cache
-	Evictions     int64 // encoders dropped by LRU/budget pressure
-	KeyEvictions  int64 // whole keys (clause store + memos) dropped by key-LRU pressure
+	KeyEvictions  int64 // whole keys (both memos) dropped by key-LRU pressure
 	VerdictHits   int64 // whole abduction queries answered from the memo
 	VerdictMisses int64
 	AbductHits    int64 // queries answered by the subset-abduct memo
-	ClausesStored int64 // learnt clauses admitted to clause stores
-	Replayed      int64 // learnt clauses replayed into solvers
 
 	// Persistence counters (zero unless a proof store is attached).
-	DiskClausesLoaded  int64 // clauses restored from a disk snapshot
-	DiskVerdictsLoaded int64 // verdicts restored from a disk snapshot
-	DiskVerdictHits    int64 // verdict hits answered by restored memos
+	DiskVerdictsLoaded int64 // verdicts and abducts restored from a disk snapshot
+	DiskVerdictHits    int64 // hits answered by restored memos
 	DiskFlushes        int64 // snapshots of this cache merged into a store
 
 	// Introspection (see Len and Bytes; maintained incrementally).
-	Entries     int64 // durable records held: stored clauses + verdicts
-	ApproxBytes int64 // approximate heap bytes of the durable layers
+	Entries     int64 // records held: verdicts + abducts
+	ApproxBytes int64 // approximate heap bytes of the memos
 	// BytesHighWater is the largest ApproxBytes this cache ever reached —
 	// eviction keeps the live figure bounded, so capacity planning needs
 	// the peak, not the current value.
@@ -240,18 +173,11 @@ type CacheCounters struct {
 func (vc *VerifyCache) Counters() CacheCounters {
 	entries, bytes, hw := vc.footprint()
 	return CacheCounters{
-		EncoderHits:   atomic.LoadInt64(&vc.encoderHits),
-		EncoderMisses: atomic.LoadInt64(&vc.encoderMisses),
-		Checkins:      atomic.LoadInt64(&vc.checkins),
-		Evictions:     atomic.LoadInt64(&vc.evictions),
 		KeyEvictions:  atomic.LoadInt64(&vc.keyEvictions),
 		VerdictHits:   atomic.LoadInt64(&vc.verdictHits),
 		VerdictMisses: atomic.LoadInt64(&vc.verdictMisses),
 		AbductHits:    atomic.LoadInt64(&vc.abductHits),
-		ClausesStored: atomic.LoadInt64(&vc.clausesStored),
-		Replayed:      atomic.LoadInt64(&vc.replayed),
 
-		DiskClausesLoaded:  atomic.LoadInt64(&vc.diskClausesLoaded),
 		DiskVerdictsLoaded: atomic.LoadInt64(&vc.diskVerdictsLoaded),
 		DiskVerdictHits:    atomic.LoadInt64(&vc.diskVerdictHits),
 		DiskFlushes:        atomic.LoadInt64(&vc.diskFlushes),
@@ -262,40 +188,26 @@ func (vc *VerifyCache) Counters() CacheCounters {
 	}
 }
 
-// Len returns the number of durable records the cache currently holds —
-// stored learnt clauses plus memoized verdicts and abducts across every
-// key. Pooled encoders are not counted: they are transient solver state,
-// bounded separately by the clause budget. O(1): the figure is maintained
+// Len returns the number of records the cache currently holds — memoized
+// verdicts and abducts across every key. O(1): the figure is maintained
 // incrementally by every mutation.
 func (vc *VerifyCache) Len() int {
 	n, _, _ := vc.footprint()
 	return n
 }
 
-// Bytes returns an approximation of the heap footprint of the durable
-// layers (clause stores, verdict and abduct memos). The estimate counts
-// string payloads plus fixed per-record overheads; it exists so eviction
-// behavior is observable, not as an accounting guarantee. O(1).
+// Bytes returns an approximation of the heap footprint of the verdict and
+// abduct memos. The estimate counts string payloads plus fixed per-record
+// overheads; it exists so eviction behavior is observable, not as an
+// accounting guarantee. O(1).
 func (vc *VerifyCache) Bytes() int64 {
 	_, b, _ := vc.footprint()
 	return b
 }
 
-// Per-record byte-estimate overheads (see Bytes).
-const (
-	litOverhead     = 24 // NamedLit struct: string header + bool + pad
-	clauseOverhead  = 32 // storedClause + slice header + map entry share
-	verdictOverhead = 64 // verdictKey + verdictVal + map entry share
-)
-
-// clauseBytes estimates the heap footprint of one stored clause.
-func clauseBytes(lits []circuit.NamedLit) int64 {
-	b := int64(clauseOverhead)
-	for _, nl := range lits {
-		b += litOverhead + int64(len(nl.Name))
-	}
-	return b
-}
+// verdictOverhead is the fixed per-record share of the byte estimate (see
+// Bytes): verdictKey + verdictVal + map entry share.
+const verdictOverhead = 64
 
 // verdictBytes estimates the heap footprint of one memoized verdict.
 func verdictBytes(val verdictVal) int64 {
@@ -335,65 +247,27 @@ func (vc *VerifyCache) creditLocked(e *cacheEntry, records int, bytes int64) {
 	}
 }
 
-// --- Key pinning -------------------------------------------------------------
-
-// pin marks key as held by a live session (an encoder pool that has solver
-// state checked out, or freshly built, under it): the entry is exempt from
-// whole-key LRU eviction until the matching unpin. Pins nest.
-func (vc *VerifyCache) pin(key string) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	e := vc.entryLocked(key)
-	e.pins++
-}
-
-// unpin releases one pin on key. The entry becomes evictable again when
-// every holder has released; the deferred key-budget check runs immediately
-// so a burst of pinned keys beyond maxKeys drains as sessions retire.
-func (vc *VerifyCache) unpin(key string) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	e, ok := vc.entries[key]
-	if !ok || e.pins == 0 {
-		return
-	}
-	e.pins--
-	if e.pins == 0 {
-		vc.evictKeysLocked()
-	}
-}
-
 // String renders the counters for tool output.
 func (vc *VerifyCache) String() string {
 	c := vc.Counters()
 	s := fmt.Sprintf(
-		"verify-cache{enc hit/miss %d/%d, checkins %d, evictions %d, verdict hit/miss %d/%d, abduct hits %d, clauses stored/replayed %d/%d, entries %d (~%dB)",
-		c.EncoderHits, c.EncoderMisses, c.Checkins, c.Evictions,
-		c.VerdictHits, c.VerdictMisses, c.AbductHits, c.ClausesStored, c.Replayed,
-		c.Entries, c.ApproxBytes)
-	if c.DiskClausesLoaded+c.DiskVerdictsLoaded+c.DiskVerdictHits+c.DiskFlushes > 0 {
-		s += fmt.Sprintf(", disk loaded %d/%d hits %d flushes %d",
-			c.DiskClausesLoaded, c.DiskVerdictsLoaded, c.DiskVerdictHits, c.DiskFlushes)
+		"verify-cache{verdict hit/miss %d/%d, abduct hits %d, key evictions %d, entries %d (~%dB)",
+		c.VerdictHits, c.VerdictMisses, c.AbductHits, c.KeyEvictions, c.Entries, c.ApproxBytes)
+	if c.DiskVerdictsLoaded+c.DiskVerdictHits+c.DiskFlushes > 0 {
+		s += fmt.Sprintf(", disk loaded %d hits %d flushes %d",
+			c.DiskVerdictsLoaded, c.DiskVerdictHits, c.DiskFlushes)
 	}
 	return s + "}"
 }
 
-// Reset drops every cached entry except those pinned by a live session
-// (counters and the bytes high-water are preserved). Intended for tests and
-// long-lived services that change workloads; dropping a pinned key would
-// orphan checked-out solver state, so those survive until their sessions
-// retire.
+// Reset drops every cached entry (counters and the bytes high-water are
+// preserved). Intended for tests and long-lived services that change
+// workloads.
 func (vc *VerifyCache) Reset() {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	for k, e := range vc.entries {
-		if e.pins > 0 {
-			continue
-		}
-		vc.curRecords -= e.records
-		vc.curBytes -= e.bytes
-		delete(vc.entries, k)
-	}
+	vc.entries = make(map[string]*cacheEntry)
+	vc.curRecords, vc.curBytes = 0, 0
 }
 
 // entryLocked returns (creating if needed) the entry for key and touches
@@ -402,10 +276,8 @@ func (vc *VerifyCache) entryLocked(key string) *cacheEntry {
 	e, ok := vc.entries[key]
 	if !ok {
 		e = &cacheEntry{
-			encoders:  make(map[uint64]*cachedEncoder),
-			clauseSet: make(map[string]struct{}),
-			verdicts:  make(map[verdictKey]verdictVal),
-			abducts:   make(map[string][]abductRec),
+			verdicts: make(map[verdictKey]verdictVal),
+			abducts:  make(map[string][]abductRec),
 		}
 		vc.entries[key] = e
 		vc.creditLocked(e, 0, int64(len(key))) // key string + map slot share
@@ -416,229 +288,22 @@ func (vc *VerifyCache) entryLocked(key string) *cacheEntry {
 	return e
 }
 
-// evictKeysLocked drops whole least-recently-used unpinned keys beyond
-// maxKeys. Entries pinned by a live session are never victims — retiring
-// one mid-job would reset the append-only clause store its checked-out
-// encoders index by position (silently disabling replay for the rest of
-// the job). If every entry is pinned the map is allowed to exceed maxKeys
-// transiently; unpin re-runs this check as sessions retire.
+// evictKeysLocked drops whole least-recently-used keys beyond maxKeys.
 func (vc *VerifyCache) evictKeysLocked() {
 	for len(vc.entries) > vc.maxKeys {
 		var victim string
 		var victimE *cacheEntry
 		var oldest uint64 = ^uint64(0)
 		for k, e := range vc.entries {
-			if e.pins > 0 {
-				continue
-			}
 			if e.lastUse < oldest {
 				oldest, victim, victimE = e.lastUse, k, e
 			}
 		}
-		if victimE == nil {
-			return
-		}
-		atomic.AddInt64(&vc.evictions, int64(len(victimE.encoders)))
 		atomic.AddInt64(&vc.keyEvictions, 1)
 		vc.curRecords -= victimE.records
 		vc.curBytes -= victimE.bytes
 		delete(vc.entries, victim)
 	}
-}
-
-// --- Pooled-encoder checkout / check-in -------------------------------------
-
-// checkout removes and returns the cached encoder for (key, cone), or nil.
-// Removal preserves the single-owner invariant: a pooled solver is never
-// shared between two live workers.
-func (vc *VerifyCache) checkout(key string, cone uint64) *pooledEncoder {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	e, ok := vc.entries[key]
-	if !ok {
-		atomic.AddInt64(&vc.encoderMisses, 1)
-		return nil
-	}
-	vc.useSeq++
-	e.lastUse = vc.useSeq
-	ce, ok := e.encoders[cone]
-	if !ok {
-		atomic.AddInt64(&vc.encoderMisses, 1)
-		return nil
-	}
-	delete(e.encoders, cone)
-	atomic.AddInt64(&vc.encoderHits, 1)
-	return ce.pe
-}
-
-// checkin retires a pooled encoder into the cache at Learner shutdown. Its
-// exportable learnt clauses are harvested into the clause store first, so
-// even when the encoder itself is dropped (slot occupied, or budget
-// pressure evicts it) the derived facts survive. stats may be nil.
-func (vc *VerifyCache) checkin(key string, cone uint64, pe *pooledEncoder, stats *Stats) {
-	exported := pe.enc.ExportNamedLearnts(exportMaxLen)
-
-	vc.mu.Lock()
-	e := vc.entryLocked(key)
-
-	var admitted []proofdb.Clause
-	for _, cl := range exported {
-		if e.addClauseLocked(cl, vc.maxStore) {
-			vc.creditLocked(e, 1, clauseBytes(cl))
-			lits := make([]proofdb.Lit, len(cl))
-			for i, nl := range cl {
-				lits[i] = proofdb.Lit{Name: nl.Name, Neg: nl.Neg}
-			}
-			admitted = append(admitted, proofdb.Clause{Lits: lits})
-		}
-	}
-	atomic.AddInt64(&vc.clausesStored, int64(len(admitted)))
-	if stats != nil {
-		atomic.AddInt64(&stats.CacheClausesExported, int64(len(admitted)))
-	}
-
-	atomic.AddInt64(&vc.checkins, 1)
-	vc.checkinPoolLocked(e, cone, pe, stats)
-	var sinks []func(*proofdb.Snapshot)
-	if len(admitted) > 0 {
-		sinks = vc.sinksLocked()
-	}
-	vc.mu.Unlock()
-
-	if len(admitted) > 0 {
-		emitDelta(sinks, proofdb.KeyRecord{Key: key, Clauses: admitted})
-	}
-}
-
-// checkinPoolLocked pools the retired encoder under e, or drops it when the
-// slot is occupied or pooling is disabled. Caller holds vc.mu.
-func (vc *VerifyCache) checkinPoolLocked(e *cacheEntry, cone uint64, pe *pooledEncoder, stats *Stats) {
-	if vc.clauseBudget <= 0 {
-		return
-	}
-	if _, occupied := e.encoders[cone]; occupied {
-		// First retiree wins; the newcomer's learnt clauses are already in
-		// the store, so dropping the duplicate solver loses nothing
-		// irreplaceable.
-		atomic.AddInt64(&vc.evictions, 1)
-		if stats != nil {
-			atomic.AddInt64(&stats.CacheEvictions, 1)
-		}
-		return
-	}
-	vc.useSeq++
-	e.encoders[cone] = &cachedEncoder{
-		pe:      pe,
-		size:    pe.enc.Stats().Clauses,
-		lastUse: vc.useSeq,
-	}
-	vc.enforceBudgetLocked(stats)
-}
-
-// enforceBudgetLocked evicts least-recently-used encoders (across all keys)
-// until the summed encoded-clause footprint fits the budget.
-func (vc *VerifyCache) enforceBudgetLocked(stats *Stats) {
-	for {
-		var total int64
-		var victimEntry *cacheEntry
-		var victimCone uint64
-		var oldest uint64 = ^uint64(0)
-		n := 0
-		for _, e := range vc.entries {
-			for cone, ce := range e.encoders {
-				total += ce.size
-				n++
-				if ce.lastUse < oldest {
-					oldest, victimEntry, victimCone = ce.lastUse, e, cone
-				}
-			}
-		}
-		if total <= vc.clauseBudget || n == 0 {
-			return
-		}
-		delete(victimEntry.encoders, victimCone)
-		atomic.AddInt64(&vc.evictions, 1)
-		if stats != nil {
-			atomic.AddInt64(&stats.CacheEvictions, 1)
-		}
-	}
-}
-
-// --- Learnt-clause store ----------------------------------------------------
-
-func clauseFingerprint(cl []circuit.NamedLit) string {
-	// Canonical: sort by (name, sign) so permutations dedup.
-	sorted := append([]circuit.NamedLit(nil), cl...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return !sorted[i].Neg && sorted[j].Neg
-	})
-	var b []byte
-	for _, nl := range sorted {
-		if nl.Neg {
-			b = append(b, '-')
-		}
-		b = append(b, nl.Name...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
-// addClauseLocked dedups and appends one clause; reports whether it was new.
-func (e *cacheEntry) addClauseLocked(cl []circuit.NamedLit, maxStore int) bool {
-	if len(e.clauses) >= maxStore {
-		return false
-	}
-	fp := clauseFingerprint(cl)
-	if _, dup := e.clauseSet[fp]; dup {
-		return false
-	}
-	e.clauseSet[fp] = struct{}{}
-	e.clauses = append(e.clauses, storedClause{lits: cl})
-	return true
-}
-
-// storeLen returns the current clause-store length for key (the replay
-// loop's cheap change probe).
-func (vc *VerifyCache) storeLen(key string) int {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if e, ok := vc.entries[key]; ok {
-		return len(e.clauses)
-	}
-	return 0
-}
-
-// replayInto imports every translatable, not-yet-imported stored clause
-// into the pooled encoder. pe must be owned by the caller. Returns the
-// number of clauses imported.
-func (vc *VerifyCache) replayInto(key string, pe *pooledEncoder) int {
-	vc.mu.Lock()
-	e, ok := vc.entries[key]
-	if !ok {
-		vc.mu.Unlock()
-		return 0
-	}
-	// Snapshot: the store is append-only (bounded), clauses are immutable.
-	clauses := e.clauses
-	vc.mu.Unlock()
-
-	n := 0
-	for i, sc := range clauses {
-		if pe.imported[i] {
-			continue
-		}
-		if pe.enc.ImportNamedClause(sc.lits) {
-			pe.imported[i] = true
-			n++
-		}
-	}
-	if n > 0 {
-		atomic.AddInt64(&vc.replayed, int64(n))
-	}
-	return n
 }
 
 // --- Verdict memo -----------------------------------------------------------
@@ -875,14 +540,10 @@ func (e *cacheEntry) addAbductLocked(targetID string, ids []string, fromDisk boo
 
 // --- Persistence (internal/proofdb exchange) --------------------------------
 
-// SnapshotData exports the cache's durable layers — the per-key clause
-// stores and verdict memos — as a portable proofdb snapshot. Pooled
-// encoders are deliberately excluded: they are live solver state that
-// cannot be serialized, and everything irreplaceable about them (their
-// learnt clauses) is already harvested into the clause store at check-in.
-// Keys are emitted in sorted order, so equal cache contents serialize
-// identically. Safe to call concurrently with learners using the cache:
-// the snapshot is assembled under the cache lock.
+// SnapshotData exports the cache — the per-key verdict and abduct memos —
+// as a portable proofdb snapshot. Keys are emitted in sorted order, so equal
+// cache contents serialize identically. Safe to call concurrently with
+// learners using the cache: the snapshot is assembled under the cache lock.
 func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
@@ -895,13 +556,6 @@ func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 	for _, k := range keys {
 		e := vc.entries[k]
 		kr := proofdb.KeyRecord{Key: k}
-		for _, sc := range e.clauses {
-			lits := make([]proofdb.Lit, len(sc.lits))
-			for i, nl := range sc.lits {
-				lits[i] = proofdb.Lit{Name: nl.Name, Neg: nl.Neg}
-			}
-			kr.Clauses = append(kr.Clauses, proofdb.Clause{Lits: lits})
-		}
 		vks := make([]verdictKey, 0, len(e.verdicts))
 		for vk := range e.verdicts {
 			vks = append(vks, vk)
@@ -934,42 +588,32 @@ func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 				})
 			}
 		}
-		if len(kr.Clauses)+len(kr.Verdicts)+len(kr.Abducts) > 0 {
+		if len(kr.Verdicts)+len(kr.Abducts) > 0 {
 			snap.Keys = append(snap.Keys, kr)
 		}
 	}
 	return snap
 }
 
-// Restore merges a proofdb snapshot into the cache: stored clauses join
-// the per-key clause stores (deduped, up to the per-key cap) and verdicts
+// Restore merges a proofdb snapshot into the cache: verdicts and abducts
 // are installed where absent, marked as disk-restored so hits on them are
 // observable (CacheCounters.DiskVerdictHits, Stats.CacheDiskHits). In-memory
 // entries always win over restored ones: a verdict this process computed is
 // at least as fresh as anything on disk. Restoring more keys than the
 // cache's key budget LRU-evicts the earliest restored ones, exactly as live
-// insertion would. Returns the number of clauses and verdict-class records
-// (exact verdicts plus cone abducts) admitted.
-func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (clauses, verdicts int) {
+// insertion would. KeyRecord.Clauses — learnt-clause records older stores
+// still carry — are skipped: solver state does not cross a Learn. Returns
+// the number of records (exact verdicts plus cone abducts) admitted.
+func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (verdicts int) {
 	if s == nil {
-		return 0, 0
+		return 0
 	}
 	vc.mu.Lock()
 	for _, kr := range s.Keys {
-		e := vc.entryLocked(kr.Key)
-		for _, cl := range kr.Clauses {
-			if len(cl.Lits) == 0 {
-				continue
-			}
-			lits := make([]circuit.NamedLit, len(cl.Lits))
-			for i, l := range cl.Lits {
-				lits[i] = circuit.NamedLit{Name: l.Name, Neg: l.Neg}
-			}
-			if e.addClauseLocked(lits, vc.maxStore) {
-				clauses++
-				vc.creditLocked(e, 1, clauseBytes(lits))
-			}
+		if len(kr.Verdicts)+len(kr.Abducts) == 0 {
+			continue
 		}
+		e := vc.entryLocked(kr.Key)
 		for _, v := range kr.Verdicts {
 			vk := verdictKey{a: v.A, b: v.B}
 			if _, exists := e.verdicts[vk]; exists {
@@ -999,16 +643,15 @@ func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (clauses, verdicts int) {
 		}
 	}
 	vc.mu.Unlock()
-	atomic.AddInt64(&vc.diskClausesLoaded, int64(clauses))
 	atomic.AddInt64(&vc.diskVerdictsLoaded, int64(verdicts))
-	return clauses, verdicts
+	return verdicts
 }
 
 // noteDiskFlush counts one merge of this cache into a persistent store.
 func (vc *VerifyCache) noteDiskFlush() { atomic.AddInt64(&vc.diskFlushes, 1) }
 
-// addDeltaSink registers fn to receive every future durable delta and
-// returns its removal function. Restores from disk are not replayed into
+// addDeltaSink registers fn to receive every future delta and returns its
+// removal function. Restores from disk are not replayed into
 // sinks (the store already holds them); only live derivations flow.
 func (vc *VerifyCache) addDeltaSink(fn func(*proofdb.Snapshot)) (remove func()) {
 	vc.mu.Lock()

@@ -8,29 +8,26 @@ import (
 	"hhoudini/internal/circuit"
 )
 
-// coldOptions is the PR 1 configuration: incremental solving with per-Learner
-// pooling but no memoization across Learner instances.
-func coldOptions() Options {
-	return Options{Workers: 1, MinimizeCores: true, IncrementalSolver: true}
-}
+// coldOptions is a single-worker learner over a private, empty cache: every
+// query is solved.
+func coldOptions() Options { return testOptions(1) }
 
-// warmOptions shares one private VerifyCache across Learners.
+// warmOptions shares one VerifyCache across Learners.
 func warmOptions(c *VerifyCache) Options {
-	o := coldOptions()
-	o.CrossRunCache = true
+	o := testOptions(1)
 	o.Cache = c
 	return o
 }
 
-// TestCrossRunDifferentialRandomSystems is the cache soundness sweep: on
-// random tiny systems, a cold learner and two warm learners sharing one
-// cache (the second answering from the first's memo) must agree exactly —
-// same verdict, same invariant predicate set — and every invariant must
-// audit. Aggregated over the sweep the second warm learner must actually
-// hit the verdict memo, or the test is vacuous.
-func TestCrossRunDifferentialRandomSystems(t *testing.T) {
-	rng := rand.New(rand.NewSource(20250806))
-	var verdictHits, replayed int64
+// coldWarmDifferential is the cache soundness sweep: on random tiny systems
+// drawn from seed, a cold learner and two warm learners sharing one cache
+// (the second answering from the first's memos) must agree exactly — same
+// verdict, same invariant predicate set — and every invariant must audit.
+// It returns the second warm learners' summed verdict-memo and abduct-memo
+// hits; a caller seeing none has run a vacuous differential.
+func coldWarmDifferential(t *testing.T, seed int64) (verdictHits, abductHits int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	checked := 0
 	for iter := 0; iter < 40; iter++ {
 		sys, universe := randomSystem(t, rng)
@@ -56,7 +53,7 @@ func TestCrossRunDifferentialRandomSystems(t *testing.T) {
 			}
 			if round == 1 {
 				verdictHits += l.Stats().CacheVerdictHits
-				replayed += l.Stats().CacheClausesReplayed
+				abductHits += l.Stats().CacheAbductHits
 			}
 		}
 
@@ -82,54 +79,15 @@ func TestCrossRunDifferentialRandomSystems(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("sweep too small: only %d usable systems", checked)
 	}
-	if verdictHits == 0 {
-		t.Fatal("second warm runs never hit the verdict memo; differential is vacuous")
-	}
-	t.Logf("random systems: %d checked, %d verdict hits, %d clauses replayed", checked, verdictHits, replayed)
+	t.Logf("random systems: %d checked, %d verdict hits, %d abduct hits", checked, verdictHits, abductHits)
+	return verdictHits, abductHits
 }
 
-// TestCrossRunEncoderCheckoutAndClauseReplay forces the cache paths below
-// the verdict memo: the second learner flips MinimizeCores, so every memo
-// key differs and each query must actually solve — on encoders checked out
-// of the cache, with the first run's learnt clauses replayed in.
-func TestCrossRunEncoderCheckoutAndClauseReplay(t *testing.T) {
-	sys, universe, target := backtrackSystem(t)
-	cache := NewVerifyCache()
-
-	l1 := NewLearner(sys, minerOf(universe...), warmOptions(cache))
-	inv1, err := l1.Learn([]Pred{target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv1 == nil {
-		t.Fatal("first run must find the {B,C} invariant")
-	}
-	if got := cache.Counters().Checkins; got == 0 {
-		t.Fatal("first learner retired no encoders into the cache")
-	}
-
-	opts := warmOptions(cache)
-	opts.MinimizeCores = false // different verdict keys: memo cannot answer
-	l2 := NewLearner(sys, minerOf(universe...), opts)
-	inv2, err := l2.Learn([]Pred{target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv2 == nil {
-		t.Fatal("second run must find an invariant")
-	}
-	if err := Audit(sys, inv2); err != nil {
-		t.Fatalf("invariant proved on a checked-out solver fails audit: %v", err)
-	}
-	st := l2.Stats()
-	if st.CacheVerdictHits != 0 {
-		t.Fatalf("MinimizeCores flip must miss the memo, got %d hits", st.CacheVerdictHits)
-	}
-	if st.CacheEncoderHits == 0 {
-		t.Fatal("second learner never checked a pooled encoder out of the cache")
-	}
-	if got := ids(inv2); !got["B==1"] || !got["C==1"] {
-		t.Fatalf("second run invariant %v must contain B==1 and C==1", got)
+// TestCrossRunDifferentialRandomSystems runs the sweep and requires the
+// second warm learners to have hit the verdict memo.
+func TestCrossRunDifferentialRandomSystems(t *testing.T) {
+	if verdictHits, _ := coldWarmDifferential(t, 20250806); verdictHits == 0 {
+		t.Fatal("second warm runs never hit the verdict memo; differential is vacuous")
 	}
 }
 
@@ -166,7 +124,7 @@ func envSystem(t *testing.T, pinInput uint64, envKey string) (*System, Pred) {
 
 // TestCrossRunEnvKeyInvalidation is the invalidation contract: a changed
 // environment assumption (different EnvKey over the same circuit) must miss
-// every layer of the cache, while returning to a previously seen EnvKey
+// the cache, while returning to a previously seen EnvKey
 // hits again. The two environments provably need different verdicts, so a
 // stale hit would be unsound, not just slow.
 func TestCrossRunEnvKeyInvalidation(t *testing.T) {
@@ -186,23 +144,24 @@ func TestCrossRunEnvKeyInvalidation(t *testing.T) {
 	if inv0 == nil {
 		t.Fatal("x==1 must be inductive under in==0")
 	}
-	if l0.Stats().CacheVerdictHits != 0 || l0.Stats().CacheEncoderHits != 0 {
+	if l0.Stats().CacheVerdictHits+l0.Stats().CacheAbductHits != 0 {
 		t.Fatal("first run over an empty cache cannot hit")
 	}
 
-	// Round 2: in==1, a different EnvKey. Must miss everywhere — and the
-	// fresh solve must reach the opposite verdict.
+	// Round 2: in==1, a different EnvKey. Must miss — and the fresh solve
+	// must reach the opposite verdict.
+	missesBefore := cache.Counters().VerdictMisses
 	l1, inv1 := learn(1, "in=1")
 	if inv1 != nil {
 		t.Fatal("x==1 must NOT be inductive under in==1; a stale cache hit leaked across environments")
 	}
 	st := l1.Stats()
-	if st.CacheVerdictHits != 0 || st.CacheEncoderHits != 0 {
-		t.Fatalf("changed EnvKey must miss: verdict hits %d, encoder hits %d",
-			st.CacheVerdictHits, st.CacheEncoderHits)
+	if st.CacheVerdictHits+st.CacheAbductHits != 0 {
+		t.Fatalf("changed EnvKey must miss: verdict hits %d, abduct hits %d",
+			st.CacheVerdictHits, st.CacheAbductHits)
 	}
-	if st.CacheEncoderMisses == 0 {
-		t.Fatal("changed EnvKey run recorded no encoder misses; cache was never consulted")
+	if cache.Counters().VerdictMisses == missesBefore {
+		t.Fatal("changed EnvKey run recorded no verdict misses; cache was never consulted")
 	}
 
 	// Round 3: back to in==0. The original entry must still be live.
@@ -234,56 +193,12 @@ func TestUncacheableSystemBypassesCache(t *testing.T) {
 		t.Fatal("uncacheable learner must still learn")
 	}
 	st := l.Stats()
-	if st.CacheVerdictHits+st.CacheEncoderHits+st.CacheEncoderMisses+st.CacheClausesReplayed != 0 {
-		t.Fatalf("uncacheable system moved cache counters: verdict %d, enc hit/miss %d/%d, replayed %d",
-			st.CacheVerdictHits, st.CacheEncoderHits, st.CacheEncoderMisses, st.CacheClausesReplayed)
+	if st.CacheVerdictHits+st.CacheAbductHits != 0 {
+		t.Fatalf("uncacheable system moved cache counters: verdict %d, abduct %d",
+			st.CacheVerdictHits, st.CacheAbductHits)
 	}
 	if c := cache.Counters(); c != (CacheCounters{}) {
 		t.Fatalf("uncacheable system touched the cache: %+v", c)
-	}
-}
-
-// TestVerifyCacheEvictionBudget pins the budget semantics: a 1-clause
-// budget admits no encoder (every check-in is immediately evicted), yet the
-// verdict memo and clause store — which the budget does not govern — keep
-// serving repeats. A zero budget disables encoder retention outright.
-func TestVerifyCacheEvictionBudget(t *testing.T) {
-	sys := andGateSystem(t)
-	universe := []Pred{
-		regEq{reg: "A", val: 1}, regEq{reg: "B", val: 1}, regEq{reg: "C", val: 1},
-		regEq{reg: "D", val: 1}, regEq{reg: "E", val: 1},
-	}
-	target := regEq{reg: "A", val: 1}
-
-	for _, budget := range []int64{1, 0} {
-		cache := NewVerifyCacheWithBudget(budget)
-		l1 := NewLearner(sys, minerOf(universe...), warmOptions(cache))
-		if inv, err := l1.Learn([]Pred{target}); err != nil || inv == nil {
-			t.Fatalf("budget %d: first run err=%v inv=%v", budget, err, inv)
-		}
-		c := cache.Counters()
-		if budget == 1 && c.Evictions == 0 {
-			t.Fatal("budget 1: retiring an encoder must trigger budget eviction")
-		}
-		if budget == 0 && c.Evictions != 0 {
-			t.Fatalf("budget 0: nothing is retained, nothing to evict, got %d", c.Evictions)
-		}
-
-		l2 := NewLearner(sys, minerOf(universe...), warmOptions(cache))
-		inv, err := l2.Learn([]Pred{target})
-		if err != nil || inv == nil {
-			t.Fatalf("budget %d: second run err=%v inv=%v", budget, err, inv)
-		}
-		st := l2.Stats()
-		if st.CacheEncoderHits != 0 {
-			t.Fatalf("budget %d: no encoder can survive, yet checkout hit %d times", budget, st.CacheEncoderHits)
-		}
-		if st.CacheVerdictHits == 0 {
-			t.Fatalf("budget %d: verdict memo must survive encoder eviction", budget)
-		}
-		if err := Audit(sys, inv); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
 	}
 }
 
@@ -292,11 +207,7 @@ func TestVerifyCacheEvictionBudget(t *testing.T) {
 // the table bounded.
 func TestVerifyCacheMaxKeysEviction(t *testing.T) {
 	vc := NewVerifyCache()
-	p := regEq{reg: "A", val: 1}
-	vk := verdictKeyFor(p, nil, true)
-	for i := 0; i < defaultCacheMaxKeys*2; i++ {
-		vc.storeVerdict(string(rune('a'+i%26))+string(rune('0'+i/26)), vk, abductResult{ok: false})
-	}
+	storeDummyVerdicts(vc, defaultCacheMaxKeys*2)
 	vc.mu.Lock()
 	n := len(vc.entries)
 	vc.mu.Unlock()
@@ -307,9 +218,9 @@ func TestVerifyCacheMaxKeysEviction(t *testing.T) {
 
 // TestCrossRunConcurrentLearners stresses the concurrency contract: many
 // Learners (each itself multi-worker) share one cache simultaneously over
-// the same system. Under -race this pins the locking discipline; the
-// checkout semantics guarantee no two live workers ever share a solver, so
-// every goroutine must still converge on the same audited invariant.
+// the same system. Under -race this pins the locking discipline; every
+// worker owns its solvers outright, so every goroutine must still converge
+// on the same audited invariant.
 func TestCrossRunConcurrentLearners(t *testing.T) {
 	sys, universe, target := backtrackSystem(t)
 	cache := NewVerifyCache()
@@ -355,5 +266,52 @@ func TestConeKeyMemoizedAndDeterministic(t *testing.T) {
 	}
 	if coneKey(a) == coneKey(bp) {
 		t.Fatal("distinct variable sets collided (FNV64 over different inputs)")
+	}
+}
+
+func storeDummyVerdicts(vc *VerifyCache, n int) {
+	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
+	for i := 0; i < n; i++ {
+		vc.storeVerdict(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('0'+i/260)), vk, abductResult{ok: false})
+	}
+}
+
+// TestVerifyCacheFootprintCounters: the footprint and eviction counters the
+// /v1/stats surface reports stay coherent under overwrite and key eviction.
+func TestVerifyCacheFootprintCounters(t *testing.T) {
+	vc := NewVerifyCache()
+	c0 := vc.Counters()
+	if c0.ApproxBytes != 0 || c0.BytesHighWater != 0 || c0.Entries != 0 {
+		t.Fatalf("fresh cache reports footprint %+v", c0)
+	}
+
+	storeDummyVerdicts(vc, 10)
+	c1 := vc.Counters()
+	if c1.Entries != 10 || c1.ApproxBytes <= 0 {
+		t.Fatalf("after 10 keys: entries %d bytes %d", c1.Entries, c1.ApproxBytes)
+	}
+	if c1.BytesHighWater < c1.ApproxBytes {
+		t.Fatalf("high-water %d below live footprint %d", c1.BytesHighWater, c1.ApproxBytes)
+	}
+
+	// Overwriting a verdict must not double-count its bytes.
+	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
+	vc.storeVerdict("a00", vk, abductResult{ok: true})
+	c2 := vc.Counters()
+	if c2.Entries != 10 || c2.ApproxBytes != c1.ApproxBytes {
+		t.Fatalf("overwrite changed footprint: %d → %d bytes", c1.ApproxBytes, c2.ApproxBytes)
+	}
+
+	// Eviction debits the live footprint but never the high-water mark.
+	storeDummyVerdicts(vc, defaultCacheMaxKeys*2)
+	c3 := vc.Counters()
+	if c3.KeyEvictions == 0 {
+		t.Fatal("no evictions under flood")
+	}
+	if c3.BytesHighWater < c3.ApproxBytes {
+		t.Fatalf("high-water %d below live %d after evictions", c3.BytesHighWater, c3.ApproxBytes)
+	}
+	if c3.BytesHighWater < c1.BytesHighWater {
+		t.Fatalf("high-water went backwards: %d → %d", c1.BytesHighWater, c3.BytesHighWater)
 	}
 }

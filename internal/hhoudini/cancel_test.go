@@ -12,8 +12,8 @@ import (
 
 // cancel_test.go: the cancellation half of the chaos tier. Every test here
 // runs under `make chaos` (race-enabled) and asserts the LearnCtx contract:
-// prompt return with ctx.Err(), workers drained, no goroutine leaks, pooled
-// solvers checked back in, partial progress flushed and reloadable.
+// prompt return with ctx.Err(), workers drained, no goroutine leaks, every
+// solver dropped, the answers memoized so far flushed and reloadable.
 
 // TestCancelBeforeLearn: a context cancelled before LearnCtx starts must
 // short-circuit without running any task.
@@ -34,8 +34,10 @@ func TestCancelBeforeLearn(t *testing.T) {
 // TestCancelMidLearnRepeated is the race sweep: many iterations at
 // Workers=4, each cancelled at a different point of the run, with injected
 // query latency widening the window. Every outcome must be either a clean
-// result (cancel arrived after the drain) or exactly context.Canceled —
-// and the goroutine count must return to baseline at the end.
+// result (cancel arrived after the drain) or exactly context.Canceled, the
+// cancellation registry must drain to empty either way (a Learn keeps no
+// solver past its return), and the goroutine count must return to baseline
+// at the end.
 func TestCancelMidLearnRepeated(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sys, universe, target := backtrackSystem(t)
@@ -65,48 +67,15 @@ func TestCancelMidLearnRepeated(t *testing.T) {
 		default:
 			t.Fatalf("iter %d: err = %v, want nil or context.Canceled", i, err)
 		}
+		l.mu.Lock()
+		live := len(l.solvers)
+		l.mu.Unlock()
+		if live != 0 {
+			t.Fatalf("iter %d: %d solvers still registered after LearnCtx returned", i, live)
+		}
 	}
 	t.Logf("iterations: %d cancelled, %d completed", cancelled, completed)
 	checkNoGoroutineLeak(t, before)
-}
-
-// TestCancelSolversCheckedIn: a cancelled warm-cache run must check every
-// pooled solver back in (the cancellation registry drains to empty), and
-// the shared cache must stay usable — a later learner clears the sticky
-// interrupt flags on checkout and completes normally.
-func TestCancelSolversCheckedIn(t *testing.T) {
-	sys, universe, target := backtrackSystem(t)
-	cache := NewVerifyCache()
-
-	faultinject.Arm(faultinject.QueryDelay, faultinject.Spec{Count: -1, Delay: 5 * time.Millisecond})
-
-	o := warmOptions(cache)
-	o.Workers = 4
-	l := NewLearner(sys, minerOf(universe...), o)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := l.LearnCtx(ctx, []Pred{target}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	faultinject.Reset()
-
-	l.mu.Lock()
-	live := len(l.solvers)
-	l.mu.Unlock()
-	if live != 0 {
-		t.Fatalf("%d solvers still registered after a cancelled LearnCtx", live)
-	}
-
-	// The cache the cancelled run populated is reusable: a fresh learner
-	// over the same system must complete (stale interrupts cleared).
-	l2 := NewLearner(sys, minerOf(universe...), warmOptions(cache))
-	inv, err := l2.Learn([]Pred{target})
-	if err != nil || inv == nil {
-		t.Fatalf("post-cancel warm Learn: inv=%v err=%v", inv, err)
-	}
-	if err := Audit(sys, inv); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCancelFlushesProofStore: partial progress of a cancelled run reaches

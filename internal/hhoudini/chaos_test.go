@@ -198,7 +198,7 @@ func TestChaosProofDBWriteFailure(t *testing.T) {
 		t.Fatalf("post-chaos close: %v", err)
 	}
 	c := o3.Cache.Counters()
-	if c.DiskClausesLoaded+c.DiskVerdictsLoaded == 0 {
+	if c.DiskVerdictsLoaded == 0 {
 		t.Fatal("post-chaos learner did not warm-start from the surviving store")
 	}
 	_ = l3

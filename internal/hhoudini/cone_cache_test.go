@@ -1,21 +1,10 @@
 package hhoudini
 
 import (
-	"math/rand"
 	"testing"
 
 	"hhoudini/internal/circuit"
 )
-
-// coneOptions is warmOptions plus cone-level cache keys: every cache
-// artifact (clause stores, verdict memos, abduct memos, retired encoders)
-// is keyed by the target's fan-in-cone fingerprint instead of the
-// whole-circuit fingerprint.
-func coneOptions(c *VerifyCache) Options {
-	o := warmOptions(c)
-	o.ConeLevelCache = true
-	return o
-}
 
 // embeddedBacktrackSystem builds the backtrack cone (T, A, B, C, X over the
 // single input "in") either alone or surrounded by unrelated machinery that
@@ -56,10 +45,9 @@ func embeddedBacktrackSystem(t *testing.T, junk bool) (*System, []Pred, Pred) {
 	return sys, universe, regEq{reg: "T", val: 1}
 }
 
-// TestConeCacheCrossDesignTransfer is the tentpole's behavioral contract:
-// a cache populated by learning on one design answers queries on a second,
-// structurally different design whose target cone is isomorphic — and the
-// whole-circuit ablation, by construction, cannot.
+// TestConeCacheCrossDesignTransfer is cone-level keying's behavioral
+// contract: a cache populated by learning on one design answers queries on
+// a second, structurally different design whose target cone is isomorphic.
 func TestConeCacheCrossDesignTransfer(t *testing.T) {
 	plain, universe, target := embeddedBacktrackSystem(t, false)
 	junk, junkUniverse, junkTarget := embeddedBacktrackSystem(t, true)
@@ -92,16 +80,16 @@ func TestConeCacheCrossDesignTransfer(t *testing.T) {
 
 	// Warm path: populate the cache on the plain design...
 	cache := NewVerifyCache()
-	l1 := NewLearner(plain, minerOf(universe...), coneOptions(cache))
+	l1 := NewLearner(plain, minerOf(universe...), warmOptions(cache))
 	if inv, err := l1.Learn([]Pred{target}); err != nil || inv == nil {
 		t.Fatalf("plain-design run: inv=%v err=%v", inv, err)
 	}
-	if cache.Counters().Checkins == 0 {
-		t.Fatal("plain-design learner retired no encoders into the cache")
+	if cache.Len() == 0 {
+		t.Fatal("plain-design learner memoized nothing")
 	}
 
 	// ...then learn the junk design from the same cache.
-	l2 := NewLearner(junk, minerOf(junkUniverse...), coneOptions(cache))
+	l2 := NewLearner(junk, minerOf(junkUniverse...), warmOptions(cache))
 	invWarm, err := l2.Learn([]Pred{junkTarget})
 	if err != nil {
 		t.Fatal(err)
@@ -130,88 +118,14 @@ func TestConeCacheCrossDesignTransfer(t *testing.T) {
 	if err := Audit(junk, invWarm); err != nil {
 		t.Fatalf("transferred invariant fails audit: %v", err)
 	}
-
-	// Ablation contrast: with whole-circuit keys (ConeLevelCache off), the
-	// same pair of designs shares nothing.
-	ablCache := NewVerifyCache()
-	a1 := NewLearner(plain, minerOf(universe...), warmOptions(ablCache))
-	if _, err := a1.Learn([]Pred{target}); err != nil {
-		t.Fatal(err)
-	}
-	a2 := NewLearner(junk, minerOf(junkUniverse...), warmOptions(ablCache))
-	if _, err := a2.Learn([]Pred{junkTarget}); err != nil {
-		t.Fatal(err)
-	}
-	ast := a2.Stats()
-	if ast.CacheVerdictHits+ast.CacheAbductHits+ast.CacheEncoderHits != 0 {
-		t.Fatalf("whole-circuit ablation hit across designs (verdicts=%d abducts=%d encoders=%d); keys leaked",
-			ast.CacheVerdictHits, ast.CacheAbductHits, ast.CacheEncoderHits)
-	}
 }
 
 // TestConeCacheDifferentialRandomSystems repeats the cache soundness sweep
-// with cone-level keys: on random tiny systems a cold learner and two warm
-// cone-keyed learners must agree exactly, every invariant must audit, and
-// aggregated over the sweep the second warm learner must actually hit the
-// cone-keyed memos.
+// (coldWarmDifferential) on a second corpus, counting both cone-keyed memos.
 func TestConeCacheDifferentialRandomSystems(t *testing.T) {
-	rng := rand.New(rand.NewSource(20250808))
-	var hits int64
-	checked := 0
-	for iter := 0; iter < 40; iter++ {
-		sys, universe := randomSystem(t, rng)
-		target := universe[rng.Intn(len(universe))].(regEq)
-		if ok, _ := target.Eval(sys.Circuit, circuit.InitSnapshot(sys.Circuit)); !ok {
-			continue
-		}
-		checked++
-
-		cold := NewLearner(sys, minerOf(universe...), coldOptions())
-		invCold, err := cold.Learn([]Pred{target})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cache := NewVerifyCache()
-		var invWarm *Invariant
-		for round := 0; round < 2; round++ {
-			l := NewLearner(sys, minerOf(universe...), coneOptions(cache))
-			invWarm, err = l.Learn([]Pred{target})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if round == 1 {
-				st := l.Stats()
-				hits += st.CacheVerdictHits + st.CacheAbductHits
-			}
-		}
-
-		if (invCold == nil) != (invWarm == nil) {
-			t.Fatalf("iter %d: cold found=%v warm found=%v", iter, invCold != nil, invWarm != nil)
-		}
-		if invCold == nil {
-			continue
-		}
-		gc, gw := ids(invCold), ids(invWarm)
-		if len(gc) != len(gw) {
-			t.Fatalf("iter %d: invariant sizes differ: cold %v warm %v", iter, gc, gw)
-		}
-		for id := range gc {
-			if !gw[id] {
-				t.Fatalf("iter %d: warm invariant %v missing %s (cold %v)", iter, gw, id, gc)
-			}
-		}
-		if err := Audit(sys, invWarm); err != nil {
-			t.Fatalf("iter %d: warm cone-keyed invariant fails audit: %v", iter, err)
-		}
-	}
-	if checked < 10 {
-		t.Fatalf("sweep too small: only %d usable systems", checked)
-	}
-	if hits == 0 {
+	if verdictHits, abductHits := coldWarmDifferential(t, 20250808); verdictHits+abductHits == 0 {
 		t.Fatal("second warm runs never hit a cone-keyed memo; differential is vacuous")
 	}
-	t.Logf("random systems: %d checked, %d cone-keyed memo hits", checked, hits)
 }
 
 // TestConeCachePersistenceAcrossDesigns drives the v2 coneabd records end
@@ -224,7 +138,7 @@ func TestConeCachePersistenceAcrossDesigns(t *testing.T) {
 	defer CloseProofDBs()
 
 	plain, universe, target := embeddedBacktrackSystem(t, false)
-	o1 := coneOptions(NewVerifyCache())
+	o1 := warmOptions(NewVerifyCache())
 	o1.CacheDir = dir
 	l1 := NewLearner(plain, minerOf(universe...), o1)
 	if inv, err := l1.Learn([]Pred{target}); err != nil || inv == nil {
@@ -235,7 +149,7 @@ func TestConeCachePersistenceAcrossDesigns(t *testing.T) {
 	}
 
 	junk, junkUniverse, junkTarget := embeddedBacktrackSystem(t, true)
-	o2 := coneOptions(NewVerifyCache())
+	o2 := warmOptions(NewVerifyCache())
 	o2.CacheDir = dir
 	l2 := NewLearner(junk, minerOf(junkUniverse...), o2)
 	invWarm, err := l2.Learn([]Pred{junkTarget})

@@ -19,8 +19,7 @@ const defaultShareRingSize = 256
 // into the worker's own ring from inside the CDCL conflict loop, and
 // drains every sibling ring at its restart boundaries — so a lemma derived
 // by one worker prunes its siblings' searches while their Learn tasks are
-// still running, instead of only meeting them through the cross-run store
-// at solver retirement.
+// still running.
 //
 // Clauses travel in canonical named form (circuit.NamedLit): names denote
 // the same boolean function in every encoder over the same circuit, which
@@ -50,9 +49,9 @@ func newClauseExchange(workers, ringSize int, stats *Stats) *clauseExchange {
 // every solver the worker owns publishes into the same ring, serially.
 //
 // Consumer cursors start at zero, so the first drain replays the rings'
-// entire live window into the solver — deliberate: a freshly constructed or
-// checked-out solver wants the current pool of hot lemmas. Re-imported
-// duplicates are sound and short-lived (learnt-DB reduction removes them).
+// entire live window into the solver — deliberate: a freshly constructed
+// solver wants the current pool of hot lemmas. Re-imported duplicates are
+// sound and short-lived (learnt-DB reduction removes them).
 //
 // The drain callback runs at a restart boundary with the solver at level 0
 // and polls the solver's interrupt flag between clauses, so a cancelled

@@ -1,28 +1,94 @@
 package hhoudini
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"hhoudini/internal/circuit"
+	"hhoudini/internal/sat"
 )
 
-// optsFresh / optsIncremental are the two abduction backends with the rest
-// of the configuration held identical.
-func optsFresh(workers int) Options {
-	return Options{Workers: workers, MinimizeCores: true, IncrementalSolver: false}
+// newFreshLearner builds a single-worker learner whose queries are answered
+// by the fresh-solver reference instead of the pooled production path, the
+// rest of the configuration (testOptions) held identical.
+func newFreshLearner(sys *System, mine MineOracle) *Learner {
+	l := NewLearner(sys, mine, testOptions(1))
+	l.refAbduct = l.abductFresh
+	return l
 }
 
-func optsIncremental(workers int) Options {
-	return Options{Workers: workers, MinimizeCores: true, IncrementalSolver: true}
+// abductFresh is the differential tests' reference backend: one new solver
+// and a from-scratch Tseitin encoding per query, everything asserted as
+// destructive unit clauses — the monolithic-restart behaviour the paper
+// contrasts against, sharing no solver state between queries. It reaches a
+// learner only through Learner.refAbduct (newFreshLearner).
+func (l *Learner) abductFresh(target Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
+	enc, err := l.sys.newEncoder()
+	if err != nil {
+		return abductResult{}, err
+	}
+	atomic.AddInt64(&l.stats.SolverAllocs, 1)
+	defer func() {
+		es := enc.Stats()
+		l.stats.addEncodeWork(es.Gates, es.Clauses)
+	}()
+	cur, err := target.Encode(enc, false)
+	if err != nil {
+		return abductResult{}, err
+	}
+	next, err := target.Encode(enc, true)
+	if err != nil {
+		return abductResult{}, err
+	}
+	enc.AssertLit(cur)
+	enc.AssertLit(next.Not())
+
+	sels := make([]sat.Lit, 0, len(cands))
+	bySel := make(map[sat.Lit]Pred, len(cands))
+	for _, p := range cands {
+		if p.ID() == target.ID() {
+			continue // already asserted unconditionally
+		}
+		lit, err := p.Encode(enc, false)
+		if err != nil {
+			return abductResult{}, err
+		}
+		s := enc.NewSelector()
+		enc.AssertLitWhen(s, lit) // s → p
+		sels = append(sels, s)
+		bySel[s] = p
+	}
+
+	st, core, err := l.solveAbduction(enc.S, sels, target)
+	if err != nil {
+		return abductResult{}, err
+	}
+	if st == sat.Sat {
+		return abductResult{ok: false}, nil
+	}
+	if l.opts.MinimizeCores {
+		orderCoreForMinimization(core, func(s sat.Lit) int { return tierOf(bySel[s]) })
+		l.armMinimizeBudget(enc.S)
+		core = enc.S.MinimizeCore(core)
+	}
+	out := make([]Pred, 0, len(core))
+	for _, s := range core {
+		p, ok := bySel[s]
+		if !ok {
+			return abductResult{}, fmt.Errorf("hhoudini: core literal %v is not a selector", s)
+		}
+		out = append(out, p)
+	}
+	return abductResult{preds: out, ok: true}, nil
 }
 
 // TestIncrementalMatchesFreshOnRandomSystems is the differential test for
-// the pooled backend: on a corpus of random systems, the incremental and
-// fresh-solver paths must return identical verdicts, every invariant must
-// pass the monolithic audit, and the pool bookkeeping must balance
-// (each query either reuses a pooled solver or allocates one).
+// the pooled backend: on a corpus of random systems, the production path
+// and the fresh-solver reference must return identical verdicts, every
+// invariant must pass the monolithic audit, and the pool bookkeeping must
+// balance (each query either reuses a pooled solver or allocates one).
 func TestIncrementalMatchesFreshOnRandomSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250806))
 	found, none := 0, 0
@@ -34,7 +100,7 @@ func TestIncrementalMatchesFreshOnRandomSystems(t *testing.T) {
 			continue
 		}
 
-		lf := NewLearner(sys, minerOf(universe...), optsFresh(1))
+		lf := newFreshLearner(sys, minerOf(universe...))
 		invF, err := lf.Learn([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +111,7 @@ func TestIncrementalMatchesFreshOnRandomSystems(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 3} {
-			li := NewLearner(sys, minerOf(universe...), optsIncremental(workers))
+			li := NewLearner(sys, minerOf(universe...), testOptions(workers))
 			invI, err := li.Learn([]Pred{target})
 			if err != nil {
 				t.Fatal(err)
@@ -90,12 +156,12 @@ func TestIncrementalRecursiveMatchesFresh(t *testing.T) {
 		if ok, _ := target.Eval(sys.Circuit, init); !ok {
 			continue
 		}
-		lf := NewLearner(sys, minerOf(universe...), optsFresh(1))
+		lf := newFreshLearner(sys, minerOf(universe...))
 		invF, err := lf.LearnRecursive([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
 		}
-		li := NewLearner(sys, minerOf(universe...), optsIncremental(1))
+		li := NewLearner(sys, minerOf(universe...), testOptions(1))
 		invI, err := li.LearnRecursive([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +184,7 @@ func TestIncrementalRecursiveMatchesFresh(t *testing.T) {
 func TestIncrementalBacktracking(t *testing.T) {
 	sys, universe, target := backtrackSystem(t)
 	for _, workers := range []int{1, 4} {
-		l := NewLearner(sys, minerOf(universe...), optsIncremental(workers))
+		l := NewLearner(sys, minerOf(universe...), testOptions(workers))
 		inv, err := l.Learn([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
@@ -213,11 +279,11 @@ func TestEncoderPoolSharesCones(t *testing.T) {
 func TestIncrementalEncodesLessThanFresh(t *testing.T) {
 	sys, universe, target := backtrackSystem(t)
 
-	lf := NewLearner(sys, minerOf(universe...), optsFresh(1))
+	lf := newFreshLearner(sys, minerOf(universe...))
 	if inv, err := lf.Learn([]Pred{target}); err != nil || inv == nil {
 		t.Fatalf("fresh: inv=%v err=%v", inv, err)
 	}
-	li := NewLearner(sys, minerOf(universe...), optsIncremental(1))
+	li := NewLearner(sys, minerOf(universe...), testOptions(1))
 	if inv, err := li.Learn([]Pred{target}); err != nil || inv == nil {
 		t.Fatalf("incremental: inv=%v err=%v", inv, err)
 	}

@@ -30,54 +30,26 @@ type Options struct {
 	// subsets (tier by tier) instead of everything at once — the
 	// incremental mining variant of §3.2.3 footnote 4.
 	StagedMining bool
-	// IncrementalSolver enables the pooled abduction backend: each worker
-	// keeps solver/encoder pairs keyed by target-cone signature, scopes
-	// the query-specific facts (p_target, ¬p'_target, candidate
-	// attachment) with assumption literals, and memoizes every cone and
-	// predicate encoding across queries. Disabling it restores the
-	// fresh-solver-per-query path — the ablation baseline exercised by
-	// BenchmarkAblationIncrementalSolver.
-	IncrementalSolver bool
-	// CrossRunCache extends memoization across Learner instances: worker
-	// pools check retired solver/encoder pairs out of (and back into) a
-	// shared VerifyCache keyed by System.CacheKey, base-system learnt
-	// clauses are replayed between solvers of the same identity, and whole
-	// abduction verdicts are memoized. It only engages for cacheable
-	// systems (see System.CacheKey) and composes with IncrementalSolver;
-	// disabling it is the cross-run ablation and restores fully isolated
-	// Learn calls.
-	CrossRunCache bool
-	// ConeLevelCache rekeys every cross-run cache artifact — pooled
-	// solver/encoder pairs, stored learnt clauses, verdict and abduct memos
-	// — at predicate-cone granularity: the key is the canonical fingerprint
-	// of the target's slice cone (System.ConeCacheKey) instead of the
-	// whole-circuit fingerprint, and pooled encoders name cone-internal
-	// nodes canonically so their learnt clauses translate across designs.
-	// Two designs sharing a subsystem (e.g. a register file in front of
-	// differently-sized back-ends) then share all verification state for
-	// the predicates whose cones lie inside it. Only meaningful with
-	// CrossRunCache; disabling it is the whole-circuit-key ablation.
-	ConeLevelCache bool
-	// Cache overrides the process-global shared cache (SharedCache) when
-	// CrossRunCache is on. Useful for tests and for isolating workloads.
+	// Cache is the memo store abduction answers are kept in across Learner
+	// instances (see VerifyCache); nil selects the process-global shared
+	// cache (SharedCache). Pass NewVerifyCache() to isolate a workload. It
+	// only engages for cacheable systems (see System.CacheKey).
 	Cache *VerifyCache
-	// CacheDir, when non-empty (and CrossRunCache is on for a cacheable
-	// system), binds the verification cache to a persistent proof store in
-	// that directory: the first Learner to name the directory restores the
-	// store's learnt clauses and verdict memos into the cache, and every
-	// Learn flushes the cache back at shutdown — so separate process
-	// invocations over the same design share warm starts. Unusable stores
-	// (corrupt, version-mismatched, unwritable) degrade to a cold start;
-	// they never fail the learner. See OpenProofDB for explicit lifecycle
-	// control and CloseProofDBs for the process-exit hook.
+	// CacheDir, when non-empty (for a cacheable system), binds the cache to
+	// a persistent proof store in that directory: the first Learner to name
+	// the directory restores the store's verdict and abduct memos into the
+	// cache, and every Learn persists the cache back at shutdown — so
+	// separate process invocations over the same design share warm starts.
+	// Unusable stores (corrupt, version-mismatched, unwritable) degrade to a
+	// cold start; they never fail the learner. See OpenProofDB for explicit
+	// lifecycle control and CloseProofDBs for the process-exit hook.
 	CacheDir string
 	// ShareClauses enables lock-free mid-run clause exchange between
 	// workers: each worker's solver publishes its hottest learnt clauses
 	// (low LBD, short, over canonically named variables) into a bounded
 	// per-worker ring and drains its siblings' rings at restart boundaries.
 	// It only engages with Workers > 1 — with one worker there is no
-	// sibling to share with — and composes with both abduction backends.
-	// Disabling it is the clause-sharing ablation
+	// sibling to share with. Disabling it is the clause-sharing ablation
 	// (BenchmarkAblationClauseShare) and restores per-worker solver
 	// determinism (the -deterministic flag of the CLIs).
 	ShareClauses bool
@@ -103,12 +75,10 @@ type Options struct {
 	MaxSolverConflicts int64
 }
 
-// DefaultOptions mirror the paper's configuration (incremental,
-// assumption-scoped abduction queries; verification state shared across
-// runs over the same system).
+// DefaultOptions mirror the paper's configuration (minimal cores, one
+// worker; mid-run clause sharing engages once Workers > 1).
 func DefaultOptions() Options {
-	return Options{Workers: 1, MinimizeCores: true, IncrementalSolver: true, CrossRunCache: true,
-		ConeLevelCache: true, ShareClauses: true}
+	return Options{Workers: 1, MinimizeCores: true, ShareClauses: true}
 }
 
 // Tiered is an optional interface predicates may implement to support
@@ -137,35 +107,27 @@ type Stats struct {
 	Backtracks int64 // re-syntheses caused by failed predicates (Fig. 5)
 	Queries    int64 // SMT (SAT) queries issued
 
-	// Encode-work counters behind the incremental-solver ablation.
+	// Encode-work counters: what the per-worker solver pools built and how
+	// often a query found its cone's solver already warm.
 	EncodedGates   int64 // Tseitin gate variables introduced across all queries
 	EncodedClauses int64 // clauses pushed into solvers across all queries
 	SolverAllocs   int64 // solver/encoder pairs constructed
 	PoolReuses     int64 // abduction queries served by an already-warm pooled solver
 
-	// Cross-run cache counters (Options.CrossRunCache), as seen by this
-	// learner: hits/misses on pooled-encoder checkout, whole abduction
-	// queries answered by the verdict memo, learnt clauses replayed into /
-	// exported out of this learner's solvers, and encoders this learner's
-	// check-ins evicted from the shared cache.
-	CacheEncoderHits     int64
-	CacheEncoderMisses   int64
-	CacheVerdictHits     int64
-	CacheClausesReplayed int64
-	CacheClausesExported int64
-	CacheEvictions       int64
-	// CacheAbductHits counts abduction queries answered by the subset-abduct
-	// memo (Options.ConeLevelCache): a previously proven abduct whose members
-	// are all present in the current candidate set is returned without any
-	// solver work, even when the candidate sets differ.
-	CacheAbductHits int64
+	// Memo counters, as seen by this learner: whole abduction queries
+	// answered by the verdict memo, and queries answered by the subset-abduct
+	// memo — a previously proven abduct whose members are all present in the
+	// current candidate set is returned without any solver work, even when
+	// the candidate sets differ.
+	CacheVerdictHits int64
+	CacheAbductHits  int64
 
 	// Persistent-proof-store counters (Options.CacheDir / OpenProofDB).
 	// CacheDiskHits counts abduction queries answered by a verdict memo
 	// restored from disk (the warm-process acceptance metric); the others
 	// snapshot the store/cache state at Learn shutdown: records restored
-	// at open, flushes of this learner's cache, and the cache's durable
-	// footprint (VerifyCache.Len / Bytes).
+	// at open, flushes of this learner's cache, and the cache's footprint
+	// (VerifyCache.Len / Bytes).
 	CacheDiskHits    int64
 	CacheDiskLoads   int64
 	CacheDiskFlushes int64
@@ -221,13 +183,8 @@ type StatsSnapshot struct {
 	SolverAllocs   int64
 	PoolReuses     int64
 
-	CacheEncoderHits     int64
-	CacheEncoderMisses   int64
-	CacheVerdictHits     int64
-	CacheClausesReplayed int64
-	CacheClausesExported int64
-	CacheEvictions       int64
-	CacheAbductHits      int64
+	CacheVerdictHits int64
+	CacheAbductHits  int64
 
 	CacheDiskHits    int64
 	CacheDiskLoads   int64
@@ -264,13 +221,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SolverAllocs:   atomic.LoadInt64(&s.SolverAllocs),
 		PoolReuses:     atomic.LoadInt64(&s.PoolReuses),
 
-		CacheEncoderHits:     atomic.LoadInt64(&s.CacheEncoderHits),
-		CacheEncoderMisses:   atomic.LoadInt64(&s.CacheEncoderMisses),
-		CacheVerdictHits:     atomic.LoadInt64(&s.CacheVerdictHits),
-		CacheClausesReplayed: atomic.LoadInt64(&s.CacheClausesReplayed),
-		CacheClausesExported: atomic.LoadInt64(&s.CacheClausesExported),
-		CacheEvictions:       atomic.LoadInt64(&s.CacheEvictions),
-		CacheAbductHits:      atomic.LoadInt64(&s.CacheAbductHits),
+		CacheVerdictHits: atomic.LoadInt64(&s.CacheVerdictHits),
+		CacheAbductHits:  atomic.LoadInt64(&s.CacheAbductHits),
 
 		CacheDiskHits:    atomic.LoadInt64(&s.CacheDiskHits),
 		CacheDiskLoads:   atomic.LoadInt64(&s.CacheDiskLoads),
@@ -434,17 +386,15 @@ type Learner struct {
 	opts  Options
 	stats *Stats
 
-	// cache/cacheKey enable cross-run memoization (Options.CrossRunCache).
-	// Both stay zero when the option is off or the system is not cacheable
-	// (System.CacheKey), in which case every path below behaves exactly as
-	// the isolated PR 1 learner.
+	// cache/cacheKey enable answer memoization across Learners. Both stay
+	// zero when the system is not cacheable (System.CacheKey), in which case
+	// every query is solved.
 	cache    *VerifyCache
 	cacheKey string
-	// coneIdents memoizes per-target cone cache identities (coneIdent) by
-	// predicate ID when Options.ConeLevelCache is on. Cone membership is a
-	// pure function of the predicate and the circuit, so the memo is sound
-	// for the learner's lifetime.
-	coneIdents sync.Map // pred ID → coneIdent
+	// coneIdents memoizes per-target cone cache keys (coneIdentFor) by
+	// predicate ID. Cone membership is a pure function of the predicate and
+	// the circuit, so the memo is sound for the learner's lifetime.
+	coneIdents sync.Map // pred ID → string
 	// pdb is the persistent proof store bound via Options.CacheDir (nil
 	// when persistence is off or the store is unusable). Learn flushes the
 	// cache into it at shutdown.
@@ -470,17 +420,20 @@ type Learner struct {
 	active  int
 	err     error
 	// solvers is the registry of live solver instances currently owned by
-	// this learner's workers (pooled or fresh), mapped to their cumulative
-	// conflict count at registration. A cancellation interrupts every
-	// member so in-flight CDCL searches return Unknown within one
-	// interrupt-check interval instead of running to completion; on
-	// deregistration the conflict delta since registration is folded into
-	// Stats.SolverConflicts.
-	solvers map[*sat.Solver]int64
+	// this learner's worker pools. A cancellation interrupts every member so
+	// in-flight CDCL searches return Unknown within one interrupt-check
+	// interval instead of running to completion; on deregistration the
+	// solver's conflicts are folded into Stats.SolverConflicts.
+	solvers map[*sat.Solver]struct{}
 
 	// exchange is the mid-run clause-sharing fabric (Options.ShareClauses);
 	// nil when sharing is off or the learner runs a single worker.
 	exchange *clauseExchange
+
+	// refAbduct, when set, answers memo misses instead of abductIncremental.
+	// Only the in-package differential tests set it (to a fresh-solver-per-
+	// query reference); production learners leave it nil.
+	refAbduct func(target Pred, cands []Pred, pool *encoderPool) (abductResult, error)
 }
 
 type entry struct {
@@ -505,7 +458,7 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 		init:    circuit.InitSnapshot(sys.Circuit),
 		entries: make(map[string]*entry),
 		failed:  make(map[string]bool),
-		solvers: make(map[*sat.Solver]int64),
+		solvers: make(map[*sat.Solver]struct{}),
 	}
 	if l.opts.Workers == 0 {
 		l.opts.Workers = runtime.GOMAXPROCS(0)
@@ -513,62 +466,43 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 	if opts.ShareClauses && l.opts.Workers > 1 {
 		l.exchange = newClauseExchange(l.opts.Workers, opts.ShareRingSize, l.stats)
 	}
-	if opts.CrossRunCache {
-		if key, ok := sys.CacheKey(); ok {
-			l.cacheKey = key
-			l.cache = opts.Cache
-			if l.cache == nil {
-				l.cache = sharedCache
-			}
-			if opts.CacheDir != "" {
-				// Best-effort: an unusable store leaves pdb nil and the
-				// learner runs with the in-memory cache alone.
-				l.pdb = boundProofDB(opts.CacheDir, l.cache)
-			}
+	if key, ok := sys.CacheKey(); ok {
+		l.cacheKey = key
+		l.cache = opts.Cache
+		if l.cache == nil {
+			l.cache = sharedCache
+		}
+		if opts.CacheDir != "" {
+			// Best-effort: an unusable store leaves pdb nil and the learner
+			// runs with the in-memory cache alone.
+			l.pdb = boundProofDB(opts.CacheDir, l.cache)
 		}
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
-// coneIdent is one target's cone-level cache identity: the cache key
-// (System.ConeCacheKey over the support) plus the support itself, which
-// encoder construction needs to install cone-canonical node names.
-type coneIdent struct {
-	key     string
-	support []string
-}
-
-// coneIdentFor derives (and memoizes) the cone-level cache identity of a
-// target predicate. The support is the target's slice — the candidate
-// universe of its abduction queries — unioned with its own variables, so an
-// equal cone key pins the structure every artifact under the key can
+// coneIdentFor derives (and memoizes) the cache key a target's query
+// answers live under: the canonical fingerprint of its cone
+// (System.ConeCacheKey). The cone's support is the target's slice — the
+// candidate universe of its abduction queries — unioned with its own
+// variables, so an equal key pins the structure every answer under it can
 // reference: the target's next-state cone, every candidate's registers
 // (names, widths, resets) and the input interface. When slicing fails the
 // identity degrades to the whole-circuit key, which is always sound.
-func (l *Learner) coneIdentFor(target Pred) coneIdent {
+func (l *Learner) coneIdentFor(target Pred) string {
 	if v, ok := l.coneIdents.Load(target.ID()); ok {
-		return v.(coneIdent)
+		return v.(string)
 	}
-	ident := coneIdent{key: l.cacheKey}
+	key := l.cacheKey
 	if slice, err := l.slice.Slice(target); err == nil {
 		support := append(append([]string(nil), slice...), target.Vars()...)
-		if key, ok := l.sys.ConeCacheKey(support); ok {
-			ident = coneIdent{key: key, support: support}
+		if k, ok := l.sys.ConeCacheKey(support); ok {
+			key = k
 		}
 	}
-	l.coneIdents.Store(target.ID(), ident)
-	return ident
-}
-
-// cacheKeyFor returns the cache key under which target's query artifacts
-// live: the per-cone key in cone-level mode, the whole-circuit key
-// otherwise. Empty when the learner is uncached.
-func (l *Learner) cacheKeyFor(target Pred) string {
-	if l.cache == nil || !l.opts.ConeLevelCache {
-		return l.cacheKey
-	}
-	return l.coneIdentFor(target).key
+	l.coneIdents.Store(target.ID(), key)
+	return key
 }
 
 // Stats exposes the instrumentation collected during Learn.
@@ -597,10 +531,10 @@ func (l *Learner) Learn(targets []Pred) (*Invariant, error) {
 
 // LearnCtx is Learn under a context: when ctx is cancelled (or its
 // deadline passes), every in-flight solver query is interrupted, the
-// workers drain, pooled solvers are checked back into the cross-run cache,
-// the proof store is flushed — partial progress survives into the next run
-// — and LearnCtx returns ctx.Err() promptly. A learner is single-shot:
-// once cancelled it cannot be reused.
+// workers drain and drop their solvers, the proof store is flushed — the
+// answers memoized so far survive into the next run — and LearnCtx returns
+// ctx.Err() promptly. A learner is single-shot: once cancelled it cannot be
+// reused.
 func (l *Learner) LearnCtx(ctx context.Context, targets []Pred) (*Invariant, error) {
 	start := time.Now()
 	defer func() { l.stats.addWall(time.Since(start)) }()
@@ -701,42 +635,34 @@ func (l *Learner) interrupt() {
 	}
 }
 
-// trackSolver registers a solver entering a worker's ownership (fresh
-// construction or cross-run cache checkout) with the cancellation
-// registry. Any stale interrupt left over from a previous learner's
-// cancellation is cleared first — cached solvers carry their sticky flag
-// across Learn instances — and if this learner has already stopped, the
+// trackSolver registers a solver a worker's pool has just constructed with
+// the cancellation registry. If this learner has already stopped, the
 // solver is interrupted immediately to close the register/interrupt race.
 func (l *Learner) trackSolver(s *sat.Solver) {
-	s.ClearInterrupt()
-	base := s.Stats.Conflicts // solver is idle between owners; plain read is safe
 	l.mu.Lock()
-	l.solvers[s] = base
+	l.solvers[s] = struct{}{}
 	l.mu.Unlock()
 	if l.stop.Load() {
 		s.Interrupt()
 	}
 }
 
-// untrackSolver removes a solver leaving the worker's ownership (query
-// teardown or pool retirement) from the cancellation registry, charging
-// the conflicts it burned while owned to Stats.SolverConflicts.
+// untrackSolver removes a solver its pool is dropping from the cancellation
+// registry, charging the conflicts it burned to Stats.SolverConflicts.
 func (l *Learner) untrackSolver(s *sat.Solver) {
-	conflicts := s.Stats.Conflicts // idle again: the owning query has returned
 	l.mu.Lock()
-	base, ok := l.solvers[s]
 	delete(l.solvers, s)
 	l.mu.Unlock()
-	if ok {
-		atomic.AddInt64(&l.stats.SolverConflicts, conflicts-base)
-	}
+	// The solver is idle — its worker's last query has returned — so the
+	// plain read is safe.
+	atomic.AddInt64(&l.stats.SolverConflicts, s.Stats.Conflicts)
 }
 
-// finishPersist runs at Learn shutdown: it snapshots the cache's durable
-// footprint into Stats and, when a proof store is bound, persists the run's
-// deltas. With a journal the deltas were appended as they landed, so this is
-// a cheap fsync; the store escalates to a full snapshot rewrite on its own
-// when the journal is disabled, degraded, or oversized.
+// finishPersist runs at Learn shutdown: it snapshots the cache's footprint
+// into Stats and, when a proof store is bound, persists the run's deltas.
+// With a journal the deltas were appended as they landed, so this is a cheap
+// fsync; the store escalates to a full snapshot rewrite on its own when the
+// journal is disabled, degraded, or oversized.
 func (l *Learner) finishPersist() {
 	if l.cache == nil {
 		return
@@ -794,13 +720,6 @@ func (l *Learner) holdsAtInit(p Pred) (bool, error) {
 // mid-run clause exchange.
 func (l *Learner) worker(w int) {
 	pool := newEncoderPool(l.sys, l.stats)
-	pool.attachCache(l.cache, l.cacheKey)
-	if l.cache != nil && l.opts.ConeLevelCache {
-		pool.attachConeIdents(func(p Pred) (string, []string) {
-			id := l.coneIdentFor(p)
-			return id.key, id.support
-		})
-	}
 	pool.attachExchange(l.exchange, w)
 	pool.observeSolvers(l.trackSolver, l.untrackSolver)
 	defer pool.retire()

@@ -65,6 +65,12 @@ func minerOf(preds ...Pred) tableMiner {
 	return m
 }
 
+// testOptions is the in-package tests' base configuration: minimal cores
+// and a private cache, so no learner is answered from another's memos.
+func testOptions(workers int) Options {
+	return Options{Workers: workers, MinimizeCores: true, Cache: NewVerifyCache()}
+}
+
 func ids(inv *Invariant) map[string]bool {
 	out := map[string]bool{}
 	for _, p := range inv.Preds {
@@ -104,7 +110,7 @@ func TestLearnAndGateExample(t *testing.T) {
 	}
 	target := regEq{reg: "A", val: 1}
 	for _, workers := range []int{1, 4} {
-		l := NewLearner(sys, minerOf(universe...), Options{Workers: workers, MinimizeCores: true})
+		l := NewLearner(sys, minerOf(universe...), testOptions(workers))
 		inv, err := l.Learn([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +222,7 @@ func TestLearnCycle(t *testing.T) {
 	p1 := regEq{reg: "R1", val: 1}
 	p2 := regEq{reg: "R2", val: 1}
 	for _, workers := range []int{1, 4} {
-		l := NewLearner(sys, minerOf(p1, p2), Options{Workers: workers, MinimizeCores: true})
+		l := NewLearner(sys, minerOf(p1, p2), testOptions(workers))
 		inv, err := l.Learn([]Pred{p1})
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +269,7 @@ func backtrackSystem(t *testing.T) (*System, []Pred, Pred) {
 func TestLearnBacktracking(t *testing.T) {
 	sys, universe, target := backtrackSystem(t)
 	for _, workers := range []int{1, 4} {
-		l := NewLearner(sys, minerOf(universe...), Options{Workers: workers, MinimizeCores: true})
+		l := NewLearner(sys, minerOf(universe...), testOptions(workers))
 		inv, err := l.Learn([]Pred{target})
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +334,9 @@ func TestLearnStagedMining(t *testing.T) {
 		regEq{reg: "A", val: 1}, regEq{reg: "B", val: 1, tier: 1}, regEq{reg: "C", val: 1},
 		regEq{reg: "D", val: 1, tier: 2}, regEq{reg: "E", val: 1},
 	}
-	l := NewLearner(sys, minerOf(universe...), Options{Workers: 1, MinimizeCores: true, StagedMining: true})
+	o := testOptions(1)
+	o.StagedMining = true
+	l := NewLearner(sys, minerOf(universe...), o)
 	inv, err := l.Learn([]Pred{regEq{reg: "A", val: 1}})
 	if err != nil {
 		t.Fatal(err)

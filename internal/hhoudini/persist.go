@@ -3,9 +3,9 @@ package hhoudini
 // Persistence wiring: binds VerifyCaches to an on-disk proof store
 // (internal/proofdb) so separate process invocations share warm starts.
 // The soundness argument is unchanged from the in-memory cache: records
-// are keyed by (circuit fingerprint, EnvKey), so a restored clause or
-// verdict is only ever consulted for a system with the identical structural
-// and environmental identity it was derived under.
+// are keyed by (cone fingerprint, EnvKey), so a restored verdict or abduct
+// is only ever consulted for a cone with the identical structural and
+// environmental identity it was derived under.
 
 import (
 	"context"
@@ -28,8 +28,8 @@ type ProofDBConfig struct {
 }
 
 // ProofDB binds an open proof store to one or more VerifyCaches: opening
-// restores the store's contents into the cache, and every Flush merges the
-// caches' current durable state back and atomically rewrites the file.
+// restores the store's memos into the cache, and every Flush merges the
+// caches' current contents back and atomically rewrites the file.
 type ProofDB struct {
 	db *proofdb.DB
 
@@ -74,10 +74,9 @@ func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, erro
 	return p, nil
 }
 
-// Attach restores the store's contents into vc, registers it as a flush
-// source, and subscribes to its durable deltas: every new verdict, abduct,
-// or harvested clause is appended to the store's write-ahead journal as it
-// lands, so the crash-loss window is the journal sync policy's, not the
+// Attach restores the store's memos into vc, registers it as a flush
+// source, and subscribes to its deltas: every new verdict or abduct is
+// appended to the store's write-ahead journal as it lands, so the crash-loss window is the journal sync policy's, not the
 // flush interval's. Idempotent per cache.
 func (p *ProofDB) Attach(vc *VerifyCache) {
 	if vc == nil {
@@ -104,7 +103,7 @@ func (p *ProofDB) Attach(vc *VerifyCache) {
 // and the delta still lands in memory for the next Flush.
 func (p *ProofDB) appendDelta(s *proofdb.Snapshot) { p.db.Append(s) }
 
-// Flush merges the durable state of every attached cache into the store and
+// Flush merges the contents of every attached cache into the store and
 // atomically rewrites the file (crash-safe: temp file + fsync + rename).
 // The outcome is also recorded for LastFlushErr, so callers that cannot
 // propagate (Learn's shutdown path, the background loop) still leave the

@@ -18,41 +18,17 @@ import (
 // learnt clauses all persist across queries (§3.2's "small, incremental,
 // memoizable" checks made literal at the solver level).
 //
-// A pool is owned by exactly one worker goroutine and must not be shared:
-// the underlying sat.Solver is not safe for concurrent use. Parallel
-// learners hold one pool per worker, mirroring the paper's per-task solver
-// processes while still amortizing encode work within each worker.
-//
-// A pool may additionally be attached to a cross-run VerifyCache
-// (attachCache). Then cone misses first try to check a retired encoder out
-// of the cache — checkout removes the entry, preserving the single-owner
-// invariant — and retire() checks every live encoder back in at worker
-// shutdown instead of dropping it, which is what makes solver state survive
-// across Learner instances.
+// A pool is the single owner of its solvers, from first use to the end of
+// one Learn: it belongs to exactly one worker goroutine and must not be
+// shared (the underlying sat.Solver is not safe for concurrent use), and
+// retire() drops every pair when the worker exits. Only answers outlive a
+// Learn (VerifyCache). Parallel learners hold one pool per worker,
+// mirroring the paper's per-task solver processes while still amortizing
+// encode work within each worker.
 type encoderPool struct {
 	sys     *System
 	stats   *Stats
 	entries map[uint64]*pooledEncoder
-
-	// cache/key enable cross-run reuse; nil cache means the pool is
-	// isolated (the pre-cache PR 1 behaviour).
-	cache *VerifyCache
-	key   string
-	// pinned tracks every cache key this pool has live solver state under.
-	// Each key is pinned in the cache on first use (checkout or fresh build)
-	// so whole-key LRU eviction can never retire it mid-job — eviction would
-	// reset the append-only clause store pe.imported indexes by position —
-	// and unpinned in one batch at retire().
-	pinned map[string]bool
-
-	// coneIdent, when set (Options.ConeLevelCache), maps a target to its
-	// cone-level cache key and the register support identifying the cone.
-	// Pool entries are then checked out of, and retired into, the cache
-	// under per-cone keys, and fresh encoders are built with cone-canonical
-	// node naming so their learnt clauses transfer across designs. A nil
-	// coneIdent keeps the whole-circuit key for everything (the ablation
-	// baseline and the pre-cone behaviour).
-	coneIdent func(Pred) (key string, support []string)
 
 	// exchange/worker wire pooled solvers into the mid-run clause-sharing
 	// fabric (attachExchange): worker is this pool's producer slot. A nil
@@ -63,35 +39,14 @@ type encoderPool struct {
 	// onSolver/onRetire observe solvers entering and leaving the pool's
 	// ownership (observeSolvers). The learner uses them to maintain its
 	// cancellation registry: every live solver must be interruptible when
-	// the owning LearnCtx is cancelled, and must drop out of the registry
-	// when the pool retires it into the cross-run cache.
+	// the owning LearnCtx is cancelled.
 	onSolver func(*sat.Solver)
 	onRetire func(*sat.Solver)
-
-	retired bool
 }
 
 // newEncoderPool creates an empty pool bound to a system. stats may be nil.
 func newEncoderPool(sys *System, stats *Stats) *encoderPool {
 	return &encoderPool{sys: sys, stats: stats, entries: make(map[uint64]*pooledEncoder)}
-}
-
-// attachCache connects the pool to a cross-run cache under the given system
-// cache key. A nil cache (or empty key) leaves the pool isolated.
-func (pl *encoderPool) attachCache(c *VerifyCache, key string) {
-	if c == nil || key == "" {
-		return
-	}
-	pl.cache, pl.key = c, key
-}
-
-// attachConeIdents installs the cone-level identity oracle (see the
-// coneIdent field). Call after attachCache; a nil fn is a no-op.
-func (pl *encoderPool) attachConeIdents(fn func(Pred) (string, []string)) {
-	if fn == nil {
-		return
-	}
-	pl.coneIdent = fn
 }
 
 // attachExchange connects the pool to the learner's mid-run clause
@@ -102,16 +57,15 @@ func (pl *encoderPool) attachExchange(x *clauseExchange, w int) {
 }
 
 // observeSolvers installs the ownership observers: onSolver fires for each
-// solver the pool takes ownership of (fresh construction or cache
-// checkout), onRetire for each solver it gives up at retire(). Either may
-// be nil.
+// solver the pool constructs, onRetire for each solver it drops at
+// retire(). Either may be nil.
 func (pl *encoderPool) observeSolvers(onSolver, onRetire func(*sat.Solver)) {
 	pl.onSolver, pl.onRetire = onSolver, onRetire
 }
 
 // coneKeys memoizes coneKey by predicate ID. Cone membership is a pure
 // function of the predicate (Vars() is fixed per ID), so the memo is sound
-// process-wide and shared across all pools, caches and Learners.
+// process-wide and shared across all pools and Learners.
 var coneKeys sync.Map // pred ID (string) → uint64
 
 // coneKey keys pooled solvers. Predicates over the same state variables
@@ -141,8 +95,7 @@ func coneKey(p Pred) uint64 {
 
 // get returns the pooled encoder for the target's cone, constructing (and
 // constraining) a fresh solver on first use. The second result reports
-// whether the encoder was already warm (locally or from the cross-run
-// cache).
+// whether the encoder was already warm.
 func (pl *encoderPool) get(target Pred) (*pooledEncoder, bool, error) {
 	ck := coneKey(target)
 	if pe, ok := pl.entries[ck]; ok {
@@ -151,62 +104,14 @@ func (pl *encoderPool) get(target Pred) (*pooledEncoder, bool, error) {
 		}
 		return pe, true, nil
 	}
-	// Resolve the cache identity this entry lives under: the whole-circuit
-	// key, or the target's cone-level key (with the support that drives
-	// cone-canonical naming) when the cone oracle is attached.
-	key := pl.key
-	var support []string
-	if pl.coneIdent != nil {
-		if k, sup := pl.coneIdent(target); k != "" && sup != nil {
-			key, support = k, sup
-		}
-	}
-	if pl.cache != nil && key != "" && !pl.pinned[key] {
-		pl.cache.pin(key)
-		if pl.pinned == nil {
-			pl.pinned = make(map[string]bool)
-		}
-		pl.pinned[key] = true
-	}
-	if pl.cache != nil {
-		if pe := pl.cache.checkout(key, ck); pe != nil {
-			if pl.stats != nil {
-				atomic.AddInt64(&pl.stats.PoolReuses, 1)
-				atomic.AddInt64(&pl.stats.CacheEncoderHits, 1)
-			}
-			pe.cacheKey = key
-			pl.entries[ck] = pe
-			if pl.onSolver != nil {
-				pl.onSolver(pe.enc.S)
-			}
-			if pl.exchange != nil {
-				pl.exchange.install(pl.worker, pe.enc)
-			}
-			return pe, true, nil
-		}
-		if pl.stats != nil {
-			atomic.AddInt64(&pl.stats.CacheEncoderMisses, 1)
-		}
-	}
-	var enc *circuit.Encoder
-	var err error
-	if support != nil {
-		enc, err = pl.sys.newEncoderForCone(support)
-	} else {
-		enc, err = pl.sys.newEncoder()
-	}
+	enc, err := pl.sys.newEncoder()
 	if err != nil {
 		return nil, false, err
 	}
 	if pl.stats != nil {
 		atomic.AddInt64(&pl.stats.SolverAllocs, 1)
 	}
-	pe := &pooledEncoder{
-		enc:      enc,
-		cacheKey: key,
-		sels:     make(map[string]sat.Lit),
-		imported: make(map[int]bool),
-	}
+	pe := &pooledEncoder{enc: enc, sels: make(map[string]sat.Lit)}
 	pl.entries[ck] = pe
 	if pl.onSolver != nil {
 		pl.onSolver(enc.S)
@@ -220,57 +125,15 @@ func (pl *encoderPool) get(target Pred) (*pooledEncoder, bool, error) {
 // size returns the number of live solver/encoder pairs in the pool.
 func (pl *encoderPool) size() int { return len(pl.entries) }
 
-// retire checks every live encoder into the cross-run cache (when one is
-// attached) and empties the pool. Without a cache this is just the old
-// end-of-Learn drop. Idempotent: the second call finds nothing to check in.
+// retire drops every live encoder at the end of the worker's Learn,
+// reporting each solver to onRetire first.
 func (pl *encoderPool) retire() {
-	if pl.retired {
-		return
-	}
-	pl.retired = true
-	for ck, pe := range pl.entries {
-		// Disconnect from the exchange before the encoder can change hands:
-		// a cached solver must never fire hooks into a retired Learner's
-		// rings (the next owner installs its own).
-		pe.enc.S.SetExchangeHooks(nil, nil)
-		if pl.onRetire != nil {
+	if pl.onRetire != nil {
+		for _, pe := range pl.entries {
 			pl.onRetire(pe.enc.S)
 		}
-		if pl.cache != nil && pe.cacheKey != "" {
-			pl.cache.checkin(pe.cacheKey, ck, pe, pl.stats)
-		}
 	}
-	pl.entries = make(map[uint64]*pooledEncoder)
-	// Release pins only after every encoder is checked back in: the keys
-	// must stay eviction-exempt while their solver state is in flight.
-	if pl.cache != nil {
-		for key := range pl.pinned {
-			pl.cache.unpin(key)
-		}
-		pl.pinned = nil
-	}
-}
-
-// replayLearnts imports base-system learnt clauses from the cross-run
-// clause store into pe. Called once per query after encoding (new predicate
-// encodings may have introduced the names a stored clause needs), it keeps
-// the hot path cheap with two change probes: a clause can only become
-// importable when the store grows or the encoder allocates new named
-// variables, so when neither counter moved since the last attempt the whole
-// scan is skipped.
-func (pl *encoderPool) replayLearnts(pe *pooledEncoder) {
-	if pl.cache == nil || pe.cacheKey == "" {
-		return
-	}
-	names := pe.enc.NamedVarCount()
-	storeLen := pl.cache.storeLen(pe.cacheKey)
-	if names == pe.lastNameCount && storeLen == pe.lastStoreLen {
-		return
-	}
-	pe.lastNameCount, pe.lastStoreLen = names, storeLen
-	if n := pl.cache.replayInto(pe.cacheKey, pe); n > 0 && pl.stats != nil {
-		atomic.AddInt64(&pl.stats.CacheClausesReplayed, int64(n))
-	}
+	pl.entries = nil
 }
 
 // pooledEncoder is one long-lived solver/encoder pair plus the caches that
@@ -279,21 +142,10 @@ func (pl *encoderPool) replayLearnts(pe *pooledEncoder) {
 // one persistent selector literal guarding its attachment clause.
 type pooledEncoder struct {
 	enc *circuit.Encoder
-	// cacheKey is the cross-run cache identity this entry was constructed
-	// (or checked out) under — the whole-circuit key, or the target's
-	// cone-level key in cone mode. retire() checks the entry back in under
-	// the same key; empty means the entry is cache-isolated.
-	cacheKey string
 	// sels maps candidate predicate IDs to their persistent activation
 	// literal (guarding sel → p). A selector absent from a query's
 	// assumptions leaves its clause inactive at zero cost.
 	sels map[string]sat.Lit
-	// imported marks cross-run clause-store indices already replayed into
-	// this solver. The store is append-only per cache key, so indices are
-	// stable identities even across check-in/checkout cycles.
-	imported map[int]bool
-	// lastNameCount/lastStoreLen are replayLearnts's change probes.
-	lastNameCount, lastStoreLen int
 	// lastGates/lastClauses snapshot the encoder counters at the previous
 	// query boundary so per-query deltas can be charged to Stats.
 	lastGates, lastClauses int64

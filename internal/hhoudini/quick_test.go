@@ -192,7 +192,9 @@ func bruteForceInvariantExists(t *testing.T, c *circuit.Circuit, universe []Pred
 // force on random tiny systems: when the learner returns an invariant it
 // must audit and imply the property on every reachable state; when it
 // returns None, no subset of the universe may form a proving invariant
-// (the completeness guarantee of Appendix A.3).
+// (the completeness guarantee of Appendix A.3). The brute-force oracle
+// shares nothing with the solver, and both the sequential and the parallel
+// schedule of the one abduction path are held to it.
 func TestQuickLearnerSoundAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250704))
 	found, none := 0, 0
@@ -204,40 +206,45 @@ func TestQuickLearnerSoundAndComplete(t *testing.T) {
 		if ok, _ := target.Eval(sys.Circuit, init); !ok {
 			continue
 		}
-		l := NewLearner(sys, minerOf(universe...), DefaultOptions())
-		inv, err := l.Learn([]Pred{target})
-		if err != nil {
-			t.Fatal(err)
-		}
 		exists := bruteForceInvariantExists(t, sys.Circuit, universe, target)
-		if inv != nil {
-			found++
-			if !exists {
-				t.Fatalf("iter %d: learner found an invariant brute force says cannot exist", iter)
+		for _, workers := range []int{1, 3} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			opts.Cache = NewVerifyCache() // every worker count solves for itself
+			l := NewLearner(sys, minerOf(universe...), opts)
+			inv, err := l.Learn([]Pred{target})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := Audit(sys, inv); err != nil {
-				t.Fatalf("iter %d: audit: %v", iter, err)
-			}
-			for _, s := range reachable(t, sys.Circuit) {
-				ok, err := target.Eval(sys.Circuit, s)
-				if err != nil {
-					t.Fatal(err)
+			if inv != nil {
+				found++
+				if !exists {
+					t.Fatalf("iter %d workers=%d: learner found an invariant brute force says cannot exist", iter, workers)
 				}
-				if !ok {
-					t.Fatalf("iter %d: property violated on reachable state %v despite invariant", iter, s)
+				if err := Audit(sys, inv); err != nil {
+					t.Fatalf("iter %d workers=%d: audit: %v", iter, workers, err)
 				}
-			}
-		} else {
-			none++
-			if exists {
-				t.Fatalf("iter %d: learner returned None but an invariant exists in the universe", iter)
+				for _, s := range reachable(t, sys.Circuit) {
+					ok, err := target.Eval(sys.Circuit, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						t.Fatalf("iter %d workers=%d: property violated on reachable state %v despite invariant", iter, workers, s)
+					}
+				}
+			} else {
+				none++
+				if exists {
+					t.Fatalf("iter %d workers=%d: learner returned None but an invariant exists in the universe", iter, workers)
+				}
 			}
 		}
 	}
 	if found == 0 || none == 0 {
 		t.Fatalf("test corpus unbalanced: found=%d none=%d", found, none)
 	}
-	t.Logf("random systems: %d invariants found, %d correct Nones", found, none)
+	t.Logf("random systems x {1,3} workers: %d invariants found, %d correct Nones", found, none)
 }
 
 // TestQuickRecursiveAgreesOnRandomSystems cross-checks the worklist and
@@ -285,7 +292,7 @@ func TestQuickParallelAgreesOnRandomSystems(t *testing.T) {
 		}
 		var verdicts []bool
 		for _, w := range []int{1, 3} {
-			l := NewLearner(sys, minerOf(universe...), Options{Workers: w, MinimizeCores: true})
+			l := NewLearner(sys, minerOf(universe...), testOptions(w))
 			inv, err := l.Learn([]Pred{target})
 			if err != nil {
 				t.Fatal(err)

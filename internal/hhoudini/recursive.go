@@ -22,11 +22,8 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 	}
 	inProgress := make(map[string]bool)
 	// The recursion is sequential, so one pooled-solver set serves every
-	// abduction query; cones shared between predicates are encoded once. At
-	// return the pool retires into the cross-run cache (when attached)
-	// instead of being dropped, so later Learners inherit its solvers.
+	// abduction query; cones shared between predicates are encoded once.
 	pool := newEncoderPool(l.sys, l.stats)
-	pool.attachCache(l.cache, l.cacheKey)
 	defer pool.retire()
 
 	var solve func(p Pred) (bool, error)

@@ -19,13 +19,10 @@ import (
 // shareOptions returns a multi-worker configuration with the exchange on
 // and a deliberately tiny ring so producers lap consumers.
 func shareOptions(on bool) Options {
-	return Options{
-		Workers:           4,
-		MinimizeCores:     true,
-		IncrementalSolver: true,
-		ShareClauses:      on,
-		ShareRingSize:     4,
-	}
+	o := testOptions(4)
+	o.ShareClauses = on
+	o.ShareRingSize = 4
+	return o
 }
 
 // TestQuickShareClausesAgreesOnRandomSystems cross-checks sharing-on

@@ -22,19 +22,20 @@ type System struct {
 	// Systems over the same circuit with equal EnvKeys must install
 	// logically identical assumptions, and Constrain must encode them as a
 	// deterministic function of the key (same clauses, same gate order), so
-	// that canonical gate names line up across encoders. A System with a
-	// non-nil Constrain and an empty EnvKey is not cacheable: the cross-run
-	// verification cache refuses to share any state for it. Changing the
-	// safe set changes the key, which is the cache's invalidation story.
+	// that canonical gate names line up across the encoders of one Learn's
+	// workers. A System with a non-nil Constrain and an empty EnvKey is not
+	// cacheable: the verification cache refuses to memoize any answer for
+	// it. Changing the safe set changes the key, which is the cache's
+	// invalidation story.
 	EnvKey string
 	// Namespace partitions every cache identity (CacheKey, ConeCacheKey) by
 	// an opaque owner id — the multi-tenant service folds each tenant's id
 	// in here. Soundness is inherited from the key discipline: two systems
-	// with different namespaces never produce equal keys, so no pooled
-	// solver, learnt clause, verdict or abduct can cross a tenant boundary;
-	// within one namespace the keys (and thus warm transfer, including
-	// cross-design cone transfer) behave exactly as without namespacing.
-	// Empty means the default, shared namespace.
+	// with different namespaces never produce equal keys, so no verdict or
+	// abduct can cross a tenant boundary; within one namespace the keys (and
+	// thus warm transfer, including cross-design cone transfer) behave
+	// exactly as without namespacing. Empty means the default, shared
+	// namespace.
 	Namespace string
 }
 
@@ -44,8 +45,8 @@ const envScope = "\x01env"
 
 // newEncoder builds a fresh solver+encoder pair with the environment
 // assumption asserted. The assumption is encoded inside the canonical
-// "env" naming scope so its auxiliary gates are portable across solvers of
-// the same (fingerprint, EnvKey) identity.
+// "env" naming scope so its auxiliary gates are portable across the solvers
+// of one Learn's workers (the mid-run clause exchange).
 func (s *System) newEncoder() (*circuit.Encoder, error) {
 	enc := circuit.NewEncoder(s.Circuit, sat.New())
 	if s.Constrain != nil {
@@ -56,11 +57,13 @@ func (s *System) newEncoder() (*circuit.Encoder, error) {
 	return enc, nil
 }
 
-// CacheKey returns the cross-run cache identity of the system — the
-// circuit's structural fingerprint combined with the environment-assumption
-// key — and whether the system is cacheable at all. Systems with an
-// anonymous environment assumption (Constrain set, EnvKey empty) are not:
-// nothing identifies what was asserted into their solvers.
+// CacheKey returns the whole-system cache identity — the circuit's
+// structural fingerprint combined with the environment-assumption key — and
+// whether the system is cacheable at all. Systems with an anonymous
+// environment assumption (Constrain set, EnvKey empty) are not: nothing
+// identifies what their answers were derived under. Query answers are keyed
+// per cone (ConeCacheKey); this key is the fallback for a target whose cone
+// cannot be sliced.
 func (s *System) CacheKey() (string, bool) {
 	if s.Constrain != nil && s.EnvKey == "" {
 		return "", false
@@ -78,23 +81,6 @@ func (s *System) nsPrefix() string {
 		return ""
 	}
 	return "ns:" + s.Namespace + "\x02"
-}
-
-// newEncoderForCone is newEncoder with cone-canonical variable naming for
-// the transitive fan-in cone of the given support registers: circuit nodes
-// inside the cone are named by (cone fingerprint, canonical local id)
-// instead of global node id, so learnt clauses exported from this encoder
-// replay into any encoder over an isomorphic cone — including one belonging
-// to a different circuit.
-func (s *System) newEncoderForCone(support []string) (*circuit.Encoder, error) {
-	enc := circuit.NewEncoder(s.Circuit, sat.New())
-	enc.SetConeNames(s.Circuit.ConeNames(support))
-	if s.Constrain != nil {
-		if err := enc.InScope(envScope, func() error { return s.Constrain(enc) }); err != nil {
-			return nil, err
-		}
-	}
-	return enc, nil
 }
 
 // ConeCacheKey returns the cone-level cache identity for queries whose

@@ -14,7 +14,7 @@ package sat
 // Header bit layout:
 //
 //	bit  0      learnt
-//	bit  1      base (exportable: no local/selector variables; see solver.go)
+//	bit  1      unused
 //	bit  2      deleted (lazily reclaimed by garbageCollect)
 //	bits 3..12  LBD (literal block distance, saturated at lbdMax)
 //	bits 13..30 size (number of literals)
@@ -39,7 +39,6 @@ const crUndef clauseRef = 0
 
 const (
 	hdrLearnt    = uint32(1) << 0
-	hdrBase      = uint32(1) << 1
 	hdrDeleted   = uint32(1) << 2
 	hdrLBDShift  = 3
 	hdrLBDMask   = uint32(1)<<10 - 1
@@ -53,7 +52,7 @@ const (
 	maxClauseSize = 1<<18 - 1
 )
 
-func mkHeader(size int, learnt, base bool, lbd int) uint32 {
+func mkHeader(size int, learnt bool, lbd int) uint32 {
 	if size > maxClauseSize {
 		panic("sat: clause exceeds maximum arena clause size")
 	}
@@ -64,9 +63,6 @@ func mkHeader(size int, learnt, base bool, lbd int) uint32 {
 	h |= uint32(lbd) << hdrLBDShift
 	if learnt {
 		h |= hdrLearnt
-	}
-	if base {
-		h |= hdrBase
 	}
 	return h
 }
@@ -85,7 +81,6 @@ func (s *Solver) clauseLits(cr clauseRef) []uint32 {
 }
 
 func (s *Solver) isLearnt(cr clauseRef) bool  { return s.arena[cr]&hdrLearnt != 0 }
-func (s *Solver) isBase(cr clauseRef) bool    { return s.arena[cr]&hdrBase != 0 }
 func (s *Solver) isDeleted(cr clauseRef) bool { return s.arena[cr]&hdrDeleted != 0 }
 
 func (s *Solver) clauseLBD(cr clauseRef) int {

@@ -4,14 +4,13 @@ import (
 	"testing"
 )
 
-// Propagate-heavy benchmark family (BenchmarkSat*). These are the rows
-// behind BENCH_sat.json: the chain workload isolates the two-watched-literal
-// propagation loop (zero conflicts, tens of thousands of implications per
-// Solve), the PHP and random-3SAT workloads add conflict analysis,
-// learnt-clause allocation and DB reduction on top. The workload
-// definitions live in benchwork.go (BenchWorkloads), shared with
-// cmd/benchjson -sat and cmd/experiments so all three harnesses measure
-// byte-identical instances.
+// Propagate-heavy benchmark family (BenchmarkSat*): the chain workload
+// isolates the two-watched-literal propagation loop (zero conflicts, tens
+// of thousands of implications per Solve), the PHP and random-3SAT
+// workloads add conflict analysis, learnt-clause allocation and DB
+// reduction on top. The workload definitions live in benchwork.go
+// (BenchWorkloads), shared with the repository benchmark's probes
+// (bench/probes.go) so both harnesses measure byte-identical instances.
 
 // benchWorkload runs one named BenchWorkloads entry under the benchmark
 // harness.

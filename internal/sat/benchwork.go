@@ -5,35 +5,27 @@ import (
 	"math/rand"
 )
 
-// Shared definitions of the propagate-heavy workload family behind
-// BENCH_sat.json. Three harnesses run these: the in-package BenchmarkSat*
-// benchmarks (bench_test.go), cmd/benchjson -sat, and the SAT-core ablation
-// table in cmd/experiments. Keeping the constructors here — not in a test
-// file — is what lets the two commands run byte-identical workloads without
-// copy-drift.
+// Shared definitions of the solver workload family. Two harnesses run
+// these: the in-package BenchmarkSat* benchmarks (bench_test.go) and the
+// repository benchmark's sat.probe_ns.* probes (bench/probes.go). Keeping
+// the constructors here — not in a test file — is what lets both run
+// byte-identical workloads without copy-drift.
 
 // BenchWorkload is one named solver workload. New builds the instance and
 // returns a closure running exactly one measured operation; the closure
 // reports an error on an unexpected verdict.
 type BenchWorkload struct {
 	Name string
-	// PropagateHeavy marks the rows the arena's >=20% acceptance bound
-	// applies to (pure propagation, no conflict analysis in the loop).
-	PropagateHeavy bool
-	// SeedNsOp is the ns/op recorded on the pre-arena seed solver for this
-	// workload on the reference hardware class — the baseline improvement
-	// percentages are computed against.
-	SeedNsOp float64
-	New      func() func() error
+	New  func() func() error
 }
 
-// BenchWorkloads returns the BENCH_sat.json workload family.
+// BenchWorkloads returns the workload family.
 func BenchWorkloads() []BenchWorkload {
 	return []BenchWorkload{
 		{
 			// 200 disjoint implication chains of length 100, solved under
 			// all heads as assumptions: 20k propagations, zero conflicts.
-			Name: "propagate_chains", PropagateHeavy: true, SeedNsOp: 729514,
+			Name: "propagate_chains",
 			New: func() func() error {
 				const k, l = 200, 100
 				s := New()
@@ -59,7 +51,7 @@ func BenchWorkloads() []BenchWorkload {
 			// One assumption fanning out through 60 layers of width 60 via
 			// long clauses padded with false distractors: the watcher scan,
 			// not binary implication walking, dominates.
-			Name: "propagate_wide", PropagateHeavy: true, SeedNsOp: 144079,
+			Name: "propagate_wide",
 			New: func() func() error {
 				const layers, width = 60, 60
 				s := New()
@@ -88,7 +80,7 @@ func BenchWorkloads() []BenchWorkload {
 		{
 			// Fresh PHP(7,6) refutation per op: conflict analysis, learnt
 			// allocation and DB reduction on top of propagation.
-			Name: "solve_php", PropagateHeavy: false, SeedNsOp: 5460765,
+			Name: "solve_php",
 			New: func() func() error {
 				return func() error {
 					s := New()
@@ -102,7 +94,7 @@ func BenchWorkloads() []BenchWorkload {
 		},
 		{
 			// Fresh random 3SAT (120 vars, 500 clauses, fixed seed) per op.
-			Name: "solve_random3sat", PropagateHeavy: false, SeedNsOp: 22016,
+			Name: "solve_random3sat",
 			New: func() func() error {
 				const nVars, nClauses = 120, 500
 				rng := rand.New(rand.NewSource(7))

@@ -6,22 +6,40 @@ import "testing"
 // tests.
 func php(s *Solver, pigeons, holes int) { AddPigeonhole(s, pigeons, holes) }
 
+// captureExports installs an export hook (SetExchangeHooks) that copies
+// every learnt clause the solver offers to the mid-run exchange.
+func captureExports(s *Solver) *[][]Lit {
+	var out [][]Lit
+	s.SetExchangeHooks(func(lits []Lit, lbd int) {
+		out = append(out, append([]Lit(nil), lits...))
+	}, nil)
+	return &out
+}
+
 // TestExportLearntsRootUnitsHonorLocality checks the unit-fact half of the
-// export path: level-0 trail literals are exported as unit clauses unless
-// their variable was marked local.
+// export path: a learnt unit is offered to the hook unless its variable was
+// marked local.
 func TestExportLearntsRootUnitsHonorLocality(t *testing.T) {
 	s := New()
-	a, b := s.NewVar(), s.NewVar()
+	a, b, x := s.NewVar(), s.NewVar(), s.NewVar()
 	s.MarkLocal(b)
 	if !s.IsLocal(b) || s.IsLocal(a) {
 		t.Fatal("locality flags wrong")
 	}
-	s.AddClause(PosLit(a))
-	s.AddClause(PosLit(b))
-
-	got := s.ExportLearnts(8)
+	// Assuming either a or b is contradictory, so each Solve learns the
+	// unit ¬a / ¬b.
+	for _, v := range []Var{a, b} {
+		s.AddClause(NegLit(v), PosLit(x))
+		s.AddClause(NegLit(v), NegLit(x))
+	}
+	got := captureExports(s)
+	for _, v := range []Var{a, b} {
+		if st := s.Solve(PosLit(v)); st != Unsat {
+			t.Fatalf("assuming var %d: %v, want Unsat", v, st)
+		}
+	}
 	var sawA, sawB bool
-	for _, cl := range got {
+	for _, cl := range *got {
 		if len(cl) != 1 {
 			t.Fatalf("expected only units, got %v", cl)
 		}
@@ -33,30 +51,31 @@ func TestExportLearntsRootUnitsHonorLocality(t *testing.T) {
 		}
 	}
 	if !sawA {
-		t.Fatal("non-local root unit was not exported")
+		t.Fatal("non-local learnt unit was not exported")
 	}
 	if sawB {
-		t.Fatal("local root unit leaked into the export")
+		t.Fatal("local learnt unit leaked into the export")
 	}
 }
 
-// TestExportImportLearntsRoundTrip solves an UNSAT pigeonhole instance,
-// exports the learnt clauses and replays them into a second solver over the
-// same base clauses: the import must be accepted, counted, and leave the
-// second solver's verdict unchanged.
+// TestExportImportLearntsRoundTrip solves an UNSAT pigeonhole instance with
+// the export hook attached and imports what it published into a second
+// solver over the same base clauses: the import must be accepted, counted,
+// and leave the second solver's verdict unchanged.
 func TestExportImportLearntsRoundTrip(t *testing.T) {
 	const pigeons, holes = 6, 5
 	src := New()
 	php(src, pigeons, holes)
+	got := captureExports(src)
 	if st := src.Solve(); st != Unsat {
 		t.Fatalf("PHP(%d,%d) = %v, want Unsat", pigeons, holes, st)
 	}
-	exported := src.ExportLearnts(64)
+	exported := *got
 	if len(exported) == 0 {
 		t.Fatal("pigeonhole search must learn exportable clauses")
 	}
-	if src.Stats.Exported != int64(len(exported)) {
-		t.Fatalf("Exported stat = %d, want %d", src.Stats.Exported, len(exported))
+	if src.Stats.SharedOut != int64(len(exported)) {
+		t.Fatalf("SharedOut stat = %d, want %d", src.Stats.SharedOut, len(exported))
 	}
 	for _, cl := range exported {
 		if len(cl) == 0 {
@@ -75,7 +94,7 @@ func TestExportImportLearntsRoundTrip(t *testing.T) {
 	if st := dst.Solve(); st != Unsat {
 		t.Fatalf("after import: %v, want Unsat", st)
 	}
-	// The replayed clauses must prune search: the importer's conflict count
+	// The imported clauses must prune search: the importer's conflict count
 	// must not exceed the cold solver's.
 	if dst.Stats.Conflicts > src.Stats.Conflicts {
 		t.Fatalf("import did not help: dst conflicts %d > src %d",
@@ -93,13 +112,17 @@ func TestExportLearntsExcludesSelectorClauses(t *testing.T) {
 	// sel → x and sel → ¬x: assuming sel is contradictory.
 	s.AddClause(sel.Not(), PosLit(x))
 	s.AddClause(sel.Not(), NegLit(x))
+	got := captureExports(s)
 	if st := s.Solve(sel); st != Unsat {
 		t.Fatalf("got %v, want Unsat under sel", st)
 	}
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("got %v, want Sat without sel", st)
 	}
-	for _, cl := range s.ExportLearnts(8) {
+	if s.Stats.Conflicts == 0 {
+		t.Fatal("no conflict under sel; nothing was learnt and the check is vacuous")
+	}
+	for _, cl := range *got {
 		for _, l := range cl {
 			if l.Var() == sel.Var() {
 				t.Fatalf("selector leaked into exported clause %v", cl)
@@ -108,16 +131,20 @@ func TestExportLearntsExcludesSelectorClauses(t *testing.T) {
 	}
 }
 
-// TestExportLearntsLengthCap checks maxLen filtering.
+// TestExportLearntsLengthCap checks shareMaxLen filtering.
 func TestExportLearntsLengthCap(t *testing.T) {
 	s := New()
 	php(s, 6, 5)
+	got := captureExports(s)
 	if st := s.Solve(); st != Unsat {
 		t.Fatal("want Unsat")
 	}
-	for _, cl := range s.ExportLearnts(2) {
-		if len(cl) > 2 {
-			t.Fatalf("clause %v exceeds maxLen", cl)
+	if len(*got) == 0 {
+		t.Fatal("nothing exported; the check is vacuous")
+	}
+	for _, cl := range *got {
+		if len(cl) > shareMaxLen {
+			t.Fatalf("clause %v exceeds shareMaxLen", cl)
 		}
 	}
 }

@@ -19,7 +19,8 @@ const releaseGCThreshold = 32
 // its positive literal. The saved phase of a fresh variable prefers false,
 // so selectors that are not assumed in a given Solve call fall away without
 // search effort, deactivating the clauses they guard. Selectors are marked
-// local: learnt clauses mentioning them are never exported across solvers.
+// local: learnt clauses mentioning them are never offered to the mid-run
+// exchange hook.
 func (s *Solver) NewSelector() Lit {
 	l := PosLit(s.NewVar())
 	s.MarkLocal(l.Var())
@@ -28,8 +29,8 @@ func (s *Solver) NewSelector() Lit {
 
 // MarkLocal flags a variable as scoped to this solver instance: its meaning
 // is not stable across solvers over the same base system (selectors are the
-// canonical case). Learnt clauses containing local variables are excluded
-// from ExportLearnts.
+// canonical case). Learnt clauses containing local variables are never
+// handed to the export hook (SetExchangeHooks).
 func (s *Solver) MarkLocal(v Var) {
 	s.ensureVar(v)
 	s.local[v] = true
@@ -38,41 +39,8 @@ func (s *Solver) MarkLocal(v Var) {
 // IsLocal reports whether v was marked local.
 func (s *Solver) IsLocal(v Var) bool { return int(v) < len(s.local) && s.local[v] }
 
-// ExportLearnts returns copies of the live learnt clauses that are sound to
-// replay into another solver over the same base clause database: clauses
-// tagged base at learn time (no local variables in the clause; see
-// hdrBase in arena.go) and no longer than maxLen literals (long clauses rarely pay
-// for their replay cost). Level-0 unit facts — learnt units never enter the
-// learnt index, they are enqueued directly on the root trail — are exported
-// as single-literal clauses under the same locality filter. Must be called
-// at decision level 0 (between Solve calls).
-func (s *Solver) ExportLearnts(maxLen int) [][]Lit {
-	var out [][]Lit
-	if s.decisionLevel() != 0 {
-		return nil
-	}
-	for _, l := range s.trail {
-		if !s.local[l.Var()] {
-			out = append(out, []Lit{l})
-		}
-	}
-	for _, cr := range s.learnts {
-		if s.isDeleted(cr) || !s.isBase(cr) || s.clauseSize(cr) > maxLen {
-			continue
-		}
-		lits := s.clauseLits(cr)
-		cl := make([]Lit, len(lits))
-		for i, w := range lits {
-			cl[i] = Lit(w)
-		}
-		out = append(out, cl)
-	}
-	s.Stats.Exported += int64(len(out))
-	return out
-}
-
-// ImportClause replays a clause exported from another solver over the same
-// base system. It is AddClause plus import accounting; the caller is
+// ImportClause adds a clause a sibling solver over the same base system
+// published through its export hook. It is AddClause plus import accounting; the caller is
 // responsible for having translated the literals into this solver's
 // variable space.
 func (s *Solver) ImportClause(lits ...Lit) bool {

@@ -5,7 +5,7 @@ import "sync/atomic"
 // Lock-free mid-run clause exchange. Each worker's solver owns one
 // ShareRing as its producer and drains its siblings' rings at restart
 // boundaries, so hot lemmas cross the predicate fan-out while a Learn is
-// still running instead of only at solver retirement (ExportLearnts).
+// still running.
 //
 // Protocol (single producer, any number of consumers, overwrite-oldest):
 //

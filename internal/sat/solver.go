@@ -28,10 +28,8 @@ type Stats struct {
 	// level-0 garbage-collection passes over the clause database.
 	Released   int64
 	Simplifies int64
-	// Exported counts learnt clauses handed out via ExportLearnts; Imported
-	// counts clauses replayed in via AddClause from a cross-run cache (the
-	// caller increments it through ImportClause).
-	Exported int64
+	// Imported counts clauses drained in from sibling solvers through
+	// ImportClause.
 	Imported int64
 	// Compactions counts arena garbage collections (see arena.go); Subsumed
 	// and Strengthened count clauses removed / shrunk by the inprocessing
@@ -127,11 +125,6 @@ type Solver struct {
 	// counter: long-lived (pooled) solvers should use SetConflictBudget,
 	// which expresses a budget relative to the work already done.
 	MaxConflicts int64
-
-	// ActivityOnlyReduce restores the pre-arena learnt-DB reduction policy
-	// (sort by activity alone, ignore LBD) for the SAT-core ablation in
-	// cmd/experiments. Leave false for the LBD-guided default.
-	ActivityOnlyReduce bool
 
 	// interrupted is the cooperative cancellation flag: Interrupt (callable
 	// from any goroutine — the only concurrency-safe entry point on a
@@ -265,26 +258,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // allocClause appends a clause to the arena. For learnt clauses lbd is the
 // literal block distance computed at learn time; problem clauses pass 0.
 func (s *Solver) allocClause(lits []Lit, learnt bool, lbd int) clauseRef {
-	base := false
-	if learnt {
-		// Tag base-system clauses during CDCL: a learnt clause mentioning
-		// no local (selector) variable is exportable across solvers over
-		// the same base system — guarded clauses (¬s ∨ C) can never
-		// contribute to a derivation without leaving a ¬s literal behind
-		// (no clause contains a positive selector), and level-0 release
-		// units (¬s) only deactivate guarded clauses — so it is sound to
-		// replay into any solver over the same base system. Exported via
-		// ExportLearnts and the mid-run exchange hook.
-		base = true
-		for _, l := range lits {
-			if s.local[l.Var()] {
-				base = false
-				break
-			}
-		}
-	}
 	cr := clauseRef(len(s.arena))
-	s.arena = append(s.arena, mkHeader(len(lits), learnt, base, lbd))
+	s.arena = append(s.arena, mkHeader(len(lits), learnt, lbd))
 	if learnt {
 		s.arena = append(s.arena, s.allocActSlot())
 	}
@@ -697,24 +672,19 @@ func luby(y float64, i int) float64 {
 // reduceDB halves the learnt database, deleting the clauses least likely to
 // be useful again: sorted by LBD (high glue first) with activity as the
 // tiebreak, sparing binary clauses, glue clauses (LBD <= glueLBD) and
-// clauses locked as reasons. This replaces the seed's activity-only policy;
-// ActivityOnlyReduce restores that policy so the SAT-core ablation in
-// cmd/experiments can measure the difference.
+// clauses locked as reasons.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		ci, cj := s.learnts[i], s.learnts[j]
-		if !s.ActivityOnlyReduce {
-			li, lj := s.clauseLBD(ci), s.clauseLBD(cj)
-			if li != lj {
-				return li > lj
-			}
+		if li, lj := s.clauseLBD(ci), s.clauseLBD(cj); li != lj {
+			return li > lj
 		}
 		return s.clauseAct(ci) < s.clauseAct(cj)
 	})
 	j := 0
 	for i, cr := range s.learnts {
 		if i < len(s.learnts)/2 && s.clauseSize(cr) > 2 && !s.locked(cr) &&
-			(s.ActivityOnlyReduce || s.clauseLBD(cr) > glueLBD) {
+			s.clauseLBD(cr) > glueLBD {
 			s.detachClause(cr)
 			s.markDeleted(cr)
 		} else {
@@ -738,9 +708,7 @@ func (s *Solver) locked(cr clauseRef) bool {
 // cancelled Learn stop workers' queries without owning their solvers.
 func (s *Solver) Interrupt() { s.interrupted.Store(true) }
 
-// ClearInterrupt re-arms an interrupted solver for further queries. Pool
-// and cache owners call it when a solver changes hands, so a stale
-// cancellation from a previous owner cannot starve the next one.
+// ClearInterrupt re-arms an interrupted solver for further queries.
 func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 
 // Interrupted reports whether Interrupt has been called since the last
@@ -754,8 +722,7 @@ func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 // before returning. drain fires at restart boundaries with the solver
 // backtracked to decision level 0, so the hook may add foreign clauses via
 // AddClause/ImportClause; a long drain should poll Interrupted and bail.
-// Hooks run on the Solve caller's goroutine and must be cleared before a
-// solver changes owners (pool retirement / cache check-in).
+// Hooks run on the Solve caller's goroutine.
 func (s *Solver) SetExchangeHooks(export func(lits []Lit, lbd int), drain func()) {
 	s.exportHook = export
 	s.drainHook = drain
@@ -776,8 +743,13 @@ func (s *Solver) SetConflictBudget(n int64) {
 }
 
 // maybeExport offers a freshly learnt clause to the mid-run exchange hook
-// when it is worth a sibling's time: base (no local variables), short, and
-// low-LBD.
+// when it is worth a sibling's time — short and low-LBD — and portable: a
+// learnt clause mentioning no local (selector) variable is implied by the
+// base system alone. Guarded clauses (¬s ∨ C) can never contribute to a
+// derivation without leaving a ¬s literal behind (no clause contains a
+// positive selector), and level-0 release units (¬s) only deactivate
+// guarded clauses, so such a clause is sound to add to any solver over the
+// same base system.
 func (s *Solver) maybeExport(lits []Lit, lbd int) {
 	if s.exportHook == nil || lbd > shareMaxLBD || len(lits) > shareMaxLen {
 		return

@@ -319,7 +319,6 @@ type StatsView struct {
 
 	EncodedClauses int64 `json:"encoded_clauses"`
 
-	CacheEncoderHits int64 `json:"cache_encoder_hits"`
 	CacheVerdictHits int64 `json:"cache_verdict_hits"`
 	CacheAbductHits  int64 `json:"cache_abduct_hits"`
 	CacheDiskHits    int64 `json:"cache_disk_hits"`
@@ -349,7 +348,6 @@ func statsView(s *core.StatsSnapshot) *StatsView {
 
 		EncodedClauses: s.EncodedClauses,
 
-		CacheEncoderHits: s.CacheEncoderHits,
 		CacheVerdictHits: s.CacheVerdictHits,
 		CacheAbductHits:  s.CacheAbductHits,
 		CacheDiskHits:    s.CacheDiskHits,

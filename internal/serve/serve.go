@@ -1,7 +1,7 @@
 // Package serve is the multi-tenant invariant-learning service: a
 // long-running daemon core that multiplexes many concurrent learning
-// sessions over the shared cross-run verification machinery (VerifyCache,
-// proofdb, solver pools) that PRs 1–7 built for one-shot CLI processes.
+// sessions over the shared verification machinery (VerifyCache, proofdb)
+// that PRs 1–7 built for one-shot CLI processes.
 //
 // The architecture is a bounded job queue in front of a worker-pool
 // executor:
@@ -17,8 +17,8 @@
 //     a stuck worker.
 //   - Tenant isolation in the cache layer is by key construction, not by
 //     separate caches: the tenant id is folded into every cache identity
-//     (System.Namespace → CacheKey/ConeCacheKey), so no pooled solver,
-//     learnt clause, verdict or abduct can cross a tenant boundary, while
+//     (System.Namespace → CacheKey/ConeCacheKey), so no verdict or abduct
+//     can cross a tenant boundary, while
 //     within one tenant the full warm-transfer story (including
 //     cross-design cone transfer) applies unchanged.
 //   - Graceful drain (SIGTERM in cmd/veloctd): stop admitting, let

@@ -17,8 +17,8 @@ import (
 // Options configure a VeloCT analysis.
 type Options struct {
 	// Learner configures H-Houdini (workers, core minimization, staged
-	// mining, and the pooled incremental SAT backend vs. a fresh solver
-	// per abduction query).
+	// mining, the answer cache and its proof store, clause sharing, solver
+	// budgets).
 	Learner hhoudini.Options
 	// Examples configures positive example generation.
 	Examples ExampleConfig
@@ -33,8 +33,7 @@ type Options struct {
 }
 
 // DefaultOptions mirror the paper's configuration: sequential learner,
-// minimal cores, pooled incremental solving, masking and annotations
-// enabled.
+// minimal cores, masking and annotations enabled.
 func DefaultOptions() Options {
 	return Options{
 		Learner:  hhoudini.DefaultOptions(),
@@ -168,8 +167,8 @@ func (a *Analysis) Verify(safe []string) (*Result, error) {
 
 // VerifyCtx is Verify under a context: cancellation interrupts the
 // in-flight learning run (in-progress solver queries abort at their next
-// interrupt check, pooled solvers are checked back into the cross-run
-// cache, and any bound proof store is flushed) and returns ctx.Err().
+// interrupt check, the workers drop their solvers, and any bound proof
+// store is flushed with the answers memoized so far) and returns ctx.Err().
 func (a *Analysis) VerifyCtx(ctx context.Context, safe []string) (*Result, error) {
 	res := &Result{Safe: append([]string(nil), safe...)}
 	miner, examples, err := a.BuildMinerCtx(ctx, safe)
