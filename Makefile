@@ -49,13 +49,14 @@ race:
 # concurrent snapshot/flush paths in the core engine. The regex matches by
 # prefix so every TestConcurrent* under internal/... joins this tier
 # automatically (currently: TestConcurrentSnapshotWhileLearn and
-# TestConcurrentAttachFlushLastErr in internal/hhoudini/persist_test.go,
+# TestConcurrentAttachFlushLastErr — Persist racing Flush, Attach and
+# LastFlushErr — in internal/hhoudini/persist_test.go,
 # TestConcurrentMergeFlushSnapshot in internal/proofdb, and the
 # multi-session service-shape tests TestConcurrentMultiSession* in
 # internal/hhoudini/multisession_test.go).
 race-proofdb:
 	$(GO) test -race ./internal/proofdb/
-	$(GO) test -race -run 'TestConcurrent|TestBackgroundFlusher' ./internal/...
+	$(GO) test -race -run 'TestConcurrent' ./internal/...
 
 # Chaos tier: fault-injection (internal/faultinject) and cancellation
 # robustness, race-enabled. The regex matches by prefix, so every
@@ -70,11 +71,12 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestCancel|TestInterrupt' ./...
 
 # Crash-point torture tier: re-execs the proofdb test binary and kill -9s
-# it mid-append, mid-fsync, mid-rotation, and mid-snapshot-rename at every
-# injected crash point, then asserts prefix-consistent recovery with loss
-# bounded by the journal sync policy (zero under SyncEveryRecord). The
-# truncate-at-every-byte-offset sweep covers the byte-granular torn-tail
-# space, and the kill-9 service test proves the warm restart end to end.
+# it at each of the six injected crash points — before, halfway through and
+# after an append, after its fsync, and on either side of the rewrite's
+# rename — then asserts prefix-consistent recovery with loss bounded by the
+# sync policy (zero under SyncEveryRecord). The truncate-at-every-byte-
+# offset sweep covers the byte-granular torn-tail space, and the kill-9
+# service test proves the warm restart end to end.
 crash:
 	$(GO) test -run 'TestCrash' ./internal/proofdb/
 	$(GO) test -run 'TestKill9' ./internal/serve/
@@ -90,12 +92,14 @@ bench:
 	$(GO) run ./bench -all
 
 # Non-test Go lines — the number ROADMAP aim 2 tracks — and the share of it
-# in internal/hhoudini.
+# in internal/hhoudini and internal/proofdb.
 loc:
 	@printf 'non-test Go lines:          '
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'of which internal/hhoudini: '
 	@find ./internal/hhoudini -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@printf 'of which internal/proofdb:  '
+	@find ./internal/proofdb -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # The gate. After the tiers above: tier-1 uncached at three scheduler widths
 # (an assertion that holds at one core count only, or only in a cached `ok`,

@@ -280,7 +280,7 @@ func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 // (abduction verdicts and abducts, keyed by cone fingerprint and
 // environment key) so separate process invocations share warm starts.
 // ProofDBConfig configures the binding (staleness bound, byte budget,
-// optional background flusher); ProofStoreOptions and ProofStoreStats are
+// appends); ProofStoreOptions and ProofStoreStats are
 // the underlying store's tuning knobs and counters; ProofSnapshot is the
 // portable exchange form between cache and store.
 type (

@@ -49,32 +49,22 @@ var (
 	flagPersist      = flag.Bool("persist", false, "shorthand for -cache-dir "+proofdb.DefaultDir)
 
 	flagJournal = flag.Bool("journal", true,
-		"write-ahead proof journal: deltas become durable as they land instead of only at flush")
+		"append each proof-store delta to the file as it lands instead of only at flush")
 	flagJournalSync = flag.String("journal-sync", "flush",
-		"journal sync policy: 'every' (fsync per record, zero loss), 'interval' (bounded loss), 'flush' (loss window = records since last persist)")
-	flagJournalSyncInterval = flag.Duration("journal-sync-interval", 0,
-		"target gap between journal fsyncs under -journal-sync=interval (0 = built-in default)")
-	flagJournalSegBytes = flag.Int64("journal-segment-bytes", 0,
-		"journal segment rotation threshold in bytes (0 = built-in default)")
+		"append sync policy: 'every' (fsync per record, zero loss), 'flush' (loss window = records since last persist)")
 )
 
-// journalOptions maps the -journal* flags onto the proof store's journal
+// journalOptions maps the -journal* flags onto the proof store's append
 // configuration, or exits on an unknown sync policy.
 func journalOptions() proofdb.JournalOptions {
-	opts := proofdb.JournalOptions{
-		Enable:       *flagJournal,
-		SyncInterval: *flagJournalSyncInterval,
-		SegmentBytes: *flagJournalSegBytes,
-	}
+	opts := proofdb.JournalOptions{Enable: *flagJournal}
 	switch *flagJournalSync {
 	case "flush":
 		opts.Sync = proofdb.SyncOnFlush
 	case "every":
 		opts.Sync = proofdb.SyncEveryRecord
-	case "interval":
-		opts.Sync = proofdb.SyncInterval
 	default:
-		fmt.Fprintf(os.Stderr, "veloctd: -journal-sync=%q: want every, interval, or flush\n", *flagJournalSync)
+		fmt.Fprintf(os.Stderr, "veloctd: -journal-sync=%q: want every or flush\n", *flagJournalSync)
 		os.Exit(2)
 	}
 	return opts

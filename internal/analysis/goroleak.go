@@ -11,7 +11,7 @@ import (
 // a ctx observation (`<-ctx.Done()`, `ctx.Err()`, a select case on
 // `ctx.Done()`), a channel receive that a closed done-channel unblocks, or
 // a `WaitGroup.Done` marking structured completion. This is the property
-// the serve/loadgen tests check dynamically (goroutine-count deltas); here
+// the serve tests check dynamically (goroutine-count deltas); here
 // it is enforced structurally at lint time.
 //
 // Straight-line goroutines (no unbounded loop anywhere in their call

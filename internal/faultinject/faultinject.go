@@ -40,20 +40,16 @@ const (
 	// internal/proofdb (temp-file write/fsync/rename path) with the armed
 	// error: the store must degrade to its previous on-disk contents.
 	ProofDBWrite = "proofdb.atomic-write"
-	// JournalAppend fails one write-ahead journal record append in
+	// JournalAppend fails one delta append to the proof store file in
 	// internal/proofdb with the armed error: the delta is lost from the
-	// journal (not the in-memory model), and a persistent streak of
-	// failures must degrade the store to snapshot-only mode — the learner
-	// never observes the fault.
+	// file (not the in-memory model), and a persistent streak of failures
+	// must degrade the store to rewrite-only mode — the learner never
+	// observes the fault.
 	JournalAppend = "proofdb.journal.append"
-	// JournalSync fails one journal fsync: the affected records stay
-	// readable (page cache) but are not yet durable; Persist must fall
-	// back to a full snapshot flush.
+	// JournalSync fails one fsync of the appended lines: the affected
+	// records stay readable (page cache) but are not yet durable; Persist
+	// must fall back to a full rewrite.
 	JournalSync = "proofdb.journal.sync"
-	// JournalRotate fails one size-triggered journal segment rotation:
-	// appends must keep landing in the old segment (oversized but
-	// consistent) or degrade, never be dropped silently.
-	JournalRotate = "proofdb.journal.rotate"
 	// WorkerPanic panics inside a learner worker's task body (under the
 	// designated recover boundary): the Learn must fail with a
 	// stack-carrying error while the process survives.

@@ -271,7 +271,9 @@ func (vc *VerifyCache) Reset() {
 }
 
 // entryLocked returns (creating if needed) the entry for key and touches
-// its LRU clock. Caller holds vc.mu.
+// its LRU clock. Caller holds vc.mu. The clock is stamped before key
+// eviction runs, so a brand-new entry is the most recently used key, never
+// the victim.
 func (vc *VerifyCache) entryLocked(key string) *cacheEntry {
 	e, ok := vc.entries[key]
 	if !ok {
@@ -281,10 +283,12 @@ func (vc *VerifyCache) entryLocked(key string) *cacheEntry {
 		}
 		vc.entries[key] = e
 		vc.creditLocked(e, 0, int64(len(key))) // key string + map slot share
-		vc.evictKeysLocked()
 	}
 	vc.useSeq++
 	e.lastUse = vc.useSeq
+	if !ok {
+		vc.evictKeysLocked()
+	}
 	return e
 }
 
@@ -601,9 +605,8 @@ func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 // entries always win over restored ones: a verdict this process computed is
 // at least as fresh as anything on disk. Restoring more keys than the
 // cache's key budget LRU-evicts the earliest restored ones, exactly as live
-// insertion would. KeyRecord.Clauses — learnt-clause records older stores
-// still carry — are skipped: solver state does not cross a Learn. Returns
-// the number of records (exact verdicts plus cone abducts) admitted.
+// insertion would. Returns the number of records (exact verdicts plus cone
+// abducts) admitted.
 func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (verdicts int) {
 	if s == nil {
 		return 0

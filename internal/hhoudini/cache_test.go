@@ -216,6 +216,51 @@ func TestVerifyCacheMaxKeysEviction(t *testing.T) {
 	}
 }
 
+// TestVerifyCacheEvictionKeepsNewestKey: past maxKeys, the key being
+// inserted is the most recently used one, so eviction must pick an older
+// victim; and the records credited to the new key must stay in the
+// footprint counters (a recount over the table agrees with them).
+func TestVerifyCacheEvictionKeepsNewestKey(t *testing.T) {
+	vc := NewVerifyCache()
+	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
+	const n = 600
+	for i := 0; i < n; i++ {
+		vc.storeVerdict(fmt.Sprintf("key%03d", i), vk, abductResult{ok: false})
+	}
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	if len(vc.entries) > defaultCacheMaxKeys {
+		t.Fatalf("cache holds %d keys, budget is %d", len(vc.entries), defaultCacheMaxKeys)
+	}
+	newest := fmt.Sprintf("key%03d", n-1)
+	if e, ok := vc.entries[newest]; !ok || len(e.verdicts) != 1 {
+		t.Fatalf("newest key %q was evicted (or lost its verdict)", newest)
+	}
+	records, bytes := 0, int64(0)
+	for _, e := range vc.entries {
+		records += len(e.verdicts)
+		for _, v := range e.verdicts {
+			bytes += verdictBytes(v)
+		}
+		for _, recs := range e.abducts {
+			for _, r := range recs {
+				records++
+				bytes += abductBytes(r)
+			}
+		}
+		if e.records != len(e.verdicts) {
+			t.Fatalf("entry credited %d records, holds %d verdicts", e.records, len(e.verdicts))
+		}
+	}
+	for k := range vc.entries {
+		bytes += int64(len(k))
+	}
+	if vc.curRecords != records || vc.curBytes != bytes {
+		t.Fatalf("footprint counters %d records / %d bytes, recount %d / %d",
+			vc.curRecords, vc.curBytes, records, bytes)
+	}
+}
+
 // TestCrossRunConcurrentLearners stresses the concurrency contract: many
 // Learners (each itself multi-worker) share one cache simultaneously over
 // the same system. Under -race this pins the locking discipline; every

@@ -8,23 +8,17 @@ package hhoudini
 // environmental identity it was derived under.
 
 import (
-	"context"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"hhoudini/internal/proofdb"
 )
 
 // ProofDBConfig configures a persistent proof-store binding.
 type ProofDBConfig struct {
-	// Store tunes the on-disk side (staleness bound, byte budget, clock).
+	// Store tunes the on-disk side (staleness bound, byte budget, clock,
+	// appends).
 	Store proofdb.Options
-	// FlushInterval, when positive, starts a background flusher goroutine
-	// that periodically persists every attached cache; Close stops it
-	// cleanly (context cancellation, final flush included). Zero leaves
-	// flushing to Learn shutdown and explicit Flush/Close calls.
-	FlushInterval time.Duration
 }
 
 // ProofDB binds an open proof store to one or more VerifyCaches: opening
@@ -37,18 +31,15 @@ type ProofDB struct {
 	attached []*VerifyCache
 	seen     map[*VerifyCache]bool
 	closed   bool
-	// flushErr is the most recent background-flusher failure (hhlint's
-	// flusherr pass rejects silently dropped flush errors; the background
-	// loop cannot propagate, so it records here and LastFlushErr exposes
+	// flushErr is the outcome of the most recent Flush or Persist (hhlint's
+	// flusherr pass rejects silently dropped flush errors; Learn's shutdown
+	// path cannot propagate, so it records here and LastFlushErr exposes
 	// it). A later successful flush clears it.
 	flushErr error
 	// unhooks removes the delta sinks this binding registered on attached
 	// caches. Caches can outlive the binding (the shared in-process cache is
 	// process-global), so a closed ProofDB must stop receiving their deltas.
 	unhooks []func()
-
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // OpenProofDB opens (creating if needed) the proof store in dir, restores
@@ -65,19 +56,13 @@ func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, erro
 	if vc != nil {
 		p.Attach(vc)
 	}
-	if cfg.FlushInterval > 0 {
-		ctx, cancel := context.WithCancel(context.Background())
-		p.cancel = cancel
-		p.done = make(chan struct{})
-		go p.flushLoop(ctx, cfg.FlushInterval)
-	}
 	return p, nil
 }
 
 // Attach restores the store's memos into vc, registers it as a flush
 // source, and subscribes to its deltas: every new verdict or abduct is
-// appended to the store's write-ahead journal as it lands, so the crash-loss window is the journal sync policy's, not the
-// flush interval's. Idempotent per cache.
+// appended to the store file as it lands, so the crash-loss window is the
+// sync policy's, not the time since the last rewrite. Idempotent per cache.
 func (p *ProofDB) Attach(vc *VerifyCache) {
 	if vc == nil {
 		return
@@ -93,21 +78,20 @@ func (p *ProofDB) Attach(vc *VerifyCache) {
 	p.mu.Unlock()
 	// Restore outside p.mu: Snapshot and Restore take their own locks.
 	// Restores never re-emit into sinks, so this cannot echo the store's
-	// own contents back into the journal.
+	// own contents back into the file.
 	vc.Restore(p.db.Snapshot())
 }
 
 // appendDelta is the registered delta sink: it merges the delta into the
-// store's memory image and journals it. proofdb.Append never errors — on
-// persistent journal I/O failure the store degrades to snapshot-only mode
-// and the delta still lands in memory for the next Flush.
+// store's memory image and appends it to the file. proofdb.Append never
+// errors — on persistent I/O failure the store degrades to rewrite-only
+// mode and the delta still lands in memory for the next Flush.
 func (p *ProofDB) appendDelta(s *proofdb.Snapshot) { p.db.Append(s) }
 
 // Flush merges the contents of every attached cache into the store and
 // atomically rewrites the file (crash-safe: temp file + fsync + rename).
 // The outcome is also recorded for LastFlushErr, so callers that cannot
-// propagate (Learn's shutdown path, the background loop) still leave the
-// failure observable.
+// propagate (Learn's shutdown path) still leave the failure observable.
 func (p *ProofDB) Flush() error {
 	p.mu.Lock()
 	caches := append([]*VerifyCache(nil), p.attached...)
@@ -123,13 +107,13 @@ func (p *ProofDB) Flush() error {
 	return err
 }
 
-// Persist is the cheap durability point: it fsyncs the store's journal tail
-// instead of rewriting the snapshot. Because attached caches stream their
-// deltas into the journal as they land (see Attach), everything derived so
-// far is already in the store's memory image and journal — Persist only has
-// to make the bytes durable. When the journal is disabled, degraded, or
-// oversized, the store escalates to a full Flush on its own. The outcome is
-// recorded for LastFlushErr like any flush.
+// Persist is the cheap durability point: it fsyncs the store file's
+// appended lines instead of rewriting it. Because attached caches stream
+// their deltas into the file as they land (see Attach), everything derived
+// so far is already in the store's memory image and on disk — Persist only
+// has to make the bytes durable. When appends are off or degraded, or have
+// doubled the file since its last rewrite, the store escalates to a full
+// Flush on its own. The outcome is recorded for LastFlushErr like any flush.
 func (p *ProofDB) Persist() error {
 	p.mu.Lock()
 	caches := append([]*VerifyCache(nil), p.attached...)
@@ -146,32 +130,9 @@ func (p *ProofDB) Persist() error {
 	return err
 }
 
-// flushLoop is the optional background flusher: interval flushes until the
-// context is cancelled, then one final flush before signalling done. A
-// failed interval flush cannot propagate to any caller, so it is recorded
-// (LastFlushErr) instead of dropped; Close still performs the last durable
-// flush and returns its error.
-func (p *ProofDB) flushLoop(ctx context.Context, interval time.Duration) {
-	defer close(p.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			err := p.Flush()
-			p.mu.Lock()
-			p.flushErr = err
-			p.mu.Unlock()
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// LastFlushErr reports the outcome of the most recent Flush — foreground
-// (Learn shutdown, explicit calls) or background — nil when no flush has
-// failed since the last success. Close remains the authoritative
-// durability point.
+// LastFlushErr reports the outcome of the most recent Flush or Persist
+// (Learn shutdown, explicit calls) — nil when none has failed since the
+// last success. Close remains the authoritative durability point.
 func (p *ProofDB) LastFlushErr() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -184,8 +145,8 @@ func (p *ProofDB) Stats() proofdb.Stats { return p.db.Stats() }
 // Path returns the store file path.
 func (p *ProofDB) Path() string { return p.db.Path() }
 
-// Close stops the background flusher (if any), performs a final flush, and
-// marks the binding closed. Safe to call more than once.
+// Close performs a final flush and marks the binding closed. Safe to call
+// more than once.
 func (p *ProofDB) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -193,17 +154,11 @@ func (p *ProofDB) Close() error {
 		return nil
 	}
 	p.closed = true
-	cancel, done := p.cancel, p.done
 	unhooks := p.unhooks
 	p.unhooks = nil
 	p.mu.Unlock()
 	for _, unhook := range unhooks {
 		unhook()
-	}
-	if cancel != nil {
-		cancel()
-		//hhlint:ignore ctxflow flusher observes the ctx cancelled on the line above and exits; this join is bounded
-		<-done
 	}
 	err := p.Flush()
 	if cerr := p.db.Close(); err == nil {
@@ -212,10 +167,10 @@ func (p *ProofDB) Close() error {
 	return err
 }
 
-// abandon drops the binding without flushing anything: sinks are unhooked,
-// the flusher is stopped, and the store is abandoned (journal tail handle
-// closed without a final sync). Crash-simulation only — recovery then sees
-// exactly what a kill -9 would have left.
+// abandon drops the binding without flushing anything: sinks are unhooked
+// and the store is abandoned (append handle closed without a final sync).
+// Crash-simulation only — recovery then sees exactly what a kill -9 would
+// have left.
 func (p *ProofDB) abandon() {
 	p.mu.Lock()
 	if p.closed {
@@ -223,17 +178,11 @@ func (p *ProofDB) abandon() {
 		return
 	}
 	p.closed = true
-	cancel, done := p.cancel, p.done
 	unhooks := p.unhooks
 	p.unhooks = nil
 	p.mu.Unlock()
 	for _, unhook := range unhooks {
 		unhook()
-	}
-	if cancel != nil {
-		cancel()
-		//hhlint:ignore ctxflow flusher observes the ctx cancelled on the line above and exits; this join is bounded
-		<-done
 	}
 	p.db.Abandon()
 }
@@ -250,16 +199,16 @@ var proofDBReg = struct {
 	open map[string]*ProofDB
 }{open: make(map[string]*ProofDB)}
 
-// defaultJournal is the journal configuration CacheDir-bound stores open
-// with. The journal is on by default (SyncOnFlush: bounded loss, no fsync
-// per record); SetDefaultJournal lets an embedding daemon pick the policy
+// defaultJournal is the append configuration CacheDir-bound stores open
+// with. Appends are on by default (SyncOnFlush: bounded loss, no fsync per
+// record); SetDefaultJournal lets an embedding daemon pick the policy
 // before the first learner binds a store.
 var defaultJournal = struct {
 	sync.Mutex
 	opts proofdb.JournalOptions
 }{opts: proofdb.JournalOptions{Enable: true}}
 
-// SetDefaultJournal sets the journal options used by stores bound through
+// SetDefaultJournal sets the append options used by stores bound through
 // Options.CacheDir. It affects stores opened after the call; already-open
 // bindings keep their policy.
 func SetDefaultJournal(opts proofdb.JournalOptions) {
@@ -298,7 +247,7 @@ func boundProofDB(dir string, vc *VerifyCache) *ProofDB {
 
 // ProofDBStatsFor reports the live store counters for the CacheDir-bound
 // ProofDB at dir, if one is open in this process. Serving daemons use it to
-// surface journal health without holding their own store reference.
+// surface append health without holding their own store reference.
 func ProofDBStatsFor(dir string) (proofdb.Stats, bool) {
 	key := dir
 	if abs, err := filepath.Abs(dir); err == nil {
@@ -333,8 +282,8 @@ func CloseProofDBs() error {
 
 // CrashProofDBs simulates a process kill for every CacheDir-bound store:
 // the registry is emptied and each binding is abandoned WITHOUT a final
-// flush or journal sync — on-disk state is left exactly as a kill -9 would
-// have left it. Test harnesses use this to measure the journal's real loss
+// flush or final sync — on-disk state is left exactly as a kill -9 would
+// have left it. Test harnesses use this to measure the appends' real loss
 // window end-to-end (a clean Close would flush and hide it).
 func CrashProofDBs() {
 	proofDBReg.Lock()

@@ -2,6 +2,7 @@ package hhoudini
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -163,9 +164,9 @@ func TestOptionsCacheDirWarmRestart(t *testing.T) {
 
 // TestCacheDirStoreWithClauseRecords: stores written while learnt clauses
 // still crossed runs carry `clause` records under the same keys as their
-// memos — some in the snapshot, some only in journal segments. Such a store
-// must bind through CacheDir without a skipped record, warm a repeat run
-// from its verdict and abduct records, and hand the cache no clause.
+// memos, and may have a write-ahead segment beside proof.db. Such a store
+// must bind through CacheDir without a skipped record, lose the segment,
+// and warm a repeat run from its verdict and abduct records.
 func TestCacheDirStoreWithClauseRecords(t *testing.T) {
 	dir := t.TempDir()
 	o1 := warmOptions(NewVerifyCache())
@@ -175,31 +176,27 @@ func TestCacheDirStoreWithClauseRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Add clause records the way the older writer did: one batch compacted
-	// into the snapshot file by a clean close, one left in the journal.
-	clausesFor := func(db *proofdb.DB, name string) *proofdb.Snapshot {
-		delta := &proofdb.Snapshot{}
-		for _, kr := range db.Snapshot().Keys {
-			delta.Keys = append(delta.Keys, proofdb.KeyRecord{Key: kr.Key, Clauses: []proofdb.Clause{
-				{Lits: []proofdb.Lit{{Name: name}, {Name: "r:B:0", Neg: true}}},
-			}})
-		}
-		return delta
-	}
-	jopts := proofdb.Options{Journal: proofdb.JournalOptions{Enable: true, Sync: proofdb.SyncEveryRecord}}
-	db, err := proofdb.Open(dir, jopts)
+	// Add clause lines and a segment the way the older writer laid them out.
+	db, err := proofdb.Open(dir, proofdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Append(clausesFor(db, "n:7"))
-	if err := db.Close(); err != nil {
+	f, err := os.OpenFile(filepath.Join(dir, proofdb.FileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if db, err = proofdb.Open(dir, jopts); err != nil {
+	for _, kr := range db.Snapshot().Keys {
+		payload := fmt.Sprintf(`{"t":"clause","k":%q,"at":%d,"l":[{"n":"n:7"},{"n":"r:B:0","g":true}]}`,
+			kr.Key, time.Now().Unix())
+		fmt.Fprintf(f, "%08x\t%s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db.Append(clausesFor(db, "n:9"))
-	db.Abandon()
+	seg := filepath.Join(dir, "journal-0000000000000001.wal")
+	if err := os.WriteFile(seg, []byte("HHWAL v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	o2 := warmOptions(NewVerifyCache())
 	o2.CacheDir = dir
@@ -212,17 +209,15 @@ func TestCacheDirStoreWithClauseRecords(t *testing.T) {
 	if !ok {
 		t.Fatal("no registry entry for the CacheDir store")
 	}
-	if st.ClausesLoaded == 0 || st.JournalReplayed == 0 {
-		t.Fatalf("store opened without its clause records (loaded %d, journal replayed %d); test is vacuous",
+	if st.ClausesLoaded != 0 || st.JournalReplayed == 0 {
+		t.Fatalf("store loaded %d clauses and replayed %d records; want 0 and > 0",
 			st.ClausesLoaded, st.JournalReplayed)
 	}
 	if st.CorruptSkipped != 0 || st.HeaderRejected {
 		t.Fatalf("clause records read as corruption: %+v", st)
 	}
-	for _, kr := range o2.Cache.SnapshotData().Keys {
-		if len(kr.Clauses) != 0 {
-			t.Fatalf("cache restored %d clauses under key %q", len(kr.Clauses), kr.Key)
-		}
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("leftover segment not removed (stat err=%v)", err)
 	}
 	s := l2.Stats()
 	if s.Queries == 0 || s.CacheDiskHits < (s.Queries*9+9)/10 {
@@ -314,53 +309,28 @@ func TestConcurrentSnapshotWhileLearn(t *testing.T) {
 	<-done
 }
 
-// TestBackgroundFlusher: the interval flusher persists without explicit
-// Flush calls and shuts down cleanly on Close.
-func TestBackgroundFlusher(t *testing.T) {
-	dir := t.TempDir()
-	cache := NewVerifyCache()
-	p, err := OpenProofDB(dir, cache, ProofDBConfig{FlushInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	learnOnce(t, warmOptions(cache))
-
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Flushes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never flushed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-
-	db, err := proofdb.Open(dir, proofdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Snapshot().Len() == 0 {
-		t.Fatal("background flushes persisted nothing")
-	}
-}
-
-// TestConcurrentAttachFlushLastErr races the background flusher against
-// explicit Flush calls, late Attach of fresh caches, and LastFlushErr polls:
-// the binding's lock discipline must hold under the race detector, and a
-// healthy store must never report a flush error.
+// TestConcurrentAttachFlushLastErr races Persist against explicit Flush
+// calls, late Attach of fresh caches, and LastFlushErr polls: the binding's
+// lock discipline must hold under the race detector, and a healthy store
+// must never report a flush error.
 func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewVerifyCache()
-	p, err := OpenProofDB(dir, cache, ProofDBConfig{FlushInterval: time.Millisecond})
+	p, err := OpenProofDB(dir, cache, ProofDBConfig{Store: proofdb.Options{Journal: proofdb.JournalOptions{Enable: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	learnOnce(t, warmOptions(cache))
 
+	persisted := make(chan struct{})
+	go func() {
+		defer close(persisted)
+		for i := 0; i < 30; i++ {
+			if err := p.Persist(); err != nil {
+				t.Errorf("Persist: %v", err)
+			}
+		}
+	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -379,7 +349,11 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 		}
 	}
 	<-done
+	<-persisted
 	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
 
@@ -417,12 +391,12 @@ func TestBoundProofDBRegistry(t *testing.T) {
 	}
 }
 
-// TestJournalCrashWarmRestart proves the write-ahead journal end to end at
-// the library level: a CacheDir-bound learner streams its deltas into the
-// journal as they land and Learn's shutdown Persist fsyncs them — no
-// snapshot flush ever runs. A simulated kill -9 (CrashProofDBs: abandon
-// without flushing) must therefore lose nothing: a fresh cache bound to the
-// same directory warm-starts from the journal alone.
+// TestJournalCrashWarmRestart proves the append path end to end at the
+// library level: a CacheDir-bound learner streams its deltas into proof.db
+// as they land and Learn's shutdown Persist makes them durable. A simulated
+// kill -9 (CrashProofDBs: abandon without a final flush or sync) must
+// therefore lose nothing: a fresh cache bound to the same directory
+// warm-starts from what is on disk, and proof.db is the only file there.
 func TestJournalCrashWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -431,8 +405,8 @@ func TestJournalCrashWarmRestart(t *testing.T) {
 	_, inv1 := learnOnce(t, o1)
 	CrashProofDBs()
 
-	if _, err := os.Stat(filepath.Join(dir, "proof.db")); !os.IsNotExist(err) {
-		t.Fatalf("no snapshot flush ran, yet proof.db exists (stat err=%v)", err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != proofdb.FileName {
+		t.Fatalf("store directory after the crash: %v (err=%v), want proof.db alone", entries, err)
 	}
 
 	o2 := warmOptions(NewVerifyCache())
@@ -444,7 +418,7 @@ func TestJournalCrashWarmRestart(t *testing.T) {
 		}
 	}()
 	if !reflect.DeepEqual(ids(inv1), ids(inv2)) {
-		t.Fatalf("journal-recovered process learned a different invariant: %v vs %v",
+		t.Fatalf("crash-recovered process learned a different invariant: %v vs %v",
 			ids(inv2), ids(inv1))
 	}
 	if l2.pdb == nil {
@@ -452,7 +426,7 @@ func TestJournalCrashWarmRestart(t *testing.T) {
 	}
 	st := l2.pdb.Stats()
 	if st.JournalReplayed == 0 {
-		t.Fatal("recovery replayed no journal records")
+		t.Fatal("recovery applied no records")
 	}
 	s := l2.Stats()
 	if s.Queries == 0 {

@@ -3,18 +3,19 @@ package proofdb
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// The tests in this file pin the version-compatibility contract of the v2
-// cone-abduct record (recConeAbduct):
+// The tests in this file pin the version-compatibility contract:
 //
-//   - the header version stays at 1, so a v1-era reader opens a cone-aware
-//     store normally and skips the cone records through its unknown-type
-//     path — record-locally, never an error (cold-start for the cone layer,
-//     warm for everything it understands);
-//   - the cone-aware reader loads mixed v1+v2 stores and round-trips them;
+//   - the header version stays at 1 across record-type additions, so
+//     readers skip the types they do not know record-locally;
+//   - a store laid out by an older engine — learnt-clause records in
+//     proof.db, write-ahead segments beside it — opens without error, keeps
+//     every verdict and abduct, and drops the rest;
 //   - malformed cone records are corruption, handled like any other torn
 //     record.
 
@@ -34,71 +35,8 @@ func TestConeRecordsKeepV1Header(t *testing.T) {
 	}
 }
 
-// TestV1ReaderSkipsConeRecordsRecordLocally simulates the v1-era reader: to
-// a reader that predates recConeAbduct, a cone record is exactly an
-// unknown-type line (valid() returns false), so we rewrite every coneabd
-// type tag to a tag no reader knows — same payload shape, same framing,
-// recomputed CRC — and assert the load keeps every v1 record, skips each
-// cone record individually, and never errors.
-func TestV1ReaderSkipsConeRecordsRecordLocally(t *testing.T) {
-	dir := t.TempDir()
-	populate(t, dir)
-	path, raw := storeFile(t, dir)
-
-	var out []byte
-	lines := bytes.Split(raw, []byte("\n"))
-	rewritten := 0
-	for i, line := range lines {
-		if i == 0 || len(line) == 0 { // header / trailing newline
-			out = append(out, line...)
-			out = append(out, '\n')
-			continue
-		}
-		r, ok := decodeLine(line)
-		if ok && r.T == recConeAbduct {
-			// Re-encode under a future tag: byte-for-byte what this record
-			// looks like to a reader that does not know its type.
-			r.T = "coneab2"
-			enc, err := encodeLine(&r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, enc...)
-			rewritten++
-			continue
-		}
-		out = append(out, line...)
-		out = append(out, '\n')
-	}
-	out = out[:len(out)-1] // drop the duplicated final newline
-	if rewritten == 0 {
-		t.Fatal("no cone-abduct records found to rewrite")
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db := mustOpen(t, dir, Options{})
-	st := db.Stats()
-	if st.HeaderRejected {
-		t.Fatal("unknown record types must not reject the whole file")
-	}
-	if st.CorruptSkipped != int64(rewritten) {
-		t.Fatalf("CorruptSkipped = %d, want %d (one per cone record)", st.CorruptSkipped, rewritten)
-	}
-	want := testSnapshot().Len() - rewritten
-	if got := db.Snapshot().Len(); got != want {
-		t.Fatalf("v1-visible records loaded = %d, want %d", got, want)
-	}
-	if st.ClausesLoaded != 3 || st.VerdictsLoaded != 3 || st.AbductsLoaded != 0 {
-		t.Fatalf("loaded clauses=%d verdicts=%d abducts=%d, want 3/3/0",
-			st.ClausesLoaded, st.VerdictsLoaded, st.AbductsLoaded)
-	}
-}
-
-// TestConeAbductPermutationDedups mirrors TestClausePermutationDedups for
-// the v2 record: the same (target, member set) under permuted member order
-// is one record.
+// TestConeAbductPermutationDedups: the same (target, member set) under
+// permuted member order is one record.
 func TestConeAbductPermutationDedups(t *testing.T) {
 	db := mustOpen(t, t.TempDir(), Options{})
 	db.Merge(&Snapshot{Keys: []KeyRecord{{
@@ -109,8 +47,8 @@ func TestConeAbductPermutationDedups(t *testing.T) {
 			{Target: "u", Preds: []string{"a", "b"}}, // different target: kept
 		},
 	}}})
-	if _, v := db.Len(); v != 2 {
-		t.Fatalf("permuted abduct not deduped: %d verdict-class records, want 2", v)
+	if n := db.Snapshot().Len(); n != 2 {
+		t.Fatalf("permuted abduct not deduped: %d records, want 2", n)
 	}
 }
 
@@ -146,8 +84,8 @@ func TestMalformedConeRecordsAreCorruption(t *testing.T) {
 	}
 }
 
-// TestMixedStoreAgingEvictsConeRecords: the staleness policy applies to v2
-// records identically (they age out and empty keys are dropped).
+// TestMixedStoreAgingEvictsConeRecords: the staleness policy applies to
+// cone records identically (they age out and empty keys are dropped).
 func TestMixedStoreAgingEvictsConeRecords(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_700_000_000, 0)
@@ -162,5 +100,68 @@ func TestMixedStoreAgingEvictsConeRecords(t *testing.T) {
 	}
 	if n := db.Snapshot().Len(); n != 0 {
 		t.Fatalf("%d records survived aging", n)
+	}
+}
+
+// legacyStore is proof.db as an older engine laid it out: verdict, abduct
+// and learnt-clause records under the v1 header (clock 1_700_000_000).
+const legacyStore = "HHPDB v1\n" +
+	"78ff5d75\t{\"t\":\"verdict\",\"k\":\"fp0|env0\",\"at\":1700000000,\"a\":1,\"b\":2,\"ok\":true,\"p\":[\"p1\",\"p2\"]}\n" +
+	"8012c5c3\t{\"t\":\"clause\",\"k\":\"fp0|env0\",\"at\":1700000000,\"l\":[{\"n\":\"a\"},{\"n\":\"b\",\"g\":true}]}\n" +
+	"48a4f5f1\t{\"t\":\"verdict\",\"k\":\"fp0|env0\",\"at\":1700000000,\"a\":3,\"b\":4}\n" +
+	"3b26b850\t{\"t\":\"clause\",\"k\":\"fp1|env1\",\"at\":1700000000,\"l\":[{\"n\":\"x\"}]}\n" +
+	"e4a7e76f\t{\"t\":\"coneabd\",\"k\":\"cone:00c0ffee|env0\",\"at\":1700000000,\"p\":[\"t0\",\"p1\"]}\n"
+
+// legacySegment is a write-ahead segment an older engine left beside
+// proof.db: one verdict that is not in proof.db.
+const legacySegment = "HHWAL v1\n" +
+	"bcbfec05\t0000000000000001\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":1,\"b\":1,\"ok\":true,\"p\":[\"p\"]}\n"
+
+// TestLegacyStoreLayoutMigrates opens a store directory written by an
+// older engine: every verdict and abduct in proof.db loads, the clause
+// lines are skipped without counting as corruption, and the segment is
+// removed unread.
+func TestLegacyStoreLayoutMigrates(t *testing.T) {
+	for _, appends := range []bool{false, true} {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "journal-0000000000000001.wal")
+		if err := os.WriteFile(filepath.Join(dir, FileName), []byte(legacyStore), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, []byte(legacySegment), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(1_700_000_000, 0)
+		db, err := Open(dir, Options{Now: func() time.Time { return now }, Journal: JournalOptions{Enable: appends}})
+		if err != nil {
+			t.Fatalf("Open of a legacy store directory: %v", err)
+		}
+		st := db.Stats()
+		if st.VerdictsLoaded != 2 || st.AbductsLoaded != 1 || st.ClausesLoaded != 0 {
+			t.Fatalf("loaded verdicts=%d abducts=%d clauses=%d, want 2/1/0",
+				st.VerdictsLoaded, st.AbductsLoaded, st.ClausesLoaded)
+		}
+		if st.CorruptSkipped != 0 || st.HeaderRejected || st.JournalReplayed != 3 {
+			t.Fatalf("legacy store read as damaged: %+v", st)
+		}
+		want := &Snapshot{Keys: []KeyRecord{
+			{Key: "cone:00c0ffee|env0", Abducts: []Abduct{{Target: "t0", Preds: []string{"p1"}}}},
+			{Key: "fp0|env0", Verdicts: []Verdict{
+				{A: 1, B: 2, OK: true, Preds: []string{"p1", "p2"}},
+				{A: 3, B: 4},
+			}},
+		}}
+		if got := db.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("legacy store loaded\n %+v\nwant %+v", got, want)
+		}
+		if _, err := os.Stat(seg); !os.IsNotExist(err) {
+			t.Fatalf("leftover segment not removed (stat err=%v)", err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, raw := storeFile(t, dir); bytes.Contains(raw, []byte(`"t":"clause"`)) {
+			t.Fatal("the rewrite kept the legacy clause lines")
+		}
 	}
 }

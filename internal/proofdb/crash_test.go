@@ -1,12 +1,12 @@
 package proofdb
 
-// The crash-point torture harness: the proof that the journal's recovery
+// The crash-point torture harness: the proof that the store's recovery
 // contract holds under real process death, not just simulated errors.
 //
 // The parent test re-execs its own test binary as a child
 // (TestCrashChild), arms exactly one internal/crashsim point via the
-// environment, and lets the child SIGKILL itself mid-append, mid-fsync,
-// mid-rotation, or mid-snapshot-rename. The child records its committed
+// environment, and lets the child SIGKILL itself mid-append, mid-fsync, or
+// around the rewrite's rename. The child records its committed
 // progress in a side file as it goes; the parent then recovers the store
 // and asserts, for every (point, hit, sync policy) cell of the matrix:
 //
@@ -35,7 +35,7 @@ const (
 	envCrashChild  = "HH_CRASH_CHILD"  // selects the child role
 	envCrashDir    = "HH_CRASH_DIR"    // store directory
 	envCrashPolicy = "HH_CRASH_POLICY" // "every" | "flush"
-	envCrashDo     = "HH_CRASH_DO"     // "append" | "rotate" | "snapshot"
+	envCrashDo     = "HH_CRASH_DO"     // "append" | "snapshot"
 )
 
 const crashChildRecords = 40
@@ -53,9 +53,6 @@ func TestCrashChild(t *testing.T) {
 	syncEvery := os.Getenv(envCrashPolicy) == "every"
 	if syncEvery {
 		opts.Journal.Sync = SyncEveryRecord
-	}
-	if os.Getenv(envCrashDo) == "rotate" {
-		opts.Journal.SegmentBytes = 256
 	}
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -78,9 +75,8 @@ func TestCrashChild(t *testing.T) {
 		}
 		if i%10 == 0 {
 			if snapshotMode {
-				// Crash points live inside the rewrite/compaction; the
-				// journal records up to i were synced by Persist below
-				// or by the flush itself.
+				// Crash points live inside the rewrite; the records up
+				// to i were synced by their appends or by the rewrite.
 				if err := db.Flush(); err != nil {
 					t.Fatalf("child flush: %v", err)
 				}
@@ -182,7 +178,7 @@ func checkRecovery(t *testing.T, dir string, cell string) {
 // late visit, and asserts recovery after each kill.
 func TestCrashTortureMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-execs the test binary ~20 times")
+		t.Skip("re-execs the test binary 17 times")
 	}
 	appendPoints := []string{crashAppendBefore, crashAppendTorn, crashAppendAfter, crashSyncAfter}
 	for _, policy := range []string{"every", "flush"} {
@@ -201,17 +197,10 @@ func TestCrashTortureMatrix(t *testing.T) {
 				checkRecovery(t, dir, cell)
 			}
 		}
-		// Rotation: a small segment threshold forces mid-run rotations.
-		cell := "rotate/" + policy
-		dir := t.TempDir()
-		if !runCrashChild(t, dir, crashRotateMid, 1, policy, "rotate") {
-			t.Fatalf("%s: crash point never fired", cell)
-		}
-		checkRecovery(t, dir, cell)
 	}
-	// Snapshot rewrite + compaction: a kill around the rename or between
-	// segment removals must never lose journal-committed records.
-	for _, point := range []string{crashRenameBefore, crashRenameAfter, crashCompactMid} {
+	// Rewrite: a kill on either side of the rename must never lose an
+	// appended, committed record.
+	for _, point := range []string{crashRenameBefore, crashRenameAfter} {
 		cell := point + "/snapshot"
 		dir := t.TempDir()
 		if !runCrashChild(t, dir, point, 1, "every", "snapshot") {
@@ -221,9 +210,9 @@ func TestCrashTortureMatrix(t *testing.T) {
 	}
 }
 
-// TestCrashTruncateEveryOffset sweeps the whole byte space of a journal
-// segment: truncating the tail at every offset must recover without error
-// to exactly the records whose final newline survived.
+// TestCrashTruncateEveryOffset sweeps the whole byte space of an appended
+// store: truncating it at every offset must recover without error to
+// exactly the records whose final newline survived.
 func TestCrashTruncateEveryOffset(t *testing.T) {
 	pristine := t.TempDir()
 	db, err := Open(pristine, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
@@ -235,14 +224,7 @@ func TestCrashTruncateEveryOffset(t *testing.T) {
 		db.Append(verdictDelta(i))
 	}
 	db.Abandon()
-	segs := listSegments(pristine)
-	if len(segs) != 1 {
-		t.Fatalf("want 1 segment, got %d", len(segs))
-	}
-	raw, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, raw := storeFile(t, pristine)
 	// Record boundaries: offset just past each line's newline, and how many
 	// records are complete at that point (the header is line 0).
 	completeAt := func(off int) uint64 {
@@ -256,7 +238,7 @@ func TestCrashTruncateEveryOffset(t *testing.T) {
 				break // this line is torn by the truncation
 			}
 			if !headerDone {
-				headerDone = true // line 0 is the segment header
+				headerDone = true // line 0 is the store header
 			} else {
 				records++
 			}
@@ -266,10 +248,9 @@ func TestCrashTruncateEveryOffset(t *testing.T) {
 		}
 		return records
 	}
-	segName := filepath.Base(segs[0])
 	for off := 0; off <= len(raw); off++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName), raw[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, FileName), raw[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got := verdictSet(t, dir) // fatals if Open errors

@@ -1,23 +1,15 @@
-// On-disk format of the persistent proof store.
-//
-// A store is a single file (proof.db) in the cache directory:
+// On-disk format of the persistent proof store, one file (proof.db):
 //
 //	line 0:  "HHPDB v<version>"            — magic + format version
 //	line N:  "<crc32-hex8>\t<json-record>" — one record per line
 //
-// Each record line carries the IEEE CRC32 of its JSON payload in fixed
-// 8-hex-digit form. The hybrid shape is deliberate: the framing (newline
-// per record, checksum prefix) is binary-simple so partial writes and bit
-// flips are detected line-locally, while the payload is JSON so the store
-// is greppable, diffable, and forward-extensible (unknown record types are
-// skipped, not fatal).
-//
-// Loads are tolerant by construction: a record that is truncated, fails
-// its CRC, fails to parse, or is semantically invalid is skipped and
-// counted — never an error, never a panic. Only the header is strict: a
-// missing or mismatched "HHPDB v1" header rejects the whole file (the
-// format owner changed; replaying records under the wrong schema could be
-// unsound), which degrades to a cold start.
+// The IEEE CRC32 of the JSON payload catches partial writes and bit flips
+// line-locally, and JSON keeps the store greppable and lets readers skip
+// record types they do not know. A Flush writes such lines whole, an Append
+// adds them at the end. A line that is truncated, fails its CRC, or breaks
+// the schema is skipped and counted — never an error. Only the header is
+// strict: a missing or mismatched one rejects the file (records under
+// another schema could be unsound), which degrades to a cold start.
 package proofdb
 
 import (
@@ -34,54 +26,29 @@ const (
 	// record schema or its semantics; loaders reject mismatched versions
 	// wholesale (cold start) rather than guessing.
 	Version = 1
-
-	// journalMagic heads every write-ahead journal segment. The journal
-	// shares the snapshot's record schema and version — a segment is the
-	// same records, framed with a sequence number — so the version suffix
-	// tracks Version.
-	journalMagic = "HHWAL"
 )
 
 // header is the exact first line of a store file (without the newline).
 func header() string { return fmt.Sprintf("%s v%d", magic, Version) }
 
-// journalHeader is the exact first line of a journal segment (without the
-// newline).
-func journalHeader() string { return fmt.Sprintf("%s v%d", journalMagic, Version) }
-
-// Record type tags.
-//
-// recConeAbduct is the v2 cone record: a proven abduct stored under a
-// cone-level cache key (Preds[0] is the target predicate ID, Preds[1:] the
-// abduct members). The header version deliberately stays at 1 — v1-era
-// readers skip the unknown type record-locally (valid() returns false for
-// types they do not know), so a store written by a cone-aware engine still
-// warm-starts an older one from its clause and verdict records, and vice
-// versa. Version is only for changes that alter the meaning of *existing*
-// record types.
+// Record type tags. Adding a type never bumps Version (readers skip types
+// they do not know); Version is for changes to the meaning of existing
+// ones. recLegacyClause is the learnt-clause record older engines wrote:
+// it is recognised, so their stores open without reporting corruption, and
+// dropped at load.
 const (
-	recClause     = "clause"
-	recVerdict    = "verdict"
-	recConeAbduct = "coneabd"
+	recVerdict      = "verdict"
+	recConeAbduct   = "coneabd"
+	recLegacyClause = "clause"
 )
 
-// Lit is one literal of a stored clause, in canonical named form (the
-// portable representation of circuit.NamedLit).
-type Lit struct {
-	Name string `json:"n"`
-	Neg  bool   `json:"g,omitempty"`
-}
-
-// record is the wire form of one store line. Clause and verdict records
-// share the struct; omitempty keeps each line minimal (all omitted fields
-// decode to their zero value, which is exactly what was encoded).
+// record is the wire form of one store line. Verdict and cone-abduct
+// records share the struct; omitempty keeps each line minimal (all omitted
+// fields decode to their zero value, which is exactly what was encoded).
 type record struct {
-	T   string `json:"t"`  // recClause | recVerdict
+	T   string `json:"t"`  // recVerdict | recConeAbduct
 	Key string `json:"k"`  // cache key: circuit fingerprint | EnvKey
 	At  int64  `json:"at"` // unix seconds of last use (staleness policy)
-
-	// Clause fields.
-	Lits []Lit `json:"l,omitempty"`
 
 	// Verdict fields. A/B are the two independent 64-bit hashes of the
 	// abduction-query identity; OK false means "no abduct exists".
@@ -100,28 +67,15 @@ func (r *record) valid() bool {
 		return false
 	}
 	switch r.T {
-	case recClause:
-		if len(r.Lits) == 0 {
-			return false
-		}
-		for _, l := range r.Lits {
-			if l.Name == "" {
-				return false
-			}
-		}
-		return true
-	case recVerdict:
+	case recVerdict, recLegacyClause:
 		return true
 	case recConeAbduct:
-		if len(r.Preds) == 0 {
-			return false
-		}
 		for _, p := range r.Preds {
 			if p == "" {
 				return false
 			}
 		}
-		return true
+		return len(r.Preds) > 0
 	default:
 		return false // unknown type: skip (forward compatibility)
 	}
@@ -139,64 +93,6 @@ func encodeLine(r *record) ([]byte, error) {
 	line = append(line, payload...)
 	line = append(line, '\n')
 	return line, nil
-}
-
-// encodeJournalLine renders one record as a sequence-numbered journal line
-// (with trailing newline):
-//
-//	"<crc32-hex8>\t<seq-hex16>\t<json-record>\n"
-//
-// The CRC covers the sequence number and the payload together, so a line
-// whose body was transplanted from another position (or another segment)
-// fails its checksum instead of replaying out of order.
-func encodeJournalLine(seq uint64, r *record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 0, len(payload)+17)
-	body = fmt.Appendf(body, "%016x\t", seq)
-	body = append(body, payload...)
-	line := make([]byte, 0, len(body)+10)
-	line = fmt.Appendf(line, "%08x\t", crc32.ChecksumIEEE(body))
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeJournalLine parses one journal line (without trailing newline). Any
-// malformed line — bad framing, CRC mismatch, JSON error, semantic
-// invalidity — returns ok=false; replay treats every such line as the torn
-// tail of its segment.
-func decodeJournalLine(line []byte) (uint64, record, bool) {
-	var r record
-	tab := bytes.IndexByte(line, '\t')
-	if tab != 8 {
-		return 0, r, false
-	}
-	want, err := strconv.ParseUint(string(line[:tab]), 16, 32)
-	if err != nil {
-		return 0, r, false
-	}
-	body := line[tab+1:]
-	if crc32.ChecksumIEEE(body) != uint32(want) {
-		return 0, r, false
-	}
-	tab2 := bytes.IndexByte(body, '\t')
-	if tab2 != 16 {
-		return 0, r, false
-	}
-	seq, err := strconv.ParseUint(string(body[:tab2]), 16, 64)
-	if err != nil {
-		return 0, r, false
-	}
-	if err := json.Unmarshal(body[tab2+1:], &r); err != nil {
-		return 0, r, false
-	}
-	if !r.valid() {
-		return 0, r, false
-	}
-	return seq, r, true
 }
 
 // decodeLine parses one store line (without trailing newline). It returns
@@ -217,10 +113,7 @@ func decodeLine(line []byte) (record, bool) {
 	if crc32.ChecksumIEEE(payload) != uint32(want) {
 		return r, false
 	}
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return r, false
-	}
-	if !r.valid() {
+	if err := json.Unmarshal(payload, &r); err != nil || !r.valid() {
 		return r, false
 	}
 	return r, true

@@ -37,19 +37,19 @@ func FuzzProofDBRoundTrip(f *testing.F) {
 			lit1 = "x"
 		}
 		want := &Snapshot{Keys: []KeyRecord{{
-			Key:     key,
-			Clauses: []Clause{{Lits: []Lit{{Name: lit1, Neg: neg}}}},
+			Key: key,
 			Verdicts: []Verdict{
 				{A: a, B: b, OK: true, Preds: []string{pred}},
+				{A: b, B: a, OK: neg, Preds: []string{lit1}},
 			},
 		}}}
 		if lit2 != "" && lit2 != lit1 {
-			want.Keys[0].Clauses = append(want.Keys[0].Clauses,
-				Clause{Lits: []Lit{{Name: lit1, Neg: neg}, {Name: lit2}}})
+			want.Keys[0].Verdicts = append(want.Keys[0].Verdicts,
+				Verdict{A: a ^ 1, B: b, OK: true, Preds: []string{lit1, lit2}})
 		}
-		// v2 cone-abduct records ride along under a cone-level key, so the
-		// corruption phase below exercises mixed-version stores. An empty
-		// pred yields the empty-abduct edge case (target only).
+		// Cone-abduct records ride along under a cone-level key, so the
+		// corruption phase below exercises both record types. An empty pred
+		// yields the empty-abduct edge case (target only).
 		abd := Abduct{Target: "t|" + pred}
 		if pred != "" {
 			abd.Preds = []string{pred}
@@ -78,8 +78,8 @@ func FuzzProofDBRoundTrip(f *testing.F) {
 			t.Fatalf("reopen: %v", err)
 		}
 		got := db2.Snapshot()
-		// Canonicalize the expectation the same way the store does: clauses
-		// sorted by fingerprint, verdicts by (a, b).
+		// Canonicalize the expectation the same way the store does: verdicts
+		// sorted by (a, b), abducts by signature.
 		db3, err := Open(t.TempDir(), opts)
 		if err != nil {
 			t.Fatal(err)

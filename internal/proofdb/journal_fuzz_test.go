@@ -1,27 +1,26 @@
 package proofdb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-// pinnedJournalSegment is a byte-exact journal segment written by the
-// current encoder (3 verdict records, seqs 1..3, clock pinned to
-// 1_700_000_000) — the fuzz seed corpus anchor, pinned the same way
-// compat_test.go pins the snapshot format. TestPinnedJournalSegmentCurrent
-// keeps it honest: if the wire format drifts, the pin fails loudly instead
-// of the fuzzer quietly seeding stale bytes.
-const pinnedJournalSegment = "HHWAL v1\n" +
-	"bcbfec05\t0000000000000001\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":1,\"b\":1,\"ok\":true,\"p\":[\"p\"]}\n" +
-	"443ca431\t0000000000000002\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":2,\"b\":2,\"ok\":true,\"p\":[\"p\"]}\n" +
-	"a56d61e2\t0000000000000003\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":3,\"b\":3,\"ok\":true,\"p\":[\"p\"]}\n"
+// pinnedJournalSegment is the byte-exact proof.db an appending store
+// writes for 3 verdict records (clock pinned to 1_700_000_000): the header
+// its Open created, then one line per Append. It anchors the fuzz seed
+// corpus; TestPinnedJournalSegmentCurrent keeps it honest, so a drifting
+// wire format fails loudly instead of the fuzzer quietly seeding stale
+// bytes.
+const pinnedJournalSegment = "HHPDB v1\n" +
+	"8f956e8e\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":1,\"b\":1,\"ok\":true,\"p\":[\"p\"]}\n" +
+	"b433c4e9\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":2,\"b\":2,\"ok\":true,\"p\":[\"p\"]}\n" +
+	"a2ae5d34\t{\"t\":\"verdict\",\"k\":\"k\",\"at\":1700000000,\"a\":3,\"b\":3,\"ok\":true,\"p\":[\"p\"]}\n"
 
-// writePinnedStyleSegment reproduces the pinned segment through the live
-// write path (journaling store, pinned clock, seqs 1..3).
-func writePinnedStyleSegment(t testing.TB, dir string) {
-	t.Helper()
+func TestPinnedJournalSegmentCurrent(t *testing.T) {
+	dir := t.TempDir()
 	now := time.Unix(1_700_000_000, 0)
 	db, err := Open(dir, Options{
 		Now:     func() time.Time { return now },
@@ -34,66 +33,53 @@ func writePinnedStyleSegment(t testing.TB, dir string) {
 		db.Append(verdictDelta(i))
 	}
 	db.Abandon()
-}
-
-func TestPinnedJournalSegmentCurrent(t *testing.T) {
-	dir := t.TempDir()
-	writePinnedStyleSegment(t, dir)
-	segs := listSegments(dir)
-	if len(segs) != 1 || filepath.Base(segs[0]) != segmentName(1) {
-		t.Fatalf("unexpected segment layout: %v", segs)
-	}
-	raw, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != pinnedJournalSegment {
-		t.Fatalf("journal wire format drifted from the pinned segment:\n got %q\nwant %q", raw, pinnedJournalSegment)
+	if _, raw := storeFile(t, dir); string(raw) != pinnedJournalSegment {
+		t.Fatalf("append wire format drifted from the pinned store:\n got %q\nwant %q", raw, pinnedJournalSegment)
 	}
 }
 
-// FuzzJournalReplay feeds recovery both arbitrary segment bytes and a
-// well-formed segment mutilated in fuzzer-chosen ways (truncation, bit
-// flip, line swap). The invariants under every input:
+// FuzzJournalReplay feeds Open both arbitrary proof.db bytes and a
+// well-formed appended store mutilated in fuzzer-chosen ways (truncation,
+// bit flip, line swap). The invariants under every input:
 //
 //   - Open never errors and never panics;
-//   - the recovered state is a prefix 1..k of the append order;
-//   - recovery is stable: Open truncated the wreckage back to its good
-//     prefix, so a second Open replays exactly the same records and finds
-//     no new torn tail.
+//   - recovery is stable: Open truncated a torn tail away, so a second Open
+//     applies exactly the same records and finds no torn tail;
+//   - of a mutilated store, every record whose line survived intact is
+//     recovered, and nothing else is.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(pinnedJournalSegment), uint8(6), uint16(40), uint16(90), false)
 	f.Add([]byte(pinnedJournalSegment), uint8(1), uint16(0), uint16(0), true)
-	f.Add([]byte("HHWAL v1\n"), uint8(12), uint16(9999), uint16(3), false)
-	f.Add([]byte("HHWAL v999\nnot a record"), uint8(3), uint16(1), uint16(120), true)
+	f.Add([]byte("HHPDB v1\n"), uint8(12), uint16(9999), uint16(3), false)
+	f.Add([]byte("HHPDB v999\nnot a record"), uint8(3), uint16(1), uint16(120), true)
 	f.Add([]byte{}, uint8(20), uint16(500), uint16(500), false)
 	f.Add([]byte("\x00\xff\xfe torn garbage \t\t\n\n"), uint8(5), uint16(77), uint16(33), true)
 
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, trunc, flip uint16, swap bool) {
-		// Phase 1: arbitrary bytes as a segment file. No structural
-		// expectation survives, but recovery must stay total and stable.
+		// Phase 1: arbitrary bytes as proof.db. No structural expectation
+		// survives, but recovery must stay total and stable.
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), raw, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, FileName), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(dir, Options{})
+		db, err := Open(dir, Options{MaxAge: -1})
 		if err != nil {
-			t.Fatalf("recovery Open errored on arbitrary segment bytes: %v", err)
+			t.Fatalf("recovery Open errored on arbitrary bytes: %v", err)
 		}
 		first := db.Stats().JournalReplayed
-		db2, err := Open(dir, Options{})
+		db2, err := Open(dir, Options{MaxAge: -1})
 		if err != nil {
 			t.Fatalf("second recovery Open errored: %v", err)
 		}
 		st := db2.Stats()
 		if st.JournalReplayed != first {
-			t.Fatalf("recovery not stable: first replayed %d, second %d", first, st.JournalReplayed)
+			t.Fatalf("recovery not stable: first applied %d, second %d", first, st.JournalReplayed)
 		}
 		if st.JournalTornTails != 0 {
 			t.Fatalf("first recovery left a torn tail behind (second counted %d)", st.JournalTornTails)
 		}
 
-		// Phase 2: a well-formed journal of n records, mutilated.
+		// Phase 2: a well-formed appended store of n records, mutilated.
 		nRecs := uint64(n%20) + 1
 		dir2 := t.TempDir()
 		// SyncOnFlush: no fsyncs — the bytes only need to reach the page
@@ -107,66 +93,41 @@ func FuzzJournalReplay(f *testing.F) {
 			jdb.Append(verdictDelta(i))
 		}
 		jdb.Abandon()
-		seg := listSegments(dir2)[0]
-		body, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
+		path, body := storeFile(t, dir2)
+		var original []string // copied out: the mutations below write into body
+		for _, line := range bytes.SplitAfter(body, []byte("\n"))[1 : nRecs+1] {
+			original = append(original, string(line))
 		}
-		if len(body) > 0 {
-			if swap {
-				// Swap two whole record lines (reordered writes). The
-				// header (line 0) is never a swap target.
-				var starts []int
-				for i := 0; i < len(body); {
-					starts = append(starts, i)
-					j := i
-					for j < len(body) && body[j] != '\n' {
-						j++
-					}
-					i = j + 1
-				}
-				if len(starts) >= 3 {
-					a := 1 + int(trunc)%(len(starts)-1)
-					b := 1 + int(flip)%(len(starts)-1)
-					if a > b {
-						a, b = b, a
-					}
-					if a != b {
-						lineAt := func(s int) []byte {
-							e := s
-							for e < len(body) && body[e] != '\n' {
-								e++
-							}
-							if e < len(body) {
-								e++
-							}
-							return body[s:e]
-						}
-						la, lb := lineAt(starts[a]), lineAt(starts[b])
-						var out []byte
-						out = append(out, body[:starts[a]]...)
-						out = append(out, lb...)
-						out = append(out, body[starts[a]+len(la):starts[b]]...)
-						out = append(out, la...)
-						out = append(out, body[starts[b]+len(lb):]...)
-						body = out
-					}
-				}
-			}
-			if int(flip) < len(body) {
-				body[flip] ^= 1 << (n % 8)
-			}
-			if int(trunc) < len(body) {
-				body = body[:trunc]
-			}
+		if swap {
+			// Swap two whole lines (reordered writes), header included.
+			lines := bytes.SplitAfter(body, []byte("\n"))
+			a, b := int(trunc)%len(lines), int(flip)%len(lines)
+			lines[a], lines[b] = lines[b], lines[a]
+			body = bytes.Join(lines, nil)
 		}
-		if err := os.WriteFile(seg, body, 0o644); err != nil {
+		if int(flip) < len(body) {
+			body[flip] ^= 1 << (n % 8)
+		}
+		if int(trunc) < len(body) {
+			body = body[:trunc]
+		}
+		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got := verdictSet(t, dir2) // fatals if Open errors
-		k := assertPrefix(t, got)
-		if k > nRecs {
-			t.Fatalf("recovered %d records from a %d-record journal", k, nRecs)
+		intact := map[string]bool{}
+		if bytes.HasPrefix(body, []byte(header()+"\n")) {
+			for _, line := range bytes.SplitAfter(body, []byte("\n"))[1:] {
+				intact[string(line)] = true
+			}
+		}
+		for i, line := range original {
+			if want := intact[line]; got[uint64(i)+1] != want {
+				t.Fatalf("record %d: recovered=%v, but its line intact=%v", i+1, got[uint64(i)+1], want)
+			}
+		}
+		if uint64(len(got)) > nRecs {
+			t.Fatalf("recovered %d records from a %d-record store", len(got), nRecs)
 		}
 	})
 }

@@ -1,8 +1,9 @@
 package proofdb
 
 import (
+	"bytes"
 	"os"
-	"strings"
+	"path/filepath"
 	"testing"
 
 	"hhoudini/internal/faultinject"
@@ -16,8 +17,8 @@ func verdictDelta(i uint64) *Snapshot {
 	}}}
 }
 
-// verdictSet reopens dir (snapshot-only reader) and returns the set of
-// verdict A-values stored under key "k".
+// verdictSet reopens dir (appends off) and returns the set of verdict
+// A-values stored under key "k".
 func verdictSet(t *testing.T, dir string) map[uint64]bool {
 	t.Helper()
 	db, err := Open(dir, Options{})
@@ -48,6 +49,20 @@ func assertPrefix(t *testing.T, got map[uint64]bool) uint64 {
 	return k
 }
 
+// assertOnlyStoreFile checks that dir holds proof.db and nothing else.
+func assertOnlyStoreFile(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != FileName {
+			t.Fatalf("unexpected file in the store directory: %s", e.Name())
+		}
+	}
+}
+
 func TestJournalAppendSurvivesAbandon(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
@@ -66,7 +81,7 @@ func TestJournalAppendSurvivesAbandon(t *testing.T) {
 		t.Fatalf("JournalSyncs = %d under SyncEveryRecord, want %d", st.JournalSyncs, n)
 	}
 	if st.Flushes != 0 {
-		t.Fatalf("appends triggered %d snapshot flushes; journal writes must not rewrite the store", st.Flushes)
+		t.Fatalf("appends triggered %d rewrites; appends must not rewrite the store", st.Flushes)
 	}
 	// Simulated kill -9: no Flush, no Close, no sync.
 	db.Abandon()
@@ -96,16 +111,9 @@ func TestJournalTornTailTruncatedRecordLocally(t *testing.T) {
 	}
 	db.Abandon()
 
-	segs := listSegments(dir)
-	if len(segs) != 1 {
-		t.Fatalf("want 1 segment, got %d", len(segs))
-	}
-	fi, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, raw := storeFile(t, dir)
 	// Tear the last record mid-line.
-	if err := os.Truncate(segs[0], fi.Size()-7); err != nil {
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +133,7 @@ func TestJournalTornTailTruncatedRecordLocally(t *testing.T) {
 		t.Fatalf("recovered %d records after tearing the last; want exactly %d", k, n-1)
 	}
 	// Recovery physically truncated the tail back to the last good record,
-	// so the next Open sees a clean segment: no new torn tail.
+	// so the next Open sees a clean file: no new torn tail.
 	db3, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,67 +143,9 @@ func TestJournalTornTailTruncatedRecordLocally(t *testing.T) {
 	}
 }
 
-func TestJournalReorderedLinesReplayPrefix(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	for i := uint64(1); i <= n; i++ {
-		db.Append(verdictDelta(i))
-	}
-	db.Abandon()
-
-	seg := listSegments(dir)[0]
-	raw, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	// lines[0] is the header; swap records 4 and 5 (indices 4 and 5).
-	lines[4], lines[5] = lines[5], lines[4]
-	if err := os.WriteFile(seg, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay must stop at the first out-of-sequence record: prefix {1..3}.
-	got := verdictSet(t, dir)
-	if k := assertPrefix(t, got); k != 3 {
-		t.Fatalf("recovered %d records after swapping #4/#5; want the prefix 1..3", k)
-	}
-}
-
-func TestJournalRotationAndCrossSegmentReplay(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Journal: JournalOptions{
-		Enable: true, Sync: SyncEveryRecord, SegmentBytes: 256,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	for i := uint64(1); i <= n; i++ {
-		db.Append(verdictDelta(i))
-	}
-	st := db.Stats()
-	if st.JournalRotations == 0 {
-		t.Fatal("no rotations despite a 256-byte segment threshold")
-	}
-	if st.JournalSegments < 2 {
-		t.Fatalf("JournalSegments = %d, want >= 2", st.JournalSegments)
-	}
-	db.Abandon()
-
-	if segs := listSegments(dir); len(segs) < 2 {
-		t.Fatalf("want >= 2 segment files on disk, got %d", len(segs))
-	}
-	got := verdictSet(t, dir)
-	if k := assertPrefix(t, got); k != n {
-		t.Fatalf("cross-segment replay recovered %d/%d records", k, n)
-	}
-}
-
+// TestJournalCompactionRidesFlushAndCloseIsClean: a rewrite folds the
+// appended lines in, appends continue on the new file, and a clean Close
+// leaves one compact proof.db.
 func TestJournalCompactionRidesFlushAndCloseIsClean(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true}})
@@ -204,34 +154,28 @@ func TestJournalCompactionRidesFlushAndCloseIsClean(t *testing.T) {
 	}
 	for i := uint64(1); i <= 5; i++ {
 		db.Append(verdictDelta(i))
+		db.Append(verdictDelta(i)) // a refresh: a second line, one record
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.JournalCompactions == 0 {
-		t.Fatal("flush did not compact the journal")
+	if n := db.Stats().JournalAppends; n != 10 {
+		t.Fatalf("JournalAppends = %d, want 10", n)
 	}
-	// Post-flush: the snapshot holds everything; exactly one fresh tail.
-	if segs := listSegments(dir); len(segs) != 1 {
-		t.Fatalf("want 1 fresh tail segment after flush, got %d", len(segs))
+	if _, raw := storeFile(t, dir); bytes.Count(raw, []byte("\n")) != 1+5 {
+		t.Fatalf("rewrite kept the duplicate lines:\n%s", raw)
 	}
 	for i := uint64(6); i <= 8; i++ {
 		db.Append(verdictDelta(i))
 	}
+	// Appends after the rewrite land in the renamed file, not the old inode.
+	if got := verdictSet(t, dir); len(got) != 8 {
+		t.Fatalf("after rewrite + 3 appends the file holds %d records, want 8", len(got))
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Clean close: snapshot-only layout (plus nothing else).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != FileName {
-			t.Fatalf("unexpected file after clean Close: %s", e.Name())
-		}
-	}
+	assertOnlyStoreFile(t, dir)
 	got := verdictSet(t, dir)
 	if k := assertPrefix(t, got); k != 8 {
 		t.Fatalf("recovered %d/8 records after flush+append+close", k)
@@ -244,51 +188,67 @@ func TestJournalPersistIsCheapDurabilityPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 12; i++ {
+	// A base rewrite of 16 records, then 8 appends: the file stays under
+	// twice the size of its last rewrite.
+	for i := uint64(1); i <= 16; i++ {
+		db.Merge(verdictDelta(i))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(17); i <= 24; i++ {
 		db.Append(verdictDelta(i))
 	}
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
-	if st.Flushes != 0 {
-		t.Fatalf("Persist rewrote the snapshot (%d flushes); want journal sync only", st.Flushes)
+	if st.Flushes != 1 {
+		t.Fatalf("Persist rewrote the store (%d flushes); want an fsync only", st.Flushes)
 	}
 	if st.JournalSyncs == 0 {
-		t.Fatal("Persist did not sync the journal")
+		t.Fatal("Persist did not sync the appended lines")
 	}
 	db.Abandon()
 	got := verdictSet(t, dir)
-	if k := assertPrefix(t, got); k != 12 {
-		t.Fatalf("recovered %d/12 records committed by Persist", k)
+	if k := assertPrefix(t, got); k != 24 {
+		t.Fatalf("recovered %d/24 records committed by Persist", k)
 	}
 }
 
 func TestJournalPersistEscalatesWhenOversized(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Journal: JournalOptions{
-		Enable: true, SegmentBytes: 128, CompactSegments: 2,
-	}})
+	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 30; i++ {
+	for i := uint64(1); i <= 4; i++ {
+		db.Merge(verdictDelta(i))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	base := db.Stats().BytesOnDisk
+	for i := uint64(5); i <= 30; i++ {
 		db.Append(verdictDelta(i))
+	}
+	if size := db.Stats().BytesOnDisk; size <= 2*base {
+		t.Fatalf("appends grew the file to %d bytes, not past twice the %d-byte rewrite", size, base)
 	}
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
-	if st.Flushes == 0 {
-		t.Fatal("Persist did not escalate to a compacting flush past the segment bound")
+	if st.Flushes != 2 {
+		t.Fatalf("Persist did not escalate to a rewrite past twice the last one (%d flushes)", st.Flushes)
 	}
-	if st.JournalCompactions == 0 {
-		t.Fatal("escalated Persist did not compact")
+	if _, raw := storeFile(t, dir); int64(len(raw)) != st.BytesOnDisk || bytes.Count(raw, []byte("\n")) != 1+30 {
+		t.Fatalf("escalated Persist left %d bytes (stats say %d), want header + 30 lines", len(raw), st.BytesOnDisk)
 	}
 }
 
 // TestChaosJournalDegradesToSnapshotOnly joins the chaos tier: persistent
-// injected append failures must flip the store to snapshot-only mode
+// injected append failures must flip the store to rewrite-only mode
 // without ever surfacing an error to the caller, and the records must
 // still reach disk via the next Flush.
 func TestChaosJournalDegradesToSnapshotOnly(t *testing.T) {
@@ -302,20 +262,20 @@ func TestChaosJournalDegradesToSnapshotOnly(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		db.Append(verdictDelta(i)) // must not panic, must not error
 	}
-	st := db.Stats()
-	if !st.JournalDegraded {
-		t.Fatalf("journal not degraded after persistent append failures: %+v", st)
-	}
-	if db.JournalActive() {
-		t.Fatal("JournalActive still true after degradation")
+	if st := db.Stats(); !st.JournalDegraded {
+		t.Fatalf("appends not degraded after persistent failures: %+v", st)
 	}
 	faultinject.Reset()
-	// Snapshot-only mode still persists everything through Flush.
+	// Rewrite-only mode still persists everything through Flush.
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Flushes == 0 {
-		t.Fatal("degraded Persist did not fall back to a snapshot flush")
+		t.Fatal("degraded Persist did not fall back to a rewrite")
+	}
+	db.Append(verdictDelta(11))
+	if st := db.Stats(); st.JournalAppends != 0 {
+		t.Fatalf("a degraded store appended %d records after its rewrite", st.JournalAppends)
 	}
 	got := verdictSet(t, dir)
 	if k := assertPrefix(t, got); k != 10 {
@@ -324,7 +284,7 @@ func TestChaosJournalDegradesToSnapshotOnly(t *testing.T) {
 }
 
 // TestChaosJournalSyncFailureFallsBack: a failed Persist-time fsync must
-// escalate to the snapshot path, so the durability point still holds.
+// escalate to the rewrite, so the durability point still holds.
 func TestChaosJournalSyncFailureFallsBack(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -340,7 +300,7 @@ func TestChaosJournalSyncFailureFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if db.Stats().Flushes == 0 {
-		t.Fatal("Persist with a failed journal sync did not fall back to Flush")
+		t.Fatal("Persist with a failed sync did not fall back to Flush")
 	}
 	db.Abandon()
 	got := verdictSet(t, dir)
@@ -349,12 +309,12 @@ func TestChaosJournalSyncFailureFallsBack(t *testing.T) {
 	}
 }
 
-// TestJournalReplayIntoJournalingStore: a journaling store that recovers
-// segments continues appending after the replayed tail without colliding
-// sequence numbers.
+// TestJournalReplayIntoJournalingStore: a store reopened over an abandoned
+// one keeps appending to the same file after the recovered lines.
 func TestJournalReplayIntoJournalingStore(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
+	opts := Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}}
+	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +323,7 @@ func TestJournalReplayIntoJournalingStore(t *testing.T) {
 	}
 	db.Abandon()
 
-	db2, err := Open(dir, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
+	db2, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +334,9 @@ func TestJournalReplayIntoJournalingStore(t *testing.T) {
 
 	got := verdictSet(t, dir)
 	if k := assertPrefix(t, got); k != 12 {
-		t.Fatalf("recovered %d/12 records across two journaling generations", k)
+		t.Fatalf("recovered %d/12 records across two appending generations", k)
 	}
+	assertOnlyStoreFile(t, dir)
 }
 
 func TestJournalDisabledReaderStillRecovers(t *testing.T) {
@@ -389,51 +350,96 @@ func TestJournalDisabledReaderStillRecovers(t *testing.T) {
 	}
 	db.Abandon()
 
-	// A journaling-disabled reader replays the segments, and its Flush
-	// folds them into the snapshot and compacts them away.
+	// A reader with appends off loads the appended lines; its deltas stay
+	// in memory until its Close rewrites the file.
 	db2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := db2.Snapshot().Len(); got != 5 {
-		t.Fatalf("disabled reader replayed %d records, want 5", got)
+		t.Fatalf("disabled reader loaded %d records, want 5", got)
+	}
+	_, before := storeFile(t, dir)
+	db2.Append(verdictDelta(6))
+	if _, after := storeFile(t, dir); len(after) != len(before) {
+		t.Fatal("a store with appends off wrote a delta before Flush")
 	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := listSegments(dir); len(segs) != 0 {
-		t.Fatalf("disabled reader's Close left %d segments", len(segs))
-	}
 	got := verdictSet(t, dir)
-	if k := assertPrefix(t, got); k != 5 {
-		t.Fatalf("post-compaction state lost records: %d/5", k)
+	if k := assertPrefix(t, got); k != 6 {
+		t.Fatalf("post-rewrite state lost records: %d/6", k)
 	}
 }
 
+// TestJournalHeaderMismatchDropsSegment: an appending store that opens a
+// version-mismatched proof.db next to a leftover segment replays neither,
+// removes the segment, and replaces the file under the current header, so
+// its own appends recover.
 func TestJournalHeaderMismatchDropsSegment(t *testing.T) {
 	dir := t.TempDir()
+	populate(t, dir)
+	path, raw := storeFile(t, dir)
+	if err := os.WriteFile(path, append([]byte("HHPDB v999\n"), raw[len(header())+1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "journal-0000000000000001.wal")
+	if err := os.WriteFile(seg, []byte("HHWAL v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	db, err := Open(dir, Options{Journal: JournalOptions{Enable: true, Sync: SyncEveryRecord}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := db.Stats(); !st.HeaderRejected || db.Snapshot().Len() != 0 {
+		t.Fatalf("version-mismatched file loaded: %+v", st)
 	}
 	for i := uint64(1); i <= 3; i++ {
 		db.Append(verdictDelta(i))
 	}
 	db.Abandon()
-
-	seg := listSegments(dir)[0]
-	raw, _ := os.ReadFile(seg)
-	mangled := append([]byte("HHWAL v999\n"), raw[len(journalHeader())+1:]...)
-	if err := os.WriteFile(seg, mangled, 0o644); err != nil {
-		t.Fatal(err)
+	assertOnlyStoreFile(t, dir)
+	if k := assertPrefix(t, verdictSet(t, dir)); k != 3 {
+		t.Fatalf("recovered %d/3 records appended after the header was replaced", k)
 	}
+}
 
-	got := verdictSet(t, dir)
-	if len(got) != 0 {
-		t.Fatalf("version-mismatched segment replayed %d records; want 0 (cold)", len(got))
-	}
-	// The unusable segment is removed so it cannot shadow future appends.
-	if segs := listSegments(dir); len(segs) != 0 {
-		t.Fatalf("mismatched segment not removed: %d left", len(segs))
+// TestStoreDirectoryHoldsOnlyProofDB: whatever sequence of operations runs,
+// the store directory holds proof.db alone — no segment, no temp file.
+func TestStoreDirectoryHoldsOnlyProofDB(t *testing.T) {
+	for _, sync := range []SyncPolicy{SyncOnFlush, SyncEveryRecord} {
+		dir := t.TempDir()
+		opts := Options{Journal: JournalOptions{Enable: true, Sync: sync}}
+		db := mustOpen(t, dir, opts)
+		assertOnlyStoreFile(t, dir)
+		steps := []func(db *DB) error{
+			func(db *DB) error { db.Append(verdictDelta(1)); return nil },
+			(*DB).Persist,
+			func(db *DB) error { db.Append(verdictDelta(2)); return nil },
+			(*DB).Flush,
+			func(db *DB) error { db.Append(verdictDelta(3)); return nil },
+			(*DB).Persist,
+		}
+		for i, step := range steps {
+			if err := step(db); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 1 {
+				assertOnlyStoreFile(t, dir)
+			}
+		}
+		db.Abandon()
+		assertOnlyStoreFile(t, dir)
+		db = mustOpen(t, dir, opts)
+		db.Append(verdictDelta(4))
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertOnlyStoreFile(t, dir)
+		if k := assertPrefix(t, verdictSet(t, dir)); k != 4 {
+			t.Fatalf("recovered %d/4 records", k)
+		}
 	}
 }

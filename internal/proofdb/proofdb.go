@@ -1,36 +1,26 @@
-// Package proofdb is the persistent proof store: a versioned on-disk cache
-// of the facts the verification engine has already proved — base-system
-// learnt clauses (in canonical named form) and whole abduction verdicts —
-// keyed by system identity (circuit fingerprint + environment key).
+// Package proofdb is the persistent proof store: the answers the
+// verification engine has already derived — abduction verdicts and
+// cone-level abducts — keyed by system identity (circuit fingerprint +
+// environment key). The paper's relative-induction checks are pure
+// functions of that identity (§3.2), so a CLI run, an experiment sweep and
+// a CI job over the same design can restore each other's warm starts.
 //
-// H-Houdini's relative-induction checks are pure functions of the system
-// identity (§3.2 of the paper), which is what makes them memoizable at all;
-// this package extends the in-memory cross-run VerifyCache one level
-// further, across *process* invocations: a CLI run, an experiment sweep and
-// a CI job over the same design restore each other's warm starts instead of
-// re-deriving every clause cold.
-//
-// Durability contract:
-//   - writes are crash-safe: the whole store is rewritten to a temp file,
-//     fsynced, and atomically renamed over the old one (a crash leaves
-//     either the old store or the new one, never a torn file);
-//   - loads never fail on data corruption: torn/flipped/truncated records
-//     are skipped record-locally and counted, a mismatched format version
-//     rejects the file wholesale — both degrade to a cold start;
-//   - staleness is bounded two ways: records unused for longer than MaxAge
-//     are evicted, and the file is LRU-compacted to a byte budget on every
-//     flush (least-recently-used records are dropped first).
-//
-// The package is deliberately self-contained (no dependency on the solver
-// or learner packages) so the persistence layer can be reasoned about — and
-// fuzzed — in isolation.
+// The store is one file, dir/proof.db (format.go), written two ways:
+// Append adds a delta's lines to its end (append.go), and Flush rewrites it
+// whole — temp file, fsync, atomic rename, directory fsync — so a crash
+// leaves the old file or the new one, never a torn one. Open reads every
+// line, newest record wins per identity; corrupt lines are skipped and
+// counted, a torn final line is truncated, and a mismatched version header
+// rejects the file — never an error, only a colder start. Records unused
+// for MaxAge are evicted, and each rewrite LRU-compacts to MaxBytes.
 package proofdb
 
 import (
-	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,37 +54,17 @@ type Options struct {
 	MaxBytes int64
 	// Now overrides the clock (tests). Nil means time.Now.
 	Now func() time.Time
-	// Journal configures the write-ahead journal (journal.go). Disabled by
-	// default: the bare store keeps its single-file snapshot layout, and
-	// recovery still replays any segments an earlier journaling writer
-	// left behind.
+	// Journal configures appends (append.go). Disabled by default: deltas
+	// then stay in memory until the next Flush.
 	Journal JournalOptions
-}
-
-func (o *Options) maxAge() time.Duration {
-	if o.MaxAge == 0 {
-		return DefaultMaxAge
-	}
-	return o.MaxAge
-}
-
-func (o *Options) maxBytes() int64 {
-	if o.MaxBytes == 0 {
-		return DefaultMaxBytes
-	}
-	return o.MaxBytes
-}
-
-func (o *Options) now() time.Time {
-	if o.Now != nil {
-		return o.Now()
-	}
-	return time.Now()
 }
 
 // Stats are cumulative store counters (snapshot under the DB lock).
 type Stats struct {
-	ClausesLoaded  int64 // clause records restored from disk at Open
+	// ClausesLoaded always reads 0: learnt-clause records from older
+	// stores are skipped at Open. The field stays for callers that sum
+	// the Loaded counters.
+	ClausesLoaded  int64
 	VerdictsLoaded int64 // verdict records restored from disk at Open
 	AbductsLoaded  int64 // cone-abduct records restored from disk at Open
 	CorruptSkipped int64 // records dropped for framing/CRC/JSON/validity
@@ -103,17 +73,14 @@ type Stats struct {
 	Flushes        int64 // successful atomic rewrites
 	AgeEvicted     int64 // records evicted at flush for exceeding MaxAge
 	BudgetEvicted  int64 // records LRU-evicted at flush for the byte budget
-	BytesOnDisk    int64 // size of the store after the last flush (or load)
+	BytesOnDisk    int64 // current size of the store file
 
-	// Write-ahead journal counters (journal.go).
-	JournalAppends     int64 // records appended to the journal
-	JournalSyncs       int64 // journal fsyncs (durability points)
-	JournalRotations   int64 // size-triggered segment rotations
-	JournalCompactions int64 // segment truncations riding a snapshot rewrite
-	JournalReplayed    int64 // records replayed from segments at Open
-	JournalTornTails   int64 // torn tails truncated record-locally at Open
-	JournalSegments    int64 // live segment files after the last operation
-	JournalDegraded    bool  // journal abandoned after persistent I/O errors
+	// Append counters (append.go).
+	JournalAppends   int64 // records appended to the file
+	JournalSyncs     int64 // fsyncs of the append handle (durability points)
+	JournalReplayed  int64 // record lines Open applied to the model
+	JournalTornTails int64 // torn final lines truncated at Open
+	JournalDegraded  bool  // appends abandoned after persistent I/O errors
 }
 
 // Snapshot is the portable in-memory image of a store (also the exchange
@@ -127,14 +94,8 @@ type Snapshot struct {
 // whole-circuit key, or — for Abducts especially — a cone-level key).
 type KeyRecord struct {
 	Key      string
-	Clauses  []Clause
 	Verdicts []Verdict
 	Abducts  []Abduct
-}
-
-// Clause is one base-system learnt clause over canonical variable names.
-type Clause struct {
-	Lits []Lit
 }
 
 // Verdict is one memoized abduction verdict. A/B are the two independent
@@ -146,7 +107,7 @@ type Verdict struct {
 	Preds []string
 }
 
-// Abduct is one proven abduct for a target predicate — the v2 cone record.
+// Abduct is one proven abduct for a target predicate — the cone record.
 // Unlike a Verdict it names the target directly instead of hashing the full
 // query, because it answers every query whose candidate set contains Preds.
 type Abduct struct {
@@ -161,91 +122,118 @@ func (s *Snapshot) Len() int {
 	}
 	n := 0
 	for _, kr := range s.Keys {
-		n += len(kr.Clauses) + len(kr.Verdicts) + len(kr.Abducts)
+		n += len(kr.Verdicts) + len(kr.Abducts)
 	}
 	return n
 }
 
+// records renders the snapshot as wire records stamped with last-use time
+// at, dropping any that would not load back (valid).
+func (s *Snapshot) records(at int64) []record {
+	if s == nil {
+		return nil
+	}
+	var out []record
+	add := func(r record) {
+		if r.valid() {
+			out = append(out, r)
+		}
+	}
+	for _, kr := range s.Keys {
+		for _, v := range kr.Verdicts {
+			add(record{T: recVerdict, Key: kr.Key, At: at, A: v.A, B: v.B, OK: v.OK, Preds: v.Preds})
+		}
+		for _, a := range kr.Abducts {
+			add(record{T: recConeAbduct, Key: kr.Key, At: at, Preds: append([]string{a.Target}, a.Preds...)})
+		}
+	}
+	return out
+}
+
 // DB is an open store: an in-memory model of the on-disk records plus the
-// machinery to merge, evict and atomically persist them. All methods are
-// safe for concurrent use.
+// machinery to merge, evict, append and atomically persist them. All
+// methods are safe for concurrent use.
 type DB struct {
 	mu    sync.Mutex
 	path  string // the store file (dir/FileName)
 	opts  Options
-	keys  map[string]*keyState
+	model map[recID]record
 	stats Stats
 
-	// Write-ahead journal state (journal.go). journalNextSeq is the first
-	// unused sequence number discovered by Open-time replay; jn is nil when
-	// journaling is disabled.
-	jn             *journal
-	journalNextSeq uint64
+	// Append state (append.go), guarded by mu. f is the O_APPEND handle on
+	// path; nil when appends are off, degraded, or closed. rewriteBytes is
+	// the file size after its last rewrite (or as Open found it): Persist
+	// rewrites once appends have doubled it.
+	f            *os.File
+	dirty        bool // unsynced bytes written through f
+	faults       int  // consecutive append/sync failures
+	degraded     bool
+	rewriteBytes int64
 }
 
-type keyState struct {
-	clauses  map[string]*clauseRec // canonical clause fingerprint → record
-	verdicts map[verdictID]*verdictRec
-	abducts  map[string]*abductDBRec // abduct signature → record
+// recID is a record's identity in the model: its key plus either the
+// verdict's query hashes or, for a cone record, the abduct's signature —
+// target and member set, sorted so member permutations dedup.
+type recID struct {
+	key  string
+	a, b uint64
+	sig  string // "" for verdicts
 }
 
-type verdictID struct{ a, b uint64 }
-
-type clauseRec struct {
-	lits []Lit
-	at   int64 // unix seconds of last use
-}
-
-type verdictRec struct {
-	ok    bool
-	preds []string
-	at    int64
-}
-
-type abductDBRec struct {
-	target string
-	preds  []string
-	at     int64
-}
-
-// abductSignature canonicalizes one abduct's identity: the target plus the
-// member set (order-independent), so permutations dedup.
-func abductSignature(target string, preds []string) string {
-	sorted := append([]string(nil), preds...)
-	sort.Strings(sorted)
-	b := append([]byte(target), 0)
-	for _, p := range sorted {
-		b = append(b, p...)
-		b = append(b, 0)
+func idOf(r *record) recID {
+	if r.T == recVerdict {
+		return recID{key: r.Key, a: r.A, b: r.B}
 	}
-	return string(b)
+	members := append([]string(nil), r.Preds[1:]...)
+	sort.Strings(members)
+	return recID{key: r.Key, sig: r.Preds[0] + "\x00" + strings.Join(members, "\x00")}
 }
 
-// Open opens (creating if needed) the store in dir and loads its current
-// contents. Data-level corruption is never an error: torn or bit-flipped
-// records are skipped, a version-mismatched file is rejected wholesale, and
-// both are reported through Stats — the returned DB simply starts colder.
-// Errors are reserved for environmental failures (unreadable directory).
+// Open opens (creating the directory if needed) the store in dir and loads
+// its current contents. Data-level corruption is never an error: torn or
+// bit-flipped records are skipped, a version-mismatched file is rejected
+// wholesale, and both are reported through Stats — the returned DB simply
+// starts colder. Errors are reserved for environmental failures
+// (unreadable directory).
 func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	db := &DB{
-		path: filepath.Join(dir, FileName),
-		opts: opts,
-		keys: make(map[string]*keyState),
+	if opts.MaxAge == 0 {
+		opts.MaxAge = DefaultMaxAge
 	}
-	if err := db.load(); err != nil {
+	if opts.MaxBytes == 0 {
+		opts.MaxBytes = DefaultMaxBytes
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
+	db := &DB{
+		path:  filepath.Join(dir, FileName),
+		opts:  opts,
+		model: make(map[recID]record),
+	}
+	dropLeftoverSegments(dir)
+	usable, err := db.load()
+	if err != nil {
 		return nil, err
 	}
-	// Recovery: replay whatever journal segments the previous process left,
-	// whether or not this store journals its own writes — the segments are
-	// committed deltas the snapshot does not yet hold. Never an error.
-	db.replayJournal()
 	if opts.Journal.Enable {
-		db.openJournal()
+		db.openAppendLocked(!usable)
 	}
 	return db, nil
+}
+
+// dropLeftoverSegments deletes the write-ahead segments (journal-*.wal)
+// that older engines kept beside proof.db. They are not replayed: their
+// records are lost and the store starts colder, which is never an error.
+func dropLeftoverSegments(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".wal") {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // Path returns the store file path.
@@ -258,361 +246,195 @@ func (db *DB) Stats() Stats {
 	return db.stats
 }
 
-// Len returns the number of (clause, verdict) records in the model; the
-// verdict count includes cone-abduct records (they are verdict-class memos).
-func (db *DB) Len() (clauses, verdicts int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, ks := range db.keys {
-		clauses += len(ks.clauses)
-		verdicts += len(ks.verdicts) + len(ks.abducts)
-	}
-	return
-}
-
-// load reads the store file into the model. Only I/O errors propagate.
-func (db *DB) load() error {
-	f, err := os.Open(db.path)
+// load reads the store file into the model and reports whether the file
+// exists under an accepted header. Only I/O errors propagate. It runs once,
+// from Open, before any concurrent use.
+func (db *DB) load() (usable bool, err error) {
+	raw, err := os.ReadFile(db.path)
 	if os.IsNotExist(err) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	//hhlint:ignore flusherr read-only file: a Close error after reading cannot lose data
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil {
-		db.stats.BytesOnDisk = fi.Size()
-	}
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	if !sc.Scan() || sc.Text() != header() {
-		// Missing, truncated-to-nothing, or version-mismatched header:
-		// reject the whole file. It will be rewritten at the next flush.
+	db.stats.BytesOnDisk = int64(len(raw))
+	hdr := header() + "\n"
+	if !bytes.HasPrefix(raw, []byte(hdr)) {
+		// Missing, truncated, or version-mismatched header: reject the
+		// whole file. Open replaces it when appends are on; otherwise the
+		// next rewrite does.
 		db.stats.HeaderRejected = true
-		return nil
+		return false, nil
 	}
+	// A final line without its newline is a torn append. Truncate it so
+	// the next append starts on a line boundary.
+	end := bytes.LastIndexByte(raw, '\n') + 1
+	if end < len(raw) {
+		db.stats.CorruptSkipped++
+		db.stats.JournalTornTails++
+		if os.Truncate(db.path, int64(end)) == nil {
+			db.stats.BytesOnDisk = int64(end)
+		}
+	}
+	db.rewriteBytes = db.stats.BytesOnDisk
 
 	cutoff := int64(0)
-	if age := db.opts.maxAge(); age > 0 {
-		cutoff = db.opts.now().Add(-age).Unix()
+	if db.opts.MaxAge > 0 {
+		cutoff = db.opts.Now().Add(-db.opts.MaxAge).Unix()
 	}
-	for sc.Scan() {
-		r, ok := decodeLine(sc.Bytes())
-		if !ok {
+	for rest := raw[len(hdr):end]; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n')
+		r, ok := decodeLine(rest[:nl])
+		rest = rest[nl+1:]
+		switch {
+		case !ok:
 			db.stats.CorruptSkipped++
-			continue
-		}
-		if cutoff > 0 && r.At < cutoff {
+		case r.T == recLegacyClause: // older engines' learnt clauses: dropped
+		case cutoff > 0 && r.At < cutoff:
 			db.stats.ExpiredSkipped++
-			continue
-		}
-		ks := db.keyLocked(r.Key)
-		switch r.T {
-		case recClause:
-			fp := clauseFingerprint(r.Lits)
-			if prev, dup := ks.clauses[fp]; !dup || r.At > prev.at {
-				ks.clauses[fp] = &clauseRec{lits: r.Lits, at: r.At}
+		default:
+			db.putLocked(&r)
+			db.stats.JournalReplayed++
+			if r.T == recVerdict {
+				db.stats.VerdictsLoaded++
+			} else {
+				db.stats.AbductsLoaded++
 			}
-			db.stats.ClausesLoaded++
-		case recVerdict:
-			id := verdictID{r.A, r.B}
-			if prev, dup := ks.verdicts[id]; !dup || r.At > prev.at {
-				ks.verdicts[id] = &verdictRec{ok: r.OK, preds: r.Preds, at: r.At}
-			}
-			db.stats.VerdictsLoaded++
-		case recConeAbduct:
-			target, preds := r.Preds[0], r.Preds[1:]
-			if len(preds) == 0 {
-				preds = nil // canonical empty form (Merge stores nil too)
-			}
-			sig := abductSignature(target, preds)
-			if prev, dup := ks.abducts[sig]; !dup || r.At > prev.at {
-				ks.abducts[sig] = &abductDBRec{target: target, preds: preds, at: r.At}
-			}
-			db.stats.AbductsLoaded++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		// A scanner error (e.g. an over-long torn line) loses the tail of
-		// the file, not the records already decoded. Treat it as corruption.
-		db.stats.CorruptSkipped++
-	}
-	return nil
+	return true, nil
 }
 
-func (db *DB) keyLocked(key string) *keyState {
-	ks, ok := db.keys[key]
-	if !ok {
-		ks = &keyState{
-			clauses:  make(map[string]*clauseRec),
-			verdicts: make(map[verdictID]*verdictRec),
-			abducts:  make(map[string]*abductDBRec),
-		}
-		db.keys[key] = ks
+// putLocked folds one valid verdict or cone record into the model. A record
+// at least as recent as the one it meets replaces it, so the newest line
+// wins at load and a merge refreshes the last-use time.
+func (db *DB) putLocked(r *record) {
+	id := idOf(r)
+	if prev, dup := db.model[id]; !dup || r.At >= prev.At {
+		db.model[id] = *r
 	}
-	return ks
-}
-
-// clauseFingerprint canonicalizes a clause (sorted by name, then sign) so
-// permutations dedup — the same canonical form the verification cache uses.
-func clauseFingerprint(lits []Lit) string {
-	sorted := append([]Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return !sorted[i].Neg && sorted[j].Neg
-	})
-	var b []byte
-	for _, l := range sorted {
-		if l.Neg {
-			b = append(b, '-')
-		}
-		b = append(b, l.Name...)
-		b = append(b, 0)
-	}
-	return string(b)
 }
 
 // Merge folds a snapshot into the model, refreshing the last-use time of
 // every record it carries: a record present in a live cache snapshot was
 // (re)derived or retained this run, which is exactly the LRU signal.
 func (db *DB) Merge(s *Snapshot) {
-	if s == nil {
-		return
-	}
 	// Read the clock before taking db.mu (user-supplied callback; see Flush).
-	now := db.opts.now().Unix()
+	recs := s.records(db.opts.Now().Unix())
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mergeLocked(s, now)
+	for i := range recs {
+		db.putLocked(&recs[i])
+	}
 }
 
-// Append is the write-ahead delta path: it folds s into the model exactly
-// like Merge and additionally journals every record it carries, so the
-// delta survives a crash without waiting for the next snapshot rewrite.
-// It never returns an error — journal I/O failures feed the degradation
-// ladder (Stats.JournalDegraded) and the caller's data stays safe in the
-// model for the next Flush.
-func (db *DB) Append(s *Snapshot) {
-	if s == nil || s.Len() == 0 {
-		return
+// sortedIDsLocked lists the model's record identities in deterministic
+// order: by key, verdicts (by query hashes) before cone records (by
+// signature).
+func (db *DB) sortedIDsLocked() []recID {
+	ids := make([]recID, 0, len(db.model))
+	for id := range db.model {
+		ids = append(ids, id)
 	}
-	now := db.opts.now()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.mergeLocked(s, now.Unix())
-	if db.jn == nil || db.jn.degraded {
-		return
-	}
-	var recs []*record
-	for i := range s.Keys {
-		kr := &s.Keys[i]
-		for _, cl := range kr.Clauses {
-			if len(cl.Lits) == 0 {
-				continue
-			}
-			recs = append(recs, &record{T: recClause, Key: kr.Key, At: now.Unix(), Lits: cl.Lits})
+	sort.Slice(ids, func(i, j int) bool {
+		x, y := ids[i], ids[j]
+		switch {
+		case x.key != y.key:
+			return x.key < y.key
+		case x.sig != y.sig:
+			return x.sig < y.sig
+		case x.a != y.a:
+			return x.a < y.a
 		}
-		for _, v := range kr.Verdicts {
-			recs = append(recs, &record{
-				T: recVerdict, Key: kr.Key, At: now.Unix(),
-				A: v.A, B: v.B, OK: v.OK, Preds: v.Preds,
-			})
-		}
-		for _, a := range kr.Abducts {
-			if a.Target == "" {
-				continue
-			}
-			recs = append(recs, &record{
-				T: recConeAbduct, Key: kr.Key, At: now.Unix(),
-				Preds: append([]string{a.Target}, a.Preds...),
-			})
-		}
-	}
-	db.appendLocked(recs, now)
-}
-
-func (db *DB) mergeLocked(s *Snapshot, now int64) {
-	for _, kr := range s.Keys {
-		ks := db.keyLocked(kr.Key)
-		for _, cl := range kr.Clauses {
-			if len(cl.Lits) == 0 {
-				continue
-			}
-			fp := clauseFingerprint(cl.Lits)
-			if rec, ok := ks.clauses[fp]; ok {
-				rec.at = now
-			} else {
-				ks.clauses[fp] = &clauseRec{lits: cl.Lits, at: now}
-			}
-		}
-		for _, v := range kr.Verdicts {
-			id := verdictID{v.A, v.B}
-			if rec, ok := ks.verdicts[id]; ok {
-				rec.at = now
-			} else {
-				ks.verdicts[id] = &verdictRec{ok: v.OK, preds: v.Preds, at: now}
-			}
-		}
-		for _, a := range kr.Abducts {
-			if a.Target == "" {
-				continue
-			}
-			preds := a.Preds
-			if len(preds) == 0 {
-				preds = nil
-			}
-			sig := abductSignature(a.Target, preds)
-			if rec, ok := ks.abducts[sig]; ok {
-				rec.at = now
-			} else {
-				ks.abducts[sig] = &abductDBRec{target: a.Target, preds: preds, at: now}
-			}
-		}
-	}
+		return x.b < y.b
+	})
+	return ids
 }
 
 // Snapshot exports the current model in deterministic (key-sorted) order.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	keys := make([]string, 0, len(db.keys))
-	for k := range db.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := &Snapshot{}
-	for _, k := range keys {
-		ks := db.keys[k]
-		kr := KeyRecord{Key: k}
-		fps := make([]string, 0, len(ks.clauses))
-		for fp := range ks.clauses {
-			fps = append(fps, fp)
+	for _, id := range db.sortedIDsLocked() {
+		r := db.model[id]
+		if n := len(out.Keys); n == 0 || out.Keys[n-1].Key != r.Key {
+			out.Keys = append(out.Keys, KeyRecord{Key: r.Key})
 		}
-		sort.Strings(fps)
-		for _, fp := range fps {
-			kr.Clauses = append(kr.Clauses, Clause{Lits: ks.clauses[fp].lits})
+		kr := &out.Keys[len(out.Keys)-1]
+		if r.T == recVerdict {
+			kr.Verdicts = append(kr.Verdicts, Verdict{A: r.A, B: r.B, OK: r.OK, Preds: r.Preds})
+			continue
 		}
-		ids := make([]verdictID, 0, len(ks.verdicts))
-		for id := range ks.verdicts {
-			ids = append(ids, id)
+		a := Abduct{Target: r.Preds[0]}
+		if len(r.Preds) > 1 {
+			a.Preds = r.Preds[1:]
 		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].a != ids[j].a {
-				return ids[i].a < ids[j].a
-			}
-			return ids[i].b < ids[j].b
-		})
-		for _, id := range ids {
-			rec := ks.verdicts[id]
-			kr.Verdicts = append(kr.Verdicts, Verdict{A: id.a, B: id.b, OK: rec.ok, Preds: rec.preds})
-		}
-		sigs := make([]string, 0, len(ks.abducts))
-		for sig := range ks.abducts {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			rec := ks.abducts[sig]
-			kr.Abducts = append(kr.Abducts, Abduct{Target: rec.target, Preds: rec.preds})
-		}
-		if len(kr.Clauses)+len(kr.Verdicts)+len(kr.Abducts) > 0 {
-			out.Keys = append(out.Keys, kr)
-		}
+		kr.Abducts = append(kr.Abducts, a)
 	}
 	return out
-}
-
-// flushLine pairs an encoded store line with its LRU key for compaction.
-type flushLine struct {
-	at   int64
-	data []byte
-	drop func() // removes the record from the model (budget eviction)
 }
 
 // Flush atomically rewrites the store file from the model, applying the
 // staleness policy: age-expired records are evicted first, then the
 // least-recently-used records beyond the byte budget. The write is
-// crash-safe — temp file, fsync, rename, directory fsync.
+// crash-safe — temp file, fsync, rename, directory fsync — and appends
+// continue on the new file.
 func (db *DB) Flush() error {
 	// Read the clock before taking db.mu: Options.Now is a user-supplied
 	// callback and must not run under the store lock (lockscope invariant —
 	// a re-entrant clock could deadlock against Flush).
-	now := db.opts.now()
+	now := db.opts.Now()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.evictExpiredLocked(now)
-	lines, err := db.encodeLocked()
-	if err != nil {
-		return err
+	return db.rewriteLocked(now, db.opts.Journal.Enable && !db.degraded)
+}
+
+// rewriteLocked is Flush under db.mu; reopen says whether to reopen the
+// append handle on the new file.
+func (db *DB) rewriteLocked(now time.Time, reopen bool) error {
+	if db.opts.MaxAge > 0 {
+		cutoff := now.Add(-db.opts.MaxAge).Unix()
+		for id, r := range db.model {
+			if r.At < cutoff {
+				delete(db.model, id)
+				db.stats.AgeEvicted++
+			}
+		}
 	}
 	// LRU compaction: newest-used first; everything past the byte budget
 	// is dropped from both the file and the model.
-	sort.SliceStable(lines, func(i, j int) bool { return lines[i].at > lines[j].at })
-	hdr := header() + "\n"
-	total := int64(len(hdr))
-	budget := db.opts.maxBytes()
-	kept := lines[:0]
-	for _, ln := range lines {
-		if budget > 0 && total+int64(len(ln.data)) > budget {
-			//hhlint:ignore lockscope drop closures are module-internal (built in encodeLocked) and only touch db.keys, which db.mu — held here — guards
-			ln.drop()
+	ids := db.sortedIDsLocked()
+	sort.SliceStable(ids, func(i, j int) bool { return db.model[ids[i]].At > db.model[ids[j]].At })
+	buf := []byte(header() + "\n")
+	budget := db.opts.MaxBytes
+	for _, id := range ids {
+		r := db.model[id]
+		line, err := encodeLine(&r)
+		if err != nil {
+			return err
+		}
+		if budget > 0 && int64(len(buf)+len(line)) > budget {
+			delete(db.model, id)
 			db.stats.BudgetEvicted++
 			continue
 		}
-		total += int64(len(ln.data))
-		kept = append(kept, ln)
-	}
-
-	buf := make([]byte, 0, total)
-	buf = append(buf, hdr...)
-	for _, ln := range kept {
-		buf = append(buf, ln.data...)
+		buf = append(buf, line...)
 	}
 	if err := atomicWrite(db.path, buf); err != nil {
 		return err
 	}
 	db.stats.Flushes++
 	db.stats.BytesOnDisk = int64(len(buf))
-	// The snapshot now holds everything the journal held: compaction rides
-	// the rewrite (journal.go), removing applied segments and starting a
-	// fresh tail when journaling is active.
-	db.compactLocked()
-	return nil
-}
-
-// Persist is the cheap durability point: when the journal is active and
-// healthy, one fsync of the tail segment commits everything appended so
-// far — cost proportional to new work, not store size. It escalates to a
-// full (compacting) snapshot Flush when the journal is disabled, degraded,
-// just failed to sync, or has accumulated enough segments to be worth
-// folding in.
-func (db *DB) Persist() error {
-	now := db.opts.now()
-	db.mu.Lock()
-	jn := db.jn
-	if jn == nil || jn.degraded {
-		db.mu.Unlock()
-		return db.Flush()
-	}
-	err := db.syncLocked(now)
-	oversized := jn.segments > jn.opts.compactSegments()
-	db.mu.Unlock()
-	if err != nil || oversized {
-		return db.Flush()
+	db.rewriteBytes = int64(len(buf))
+	// The rename replaced the file the append handle points at, and the
+	// rewrite holds every line appended through it: close the old handle
+	// unsynced and continue on the new inode.
+	db.closeAppendLocked()
+	if reopen {
+		db.openAppendLocked(false)
 	}
 	return nil
-}
-
-// JournalActive reports whether the write-ahead journal is enabled and has
-// not degraded to snapshot-only mode.
-func (db *DB) JournalActive() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.jn != nil && !db.jn.degraded
 }
 
 // Abandon drops the store without flushing or syncing anything — the
@@ -622,133 +444,29 @@ func (db *DB) JournalActive() bool {
 func (db *DB) Abandon() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.jn != nil && db.jn.f != nil {
-		//hhlint:ignore flusherr simulated process death: deliberately no sync, and a Close error on the abandoned handle is part of the simulation
-		db.jn.f.Close()
-		db.jn.f = nil
-		db.jn.degraded = true
-	}
+	db.closeAppendLocked()
+	db.degraded = true
 }
 
-// Close flushes the store (which compacts the journal) and closes the
-// journal tail. It is the final durability point; a clean Close leaves the
-// single-file snapshot layout behind.
+// Close rewrites the store one last time and closes the append handle. It
+// is the final durability point. If the rewrite fails, the appended lines
+// are synced instead, and the rewrite error is returned.
 func (db *DB) Close() error {
-	err := db.Flush()
+	now := db.opts.Now()
 	db.mu.Lock()
-	if cerr := db.closeJournalLocked(); err == nil {
-		err = cerr
+	defer db.mu.Unlock()
+	err := db.rewriteLocked(now, false)
+	if db.f != nil {
+		if serr := db.syncLocked(); err == nil {
+			err = serr
+		}
+		db.closeAppendLocked()
 	}
-	db.mu.Unlock()
 	return err
 }
 
-// evictExpiredLocked drops records older than MaxAge from the model. The
-// caller supplies the current time: reading the (user-overridable) clock
-// under db.mu would run a callback inside the lock.
-func (db *DB) evictExpiredLocked(now time.Time) {
-	age := db.opts.maxAge()
-	if age <= 0 {
-		return
-	}
-	cutoff := now.Add(-age).Unix()
-	for key, ks := range db.keys {
-		for fp, rec := range ks.clauses {
-			if rec.at < cutoff {
-				delete(ks.clauses, fp)
-				db.stats.AgeEvicted++
-			}
-		}
-		for id, rec := range ks.verdicts {
-			if rec.at < cutoff {
-				delete(ks.verdicts, id)
-				db.stats.AgeEvicted++
-			}
-		}
-		for sig, rec := range ks.abducts {
-			if rec.at < cutoff {
-				delete(ks.abducts, sig)
-				db.stats.AgeEvicted++
-			}
-		}
-		if len(ks.clauses)+len(ks.verdicts)+len(ks.abducts) == 0 {
-			delete(db.keys, key)
-		}
-	}
-}
-
-// encodeLocked renders every model record as a store line (deterministic
-// order before the LRU sort: sorted keys, then clause/verdict identity).
-func (db *DB) encodeLocked() ([]flushLine, error) {
-	keys := make([]string, 0, len(db.keys))
-	for k := range db.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var lines []flushLine
-	for _, key := range keys {
-		key := key
-		ks := db.keys[key]
-		fps := make([]string, 0, len(ks.clauses))
-		for fp := range ks.clauses {
-			fps = append(fps, fp)
-		}
-		sort.Strings(fps)
-		for _, fp := range fps {
-			fp, rec := fp, ks.clauses[fp]
-			data, err := encodeLine(&record{T: recClause, Key: key, At: rec.at, Lits: rec.lits})
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, flushLine{at: rec.at, data: data,
-				drop: func() { delete(ks.clauses, fp) }})
-		}
-		ids := make([]verdictID, 0, len(ks.verdicts))
-		for id := range ks.verdicts {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].a != ids[j].a {
-				return ids[i].a < ids[j].a
-			}
-			return ids[i].b < ids[j].b
-		})
-		for _, id := range ids {
-			id, rec := id, ks.verdicts[id]
-			data, err := encodeLine(&record{
-				T: recVerdict, Key: key, At: rec.at,
-				A: id.a, B: id.b, OK: rec.ok, Preds: rec.preds,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, flushLine{at: rec.at, data: data,
-				drop: func() { delete(ks.verdicts, id) }})
-		}
-		sigs := make([]string, 0, len(ks.abducts))
-		for sig := range ks.abducts {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			sig, rec := sig, ks.abducts[sig]
-			data, err := encodeLine(&record{
-				T: recConeAbduct, Key: key, At: rec.at,
-				Preds: append([]string{rec.target}, rec.preds...),
-			})
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, flushLine{at: rec.at, data: data,
-				drop: func() { delete(ks.abducts, sig) }})
-		}
-	}
-	return lines, nil
-}
-
 // atomicWrite performs the crash-safe rewrite: write to <path>.tmp, fsync,
-// rename over path, fsync the directory (best-effort — some filesystems
-// reject directory fsync; the rename itself is still atomic).
+// rename over path, fsync the directory.
 func atomicWrite(path string, data []byte) error {
 	if faultinject.Enabled() {
 		// Chaos tier: a failed rewrite must leave the previous on-disk
@@ -763,37 +481,37 @@ func atomicWrite(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		//hhlint:ignore flusherr cleanup on an already-failed write; the write error is the one propagated
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		//hhlint:ignore flusherr cleanup on an already-failed fsync; the fsync error is the one propagated
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if crashsim.Enabled() {
+	if err == nil && crashsim.Enabled() {
 		crashsim.Maybe(crashRenameBefore)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	if crashsim.Enabled() {
 		crashsim.Maybe(crashRenameAfter)
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		//hhlint:ignore flusherr directory fsync is best-effort: some filesystems reject it and the rename above is already atomic
-		dir.Sync()
-		//hhlint:ignore flusherr read-only directory handle; nothing to lose on Close
-		dir.Close()
-	}
+	syncDir(filepath.Dir(path))
 	return nil
+}
+
+// syncDir makes a rename or file creation in dir durable. Best-effort: some
+// filesystems reject directory fsync, and the rename itself is atomic.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		//hhlint:ignore flusherr directory fsync is best-effort: some filesystems reject it and the rename is already atomic
+		d.Sync()
+		//hhlint:ignore flusherr read-only directory handle; nothing to lose on Close
+		d.Close()
+	}
 }

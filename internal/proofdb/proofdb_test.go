@@ -11,9 +11,9 @@ import (
 )
 
 // testSnapshot is a small fixed snapshot exercised by most tests. It mixes
-// v1 record types (clauses, verdicts) with v2 cone-abduct records — under a
-// cone-level key, as the engine writes them — so every corruption, eviction
-// and round-trip test below runs against a mixed-version store.
+// verdicts with cone-abduct records — under a cone-level key, as the engine
+// writes them — so every corruption, eviction and round-trip test below
+// runs against both record types.
 func testSnapshot() *Snapshot {
 	return &Snapshot{Keys: []KeyRecord{
 		{
@@ -25,18 +25,13 @@ func testSnapshot() *Snapshot {
 		},
 		{
 			Key: "fp0|env0",
-			Clauses: []Clause{
-				{Lits: []Lit{{Name: "a"}, {Name: "b", Neg: true}}},
-				{Lits: []Lit{{Name: "c", Neg: true}}},
-			},
 			Verdicts: []Verdict{
 				{A: 1, B: 2, OK: true, Preds: []string{"p1", "p2"}},
 				{A: 3, B: 4, OK: false},
 			},
 		},
 		{
-			Key:     "fp1|env1",
-			Clauses: []Clause{{Lits: []Lit{{Name: "x"}}}},
+			Key: "fp1|env1",
 			Verdicts: []Verdict{
 				{A: 9, B: 9, OK: true, Preds: []string{"q"}},
 			},
@@ -68,8 +63,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	st := db2.Stats()
-	if st.ClausesLoaded != 3 || st.VerdictsLoaded != 3 || st.AbductsLoaded != 2 {
-		t.Fatalf("loaded clauses=%d verdicts=%d abducts=%d, want 3/3/2",
+	if st.ClausesLoaded != 0 || st.VerdictsLoaded != 3 || st.AbductsLoaded != 2 {
+		t.Fatalf("loaded clauses=%d verdicts=%d abducts=%d, want 0/3/2",
 			st.ClausesLoaded, st.VerdictsLoaded, st.AbductsLoaded)
 	}
 	if st.CorruptSkipped != 0 || st.HeaderRejected {
@@ -85,20 +80,6 @@ func TestMissingFileIsColdStart(t *testing.T) {
 	st := db.Stats()
 	if st.HeaderRejected || st.CorruptSkipped != 0 {
 		t.Fatalf("fresh store reported corruption: %+v", st)
-	}
-}
-
-func TestClausePermutationDedups(t *testing.T) {
-	db := mustOpen(t, t.TempDir(), Options{})
-	db.Merge(&Snapshot{Keys: []KeyRecord{{
-		Key: "k",
-		Clauses: []Clause{
-			{Lits: []Lit{{Name: "a"}, {Name: "b", Neg: true}}},
-			{Lits: []Lit{{Name: "b", Neg: true}, {Name: "a"}}}, // permutation
-		},
-	}}})
-	if c, _ := db.Len(); c != 1 {
-		t.Fatalf("permuted clause not deduped: %d clauses", c)
 	}
 }
 
@@ -286,24 +267,24 @@ func TestByteBudgetLRUCompaction(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	db := mustOpen(t, dir, Options{Now: func() time.Time { return now }})
 
-	// Old generation of clauses, then a newer generation; the budget only
-	// fits roughly the newer half, so the older half must be LRU-dropped.
+	// Old generation of verdicts, then a newer generation; the budget only
+	// fits the newer half, so the older half must be LRU-dropped.
 	old := &Snapshot{Keys: []KeyRecord{{Key: "k"}}}
-	for _, n := range []string{"o1", "o2", "o3", "o4"} {
-		old.Keys[0].Clauses = append(old.Keys[0].Clauses, Clause{Lits: []Lit{{Name: n}}})
+	for i, n := range []string{"o1", "o2", "o3", "o4"} {
+		old.Keys[0].Verdicts = append(old.Keys[0].Verdicts, Verdict{A: uint64(i + 1), OK: true, Preds: []string{n}})
 	}
 	db.Merge(old)
 
 	db.opts.Now = func() time.Time { return now.Add(time.Hour) }
 	fresh := &Snapshot{Keys: []KeyRecord{{Key: "k"}}}
-	for _, n := range []string{"n1", "n2", "n3", "n4"} {
-		fresh.Keys[0].Clauses = append(fresh.Keys[0].Clauses, Clause{Lits: []Lit{{Name: n}}})
+	for i, n := range []string{"n1", "n2", "n3", "n4"} {
+		fresh.Keys[0].Verdicts = append(fresh.Keys[0].Verdicts, Verdict{A: uint64(i + 5), OK: true, Preds: []string{n}})
 	}
 	db.Merge(fresh)
 
 	// Budget: header + 4 record lines (every record line here has the same
 	// length by construction).
-	probe, err := encodeLine(&record{T: recClause, Key: "k", At: now.Unix(), Lits: []Lit{{Name: "o1"}}})
+	probe, err := encodeLine(&record{T: recVerdict, Key: "k", At: now.Unix(), A: 1, OK: true, Preds: []string{"o1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +306,8 @@ func TestByteBudgetLRUCompaction(t *testing.T) {
 		t.Helper()
 		var names []string
 		for _, kr := range s.Keys {
-			for _, cl := range kr.Clauses {
-				names = append(names, cl.Lits[0].Name)
+			for _, v := range kr.Verdicts {
+				names = append(names, v.Preds[0])
 			}
 		}
 		if len(names) != 4 {
@@ -375,9 +356,9 @@ func TestDecodeLineRejectsMalformedFraming(t *testing.T) {
 		"short crc":    []byte("dead\t{}"),
 		"bad hex":      []byte("zzzzzzzz\t{}"),
 		"crc mismatch": []byte("00000000\t" + `{"t":"clause","k":"k","at":1,"l":[{"n":"a"}]}`),
-		"empty key":    mustLine(t, &record{T: recClause, At: 1, Lits: []Lit{{Name: "a"}}}),
-		"empty clause": mustLine(t, &record{T: recClause, Key: "k", At: 1}),
-		"nameless lit": mustLine(t, &record{T: recClause, Key: "k", At: 1, Lits: []Lit{{}}}),
+		"empty key":    mustLine(t, &record{T: recVerdict, At: 1, A: 1}),
+		"no target":    mustLine(t, &record{T: recConeAbduct, Key: "k", At: 1}),
+		"empty member": mustLine(t, &record{T: recConeAbduct, Key: "k", At: 1, Preds: []string{"t", ""}}),
 	} {
 		if _, ok := decodeLine(line); ok {
 			t.Errorf("%s: malformed line accepted", name)

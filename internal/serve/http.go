@@ -70,7 +70,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServerStats is the GET /v1/stats response body: queue, pool, cache and
-// runtime gauges for dashboards and the loadgen assertions.
+// runtime gauges for dashboards and the acceptance assertions.
 type ServerStats struct {
 	UptimeMS   int64 `json:"uptime_ms"`
 	Goroutines int   `json:"goroutines"`
@@ -97,27 +97,24 @@ type ServerStats struct {
 	Cache core.CacheCounters `json:"cache"`
 
 	// ProofDB surfaces the bound persistent store's snapshot and
-	// write-ahead-journal health; nil when the server runs without a
+	// append-path health; nil when the server runs without a
 	// CacheDir (or the store failed to open and the cache degraded to
 	// memory-only).
 	ProofDB *ProofDBStats `json:"proofdb,omitempty"`
 }
 
 // ProofDBStats is the /v1/stats projection of proofdb.Stats: durability
-// gauges for dashboards (is the journal keeping up? has it degraded?) and
+// gauges for dashboards (are appends keeping up? have they degraded?) and
 // the crash-restart assertions in the tests.
 type ProofDBStats struct {
 	Flushes     int64 `json:"flushes"`
 	BytesOnDisk int64 `json:"bytes_on_disk"`
 
-	JournalAppends     int64 `json:"journal_appends"`
-	JournalSyncs       int64 `json:"journal_syncs"`
-	JournalRotations   int64 `json:"journal_rotations"`
-	JournalCompactions int64 `json:"journal_compactions"`
-	JournalReplayed    int64 `json:"journal_replayed"`
-	JournalTornTails   int64 `json:"journal_torn_tails"`
-	JournalSegments    int64 `json:"journal_segments"`
-	JournalDegraded    bool  `json:"journal_degraded"`
+	JournalAppends   int64 `json:"journal_appends"`
+	JournalSyncs     int64 `json:"journal_syncs"`
+	JournalReplayed  int64 `json:"journal_replayed"`
+	JournalTornTails int64 `json:"journal_torn_tails"`
+	JournalDegraded  bool  `json:"journal_degraded"`
 }
 
 // StatsPayload assembles the gauge snapshot (also used by tests directly).
@@ -148,16 +145,13 @@ func (s *Server) StatsPayload() ServerStats {
 	if s.cfg.CacheDir != "" {
 		if db, ok := core.ProofDBStatsFor(s.cfg.CacheDir); ok {
 			st.ProofDB = &ProofDBStats{
-				Flushes:            db.Flushes,
-				BytesOnDisk:        db.BytesOnDisk,
-				JournalAppends:     db.JournalAppends,
-				JournalSyncs:       db.JournalSyncs,
-				JournalRotations:   db.JournalRotations,
-				JournalCompactions: db.JournalCompactions,
-				JournalReplayed:    db.JournalReplayed,
-				JournalTornTails:   db.JournalTornTails,
-				JournalSegments:    db.JournalSegments,
-				JournalDegraded:    db.JournalDegraded,
+				Flushes:          db.Flushes,
+				BytesOnDisk:      db.BytesOnDisk,
+				JournalAppends:   db.JournalAppends,
+				JournalSyncs:     db.JournalSyncs,
+				JournalReplayed:  db.JournalReplayed,
+				JournalTornTails: db.JournalTornTails,
+				JournalDegraded:  db.JournalDegraded,
 			}
 		}
 	}

@@ -330,7 +330,7 @@ type StatsView struct {
 
 	// WarmFraction is the fraction of abduction queries answered from the
 	// memo layers without solver work: (verdict hits + abduct hits) /
-	// queries. The loadgen repeat-pass acceptance asserts it ≥0.9.
+	// queries. The serve acceptance test asserts it ≥0.9 on a repeat pass.
 	WarmFraction float64 `json:"warm_fraction"`
 }
 

@@ -15,8 +15,8 @@ import (
 	"hhoudini/internal/serve"
 )
 
-// serve_api_test.go is the service-layer acceptance test (the ISSUE's
-// loadgen criteria, in-process so `make chaos` runs them under -race):
+// serve_api_test.go is the service-layer acceptance test (in-process, so
+// `make chaos` runs it under -race):
 // 8 concurrent clients × 2 OoO variants against a live server over HTTP,
 // repeat pass ≥90% warm, and a SIGTERM-shaped drain mid-load after which
 // every accepted job has resolved and the proof store reloads uncorrupted.
