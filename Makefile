@@ -92,14 +92,16 @@ bench:
 	$(GO) run ./bench -all
 
 # Non-test Go lines — the number ROADMAP aim 2 tracks — and the share of it
-# in internal/hhoudini and internal/proofdb.
+# in the five packages the simplicity work shrinks.
+LOC_PKGS = hhoudini proofdb sat circuit analysis
+
 loc:
 	@printf 'non-test Go lines:          '
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@printf 'of which internal/hhoudini: '
-	@find ./internal/hhoudini -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
-	@printf 'of which internal/proofdb:  '
-	@find ./internal/proofdb -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@for p in $(LOC_PKGS); do \
+		printf 'of which %-19s' "internal/$$p:"; \
+		find ./internal/$$p -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l; \
+	done
 
 # The gate. After the tiers above: tier-1 uncached at three scheduler widths
 # (an assertion that holds at one core count only, or only in a cached `ok`,

@@ -244,22 +244,6 @@ func BenchmarkAblationCoreMinimization(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStagedMining compares single-shot abduction against the
-// incremental tier-by-tier variant (§3.2.3 footnote 4).
-func BenchmarkAblationStagedMining(b *testing.B) {
-	tgt := mustOoO(b, hh.SmallOoO)
-	for _, staged := range []bool{false, true} {
-		b.Run(fmt.Sprintf("staged=%v", staged), func(b *testing.B) {
-			opts := hh.DefaultAnalysisOptions()
-			opts.Learner.StagedMining = staged
-			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, oooSafe(), opts)
-				b.ReportMetric(float64(res.Stats.Queries), "queries")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationExampleFiltering compares the paper's example regimes:
 // rich compositions (near-zero backtracking) against the weak single-run
 // examples (backtracking compensates).
@@ -352,35 +336,6 @@ func BenchmarkAblationMemoization(b *testing.B) {
 			b.ReportMetric(float64(tasks), "tasks")
 		}
 	})
-}
-
-// BenchmarkAblationClauseShare compares multi-worker learning with and
-// without the lock-free mid-run clause exchange (LearnerOptions.ShareClauses):
-// workers publish their hottest learnt clauses into per-worker rings and
-// drain siblings' rings at solver restart boundaries, so a lemma derived in
-// one worker's abduction query prunes the others' searches while they run.
-// The headline metric is total CDCL conflicts across all solvers
-// (Stats.SolverConflicts): sharing buys its wall-time back by making sibling
-// searches shorter. The weak-example regime drives enough backtracking (and
-// thus enough concurrent solver work) for the exchange to have lemmas worth
-// moving.
-func BenchmarkAblationClauseShare(b *testing.B) {
-	tgt := mustOoO(b, hh.SmallOoO)
-	for _, share := range []bool{true, false} {
-		b.Run(fmt.Sprintf("share=%v", share), func(b *testing.B) {
-			opts := hh.DefaultAnalysisOptions()
-			opts.Learner.Workers = 4
-			opts.Learner.ShareClauses = share
-			opts.Examples.RunsPerInstr = 1
-			opts.Examples.CompositionRuns = 0
-			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, oooSafe(), opts)
-				b.ReportMetric(float64(res.Stats.SolverConflicts), "conflicts")
-				b.ReportMetric(float64(res.Stats.ShareExported), "exported")
-				b.ReportMetric(float64(res.Stats.ShareImported), "imported")
-			}
-		})
-	}
 }
 
 // BenchmarkSATSolver measures the raw decision-procedure substrate on a

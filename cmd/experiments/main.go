@@ -9,16 +9,13 @@
 //	experiments -fig5       tasks and backtracks vs. design size
 //	experiments -speedup    H-Houdini vs. Houdini/Sorcar (ConjunCT baseline)
 //	experiments -audit      monolithic re-verification of learned invariants
-//	experiments -ablations  design-choice ablations (cores, staging, masking,
-//	                        annotations, example richness)
-//	experiments -satcore    SAT-core ablation (mid-run clause sharing on/off)
+//	experiments -ablations  design-choice ablations (cores, budgets, caches,
+//	                        masking, annotations, example richness)
 //	experiments -conetransfer  cone-level cache transfer across designs
 //	experiments -all        everything above
 //
-// Use -quick to restrict the sweeps to the smaller design variants,
-// -deterministic to disable mid-run clause sharing (the one intentionally
-// timing-dependent optimization), and -cpuprofile/-memprofile to capture
-// pprof profiles of a sweep.
+// Use -quick to restrict the sweeps to the smaller design variants and
+// -cpuprofile/-memprofile to capture pprof profiles of a sweep.
 package main
 
 import (
@@ -54,24 +51,12 @@ var (
 	flagSpeedup   = flag.Bool("speedup", false, "H-Houdini vs. monolithic baselines")
 	flagAudit     = flag.Bool("audit", false, "monolithic audit of learned invariants")
 	flagAblations = flag.Bool("ablations", false, "design-choice ablations")
-	flagSatCore   = flag.Bool("satcore", false, "SAT-core ablation: mid-run clause sharing on/off")
 	flagConeXfer  = flag.Bool("conetransfer", false, "cone-level cache transfer: warm a design from a different design's proof store")
 	flagAll       = flag.Bool("all", false, "run everything")
 	flagQuick     = flag.Bool("quick", false, "restrict sweeps to small variants")
-	flagDeterm    = flag.Bool("deterministic", false, "disable timing-dependent optimizations (mid-run clause sharing) for reproducible runs")
 	flagCPUProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flagMemProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
-
-// defaultOpts is hh.DefaultAnalysisOptions with the -deterministic override
-// applied; every sweep builds its options through it.
-func defaultOpts() hh.AnalysisOptions {
-	o := hh.DefaultAnalysisOptions()
-	if *flagDeterm {
-		o.Learner.ShareClauses = false
-	}
-	return o
-}
 
 // startProfiles begins CPU profiling when -cpuprofile is set; stopProfiles
 // — called on every exit path — stops it and writes the -memprofile heap
@@ -111,7 +96,7 @@ func main() {
 	flag.Parse()
 	any := *flagTable1 || *flagTable2 || *flagFig2 || *flagFig3 || *flagFig4 ||
 		*flagFig5 || *flagSpeedup || *flagAudit || *flagAblations ||
-		*flagSatCore || *flagConeXfer || *flagAll
+		*flagConeXfer || *flagAll
 	if !any {
 		flag.Usage()
 		os.Exit(2)
@@ -158,9 +143,6 @@ func main() {
 	}
 	if *flagAll || *flagAblations {
 		ablations()
-	}
-	if *flagAll || *flagSatCore {
-		satcore()
 	}
 	if *flagAll || *flagConeXfer {
 		conetransfer()
@@ -243,7 +225,7 @@ func table1() {
 	header("Table 1: evaluated designs and invariant sizes")
 	fmt.Printf("%-12s %14s %16s\n", "Target", "Size (# bits)", "Invariant Size")
 	for _, t := range evalTargets(*flagQuick) {
-		_, res := verify(t, defaultOpts())
+		_, res := verify(t, hh.DefaultAnalysisOptions())
 		fmt.Printf("%-12s %14d %16d\n", t.Name, t.Circuit.NumStateBits(), res.Invariant.Size())
 	}
 }
@@ -252,7 +234,7 @@ func table1() {
 func table2() {
 	header("Table 2: safe instruction sets synthesized by VeloCT")
 	for _, t := range evalTargets(*flagQuick) {
-		a, err := hh.NewAnalysis(t, defaultOpts())
+		a, err := hh.NewAnalysis(t, hh.DefaultAnalysisOptions())
 		if err != nil {
 			die(err)
 		}
@@ -288,7 +270,7 @@ func fig2() {
 		fmt.Printf("%-12s", t.Name)
 		var serial *hh.Result
 		for _, w := range workerCounts {
-			opts := defaultOpts()
+			opts := hh.DefaultAnalysisOptions()
 			opts.Learner.Workers = w
 			start := time.Now()
 			_, res := verify(t, opts)
@@ -314,7 +296,7 @@ func fig3() {
 	fmt.Printf("%-12s %12s %14s %14s\n", "Target", "Size (bits)",
 		fmt.Sprintf("w=%d", fixed), "w=inf (span)")
 	for _, t := range evalTargets(*flagQuick) {
-		optsF := defaultOpts()
+		optsF := hh.DefaultAnalysisOptions()
 		optsF.Learner.Workers = fixed
 		start := time.Now()
 		_, res := verify(t, optsF)
@@ -331,7 +313,7 @@ func fig4() {
 	fmt.Printf("%-12s %12s %16s %16s %12s %12s\n",
 		"Target", "Size (bits)", "Median query", "Median task", "p95 task", "p99 task")
 	for _, t := range evalTargets(*flagQuick) {
-		_, res := verify(t, defaultOpts())
+		_, res := verify(t, hh.DefaultAnalysisOptions())
 		fmt.Printf("%-12s %12d %16v %16v %12v %12v\n",
 			t.Name, t.Circuit.NumStateBits(),
 			res.Stats.MedianQueryTime().Round(time.Microsecond),
@@ -346,7 +328,7 @@ func fig5() {
 	header("Figure 5: tasks and backtracks vs. design size")
 	fmt.Printf("%-12s %12s %10s %12s\n", "Target", "Size (bits)", "Tasks", "Backtracks")
 	for _, t := range evalTargets(*flagQuick) {
-		_, res := verify(t, defaultOpts())
+		_, res := verify(t, hh.DefaultAnalysisOptions())
 		fmt.Printf("%-12s %12d %10d %12d\n",
 			t.Name, t.Circuit.NumStateBits(), res.Stats.Tasks, res.Stats.Backtracks)
 	}
@@ -362,7 +344,7 @@ func speedup() {
 	fmt.Printf("%-12s %10s %12s %12s %12s %10s %10s\n",
 		"Target", "Universe", "H-Houdini", "Houdini", "Sorcar", "H rounds", "S rounds")
 	for _, t := range evalTargets(*flagQuick) {
-		opts := defaultOpts()
+		opts := hh.DefaultAnalysisOptions()
 		opts.Examples.RunsPerInstr = 1
 		opts.Examples.CompositionRuns = 0
 		opts.Learner.Cache = hh.NewVerifyCache() // cold per run; see verify()
@@ -418,7 +400,7 @@ func speedup() {
 func audit() {
 	header("Audit: monolithic verification of learned invariants")
 	for _, t := range evalTargets(*flagQuick) {
-		a, res := verify(t, defaultOpts())
+		a, res := verify(t, hh.DefaultAnalysisOptions())
 		start := time.Now()
 		if err := a.Audit(res); err != nil {
 			die(fmt.Errorf("%s: %v", t.Name, err))
@@ -477,32 +459,28 @@ func ablations() {
 			name, status, time.Since(start).Seconds(), size, tasks, backtracks, solvers, encClauses, extra)
 	}
 
-	run("default", defaultOpts())
+	run("default", hh.DefaultAnalysisOptions())
 
-	o := defaultOpts()
+	o := hh.DefaultAnalysisOptions()
 	o.Learner.MinimizeCores = false
 	run("no core minimization", o)
-
-	o = defaultOpts()
-	o.Learner.StagedMining = true
-	run("staged (incremental) mining", o)
 
 	// Budget-escalation ablation: a deliberately tiny first rung forces the
 	// retry ladder to engage on every nontrivial query (retries > 0 in the
 	// row output), against the disabled-ladder single-unbounded-attempt
 	// configuration. The invariant must be identical either way — escalation
 	// trades extra bounded probes for never hanging on a hard query.
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Learner.InitialSolverConflicts = 1
 	run("budget escalation (1-conflict rung)", o)
 
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Learner.InitialSolverConflicts = -1
 	run("no budget escalation (unbounded)", o)
 
 	// Warm cache: verify once into a private cache, then measure a second,
 	// fully warmed verification of the same system.
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Learner.Cache = hh.NewVerifyCache()
 	{
 		a, err := hh.NewAnalysis(tgt, o)
@@ -520,13 +498,13 @@ func ablations() {
 	// instances on both rows make the second a faithful model of a new
 	// process whose only warmth is what proofdb restored from disk.
 	if dir, err := os.MkdirTemp("", "hh-proofdb-*"); err == nil {
-		o = defaultOpts()
+		o = hh.DefaultAnalysisOptions()
 		o.Learner.Cache = hh.NewVerifyCache()
 		o.Learner.CacheDir = dir
 		run("proofdb cold process (empty store)", o)
 		hh.CloseProofDBs() // simulate process exit: final flush, drop state
 
-		o = defaultOpts()
+		o = hh.DefaultAnalysisOptions()
 		o.Learner.Cache = hh.NewVerifyCache()
 		o.Learner.CacheDir = dir
 		run("proofdb warm process (restored)", o)
@@ -534,20 +512,20 @@ func ablations() {
 		os.RemoveAll(dir)
 	}
 
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Examples.RunsPerInstr = 1
 	o.Examples.CompositionRuns = 0
 	run("weak examples (no compositions)", o)
 
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Examples.DisableMasking = true
 	run("no example masking", o)
 
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.DisableAnnotations = true
 	run("no expert annotations", o)
 
-	o = defaultOpts()
+	o = hh.DefaultAnalysisOptions()
 	o.Learner.Workers = runtime.GOMAXPROCS(0)
 	run(fmt.Sprintf("parallel (workers=%d)", runtime.GOMAXPROCS(0)), o)
 }
@@ -599,14 +577,14 @@ func conetransfer() {
 	for _, p := range pairs {
 		// Cold recipient baseline (verify gives it a private, empty cache).
 		start := time.Now()
-		_, coldRes := verify(p.recipient, defaultOpts())
+		_, coldRes := verify(p.recipient, hh.DefaultAnalysisOptions())
 		coldWall := time.Since(start)
 
 		dir, err := os.MkdirTemp("", "hh-conexfer-*")
 		if err != nil {
 			die(err)
 		}
-		donorOpts := defaultOpts()
+		donorOpts := hh.DefaultAnalysisOptions()
 		donorOpts.Learner.Cache = hh.NewVerifyCache()
 		donorOpts.Learner.CacheDir = dir
 		verify(p.donor, donorOpts)
@@ -614,7 +592,7 @@ func conetransfer() {
 			die(err)
 		}
 
-		warmOpts := defaultOpts()
+		warmOpts := hh.DefaultAnalysisOptions()
 		warmOpts.Learner.Cache = hh.NewVerifyCache()
 		warmOpts.Learner.CacheDir = dir
 		start = time.Now()

@@ -43,7 +43,6 @@ var (
 	flagCert       = flag.String("cert", "", "write a btor2 certificate of the learned invariant to this file")
 	flagVCD        = flag.String("vcd", "", "with -btor2: write the first counterexample trace as a VCD waveform to this file")
 	flagTimeout    = flag.Duration("timeout", 0, "overall deadline for the analysis (0 = none); on expiry the in-flight learning run is cancelled")
-	flagDeterm     = flag.Bool("deterministic", false, "disable timing-dependent optimizations (mid-run clause sharing) for reproducible runs")
 	flagCPUProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flagMemProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
@@ -132,11 +131,6 @@ func main() {
 	tgt := buildDesign(*flagDesign)
 	opts := hh.DefaultAnalysisOptions()
 	opts.Learner.Workers = *flagWorkers
-	if *flagDeterm {
-		// Mid-run clause exchange makes solver behaviour depend on sibling
-		// timing; a deterministic run keeps every worker isolated.
-		opts.Learner.ShareClauses = false
-	}
 	if *flagPersist && *flagCacheDir == "" {
 		*flagCacheDir = hh.DefaultCacheDir
 	}

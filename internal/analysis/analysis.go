@@ -125,7 +125,6 @@ func (c *Context) ObjectOf(id *ast.Ident) types.Object {
 func DefaultPasses() []*Pass {
 	ps := []*Pass{
 		AtomicStatsPass(),
-		ClauseRingPass(),
 		CtxFlowPass(),
 		FlushErrPass(),
 		GoroLeakPass(),

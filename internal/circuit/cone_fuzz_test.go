@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"strconv"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func buildSpecCircuit(spec []byte, junk bool) (c *Circuit, support []string, ok 
 	}
 	names := make([]string, nRegs)
 	for i := 0; i < nRegs; i++ {
-		names[i] = "r" + itoa(i)
+		names[i] = "r" + strconv.Itoa(i)
 	}
 	regBits := make([]Word, nRegs)
 	if junk {
@@ -102,10 +103,10 @@ func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 			s = "0"
 		case kLatch:
 			l := c.latches[nd.a]
-			s = "R(" + c.regs[l.reg].Name + "," + itoa(l.bit) + ")"
+			s = "R(" + c.regs[l.reg].Name + "," + strconv.Itoa(l.bit) + ")"
 		case kInput:
 			p, off := c.inputBitRef(int32(nd.a))
-			s = "I(" + c.inputs[p].Name + "," + itoa(int(off)) + ")"
+			s = "I(" + c.inputs[p].Name + "," + strconv.Itoa(int(off)) + ")"
 		case kAnd:
 			sa, sb := expr(nd.a.Node()), expr(nd.b.Node())
 			if nd.a.Inverted() {
@@ -131,7 +132,7 @@ func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 
 	var sb []byte
 	for _, p := range c.inputs {
-		sb = append(sb, "in "+p.Name+" "+itoa(p.Width)+";"...)
+		sb = append(sb, "in "+p.Name+" "+strconv.Itoa(p.Width)+";"...)
 	}
 	for _, name := range support {
 		ri, ok := c.regIdx[name]
@@ -140,7 +141,7 @@ func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 			continue
 		}
 		r := c.regs[ri]
-		sb = append(sb, "reg "+r.Name+" "+itoa(r.Width)+" "+itoa(int(r.Init))+"["...)
+		sb = append(sb, "reg "+r.Name+" "+strconv.Itoa(r.Width)+" "+strconv.Itoa(int(r.Init))+"["...)
 		for _, root := range r.Next {
 			e := expr(root.Node())
 			if root.Inverted() {

@@ -30,27 +30,6 @@ type Encoder struct {
 	constFalse sat.Lit
 	memo       map[string]sat.Lit
 	stats      EncoderStats
-
-	// Canonical variable naming for clause exchange between the solvers of
-	// one Learn's workers. A name denotes the same boolean function of the
-	// circuit state in every encoder over the same circuit: node variables are named
-	// by node id ("n:<id>"), and auxiliary gates built inside a named scope
-	// (a Memo build or InScope region, which runs at most once per encoder
-	// and is a deterministic function of its key) are named positionally
-	// ("g:<scope>\x00<seq>"). Selector variables and gates built outside
-	// any scope stay unnamed and are never exchanged.
-	varNames  []string           // var index → canonical name ("" = unnamed)
-	nameToVar map[string]sat.Var // canonical name → var
-	scope     string
-	scopeSeq  int
-}
-
-// NamedLit is a literal expressed over canonical variable names instead of
-// solver variable indices — the portable form used to move learnt clauses
-// between solvers that encode the same system.
-type NamedLit struct {
-	Name string
-	Neg  bool
 }
 
 // EncoderStats counts the encoding work an Encoder has performed. The
@@ -60,10 +39,6 @@ type EncoderStats struct {
 	Gates    int64 // auxiliary (Tseitin gate) variables introduced
 	Clauses  int64 // clauses added through the encoder
 	MemoHits int64 // Memo calls served from cache without re-encoding
-	// Imported counts clauses drained in from sibling workers via
-	// ImportNamedClause. They are deliberately not charged to Clauses:
-	// imported clauses are reused work, not fresh encode work.
-	Imported int64
 }
 
 const litUnset sat.Lit = -2
@@ -72,102 +47,23 @@ const litUnset sat.Lit = -2
 // encoders must not share a solver.
 func NewEncoder(c *Circuit, s *sat.Solver) *Encoder {
 	e := &Encoder{S: s, c: c, lits: make([]sat.Lit, len(c.nodes)),
-		memo: make(map[string]sat.Lit), nameToVar: make(map[string]sat.Var)}
+		memo: make(map[string]sat.Lit)}
 	for i := range e.lits {
 		e.lits[i] = litUnset
 	}
 	e.constFalse = sat.PosLit(s.NewVar())
-	e.setName(e.constFalse.Var(), "n:0")
 	e.addClause(e.constFalse.Not())
 	e.lits[0] = e.constFalse
 	return e
 }
 
-// setName records the canonical name of a variable in both directions.
-// Empty names are ignored: the variable stays local to this encoder.
-func (e *Encoder) setName(v sat.Var, name string) {
-	if name == "" {
-		return
-	}
-	for int(v) >= len(e.varNames) {
-		e.varNames = append(e.varNames, "")
-	}
-	e.varNames[v] = name
-	e.nameToVar[name] = v
-}
-
-// VarName returns the canonical name of a variable, or "" if it is local
-// to this encoder (selectors, unscoped helper gates).
-func (e *Encoder) VarName(v sat.Var) string {
-	if int(v) < len(e.varNames) {
-		return e.varNames[v]
-	}
-	return ""
-}
-
-// InScope runs fn with gate naming scoped under key. The build must run at
-// most once per encoder per key and be a deterministic function of the key
-// and the circuit, so that the k-th gate created under the scope denotes
-// the same boolean function in every encoder of the same system. Memo
-// applies the same scoping automatically; InScope exists for non-memoized
-// deterministic regions such as the environment assumption.
-func (e *Encoder) InScope(key string, fn func() error) error {
-	prevScope, prevSeq := e.scope, e.scopeSeq
-	e.scope, e.scopeSeq = key, 0
-	err := fn()
-	e.scope, e.scopeSeq = prevScope, prevSeq
-	return err
-}
-
 // Stats returns the cumulative encode-work counters.
 func (e *Encoder) Stats() EncoderStats { return e.stats }
 
-// newGate allocates a fresh auxiliary (gate) variable. Inside a named
-// scope the gate is canonically named by its position in the scope's
-// deterministic build; outside any scope it stays local to this encoder.
+// newGate allocates a fresh auxiliary (gate) variable.
 func (e *Encoder) newGate() sat.Lit {
 	e.stats.Gates++
-	l := sat.PosLit(e.S.NewVar())
-	if e.scope != "" {
-		e.setName(l.Var(), "g:"+e.scope+"\x00"+itoa(e.scopeSeq))
-		e.scopeSeq++
-	}
-	return l
-}
-
-// newNodeVar allocates the variable of a circuit node, named by global node
-// id ("n:<id>") — stable across encoders of the same circuit regardless of
-// the order cones are encoded in.
-func (e *Encoder) newNodeVar(id int32, gate bool) sat.Lit {
-	if gate {
-		e.stats.Gates++
-	}
-	l := sat.PosLit(e.S.NewVar())
-	e.setName(l.Var(), "n:"+itoa(int(id)))
-	return l
-}
-
-// itoa is strconv.Itoa without the import weight on the hot path.
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	pos := len(b)
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		pos--
-		b[pos] = '-'
-	}
-	return string(b[pos:])
+	return sat.PosLit(e.S.NewVar())
 }
 
 // addClause adds a clause through the encoder, counting the encode work.
@@ -185,57 +81,12 @@ func (e *Encoder) Memo(key string, build func() (sat.Lit, error)) (sat.Lit, erro
 		e.stats.MemoHits++
 		return l, nil
 	}
-	var l sat.Lit
-	err := e.InScope(key, func() error {
-		var err error
-		l, err = build()
-		return err
-	})
+	l, err := build()
 	if err != nil {
 		return 0, err
 	}
 	e.memo[key] = l
 	return l, nil
-}
-
-// NameClause translates one clause of solver literals into canonical named
-// form, or returns nil when any variable is unnamed (selector or unscoped
-// gate) — such a clause is local to this encoder and not portable. The
-// input is borrowed: the result shares nothing with it, so it is safe to
-// call from the solver's mid-run export hook, whose argument is only valid
-// for the duration of the call.
-func (e *Encoder) NameClause(lits []sat.Lit) []NamedLit {
-	named := make([]NamedLit, len(lits))
-	for i, l := range lits {
-		name := e.VarName(l.Var())
-		if name == "" {
-			return nil
-		}
-		named[i] = NamedLit{Name: name, Neg: l.Neg()}
-	}
-	return named
-}
-
-// ImportNamedClause replays one canonical clause into this encoder's
-// solver, translating names back to local literals. It reports false —
-// without touching the solver — when any name is not (yet) allocated here;
-// the caller may retry after more encodings appear.
-func (e *Encoder) ImportNamedClause(cl []NamedLit) bool {
-	lits := make([]sat.Lit, len(cl))
-	for i, nl := range cl {
-		v, ok := e.nameToVar[nl.Name]
-		if !ok {
-			return false
-		}
-		l := sat.PosLit(v)
-		if nl.Neg {
-			l = l.Not()
-		}
-		lits[i] = l
-	}
-	e.stats.Imported++
-	e.S.ImportClause(lits...)
-	return true
 }
 
 // FalseLit returns a literal constrained to false.
@@ -265,7 +116,7 @@ func (e *Encoder) nodeLit(id int32) sat.Lit {
 		nd := e.c.nodes[n]
 		switch nd.kind {
 		case kInput, kLatch:
-			e.lits[n] = e.newNodeVar(n, false)
+			e.lits[n] = sat.PosLit(e.S.NewVar())
 			stack = stack[:len(stack)-1]
 		case kAnd:
 			la, lb := e.lits[nd.a.Node()], e.lits[nd.b.Node()]
@@ -278,7 +129,7 @@ func (e *Encoder) nodeLit(id int32) sat.Lit {
 				}
 				continue
 			}
-			g := e.newNodeVar(n, true)
+			g := e.newGate()
 			a := la.XorSign(nd.a.Inverted())
 			b := lb.XorSign(nd.b.Inverted())
 			// g ↔ a ∧ b

@@ -26,10 +26,6 @@ type Options struct {
 	// before using it as an abduct (the paper's cvc5 minimal-unsat-cores
 	// setting). Disabling it is the core-minimization ablation.
 	MinimizeCores bool
-	// StagedMining feeds the abduction oracle increasingly large candidate
-	// subsets (tier by tier) instead of everything at once — the
-	// incremental mining variant of §3.2.3 footnote 4.
-	StagedMining bool
 	// Cache is the memo store abduction answers are kept in across Learner
 	// instances (see VerifyCache); nil selects the process-global shared
 	// cache (SharedCache). Pass NewVerifyCache() to isolate a workload. It
@@ -44,19 +40,6 @@ type Options struct {
 	// cold start; they never fail the learner. See OpenProofDB for explicit
 	// lifecycle control and CloseProofDBs for the process-exit hook.
 	CacheDir string
-	// ShareClauses enables lock-free mid-run clause exchange between
-	// workers: each worker's solver publishes its hottest learnt clauses
-	// (low LBD, short, over canonically named variables) into a bounded
-	// per-worker ring and drains its siblings' rings at restart boundaries.
-	// It only engages with Workers > 1 — with one worker there is no
-	// sibling to share with. Disabling it is the clause-sharing ablation
-	// (BenchmarkAblationClauseShare) and restores per-worker solver
-	// determinism (the -deterministic flag of the CLIs).
-	ShareClauses bool
-	// ShareRingSize is the per-worker ring capacity in clauses; 0 selects
-	// the default (256). The ring overwrites oldest, so the size bounds
-	// memory, not throughput.
-	ShareRingSize int
 	// InitialSolverConflicts seeds the budget-escalation ladder: every
 	// abduction query's first attempt runs under this many solver conflicts
 	// and each sat.Unknown verdict escalates the budget ×4 (counted by
@@ -76,13 +59,14 @@ type Options struct {
 }
 
 // DefaultOptions mirror the paper's configuration (minimal cores, one
-// worker; mid-run clause sharing engages once Workers > 1).
+// worker).
 func DefaultOptions() Options {
-	return Options{Workers: 1, MinimizeCores: true, ShareClauses: true}
+	return Options{Workers: 1, MinimizeCores: true}
 }
 
-// Tiered is an optional interface predicates may implement to support
-// staged mining; lower tiers are offered to the abduction oracle first.
+// Tiered is an optional interface predicates may implement to rank
+// themselves for core minimization: lower tiers are tried for removal last,
+// so a minimized core prefers them.
 type Tiered interface {
 	Tier() int
 }
@@ -134,12 +118,9 @@ type Stats struct {
 	CacheEntries     int64
 	CacheBytes       int64
 
-	// Mid-run clause-exchange counters (Options.ShareClauses): clauses
-	// published into this learner's rings and clauses drained out of
-	// sibling rings into a solver. SolverConflicts totals CDCL conflicts
-	// across every solver the learner owned — the effort metric the
-	// clause-sharing ablation compares.
-	ShareExported   int64
+	// SolverConflicts totals CDCL conflicts across every solver the learner
+	// owned. ShareImported always reads 0: solvers share no clauses inside
+	// a Learn. The field stays for callers that read it.
 	ShareImported   int64
 	SolverConflicts int64
 
@@ -192,8 +173,7 @@ type StatsSnapshot struct {
 	CacheEntries     int64
 	CacheBytes       int64
 
-	ShareExported   int64
-	ShareImported   int64
+	ShareImported   int64 // always 0; see Stats.ShareImported
 	SolverConflicts int64
 
 	QueryRetries        int64
@@ -230,7 +210,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		CacheEntries:     atomic.LoadInt64(&s.CacheEntries),
 		CacheBytes:       atomic.LoadInt64(&s.CacheBytes),
 
-		ShareExported:   atomic.LoadInt64(&s.ShareExported),
 		ShareImported:   atomic.LoadInt64(&s.ShareImported),
 		SolverConflicts: atomic.LoadInt64(&s.SolverConflicts),
 
@@ -426,10 +405,6 @@ type Learner struct {
 	// solver's conflicts are folded into Stats.SolverConflicts.
 	solvers map[*sat.Solver]struct{}
 
-	// exchange is the mid-run clause-sharing fabric (Options.ShareClauses);
-	// nil when sharing is off or the learner runs a single worker.
-	exchange *clauseExchange
-
 	// refAbduct, when set, answers memo misses instead of abductIncremental.
 	// Only the in-package differential tests set it (to a fresh-solver-per-
 	// query reference); production learners leave it nil.
@@ -462,9 +437,6 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 	}
 	if l.opts.Workers == 0 {
 		l.opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ShareClauses && l.opts.Workers > 1 {
-		l.exchange = newClauseExchange(l.opts.Workers, opts.ShareRingSize, l.stats)
 	}
 	if key, ok := sys.CacheKey(); ok {
 		l.cacheKey = key
@@ -580,12 +552,12 @@ func (l *Learner) LearnCtx(ctx context.Context, targets []Pred) (*Invariant, err
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < l.opts.Workers; w++ {
+	for range l.opts.Workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			l.worker(w)
-		}(w)
+			l.worker()
+		}()
 	}
 	wg.Wait()
 	close(done)
@@ -716,11 +688,9 @@ func (l *Learner) holdsAtInit(p Pred) (bool, error) {
 // worker pulls obligations until the global fixpoint is reached. Each
 // worker owns a private solver/encoder pool for the incremental abduction
 // backend (solvers are single-threaded; pooling per worker keeps the hot
-// path lock-free). w is the worker's index — its producer slot in the
-// mid-run clause exchange.
-func (l *Learner) worker(w int) {
+// path lock-free).
+func (l *Learner) worker() {
 	pool := newEncoderPool(l.sys, l.stats)
-	pool.attachExchange(l.exchange, w)
 	pool.observeSolvers(l.trackSolver, l.untrackSolver)
 	defer pool.retire()
 	for {
@@ -846,8 +816,8 @@ func (l *Learner) solveOne(pred Pred, pool *encoderPool) error {
 	return nil
 }
 
-// runAbduct dispatches to the single-shot or staged abduction strategy.
-// Candidates violated by the initial state are dropped first: s0 is always
+// runAbduct runs one abduction over the target's candidates. Candidates
+// violated by the initial state are dropped first: s0 is always
 // a positive example (Definition 4.8), so such predicates can never appear
 // in an invariant — this keeps the learner sound even against mining
 // oracles that do not fully honor Contract 2. The init-state verdicts are
@@ -865,32 +835,7 @@ func (l *Learner) runAbduct(pred Pred, cands []Pred, pool *encoderPool) (abductR
 			kept = append(kept, c)
 		}
 	}
-	cands = kept
-	if !l.opts.StagedMining {
-		return l.abduct(pred, cands, pool)
-	}
-	maxTier := 0
-	for _, c := range cands {
-		if t := tierOf(c); t > maxTier {
-			maxTier = t
-		}
-	}
-	for tier := 0; tier <= maxTier; tier++ {
-		subset := make([]Pred, 0, len(cands))
-		for _, c := range cands {
-			if tierOf(c) <= tier {
-				subset = append(subset, c)
-			}
-		}
-		res, err := l.abduct(pred, subset, pool)
-		if err != nil {
-			return abductResult{}, err
-		}
-		if res.ok {
-			return res, nil
-		}
-	}
-	return abductResult{ok: false}, nil
+	return l.abduct(pred, kept, pool)
 }
 
 // failLocked marks a predicate unusable and partially backtracks: every

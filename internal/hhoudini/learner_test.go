@@ -328,27 +328,6 @@ func TestLearnRecursiveMatchesWorklist(t *testing.T) {
 	}
 }
 
-func TestLearnStagedMining(t *testing.T) {
-	sys := andGateSystem(t)
-	universe := []Pred{
-		regEq{reg: "A", val: 1}, regEq{reg: "B", val: 1, tier: 1}, regEq{reg: "C", val: 1},
-		regEq{reg: "D", val: 1, tier: 2}, regEq{reg: "E", val: 1},
-	}
-	o := testOptions(1)
-	o.StagedMining = true
-	l := NewLearner(sys, minerOf(universe...), o)
-	inv, err := l.Learn([]Pred{regEq{reg: "A", val: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv == nil {
-		t.Fatal("staged mining should still find the invariant")
-	}
-	if err := Audit(sys, inv); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAuditRejectsNonInductive(t *testing.T) {
 	// R' = ¬R: R==1 holds initially but is not inductive.
 	b := circuit.NewBuilder()

@@ -30,12 +30,6 @@ type encoderPool struct {
 	stats   *Stats
 	entries map[uint64]*pooledEncoder
 
-	// exchange/worker wire pooled solvers into the mid-run clause-sharing
-	// fabric (attachExchange): worker is this pool's producer slot. A nil
-	// exchange leaves sharing off.
-	exchange *clauseExchange
-	worker   int
-
 	// onSolver/onRetire observe solvers entering and leaving the pool's
 	// ownership (observeSolvers). The learner uses them to maintain its
 	// cancellation registry: every live solver must be interruptible when
@@ -47,13 +41,6 @@ type encoderPool struct {
 // newEncoderPool creates an empty pool bound to a system. stats may be nil.
 func newEncoderPool(sys *System, stats *Stats) *encoderPool {
 	return &encoderPool{sys: sys, stats: stats, entries: make(map[uint64]*pooledEncoder)}
-}
-
-// attachExchange connects the pool to the learner's mid-run clause
-// exchange, with w as this pool's (worker's) producer slot. A nil exchange
-// is a no-op.
-func (pl *encoderPool) attachExchange(x *clauseExchange, w int) {
-	pl.exchange, pl.worker = x, w
 }
 
 // observeSolvers installs the ownership observers: onSolver fires for each
@@ -115,9 +102,6 @@ func (pl *encoderPool) get(target Pred) (*pooledEncoder, bool, error) {
 	pl.entries[ck] = pe
 	if pl.onSolver != nil {
 		pl.onSolver(enc.S)
-	}
-	if pl.exchange != nil {
-		pl.exchange.install(pl.worker, enc)
 	}
 	return pe, false, nil
 }

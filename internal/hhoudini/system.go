@@ -20,13 +20,10 @@ type System struct {
 	Constrain func(enc *circuit.Encoder) error
 	// EnvKey is the canonical identity of the environment assumption: two
 	// Systems over the same circuit with equal EnvKeys must install
-	// logically identical assumptions, and Constrain must encode them as a
-	// deterministic function of the key (same clauses, same gate order), so
-	// that canonical gate names line up across the encoders of one Learn's
-	// workers. A System with a non-nil Constrain and an empty EnvKey is not
-	// cacheable: the verification cache refuses to memoize any answer for
-	// it. Changing the safe set changes the key, which is the cache's
-	// invalidation story.
+	// logically identical assumptions. A System with a non-nil Constrain and
+	// an empty EnvKey is not cacheable: the verification cache refuses to
+	// memoize any answer for it. Changing the safe set changes the key,
+	// which is the cache's invalidation story.
 	EnvKey string
 	// Namespace partitions every cache identity (CacheKey, ConeCacheKey) by
 	// an opaque owner id — the multi-tenant service folds each tenant's id
@@ -39,18 +36,12 @@ type System struct {
 	Namespace string
 }
 
-// envScope is the canonical gate-naming scope of the environment
-// assumption. The \x01 prefix keeps it disjoint from predicate Memo keys.
-const envScope = "\x01env"
-
 // newEncoder builds a fresh solver+encoder pair with the environment
-// assumption asserted. The assumption is encoded inside the canonical
-// "env" naming scope so its auxiliary gates are portable across the solvers
-// of one Learn's workers (the mid-run clause exchange).
+// assumption asserted.
 func (s *System) newEncoder() (*circuit.Encoder, error) {
 	enc := circuit.NewEncoder(s.Circuit, sat.New())
 	if s.Constrain != nil {
-		if err := enc.InScope(envScope, func() error { return s.Constrain(enc) }); err != nil {
+		if err := s.Constrain(enc); err != nil {
 			return nil, err
 		}
 	}

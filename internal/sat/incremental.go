@@ -18,35 +18,8 @@ const releaseGCThreshold = 32
 // NewSelector allocates a fresh activation (selector) variable and returns
 // its positive literal. The saved phase of a fresh variable prefers false,
 // so selectors that are not assumed in a given Solve call fall away without
-// search effort, deactivating the clauses they guard. Selectors are marked
-// local: learnt clauses mentioning them are never offered to the mid-run
-// exchange hook.
-func (s *Solver) NewSelector() Lit {
-	l := PosLit(s.NewVar())
-	s.MarkLocal(l.Var())
-	return l
-}
-
-// MarkLocal flags a variable as scoped to this solver instance: its meaning
-// is not stable across solvers over the same base system (selectors are the
-// canonical case). Learnt clauses containing local variables are never
-// handed to the export hook (SetExchangeHooks).
-func (s *Solver) MarkLocal(v Var) {
-	s.ensureVar(v)
-	s.local[v] = true
-}
-
-// IsLocal reports whether v was marked local.
-func (s *Solver) IsLocal(v Var) bool { return int(v) < len(s.local) && s.local[v] }
-
-// ImportClause adds a clause a sibling solver over the same base system
-// published through its export hook. It is AddClause plus import accounting; the caller is
-// responsible for having translated the literals into this solver's
-// variable space.
-func (s *Solver) ImportClause(lits ...Lit) bool {
-	s.Stats.Imported++
-	return s.AddClause(lits...)
-}
+// search effort, deactivating the clauses they guard.
+func (s *Solver) NewSelector() Lit { return PosLit(s.NewVar()) }
 
 // Release permanently retracts a selector: sel is fixed false at level 0,
 // so every clause guarded by it (of the form ¬sel ∨ C, active under the

@@ -115,7 +115,7 @@ func TestInprocessPreservesModels(t *testing.T) {
 // Unsat and learnt-vs-problem deletion rules must not lose constraints.
 func TestInprocessAfterSolveWithLearnts(t *testing.T) {
 	s := New()
-	php(s, 6, 5)
+	AddPigeonhole(s, 6, 5)
 	if st := s.Solve(); st != Unsat {
 		t.Fatal("PHP(6,5) must be Unsat")
 	}

@@ -28,9 +28,6 @@ type Stats struct {
 	// level-0 garbage-collection passes over the clause database.
 	Released   int64
 	Simplifies int64
-	// Imported counts clauses drained in from sibling solvers through
-	// ImportClause.
-	Imported int64
 	// Compactions counts arena garbage collections (see arena.go); Subsumed
 	// and Strengthened count clauses removed / shrunk by the inprocessing
 	// pass (backward subsumption and self-subsuming resolution; see
@@ -39,9 +36,6 @@ type Stats struct {
 	Subsumed      int64
 	Strengthened  int64
 	Inprocessings int64
-	// SharedOut counts learnt clauses handed to the mid-run export hook
-	// (lock-free clause exchange; see SetExchangeHooks).
-	SharedOut int64
 }
 
 // watcher is one two-watched-literal entry. cref carries the watchBinary
@@ -77,7 +71,6 @@ type Solver struct {
 	assigns  []lbool     // indexed by Var
 	polarity []bool      // saved phase per Var; true = assign false next time
 	decision []bool      // per Var: eligible as a decision variable
-	local    []bool      // per Var: scoped to this solver (selectors); see MarkLocal
 	level    []int32
 	reason   []clauseRef
 	trail    []Lit
@@ -110,14 +103,6 @@ type Solver struct {
 	// pass; scratchRefs is Simplify's reusable satisfied-clause buffer.
 	lastInprocess int64
 	scratchRefs   []clauseRef
-
-	// exportHook/drainHook are the mid-run clause-exchange callbacks
-	// (SetExchangeHooks): exportHook fires inside the search loop for each
-	// freshly learnt low-LBD base clause, drainHook fires at restart
-	// boundaries with the solver backtracked to level 0 so foreign clauses
-	// can be imported via AddClause.
-	exportHook func(lits []Lit, lbd int)
-	drainHook  func()
 
 	// MaxConflicts bounds the search effort per Solve call; <0 means
 	// unlimited. When the budget is exhausted Solve returns Unknown.
@@ -166,10 +151,6 @@ const (
 	// glueLBD: learnt clauses at or below this LBD are never deleted by
 	// reduceDB ("glue" clauses in Glucose terminology).
 	glueLBD = 2
-	// shareMaxLBD/shareMaxLen bound what the mid-run export hook is offered:
-	// only short, low-glue clauses are worth a sibling's import cost.
-	shareMaxLBD = 4
-	shareMaxLen = 12
 )
 
 // NumVars returns the number of allocated variables.
@@ -182,7 +163,6 @@ func (s *Solver) NewVar() Var {
 	s.assigns = append(s.assigns, lUndef)
 	s.polarity = append(s.polarity, true)
 	s.decision = append(s.decision, true)
-	s.local = append(s.local, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crUndef)
 	s.activity = append(s.activity, 0)
@@ -452,7 +432,7 @@ func (s *Solver) claBumpActivity(cr clauseRef) {
 // computeLBD returns the literal block distance of a clause: the number of
 // distinct decision levels among its literals (Glucose's glue metric). Low
 // LBD predicts reuse — such clauses chain propagations across few decision
-// boundaries — so it drives both learnt-DB reduction and mid-run export.
+// boundaries — so it drives learnt-DB reduction.
 func (s *Solver) computeLBD(lits []Lit) int {
 	s.stampCtr++
 	n := 0
@@ -715,19 +695,6 @@ func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 // ClearInterrupt.
 func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 
-// SetExchangeHooks installs the mid-run clause-exchange callbacks (both may
-// be nil to detach). export fires inside the search loop for every freshly
-// learnt base clause with LBD <= shareMaxLBD and at most shareMaxLen
-// literals; the slice is borrowed — the hook must copy or translate it
-// before returning. drain fires at restart boundaries with the solver
-// backtracked to decision level 0, so the hook may add foreign clauses via
-// AddClause/ImportClause; a long drain should poll Interrupted and bail.
-// Hooks run on the Solve caller's goroutine.
-func (s *Solver) SetExchangeHooks(export func(lits []Lit, lbd int), drain func()) {
-	s.exportHook = export
-	s.drainHook = drain
-}
-
 // SetConflictBudget bounds the *next* search effort to n more conflicts,
 // independent of how many conflicts this solver has already spent: it
 // rebases MaxConflicts on the cumulative Stats.Conflicts counter. n < 0
@@ -740,27 +707,6 @@ func (s *Solver) SetConflictBudget(n int64) {
 		return
 	}
 	s.MaxConflicts = s.Stats.Conflicts + n
-}
-
-// maybeExport offers a freshly learnt clause to the mid-run exchange hook
-// when it is worth a sibling's time — short and low-LBD — and portable: a
-// learnt clause mentioning no local (selector) variable is implied by the
-// base system alone. Guarded clauses (¬s ∨ C) can never contribute to a
-// derivation without leaving a ¬s literal behind (no clause contains a
-// positive selector), and level-0 release units (¬s) only deactivate
-// guarded clauses, so such a clause is sound to add to any solver over the
-// same base system.
-func (s *Solver) maybeExport(lits []Lit, lbd int) {
-	if s.exportHook == nil || lbd > shareMaxLBD || len(lits) > shareMaxLen {
-		return
-	}
-	for _, l := range lits {
-		if s.local[l.Var()] {
-			return
-		}
-	}
-	s.Stats.SharedOut++
-	s.exportHook(lits, lbd)
 }
 
 // search runs CDCL until a model is found, the formula is refuted, the
@@ -783,7 +729,6 @@ func (s *Solver) search(nofConflicts int64) Status {
 			}
 			learnt, btLevel := s.analyze(confl)
 			lbd := s.computeLBD(learnt)
-			s.maybeExport(learnt, lbd)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crUndef)
@@ -901,21 +846,16 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			break
 		}
 		if status == Unknown {
-			// Restart boundary: drain sibling rings (mid-run clause
-			// exchange) and, periodically, run the inprocessing pass. Both
-			// need the solver at level 0; assumptions are re-decided by the
+			// Restart boundary: periodically run the inprocessing pass. It
+			// needs the solver at level 0; assumptions are re-decided by the
 			// next search call.
-			if s.drainHook != nil {
-				s.cancelUntil(0)
-				s.drainHook()
-			}
 			if s.Stats.Conflicts-s.lastInprocess >= inprocessInterval {
 				s.cancelUntil(0)
 				s.inprocess()
 			}
 			if !s.ok {
-				// A level-0 contradiction from imported or strengthened
-				// clauses refutes the database independent of assumptions.
+				// A level-0 contradiction from strengthened clauses refutes
+				// the database independent of assumptions.
 				s.core = s.core[:0]
 				status = Unsat
 			}

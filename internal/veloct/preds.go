@@ -20,9 +20,9 @@ import (
 )
 
 // Predicate tiers, ordered weakest-first: EqConst(v,c) implies Eq(v), so
-// Eq is the weakest form and EqConst the strongest. Staged mining offers
-// weaker tiers first, and core minimization drops stronger predicates
-// first — both implement the paper's weakest-abduct bias (§3.2.3).
+// Eq is the weakest form and EqConst the strongest. Core minimization drops
+// stronger predicates first, which implements the paper's weakest-abduct
+// bias (§3.2.3).
 const (
 	tierEq = iota
 	tierInSafeSet

@@ -16,9 +16,8 @@ import (
 
 // Options configure a VeloCT analysis.
 type Options struct {
-	// Learner configures H-Houdini (workers, core minimization, staged
-	// mining, the answer cache and its proof store, clause sharing, solver
-	// budgets).
+	// Learner configures H-Houdini (workers, core minimization, the answer
+	// cache and its proof store, solver budgets).
 	Learner hhoudini.Options
 	// Examples configures positive example generation.
 	Examples ExampleConfig
@@ -79,10 +78,9 @@ type Result struct {
 //
 // The assumption is installed with an explicit EnvKey so the cross-run
 // verification cache can identify it: the patterns are put in a canonical
-// order first, making the encoded clause stream a deterministic function of
-// (circuit, EnvKey) as System.EnvKey's contract requires — two Verify calls
-// over the same safe set produce byte-identical assumption encodings, and
-// any change to the safe set changes the key and misses the cache.
+// order first, so two Verify calls over the same safe set produce the same
+// key and byte-identical assumption encodings, and any change to the safe
+// set changes the key and misses the cache.
 func (a *Analysis) System(safe []string) *hhoudini.System {
 	// Copy before sorting: pattern generators may hand out shared slices.
 	pats := append([]isa.MaskMatch(nil), a.Target.SafePatterns(safe)...)

@@ -343,21 +343,3 @@ func TestOoOSynthesizeMatchesTable2(t *testing.T) {
 		}
 	}
 }
-
-// TestOoOStagedMiningAgrees: the incremental-mining variant must reach the
-// same verdict.
-func TestOoOStagedMiningAgrees(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Learner.StagedMining = true
-	a := oooAnalysis(t, design.SmallOoO, opts)
-	res, err := a.Verify(oooSafeSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Invariant == nil {
-		t.Fatalf("staged mining failed: %s", res.Reason)
-	}
-	if err := a.Audit(res); err != nil {
-		t.Fatal(err)
-	}
-}
