@@ -512,10 +512,24 @@ func ablations() {
 		os.RemoveAll(dir)
 	}
 
-	o = hh.DefaultAnalysisOptions()
-	o.Examples.RunsPerInstr = 1
-	o.Examples.CompositionRuns = 0
-	run("weak examples (no compositions)", o)
+	// Weak examples (no compositions) make the learner backtrack. At one
+	// worker that is the regime where a per-query solver costs most: each
+	// backtrack re-queries a cone from scratch. Both rows keep it visible.
+	weakWorkers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		weakWorkers = append(weakWorkers, n)
+	}
+	for _, w := range weakWorkers {
+		o = hh.DefaultAnalysisOptions()
+		o.Examples.RunsPerInstr = 1
+		o.Examples.CompositionRuns = 0
+		o.Learner.Workers = w
+		name := "weak examples, one worker"
+		if w != 1 {
+			name = fmt.Sprintf("weak examples, workers=%d", w)
+		}
+		run(name, o)
+	}
 
 	o = hh.DefaultAnalysisOptions()
 	o.Examples.DisableMasking = true

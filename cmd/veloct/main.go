@@ -253,9 +253,8 @@ func report(a *hh.Analysis, res *hh.Result, elapsed time.Duration) {
 	if res.Stats != nil {
 		fmt.Printf("  tasks=%d queries=%d backtracks=%d examples=%d\n",
 			res.Stats.Tasks, res.Stats.Queries, res.Stats.Backtracks, res.Examples)
-		fmt.Printf("  solvers=%d pool-reuses=%d encoded gates=%d clauses=%d\n",
-			res.Stats.SolverAllocs, res.Stats.PoolReuses,
-			res.Stats.EncodedGates, res.Stats.EncodedClauses)
+		fmt.Printf("  solvers=%d encoded gates=%d clauses=%d\n",
+			res.Stats.SolverAllocs, res.Stats.EncodedGates, res.Stats.EncodedClauses)
 		if reportCacheCounters() {
 			fmt.Printf("  cache: verdict-hits=%d abduct-hits=%d entries=%d (~%dB)\n",
 				res.Stats.CacheVerdictHits, res.Stats.CacheAbductHits,

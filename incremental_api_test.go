@@ -1,12 +1,12 @@
 package hhoudini_test
 
-// End-to-end test of the pooled abduction backend through the public
-// facade, asserting only what holds under every schedule and core count:
-// the full VeloCT pipeline over the Appendix C execute stage verifies and
-// audits at one and at three workers, the pool's bookkeeping balances, and
-// the sequential run is reproducible. (The pooled-vs-fresh-solver encode
-// work comparison is single-worker and lives in
-// internal/hhoudini/incremental_test.go.)
+// End-to-end tests of the abduction backend through the public facade. A
+// query that misses the memo builds its own solver, so a query's answer and
+// cost depend only on (target, candidates): the full VeloCT pipeline over
+// the Appendix C execute stage verifies and audits at one and at three
+// workers with one solver per query, the search counts of a cold SmallOoO
+// verification are identical at one and at two workers, and a backtracking
+// run repeats exactly at one worker.
 
 import (
 	"reflect"
@@ -54,11 +54,10 @@ func TestIncrementalBackendOnExecStage(t *testing.T) {
 		if err := a.Audit(res); err != nil {
 			t.Fatalf("workers=%d: audit: %v", workers, err)
 		}
-		// Every query of a cold run either builds its cone's solver or finds
-		// it warm in the worker's pool.
+		// Every query of a cold run builds its own solver.
 		st := res.Stats.Snapshot()
-		if st.SolverAllocs+st.PoolReuses != st.Queries {
-			t.Fatalf("workers=%d: pool accounting broken: allocs=%d reuses=%d queries=%d",
+		if st.SolverAllocs != st.Queries || st.PoolReuses != 0 {
+			t.Fatalf("workers=%d: want one solver per query: allocs=%d reuses=%d queries=%d",
 				workers, st.SolverAllocs, st.PoolReuses, st.Queries)
 		}
 	}
@@ -83,30 +82,23 @@ func TestIncrementalBackendRejectsUnsafeSet(t *testing.T) {
 	}
 }
 
-// TestColdVerifyCountsArePinned pins the search itself: with one worker the
-// queries issued, solvers built, pool reuses, clauses encoded and CDCL
-// conflicts of a cold SmallOoO verification repeat exactly, so a change
-// that claims to leave the search alone — or to move one of these counts —
-// has a gate noise cannot touch. To re-measure after a deliberate change to
-// the search, run this test and copy the "got" line it prints on failure
-// (the same numbers `go run ./bench -workload cold-seq -seed 1 -rounds 2
-// -trace 1` reports per round as hhoudini.queries / solver_allocs /
-// encoded_clauses and sat.conflicts, there summed over the round's five
-// operations).
-func TestColdVerifyCountsArePinned(t *testing.T) {
-	const (
-		queries, allocs, reuses = 86, 79, 7
-		encodedClauses          = 309321
-		conflicts               = 18802
-	)
+// coldSmallOoO runs one cold verification of S_ooo on SmallOoO with example
+// seed 1 over a private cache; weak selects the weak example set
+// (RunsPerInstr 1, no compositions), which makes the learner backtrack.
+func coldSmallOoO(t *testing.T, workers int, weak bool) *hh.Result {
+	t.Helper()
 	tgt, err := hh.NewOoO(hh.SmallOoO)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := hh.DefaultAnalysisOptions()
-	opts.Learner.Workers = 1
+	opts.Learner.Workers = workers
 	opts.Learner.Cache = hh.NewVerifyCache()
 	opts.Examples.Seed = 1
+	if weak {
+		opts.Examples.RunsPerInstr = 1
+		opts.Examples.CompositionRuns = 0
+	}
 	a, err := hh.NewAnalysis(tgt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +108,62 @@ func TestColdVerifyCountsArePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Invariant == nil {
-		t.Fatalf("S_ooo must verify on SmallOoO: %s", res.Reason)
+		t.Fatalf("S_ooo must verify on SmallOoO (workers=%d weak=%v): %s", workers, weak, res.Reason)
 	}
-	st := res.Stats.Snapshot()
-	got := [5]int64{st.Queries, st.SolverAllocs, st.PoolReuses, st.EncodedClauses, st.SolverConflicts}
+	return res
+}
+
+// TestColdVerifyCountsArePinned pins the search itself: the queries issued,
+// solvers built, pool reuses (always 0), clauses encoded and CDCL conflicts
+// of a cold SmallOoO verification repeat exactly, and are the same at one
+// worker and at two — no query depends on which worker takes it — so a
+// change that claims to leave the search alone, or to move one of these
+// counts, has a gate noise cannot touch. To re-measure after a deliberate
+// change to the search, run this test and copy the "got" line it prints on
+// failure (the same numbers `go run ./bench -workload cold-seq -seed 1
+// -rounds 2 -trace 1` reports per round as hhoudini.queries /
+// solver_allocs / encoded_clauses and sat.conflicts, there summed over the
+// round's five operations).
+func TestColdVerifyCountsArePinned(t *testing.T) {
+	const (
+		queries, allocs, reuses = 84, 84, 0
+		encodedClauses          = 333368
+		conflicts               = 18522
+	)
 	want := [5]int64{queries, allocs, reuses, encodedClauses, conflicts}
-	if got != want {
-		t.Fatalf("queries/allocs/reuses/encoded clauses/conflicts:\n got  %v\n want %v", got, want)
+	for _, workers := range []int{1, 2} {
+		st := coldSmallOoO(t, workers, false).Stats.Snapshot()
+		got := [5]int64{st.Queries, st.SolverAllocs, st.PoolReuses, st.EncodedClauses, st.SolverConflicts}
+		if got != want {
+			t.Fatalf("workers=%d queries/allocs/reuses/encoded clauses/conflicts:\n got  %v\n want %v", workers, got, want)
+		}
+	}
+}
+
+// TestWeakExamplesRepeatAtOneWorker: under the weak example set the learner
+// backtracks, and at one worker the whole search — tasks, backtracks,
+// queries, encoded clauses, conflicts and the invariant itself — repeats
+// exactly from run to run.
+func TestWeakExamplesRepeatAtOneWorker(t *testing.T) {
+	var first [5]int64
+	var firstInv []string
+	for run := 0; run < 3; run++ {
+		res := coldSmallOoO(t, 1, true)
+		st := res.Stats.Snapshot()
+		got := [5]int64{st.Tasks, st.Backtracks, st.Queries, st.EncodedClauses, st.SolverConflicts}
+		inv := predIDs(res.Invariant)
+		if run == 0 {
+			if st.Backtracks == 0 {
+				t.Fatal("weak examples must make the learner backtrack")
+			}
+			first, firstInv = got, inv
+			continue
+		}
+		if got != first {
+			t.Fatalf("run %d tasks/backtracks/queries/encoded clauses/conflicts:\n got  %v\n first %v", run, got, first)
+		}
+		if !reflect.DeepEqual(inv, firstInv) {
+			t.Fatalf("run %d learned a different invariant:\n got   %v\n first %v", run, inv, firstInv)
+		}
 	}
 }

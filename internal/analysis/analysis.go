@@ -6,7 +6,7 @@
 // The paper's thesis — replace one monolithic check with many small,
 // incremental, memoizable checks (H-Houdini §3) — applies to the codebase
 // itself: each invariant the engine's correctness rests on (atomic-only
-// Stats counters, released selectors, durable flush errors, lock scopes) is encoded as one cheap per-package pass, run
+// Stats counters, durable flush errors, lock scopes) is encoded as one cheap per-package pass, run
 // over ./... on every `make ci`, so later work builds on mechanically
 // enforced ownership rules instead of tribal knowledge.
 //
@@ -20,8 +20,8 @@
 //   - harness.go  is the golden-file test harness: testdata packages carry
 //     `// want "regexp"` expectation comments and the harness
 //     asserts the diagnostic set matches exactly;
-//   - one file per domain pass (atomicstats.go, selectorrelease.go,
-//     flusherr.go, lockscope.go, …).
+//   - one file per domain pass (atomicstats.go, flusherr.go,
+//     lockscope.go, …).
 //
 // All passes are heuristic, intra-procedural, and deliberately biased
 // toward precision: a finding should either be fixed or carry an
@@ -131,7 +131,6 @@ func DefaultPasses() []*Pass {
 		LockOrderPass(),
 		LockScopePass(),
 		PanicScopePass(),
-		SelectorReleasePass(),
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
 	return ps

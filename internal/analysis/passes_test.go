@@ -15,7 +15,6 @@ func TestGoldenPasses(t *testing.T) {
 		minDiags int // ISSUE floor: each pass fixture carries ≥2 expected diagnostics
 	}{
 		{"atomicstats", 2},
-		{"selectorrelease", 2},
 		{"flusherr", 2},
 		{"lockscope", 2},
 		{"panicscope", 2},

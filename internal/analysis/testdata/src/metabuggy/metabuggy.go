@@ -15,17 +15,6 @@ func bumpPlain(s *stats) {
 	s.Hits++ // BUG(atomicstats): plain write
 }
 
-type sel int
-
-type solver struct{ groups map[sel]bool }
-
-func (s *solver) NewSelector() sel { return sel(len(s.groups)) }
-func (s *solver) Release(v sel)    { delete(s.groups, v) }
-
-func dropSelector(s *solver) {
-	s.NewSelector() // BUG(selectorrelease): dropped result
-}
-
 type engine struct {
 	mu   sync.Mutex
 	hook func() int

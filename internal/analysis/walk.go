@@ -259,13 +259,3 @@ func docContains(marker string, docs ...*ast.CommentGroup) bool {
 	}
 	return false
 }
-
-// identObj resolves an expression to the object of its root identifier
-// (nil when the expression is not a plain identifier).
-func identObj(c *Context, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return c.ObjectOf(id)
-}

@@ -16,29 +16,25 @@ import (
 // input bits become free variables, and the next-state value of a register
 // bit is the encoding of its next-state function over those variables.
 //
-// An Encoder is built for reuse across queries on the same solver: the
-// node→literal memoization is persistent, so a cone (or a predicate
-// encoding cached via Memo) is Tseitin-encoded at most once per Encoder
-// lifetime. Query-specific facts should be scoped with assumption
-// literals — either directly, or through selector-guarded clauses added
-// with AssertLitWhen — rather than asserted destructively with AssertLit.
+// An Encoder serves one query: it is built with a fresh solver, fed the
+// query's facts (AssertLit) and its selector-guarded candidates
+// (AssertLitWhen), solved, and dropped. Within that query each circuit node
+// is Tseitin-encoded at most once, so cones shared by several predicates
+// cost nothing extra.
 type Encoder struct {
 	S *sat.Solver
 	c *Circuit
 
 	lits       []sat.Lit // per node; litUnset until encoded
 	constFalse sat.Lit
-	memo       map[string]sat.Lit
 	stats      EncoderStats
 }
 
-// EncoderStats counts the encoding work an Encoder has performed. The
-// incremental abduction backend reads per-query deltas off these counters
-// to demonstrate the encode-work drop from solver pooling.
+// EncoderStats counts the encoding work an Encoder has performed; the
+// learner charges them to its encode-work counters when a query returns.
 type EncoderStats struct {
-	Gates    int64 // auxiliary (Tseitin gate) variables introduced
-	Clauses  int64 // clauses added through the encoder
-	MemoHits int64 // Memo calls served from cache without re-encoding
+	Gates   int64 // auxiliary (Tseitin gate) variables introduced
+	Clauses int64 // clauses added through the encoder
 }
 
 const litUnset sat.Lit = -2
@@ -46,8 +42,7 @@ const litUnset sat.Lit = -2
 // NewEncoder creates an encoder targeting the given solver. Multiple
 // encoders must not share a solver.
 func NewEncoder(c *Circuit, s *sat.Solver) *Encoder {
-	e := &Encoder{S: s, c: c, lits: make([]sat.Lit, len(c.nodes)),
-		memo: make(map[string]sat.Lit)}
+	e := &Encoder{S: s, c: c, lits: make([]sat.Lit, len(c.nodes))}
 	for i := range e.lits {
 		e.lits[i] = litUnset
 	}
@@ -70,23 +65,6 @@ func (e *Encoder) newGate() sat.Lit {
 func (e *Encoder) addClause(ls ...sat.Lit) {
 	e.stats.Clauses++
 	e.S.AddClause(ls...)
-}
-
-// Memo returns the literal cached under key, building and caching it on
-// first use. It is the reuse hook for predicate encodings: encodings are
-// deterministic functions of the (persistent) encoder state, so a cached
-// literal stays equivalent for the lifetime of the encoder.
-func (e *Encoder) Memo(key string, build func() (sat.Lit, error)) (sat.Lit, error) {
-	if l, ok := e.memo[key]; ok {
-		e.stats.MemoHits++
-		return l, nil
-	}
-	l, err := build()
-	if err != nil {
-		return 0, err
-	}
-	e.memo[key] = l
-	return l, nil
 }
 
 // FalseLit returns a literal constrained to false.
@@ -279,14 +257,12 @@ func (e *Encoder) MatchLits(a []sat.Lit, mask, match uint64) sat.Lit {
 	return e.AndLits(bits...)
 }
 
-// AssertLit adds a unit clause fixing l true. The assertion is permanent;
-// on a pooled (reused) encoder prefer assumptions or AssertLitWhen.
+// AssertLit adds a unit clause fixing l true for the solver's lifetime.
 func (e *Encoder) AssertLit(l sat.Lit) { e.addClause(l) }
 
 // AssertLitWhen adds the selector-guarded clause sel → l: the assertion is
-// active only in Solve calls that assume sel, making it retractable — the
-// guarded clause can later be permanently discharged by releasing sel
-// (sat.Solver.Release).
+// active only in Solve calls that assume sel, so an UNSAT core over the
+// assumed selectors names the assertions it used.
 func (e *Encoder) AssertLitWhen(sel, l sat.Lit) { e.addClause(sel.Not(), l) }
 
 // NewSelector allocates a fresh activation literal for guarded assertions.

@@ -35,7 +35,7 @@ const (
 // or the ladder tops out at Options.MaxSolverConflicts (ErrBudgetExceeded,
 // Stats.QueryBudgetAbandons). Budgets are armed relative to the solver's
 // cumulative conflict count (sat.SetConflictBudget), so each rung grants
-// fresh effort even on a long-lived pooled solver; an escalated re-solve is
+// fresh effort on top of the rungs before it; an escalated re-solve is
 // never wasted work either, since the solver keeps the learnt clauses of
 // the abandoned attempt.
 func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) (sat.Status, []sat.Lit, error) {
@@ -131,21 +131,17 @@ type abductResult struct {
 // candidate and the target hold on the positive examples (P-S) — the
 // UNSAT-ness must come from ¬p'_target, making the extraction sound.
 //
-// The query runs against a pooled per-worker solver keyed by target-cone
-// signature (abductIncremental): the cone encoding, the candidate encodings
-// and the solver's learnt clauses persist across the queries of one Learn,
-// and the query-specific facts p_target / ¬p'_target are scoped as
-// assumptions rather than destructive unit clauses. For a cacheable system
-// the whole query is additionally memoized by (target, candidate set,
-// minimize flag): predicate IDs are canonical within one system identity,
-// so an identical query re-issued by a later Learner — the common case in
-// safe-set synthesis, which re-runs Verify after every mutation that leaves
-// most cones untouched — is answered without touching a solver. A memoized
+// A memo miss is answered by solveQuery on a solver built for this query
+// alone, so the answer depends only on (target, candidates), never on which
+// worker took the task or what it solved before. For a cacheable system
+// the whole query is memoized by (target, candidate set, minimize flag):
+// predicate IDs are canonical within one system identity, so an identical
+// query re-issued by a later Learner — the common case in safe-set
+// synthesis, which re-runs Verify after every mutation that leaves most
+// cones untouched — is answered without touching a solver. A memoized
 // abduct is one the solver really returned for this exact query on this
-// exact system, so replaying it preserves soundness; it may differ from
-// what a fresh solver would return now (cores are not unique), which is the
-// same latitude the solver itself already has.
-func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
+// exact system, so replaying it preserves soundness.
+func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 	start := time.Now()
 	defer func() {
 		l.stats.recordQuery(time.Since(start))
@@ -181,11 +177,7 @@ func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductRe
 			return abductResult{preds: preds, ok: true}, nil
 		}
 	}
-	solve := l.abductIncremental
-	if l.refAbduct != nil {
-		solve = l.refAbduct
-	}
-	res, err := solve(target, cands, pool)
+	res, err := l.solveQuery(target, cands)
 	if err == nil && l.cache != nil {
 		l.cache.storeVerdict(ckey, vk, res)
 		if res.ok {
@@ -195,43 +187,53 @@ func (l *Learner) abduct(target Pred, cands []Pred, pool *encoderPool) (abductRe
 	return res, err
 }
 
-// abductIncremental is the pooled backend: the query runs against the
-// worker's long-lived solver for the target's cone. p_target and
-// ¬p'_target join the candidate selectors as assumptions, so nothing
-// destructive is ever asserted and the solver instance survives arbitrary
-// further queries over the same cone.
-func (l *Learner) abductIncremental(target Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
-	pe, _, err := pool.get(target)
+// solveQuery answers one abduction query on a new solver and a fresh
+// Tseitin encoding of the target's cone, dropped when the query returns —
+// the paper's one solver per relative-induction check. p_target and
+// ¬p'_target are asserted as units; each candidate sits behind its own
+// selector so the UNSAT core names the abduct. The solver is registered for
+// cancellation while it lives, and its conflicts are charged to
+// Stats.SolverConflicts when it is dropped.
+func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
+	enc, err := l.sys.newEncoder()
 	if err != nil {
 		return abductResult{}, err
 	}
-	defer pe.chargeEncodeWork(l.stats)
-	l.releaseDeadSelectors(pe)
+	atomic.AddInt64(&l.stats.SolverAllocs, 1)
+	l.trackSolver(enc.S)
+	defer func() {
+		l.untrackSolver(enc.S)
+		es := enc.Stats()
+		l.stats.addEncodeWork(es.Gates, es.Clauses)
+	}()
+	cur, err := target.Encode(enc, false)
+	if err != nil {
+		return abductResult{}, err
+	}
+	next, err := target.Encode(enc, true)
+	if err != nil {
+		return abductResult{}, err
+	}
+	enc.AssertLit(cur)
+	enc.AssertLit(next.Not())
 
-	cur, err := pe.litFor(target, false)
-	if err != nil {
-		return abductResult{}, err
-	}
-	next, err := pe.litFor(target, true)
-	if err != nil {
-		return abductResult{}, err
-	}
-	assumps := make([]sat.Lit, 0, len(cands)+2)
-	assumps = append(assumps, cur, next.Not())
+	sels := make([]sat.Lit, 0, len(cands))
 	bySel := make(map[sat.Lit]Pred, len(cands))
 	for _, p := range cands {
 		if p.ID() == target.ID() {
-			continue // already assumed via cur
+			continue // already asserted unconditionally
 		}
-		s, err := pe.selectorFor(p)
+		lit, err := p.Encode(enc, false)
 		if err != nil {
 			return abductResult{}, err
 		}
-		assumps = append(assumps, s)
+		s := enc.NewSelector()
+		enc.AssertLitWhen(s, lit) // s → p
+		sels = append(sels, s)
 		bySel[s] = p
 	}
 
-	st, core, err := l.solveAbduction(pe.enc.S, assumps, target)
+	st, core, err := l.solveAbduction(enc.S, sels, target)
 	if err != nil {
 		return abductResult{}, err
 	}
@@ -239,28 +241,14 @@ func (l *Learner) abductIncremental(target Pred, cands []Pred, pool *encoderPool
 		return abductResult{ok: false}, nil
 	}
 	if l.opts.MinimizeCores {
-		// cur/¬next may appear in the core; rank them below every
-		// candidate tier so deletion-based minimization drops them only
-		// when truly redundant (dropping them is sound: any UNSAT subset
-		// of the assumptions stays UNSAT with them re-added).
-		orderCoreForMinimization(core, func(s sat.Lit) int {
-			if p, ok := bySel[s]; ok {
-				return tierOf(p)
-			}
-			return -1
-		})
-		l.armMinimizeBudget(pe.enc.S)
-		core = pe.enc.S.MinimizeCore(core)
+		orderCoreForMinimization(core, func(s sat.Lit) int { return tierOf(bySel[s]) })
+		l.armMinimizeBudget(enc.S)
+		core = enc.S.MinimizeCore(core)
 	}
 	out := make([]Pred, 0, len(core))
 	for _, s := range core {
 		p, ok := bySel[s]
 		if !ok {
-			// The target's own assumptions are always conceptually part
-			// of the query; they carry no abduct member.
-			if s == cur || s == next.Not() {
-				continue
-			}
 			return abductResult{}, fmt.Errorf("hhoudini: core literal %v is not a selector", s)
 		}
 		out = append(out, p)
@@ -276,25 +264,4 @@ func orderCoreForMinimization(core []sat.Lit, rank func(sat.Lit) int) {
 	sort.SliceStable(core, func(i, j int) bool {
 		return rank(core[i]) > rank(core[j])
 	})
-}
-
-// releaseDeadSelectors retracts pooled selectors whose predicates have
-// entered P_fail since the encoder last ran: a failed predicate can never
-// appear in any abduct again, so its guarded clause is dead weight the
-// solver can garbage-collect.
-func (l *Learner) releaseDeadSelectors(pe *pooledEncoder) {
-	if len(pe.sels) == 0 {
-		return
-	}
-	var dead []string
-	l.mu.Lock()
-	for id := range pe.sels {
-		if l.failed[id] {
-			dead = append(dead, id)
-		}
-	}
-	l.mu.Unlock()
-	for _, id := range dead {
-		pe.releaseSelector(id)
-	}
 }

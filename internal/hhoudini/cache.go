@@ -13,7 +13,7 @@ import (
 // VerifyCache is the process-wide, concurrency-safe memo store that outlives
 // individual Learners: what crosses a Learn is the *answer* of a sub-problem
 // (§3.2.1 memoizes the abduct of H-Houdini(p_target)), never solver state —
-// a worker's solvers live in its encoderPool for one Learn and are dropped.
+// a solver lives for one query and is dropped when it returns.
 // Safe-set synthesis and the experiment sweeps re-verify near-identical
 // systems many times, and an answer is a pure function of the system
 // identity, so a repeat is served without building a solver at all.

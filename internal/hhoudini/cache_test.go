@@ -299,21 +299,6 @@ func TestCrossRunConcurrentLearners(t *testing.T) {
 	}
 }
 
-// TestConeKeyMemoizedAndDeterministic: equal predicate IDs hash to equal
-// cone keys on every call (the memo must be stable), and cones over
-// different variable sets separate.
-func TestConeKeyMemoizedAndDeterministic(t *testing.T) {
-	a := regEq{reg: "A", val: 1}
-	a2 := regEq{reg: "A", val: 1}
-	bp := regEq{reg: "B", val: 0}
-	if coneKey(a) != coneKey(a) || coneKey(a) != coneKey(a2) {
-		t.Fatal("coneKey not stable across calls for equal predicates")
-	}
-	if coneKey(a) == coneKey(bp) {
-		t.Fatal("distinct variable sets collided (FNV64 over different inputs)")
-	}
-}
-
 func storeDummyVerdicts(vc *VerifyCache, n int) {
 	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
 	for i := 0; i < n; i++ {

@@ -91,12 +91,14 @@ type Stats struct {
 	Backtracks int64 // re-syntheses caused by failed predicates (Fig. 5)
 	Queries    int64 // SMT (SAT) queries issued
 
-	// Encode-work counters: what the per-worker solver pools built and how
-	// often a query found its cone's solver already warm.
+	// Encode-work counters: what the per-query solvers were built from. Every
+	// solved query builds one solver, so on a cold run SolverAllocs equals
+	// Queries. PoolReuses always reads 0: no solver outlives its query. The
+	// field stays for callers that read it.
 	EncodedGates   int64 // Tseitin gate variables introduced across all queries
 	EncodedClauses int64 // clauses pushed into solvers across all queries
 	SolverAllocs   int64 // solver/encoder pairs constructed
-	PoolReuses     int64 // abduction queries served by an already-warm pooled solver
+	PoolReuses     int64
 
 	// Memo counters, as seen by this learner: whole abduction queries
 	// answered by the verdict memo, and queries answered by the subset-abduct
@@ -162,7 +164,7 @@ type StatsSnapshot struct {
 	EncodedGates   int64
 	EncodedClauses int64
 	SolverAllocs   int64
-	PoolReuses     int64
+	PoolReuses     int64 // always 0; see Stats.PoolReuses
 
 	CacheVerdictHits int64
 	CacheAbductHits  int64
@@ -398,24 +400,24 @@ type Learner struct {
 	queue   []string
 	active  int
 	err     error
-	// solvers is the registry of live solver instances currently owned by
-	// this learner's worker pools. A cancellation interrupts every member so
-	// in-flight CDCL searches return Unknown within one interrupt-check
-	// interval instead of running to completion; on deregistration the
-	// solver's conflicts are folded into Stats.SolverConflicts.
+	// solvers is the registry of the solvers of in-flight queries, at most
+	// one per worker. A cancellation interrupts every member so in-flight
+	// CDCL searches return Unknown within one interrupt-check interval
+	// instead of running to completion; on deregistration the solver's
+	// conflicts are folded into Stats.SolverConflicts.
 	solvers map[*sat.Solver]struct{}
-
-	// refAbduct, when set, answers memo misses instead of abductIncremental.
-	// Only the in-package differential tests set it (to a fresh-solver-per-
-	// query reference); production learners leave it nil.
-	refAbduct func(target Pred, cands []Pred, pool *encoderPool) (abductResult, error)
 }
 
 type entry struct {
 	pred   Pred
 	solved bool
 	queued bool
-	abduct []Pred
+	// running is set while a worker solves this obligation. The running
+	// task settles the entry — solved, failed, or re-enqueued by its own
+	// backtrack — so it is not enqueued a second time meanwhile; a
+	// duplicate would issue the same query on another worker.
+	running bool
+	abduct  []Pred
 	deps   map[string]bool // IDs of entries whose abduct references this one
 	// chainIn is the longest dependency chain (in task time) leading to
 	// this obligation; chainIn + own task time feeds the span estimate.
@@ -503,7 +505,7 @@ func (l *Learner) Learn(targets []Pred) (*Invariant, error) {
 
 // LearnCtx is Learn under a context: when ctx is cancelled (or its
 // deadline passes), every in-flight solver query is interrupted, the
-// workers drain and drop their solvers, the proof store is flushed — the
+// workers drain, the proof store is flushed — the
 // answers memoized so far survive into the next run — and LearnCtx returns
 // ctx.Err() promptly. A learner is single-shot: once cancelled it cannot be
 // reused.
@@ -607,8 +609,8 @@ func (l *Learner) interrupt() {
 	}
 }
 
-// trackSolver registers a solver a worker's pool has just constructed with
-// the cancellation registry. If this learner has already stopped, the
+// trackSolver registers a query's newly built solver with the cancellation
+// registry. If this learner has already stopped, the
 // solver is interrupted immediately to close the register/interrupt race.
 func (l *Learner) trackSolver(s *sat.Solver) {
 	l.mu.Lock()
@@ -619,14 +621,15 @@ func (l *Learner) trackSolver(s *sat.Solver) {
 	}
 }
 
-// untrackSolver removes a solver its pool is dropping from the cancellation
-// registry, charging the conflicts it burned to Stats.SolverConflicts.
+// untrackSolver removes a solver whose query has returned from the
+// cancellation registry, charging the conflicts it burned to
+// Stats.SolverConflicts.
 func (l *Learner) untrackSolver(s *sat.Solver) {
 	l.mu.Lock()
 	delete(l.solvers, s)
 	l.mu.Unlock()
-	// The solver is idle — its worker's last query has returned — so the
-	// plain read is safe.
+	// The solver is idle — its query has returned — so the plain read is
+	// safe.
 	atomic.AddInt64(&l.stats.SolverConflicts, s.Stats.Conflicts)
 }
 
@@ -662,7 +665,7 @@ func (l *Learner) getOrCreateLocked(p Pred) *entry {
 
 func (l *Learner) enqueueLocked(id string) {
 	e := l.entries[id]
-	if e == nil || e.queued || e.solved || l.failed[id] {
+	if e == nil || e.queued || e.running || e.solved || l.failed[id] {
 		return
 	}
 	e.queued = true
@@ -685,14 +688,8 @@ func (l *Learner) holdsAtInit(p Pred) (bool, error) {
 	return ok, nil
 }
 
-// worker pulls obligations until the global fixpoint is reached. Each
-// worker owns a private solver/encoder pool for the incremental abduction
-// backend (solvers are single-threaded; pooling per worker keeps the hot
-// path lock-free).
+// worker pulls obligations until the global fixpoint is reached.
 func (l *Learner) worker() {
-	pool := newEncoderPool(l.sys, l.stats)
-	pool.observeSolvers(l.trackSolver, l.untrackSolver)
-	defer pool.retire()
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && l.active > 0 && l.err == nil && !l.stop.Load() {
@@ -711,11 +708,12 @@ func (l *Learner) worker() {
 			l.mu.Unlock()
 			continue
 		}
+		e.running = true
 		l.active++
 		pred := e.pred
 		l.mu.Unlock()
 
-		err := l.runTask(pred, pool)
+		err := l.runTask(pred)
 
 		l.mu.Lock()
 		l.active--
@@ -734,7 +732,7 @@ func (l *Learner) worker() {
 // sibling workers drain cleanly and the process survives. This is the only
 // recover site in the learner; the panicscope lint pass enforces that it
 // stays that way.
-func (l *Learner) runTask(pred Pred, pool *encoderPool) (err error) {
+func (l *Learner) runTask(pred Pred) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{PredID: pred.ID(), Value: r, Stack: debug.Stack()}
@@ -743,11 +741,11 @@ func (l *Learner) runTask(pred Pred, pool *encoderPool) (err error) {
 	if faultinject.Enabled() && faultinject.Fire(faultinject.WorkerPanic) {
 		panic("faultinject: scheduled worker panic")
 	}
-	return l.solveOne(pred, pool)
+	return l.solveOne(pred)
 }
 
 // solveOne runs one H-Houdini task body: slice, mine, abduct, record.
-func (l *Learner) solveOne(pred Pred, pool *encoderPool) error {
+func (l *Learner) solveOne(pred Pred) error {
 	if l.stop.Load() {
 		return errLearnInterrupted
 	}
@@ -778,7 +776,7 @@ func (l *Learner) solveOne(pred Pred, pool *encoderPool) error {
 	}
 	l.mu.Unlock()
 
-	res, err := l.runAbduct(pred, live, pool)
+	res, err := l.runAbduct(pred, live)
 	if err != nil {
 		return err
 	}
@@ -787,6 +785,8 @@ func (l *Learner) solveOne(pred Pred, pool *encoderPool) error {
 	defer l.mu.Unlock()
 	id := pred.ID()
 	e := l.entries[id]
+	// An error return above leaves running set; the error ends the Learn.
+	e.running = false
 	if !res.ok {
 		l.failLocked(id)
 		return nil
@@ -824,7 +824,7 @@ func (l *Learner) solveOne(pred Pred, pool *encoderPool) error {
 // memoized per predicate ID (holdsAtInit), and the filter builds a fresh
 // slice: the caller retains ownership of cands (mining oracles may hand
 // out shared or cached slices, so filtering in place would corrupt them).
-func (l *Learner) runAbduct(pred Pred, cands []Pred, pool *encoderPool) (abductResult, error) {
+func (l *Learner) runAbduct(pred Pred, cands []Pred) (abductResult, error) {
 	kept := make([]Pred, 0, len(cands))
 	for _, c := range cands {
 		ok, err := l.holdsAtInit(c)
@@ -835,12 +835,14 @@ func (l *Learner) runAbduct(pred Pred, cands []Pred, pool *encoderPool) (abductR
 			kept = append(kept, c)
 		}
 	}
-	return l.abduct(pred, kept, pool)
+	return l.abduct(pred, kept)
 }
 
 // failLocked marks a predicate unusable and partially backtracks: every
 // memoized solution referencing it is invalidated and re-enqueued (§3.2.1
 // — only the failure path is squashed; all other solutions are reused).
+// Dependents are re-enqueued in sorted ID order, so the backtrack order —
+// and with it a one-worker run — repeats exactly.
 func (l *Learner) failLocked(id string) {
 	if l.failed[id] {
 		return
@@ -850,7 +852,12 @@ func (l *Learner) failLocked(id string) {
 	if e == nil {
 		return
 	}
+	depIDs := make([]string, 0, len(e.deps))
 	for depID := range e.deps {
+		depIDs = append(depIDs, depID)
+	}
+	sort.Strings(depIDs)
+	for _, depID := range depIDs {
 		d := l.entries[depID]
 		if d == nil || !d.solved {
 			continue

@@ -290,6 +290,39 @@ func TestLearnBacktracking(t *testing.T) {
 	}
 }
 
+// TestIncrementalBacktracking runs the Figure 1 scenario at one worker and
+// at four: X==1 enters P_fail, the learner backtracks onto {B,C}, and every
+// query the memo did not answer built its own solver, so a backtrack never
+// inherits clauses from the abandoned branch.
+func TestIncrementalBacktracking(t *testing.T) {
+	sys, universe, target := backtrackSystem(t)
+	for _, workers := range []int{1, 4} {
+		l := NewLearner(sys, minerOf(universe...), testOptions(workers))
+		inv, err := l.Learn([]Pred{target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inv == nil {
+			t.Fatalf("workers=%d: expected invariant via the {B,C} solution", workers)
+		}
+		got := ids(inv)
+		if !got["B==1"] || !got["C==1"] || got["X==1"] {
+			t.Fatalf("workers=%d: bad invariant %v", workers, got)
+		}
+		if err := Audit(sys, inv); err != nil {
+			t.Fatal(err)
+		}
+		st := l.Stats().Snapshot()
+		if st.Backtracks == 0 {
+			t.Fatalf("workers=%d: scenario must backtrack", workers)
+		}
+		if solved := st.Queries - st.CacheVerdictHits - st.CacheAbductHits; st.SolverAllocs != solved || st.PoolReuses != 0 {
+			t.Fatalf("workers=%d: %d solvers (%d reuses) for %d solved queries",
+				workers, st.SolverAllocs, st.PoolReuses, solved)
+		}
+	}
+}
+
 func TestLearnRecursiveMatchesWorklist(t *testing.T) {
 	build := []func(t *testing.T) (*System, []Pred, []Pred){
 		func(t *testing.T) (*System, []Pred, []Pred) {

@@ -4,12 +4,13 @@ import (
 	"sync/atomic"
 )
 
-// LearnRecursive is a direct transliteration of Algorithm 1: a sequential
-// depth-first recursion with memoization, a global P_fail set and partial
-// backtracking. It computes the same result as the worklist-based Learn
-// (the tests cross-check them); Learn additionally parallelizes the inner
-// loop as §3.2.4 describes. A Learner instance must be used for a single
-// Learn or LearnRecursive call, not both.
+// LearnRecursive is the tests' Algorithm 1 oracle: a direct
+// transliteration of the paper's sequential depth-first recursion with
+// memoization, a global P_fail set and partial backtracking. It computes the
+// same result as the worklist-based Learn (TestLearnRecursiveMatchesWorklist
+// and the quick tests cross-check them); Learn additionally parallelizes the
+// inner loop as §3.2.4 describes. A Learner instance must be used for a
+// single Learn or LearnRecursive call, not both.
 func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 	for _, t := range targets {
 		ok, err := l.holdsAtInit(t)
@@ -21,10 +22,6 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 		}
 	}
 	inProgress := make(map[string]bool)
-	// The recursion is sequential, so one pooled-solver set serves every
-	// abduction query; cones shared between predicates are encoded once.
-	pool := newEncoderPool(l.sys, l.stats)
-	defer pool.retire()
 
 	var solve func(p Pred) (bool, error)
 	solve = func(p Pred) (bool, error) {
@@ -69,7 +66,7 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 					live = append(live, c)
 				}
 			}
-			res, err := l.runAbduct(p, live, pool)
+			res, err := l.runAbduct(p, live)
 			if err != nil {
 				return false, err
 			}

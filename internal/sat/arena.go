@@ -159,7 +159,7 @@ func (s *Solver) maybeCollect() {
 }
 
 // garbageCollect rebuilds the arena with only the live clauses (arena
-// compaction — the Release/Simplify reclamation path). Every live clause is
+// compaction — the inprocessing pass's reclamation path). Every live clause is
 // reachable from the watch lists (all stored clauses have >= 2 literals),
 // so the watch sweep both relocates clauses and rewrites watcher refs; the
 // learnt index and reason array are then remapped through the forwarding

@@ -24,10 +24,6 @@ type Stats struct {
 	ClausesAdded int64
 	// VarsAdded counts allocated variables (monotone; equals NumVars).
 	VarsAdded int64
-	// Released counts selectors retracted via Release; Simplifies counts
-	// level-0 garbage-collection passes over the clause database.
-	Released   int64
-	Simplifies int64
 	// Compactions counts arena garbage collections (see arena.go); Subsumed
 	// and Strengthened count clauses removed / shrunk by the inprocessing
 	// pass (backward subsumption and self-subsuming resolution; see
@@ -100,28 +96,26 @@ type Solver struct {
 	learntAdjustIvl float64 // current adjustment interval, grows by adjustInc
 
 	// lastInprocess remembers Stats.Conflicts at the previous inprocessing
-	// pass; scratchRefs is Simplify's reusable satisfied-clause buffer.
+	// pass; scratchRefs is the inprocessing pass's reusable candidate
+	// buffer.
 	lastInprocess int64
 	scratchRefs   []clauseRef
 
 	// MaxConflicts bounds the search effort per Solve call; <0 means
 	// unlimited. When the budget is exhausted Solve returns Unknown.
 	// Note the comparison is against the cumulative Stats.Conflicts
-	// counter: long-lived (pooled) solvers should use SetConflictBudget,
-	// which expresses a budget relative to the work already done.
+	// counter: a caller that solves more than once on one solver should use
+	// SetConflictBudget, which expresses a budget relative to the work
+	// already done.
 	MaxConflicts int64
 
 	// interrupted is the cooperative cancellation flag: Interrupt (callable
 	// from any goroutine — the only concurrency-safe entry point on a
 	// Solver) sets it, and the CDCL search loop polls it once per
 	// decision/conflict iteration, abandoning the Solve call with Unknown.
-	// The flag is sticky across Solve calls until ClearInterrupt, so a
-	// cancellation that lands between two queries still stops the next one.
+	// The flag is sticky: a cancellation that lands between two Solve calls
+	// still stops the next one.
 	interrupted atomic.Bool
-
-	// releasedSinceGC counts Release calls since the last Simplify; when
-	// it crosses releaseGCThreshold the dead clauses are collected.
-	releasedSinceGC int
 
 	Stats Stats
 }
@@ -172,6 +166,13 @@ func (s *Solver) NewVar() Var {
 	s.order.insert(v)
 	return v
 }
+
+// NewSelector allocates a fresh activation (selector) variable and returns
+// its positive literal. A clause (¬sel ∨ C) guarded by it is active only in
+// Solve calls that assume sel, which is how an UNSAT core names the guarded
+// clauses it used. The saved phase of a fresh variable prefers false, so
+// selectors that are not assumed fall away without search effort.
+func (s *Solver) NewSelector() Lit { return PosLit(s.NewVar()) }
 
 // ensureVar allocates variables up to and including v.
 func (s *Solver) ensureVar(v Var) {
@@ -688,19 +689,16 @@ func (s *Solver) locked(cr clauseRef) bool {
 // cancelled Learn stop workers' queries without owning their solvers.
 func (s *Solver) Interrupt() { s.interrupted.Store(true) }
 
-// ClearInterrupt re-arms an interrupted solver for further queries.
-func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
-
-// Interrupted reports whether Interrupt has been called since the last
-// ClearInterrupt.
+// Interrupted reports whether Interrupt has been called.
 func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 
 // SetConflictBudget bounds the *next* search effort to n more conflicts,
 // independent of how many conflicts this solver has already spent: it
 // rebases MaxConflicts on the cumulative Stats.Conflicts counter. n < 0
-// removes the bound. This is the per-query budget primitive behind the
-// learner's Unknown-escalation ladder; pooled solvers must use it instead
-// of assigning MaxConflicts directly.
+// removes the bound. This is the per-attempt budget primitive behind the
+// learner's Unknown-escalation ladder, whose rungs and core minimization
+// solve repeatedly on one solver; such callers must use it instead of
+// assigning MaxConflicts directly.
 func (s *Solver) SetConflictBudget(n int64) {
 	if n < 0 {
 		s.MaxConflicts = -1

@@ -315,7 +315,7 @@ type StatsView struct {
 	Queries    int64 `json:"queries"`
 
 	SolverAllocs int64 `json:"solver_allocs"`
-	PoolReuses   int64 `json:"pool_reuses"`
+	PoolReuses   int64 `json:"pool_reuses"` // always 0; see hhoudini.Stats.PoolReuses
 
 	EncodedClauses int64 `json:"encoded_clauses"`
 
