@@ -1,13 +1,17 @@
-# Development targets. `make ci` is the gate: vet + build + hhlint + the
+# Development targets. `make ci` is the gate: gofmt + vet + build + hhlint + the
 # tier-1 tests at three core counts + the race, chaos and crash tiers + a
 # 1-iteration smoke run of every go-test benchmark + a short traced run of
 # the repository benchmark (bench/).
 
 GO ?= go
 
-.PHONY: all vet build lint lint-cache test race race-proofdb chaos crash bench-smoke bench loc ci
+.PHONY: all fmt vet build lint lint-cache test race race-proofdb chaos crash bench-smoke bench loc ci
 
 all: build
+
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -107,7 +111,7 @@ loc:
 # (an assertion that holds at one core count only, or only in a cached `ok`,
 # fails here), then a short traced run of the real benchmark, gated by its
 # own answer checks, the audit and >= 0.95 span coverage (~40 s).
-ci: vet build lint lint-cache race race-proofdb chaos crash bench-smoke
+ci: fmt vet build lint lint-cache race race-proofdb chaos crash bench-smoke
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...

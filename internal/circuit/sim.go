@@ -35,6 +35,7 @@ type Sim struct {
 	c     *Circuit
 	vals  []bool // per-node combinational values for the current cycle
 	state []bool // per-latch registered values
+	next  []bool // Step's next-state buffer, kept so Step does not allocate
 	inBuf []bool // per-input-bit values
 	dirty bool   // vals stale relative to state/in
 	cycle int
@@ -46,6 +47,7 @@ func NewSim(c *Circuit) *Sim {
 		c:     c,
 		vals:  make([]bool, len(c.nodes)),
 		state: make([]bool, len(c.latches)),
+		next:  make([]bool, len(c.latches)),
 		inBuf: make([]bool, c.nInBits),
 	}
 	s.Reset()
@@ -113,11 +115,10 @@ func (s *Sim) Step(in Inputs) error {
 		return err
 	}
 	s.eval()
-	next := make([]bool, len(s.state))
 	for i, l := range s.c.latches {
-		next[i] = s.SignalValue(l.next)
+		s.next[i] = s.SignalValue(l.next)
 	}
-	copy(s.state, next)
+	s.state, s.next = s.next, s.state
 	s.cycle++
 	s.dirty = true
 	return nil

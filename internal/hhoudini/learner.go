@@ -418,7 +418,7 @@ type entry struct {
 	// duplicate would issue the same query on another worker.
 	running bool
 	abduct  []Pred
-	deps   map[string]bool // IDs of entries whose abduct references this one
+	deps    map[string]bool // IDs of entries whose abduct references this one
 	// chainIn is the longest dependency chain (in task time) leading to
 	// this obligation; chainIn + own task time feeds the span estimate.
 	chainIn time.Duration

@@ -3,6 +3,7 @@ package veloct
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hhoudini/internal/circuit"
@@ -133,54 +134,51 @@ func (g *exampleGen) secretPair() (uint64, uint64) {
 	return l, r
 }
 
-// freshSim builds a product simulator in an equal-modulo-secret state.
-func (g *exampleGen) freshSim() *circuit.Sim {
-	sim := circuit.NewSim(g.prod.Circuit)
-	snap := sim.Snapshot()
-	for i := range g.secretsL {
-		l, r := g.secretPair()
-		snap[g.secretsL[i]] = l
-		snap[g.secretsR[i]] = r
-	}
-	sim.LoadSnapshot(snap)
-	return sim
-}
-
-// checkObs verifies the trace-indistinguishability of the observables in
-// the current state.
-func (g *exampleGen) checkObs(snap circuit.Snapshot) bool {
-	for i := range g.obsL {
-		if snap[g.obsL[i]] != snap[g.obsR[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-// mask applies the example-masking annotations (§5.2.1): fields guarded by
-// a cleared valid bit are reset to their declared reset values.
-func (g *exampleGen) mask(snap circuit.Snapshot) circuit.Snapshot {
-	if len(g.maskRules) == 0 {
-		return snap
-	}
-	out := snap.Clone()
+// mask applies the example-masking annotations (§5.2.1) in place: fields
+// guarded by a cleared valid bit are reset to their declared reset values.
+func (g *exampleGen) mask(snap circuit.Snapshot) {
 	for _, mr := range g.maskRules {
-		if out[mr.valid] != 0 {
+		if snap[mr.valid] != 0 {
 			continue
 		}
 		for i, f := range mr.fields {
-			out[f] = mr.inits[i]
+			snap[f] = mr.inits[i]
 		}
 	}
-	return out
 }
 
-// step feeds one instruction word and returns the post-edge snapshot.
-func (g *exampleGen) step(sim *circuit.Sim, word uint64) (circuit.Snapshot, error) {
-	if err := sim.Step(circuit.Inputs{g.tgt.InstrPort: word}); err != nil {
-		return nil, err
+// runPlan is one paired run with every random draw already made, so runs
+// can be simulated in any grouping and still see exactly the values the
+// one-run-at-a-time loop drew for them.
+type runPlan struct {
+	name    string   // the run's name in ErrUnsafe
+	secrets []uint64 // per secret register: left value, right value
+	pre     []uint64 // dirty-preamble words, each followed by pad NOPs
+	instrs  []uint64 // the words under analysis (one NOP for the ε run)
+	tail    int      // trailing NOPs (0 when planning stopped inside the run)
+	off     int      // example index of the run's first collected state
+}
+
+// collected is the number of states the run checks and collects: two
+// leading NOPs, the words under analysis and the trailing NOPs.
+func (r *runPlan) collected() int { return 2 + len(r.instrs) + r.tail }
+
+// word is the instruction the run feeds at step t, counted from the start
+// of its preamble (preSteps = len(r.pre)*(1+pad)). The second result is
+// false during the preamble, whose states are neither checked nor
+// collected: the paper's start-up code (§5.2) uses public operands, so
+// both copies behave identically by construction.
+func (r *runPlan) word(t, pad, preSteps int, nop uint64) (uint64, bool) {
+	if t < preSteps {
+		if t%(1+pad) == 0 {
+			return r.pre[t/(1+pad)], false
+		}
+		return nop, false
 	}
-	return sim.Snapshot(), nil
+	if u := t - preSteps - 2; u >= 0 && u < len(r.instrs) {
+		return r.instrs[u], true
+	}
+	return nop, true
 }
 
 // Generate produces the positive example set for a proposed safe set: the
@@ -194,26 +192,73 @@ func (g *exampleGen) Generate(safe []string) ([]circuit.Snapshot, error) {
 	return g.GenerateCtx(context.Background(), safe)
 }
 
-// GenerateCtx is Generate under a context: cancellation is observed
-// between simulation runs (each run is short — one instruction window plus
-// padding — so a fired context aborts generation promptly) and surfaces as
-// ctx.Err().
+// GenerateCtx is Generate under a context. It plans every run first (all
+// random draws, in the order a one-run-at-a-time loop makes them), then
+// simulates the runs 64 at a time, one per lane of a circuit.Lanes, in run
+// order, writing each collected state straight into its slot of the
+// batch's slab. The example set and any ErrUnsafe (the lowest-index
+// failing run and its cycle) are exactly those of simulating the runs one
+// after another. Cancellation is observed between batches and every
+// cancelEvery steps inside one, and surfaces as ctx.Err().
 func (g *exampleGen) GenerateCtx(ctx context.Context, safe []string) ([]circuit.Snapshot, error) {
-	pad := g.tgt.MaxLatency
-	var out []circuit.Snapshot
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c := g.prod.Circuit
+	port, ok := c.Input(g.tgt.InstrPort)
+	if !ok {
+		return nil, fmt.Errorf("circuit: unknown input %q", g.tgt.InstrPort)
+	}
+	runs, total, planErr := g.plan(safe)
 
-	// The initial state is always a positive example (it anchors
-	// initiation, Definition 4.8 / P-S).
-	out = append(out, g.mask(circuit.InitSnapshot(g.prod.Circuit)))
+	// The initial state is always an example (it anchors initiation,
+	// Definition 4.8 / P-S).
+	out := make([]circuit.Snapshot, total)
+	out[0] = circuit.InitSnapshot(c)
+	g.mask(out[0])
 
+	nregs := len(c.Regs())
+	lanes := circuit.NewLanes(c)
+	for lo := 0; lo < len(runs); lo += circuit.NumLanes {
+		batch := runs[lo:min(lo+circuit.NumLanes, len(runs))]
+		// A batch's examples are contiguous; one exact-capacity slab holds
+		// them, and each state is collected straight into its slot.
+		first, last := batch[0].off, &batch[len(batch)-1]
+		end := last.off + last.collected()
+		slab := make([]uint64, (end-first)*nregs)
+		for i := first; i < end; i++ {
+			j := (i - first) * nregs
+			out[i] = slab[j : j+nregs : j+nregs]
+		}
+		if err := g.simulate(ctx, lanes, port, batch, out); err != nil {
+			return nil, err
+		}
+	}
+	if planErr != nil {
+		return nil, planErr
+	}
+	return out, nil
+}
+
+// cancelEvery is how many lane steps pass between context checks inside
+// one batch.
+const cancelEvery = 256
+
+// plan lists the runs of a generation and makes all of their random draws:
+// first the burst picks, then per run its secret pairs, its dirty preamble
+// and its instruction encodings. No draw depends on a simulated value. It
+// returns the runs, the number of examples they collect plus one for the
+// initial state, and an encoding error; on an error the failing run is the
+// last one, cut after the words encoded before the error.
+func (g *exampleGen) plan(safe []string) ([]runPlan, int, error) {
 	type runSpec struct {
 		mns     []string
 		chained bool
 	}
-	runs := []runSpec{{mns: []string{""}}} // pure-NOP run (ε-composition)
+	specs := []runSpec{{mns: []string{""}}} // pure-NOP run (ε-composition)
 	for _, mn := range safe {
 		for k := 0; k < g.cfg.RunsPerInstr; k++ {
-			runs = append(runs, runSpec{mns: []string{mn}})
+			specs = append(specs, runSpec{mns: []string{mn}})
 		}
 	}
 	// Back-to-back compositions of safe instructions (Definition 4.4
@@ -232,97 +277,133 @@ func (g *exampleGen) GenerateCtx(ctx context.Context, safe []string) ([]circuit.
 			for i := range burst {
 				burst[i] = safe[g.rng.Intn(len(safe))]
 			}
-			runs = append(runs, runSpec{mns: burst, chained: k%2 == 1 && g.tgt.EncodeDep != nil})
+			specs = append(specs, runSpec{mns: burst, chained: k%2 == 1 && g.tgt.EncodeDep != nil})
 		}
 	}
 
-	for _, run := range runs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	runs := make([]runPlan, 0, len(specs))
+	total := 1
+	for _, spec := range specs {
+		r := runPlan{name: spec.mns[0], off: total}
+		if r.name == "" {
+			r.name = "<nop>"
 		}
-		runName := run.mns[0]
-		if runName == "" {
-			runName = "<nop>"
+		if len(spec.mns) > 1 {
+			r.name = "<burst:" + spec.mns[0] + ",...>"
 		}
-		if len(run.mns) > 1 {
-			runName = "<burst:" + run.mns[0] + ",...>"
+		r.secrets = make([]uint64, 0, 2*len(g.secretsL))
+		for range g.secretsL {
+			l, rv := g.secretPair()
+			r.secrets = append(r.secrets, l, rv)
 		}
-		sim := g.freshSim()
-		cycle := 0
-		feed := func(word uint64, collect bool) error {
-			snap, err := g.step(sim, word)
-			if err != nil {
-				return err
-			}
-			cycle++
-			if !g.checkObs(snap) {
-				return ErrUnsafe{Instr: runName, Cycle: cycle}
-			}
-			if collect {
-				out = append(out, g.mask(snap))
-			}
-			return nil
-		}
-
 		// Start-up: optional dirty preamble, fully padded so it drains.
 		if g.cfg.DirtyPreamble && g.tgt.DirtyPreamble != nil {
-			for _, w := range g.tgt.DirtyPreamble(g.rng) {
-				if err := g.stepPreamble(sim, w, pad); err != nil {
-					return nil, err
-				}
-			}
+			r.pre = g.tgt.DirtyPreamble(g.rng)
 		}
-		// Leading NOPs (quiesce). These states are positive examples too —
-		// they witness ε-compositions from an equal-modulo-secret state
-		// and enrich E, which is what keeps backtracking low (§3.2.1).
-		for i := 0; i < 2; i++ {
-			if err := feed(g.tgt.Nop, true); err != nil {
-				return nil, err
-			}
-		}
-		// The instruction(s) under analysis (a NOP for the ε run; a
-		// back-to-back burst for composition runs), followed by padding;
-		// collect the whole in-flight window.
-		for _, mn := range run.mns {
+		// Two leading NOPs (quiesce; these states are positive examples
+		// too — they witness ε-compositions from an equal-modulo-secret
+		// state, which keeps backtracking low, §3.2.1), the instruction(s)
+		// under analysis, then padding; the whole in-flight window is
+		// collected.
+		r.instrs = make([]uint64, 0, len(spec.mns))
+		for _, mn := range spec.mns {
 			word := g.tgt.Nop
 			if mn != "" {
-				var w uint64
 				var err error
-				if run.chained {
-					w, err = g.tgt.EncodeDep(mn, 1, 1, 1, g.rng)
+				if spec.chained {
+					word, err = g.tgt.EncodeDep(mn, 1, 1, 1, g.rng)
 				} else {
-					w, err = g.tgt.Encode(mn, g.rng)
+					word, err = g.tgt.Encode(mn, g.rng)
 				}
 				if err != nil {
-					return nil, err
+					total += r.collected()
+					return append(runs, r), total, err
 				}
-				word = w
 			}
-			if err := feed(word, true); err != nil {
-				return nil, err
-			}
+			r.instrs = append(r.instrs, word)
 		}
-		for i := 0; i < pad+2+2*len(run.mns); i++ {
-			if err := feed(g.tgt.Nop, true); err != nil {
-				return nil, err
-			}
-		}
+		r.tail = g.tgt.MaxLatency + 2 + 2*len(spec.mns)
+		total += r.collected()
+		runs = append(runs, r)
 	}
-	return out, nil
+	return runs, total, nil
 }
 
-// stepPreamble runs one unsafe start-up instruction plus its padding
-// without collecting examples (the paper's start-up code; §5.2). The
-// property is not checked during the preamble — preamble instructions use
-// public operands, so both copies behave identically by construction.
-func (g *exampleGen) stepPreamble(sim *circuit.Sim, word uint64, pad int) error {
-	if _, err := g.step(sim, word); err != nil {
-		return err
-	}
-	for i := 0; i < pad; i++ {
-		if _, err := g.step(sim, g.tgt.Nop); err != nil {
-			return err
+// simulate runs one batch of at most circuit.NumLanes runs, run k in lane
+// k. Every step past a run's preamble checks its observables and collects
+// its masked state into out. A violation ends the batch with ErrUnsafe for
+// the lowest-index failing run, as soon as no lower-index run is still
+// going.
+func (g *exampleGen) simulate(ctx context.Context, lanes *circuit.Lanes, port circuit.Port, batch []runPlan, out []circuit.Snapshot) error {
+	pad, nop := g.tgt.MaxLatency, g.tgt.Nop
+	lanes.Reset()
+	var preSteps [circuit.NumLanes]int
+	var fed [circuit.NumLanes]uint64 // each lane's input word (Reset zeroes it)
+	steps := 0
+	for k := range batch {
+		r := &batch[k]
+		for i := range g.secretsL {
+			lanes.SetReg(k, g.secretsL[i], r.secrets[2*i])
+			lanes.SetReg(k, g.secretsR[i], r.secrets[2*i+1])
 		}
+		preSteps[k] = len(r.pre) * (1 + pad)
+		steps = max(steps, preSteps[k]+r.collected())
+	}
+	var failed uint64
+	var failCycle [circuit.NumLanes]int
+	for t := 0; t < steps; t++ {
+		if t%cancelEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		var running, checked uint64
+		for k := range batch {
+			r := &batch[k]
+			if t >= preSteps[k]+r.collected() {
+				continue
+			}
+			running |= 1 << uint(k)
+			word, check := r.word(t, pad, preSteps[k], nop)
+			if check {
+				checked |= 1 << uint(k)
+			}
+			if word != fed[k] {
+				lanes.SetInput(k, port, word)
+				fed[k] = word
+			}
+		}
+		lanes.Step()
+
+		var diff uint64
+		for i := range g.obsL {
+			diff |= lanes.Differ(g.obsL[i], g.obsR[i])
+		}
+		if bad := diff & checked &^ failed; bad != 0 {
+			for m := bad; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m)
+				failCycle[k] = t - preSteps[k] + 1
+			}
+			failed |= bad
+		}
+		if failed != 0 {
+			// Collecting is moot now; only a lower-index run that is still
+			// going could name an earlier failure.
+			if running&(failed&-failed-1) == 0 {
+				break
+			}
+			continue
+		}
+		for m := checked; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			snap := out[batch[k].off+t-preSteps[k]]
+			lanes.SnapshotInto(k, snap)
+			g.mask(snap)
+		}
+	}
+	if failed != 0 {
+		k := bits.TrailingZeros64(failed)
+		return ErrUnsafe{Instr: batch[k].name, Cycle: failCycle[k]}
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package veloct
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hhoudini/internal/circuit"
 	"hhoudini/internal/design"
@@ -266,4 +269,169 @@ func TestSoundnessDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+type oracleDesign struct {
+	name     string
+	mk       func() (*design.Target, error)
+	safe     []string
+	mustFail []string // a proposal whose example generation witnesses a leak
+	failRuns int      // RunsPerInstr that makes it do so
+}
+
+func oracleDesigns() []oracleDesign {
+	return []oracleDesign{
+		// mul leaks only when a random 8-bit operand is zero on one side.
+		{"ExecStage", func() (*design.Target, error) { return design.NewExecStage(design.ExecStageConfig{Width: 8}) },
+			[]string{"add"}, []string{"add", "mul"}, 300},
+		{"InOrder", design.NewInOrder, inOrderSafeSet, append(append([]string(nil), inOrderSafeSet...), "div"), 3},
+		{"SmallOoO", func() (*design.Target, error) { return design.NewOoO(design.SmallOoO) },
+			oooSafeSet, append(append([]string(nil), oooSafeSet...), "div"), 3},
+	}
+}
+
+// TestGenerateMatchesScalarOracle: the lane-parallel generator returns the
+// scalar loop's example set snapshot for snapshot, and the same ErrUnsafe
+// (instruction and cycle) on must-fail proposals — across designs, seeds,
+// a batch boundary inside one instruction's runs, no dirty preamble and no
+// masking.
+func TestGenerateMatchesScalarOracle(t *testing.T) {
+	all := func(d oracleDesign) []string { return d.safe }
+	prefix := func(n int) func(oracleDesign) []string {
+		return func(d oracleDesign) []string { return d.safe[:min(n, len(d.safe))] }
+	}
+	variants := []struct {
+		name string
+		cfg  func(*ExampleConfig)
+		safe func(oracleDesign) []string
+		fail bool
+	}{
+		{"safe/seed1", func(c *ExampleConfig) { c.Seed = 1 }, all, false},
+		{"safe/seed2", func(c *ExampleConfig) { c.Seed = 2 }, all, false},
+		{"fail/seed1", func(c *ExampleConfig) { c.Seed = 1 }, func(d oracleDesign) []string { return d.mustFail }, true},
+		{"fail/seed2", func(c *ExampleConfig) { c.Seed = 2 }, func(d oracleDesign) []string { return d.mustFail }, true},
+		{"runs30", func(c *ExampleConfig) { c.RunsPerInstr = 30 }, prefix(4), false},
+		{"nopreamble", func(c *ExampleConfig) { c.DirtyPreamble = false }, prefix(6), false},
+		{"nomasking", func(c *ExampleConfig) { c.DisableMasking = true }, prefix(6), false},
+	}
+	for _, d := range oracleDesigns() {
+		tgt, err := d.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, err := miter.Build(tgt.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			t.Run(d.name+"/"+v.name, func(t *testing.T) {
+				cfg := DefaultExampleConfig()
+				if v.fail {
+					cfg.RunsPerInstr = d.failRuns
+				}
+				v.cfg(&cfg)
+				safe := v.safe(d)
+				gen := func() *exampleGen {
+					g, err := newExampleGen(tgt, prod, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return g
+				}
+				want, wantErr := scalarGenerate(context.Background(), gen(), safe)
+				got, gotErr := gen().Generate(safe)
+				if v.fail {
+					var wu, gu ErrUnsafe
+					if !errors.As(wantErr, &wu) {
+						t.Fatalf("oracle: err = %v, want ErrUnsafe", wantErr)
+					}
+					if !errors.As(gotErr, &gu) || gu != wu {
+						t.Fatalf("err = %v, oracle %v", gotErr, wantErr)
+					}
+					return
+				}
+				if wantErr != nil || gotErr != nil {
+					t.Fatalf("err = %v, oracle %v", gotErr, wantErr)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d examples, oracle %d", len(got), len(want))
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("example %d of %d differs from the oracle", i, len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSimUnsafeMatchesScalar: SimUnsafe's lane verdict equals the scalar
+// trial loop's on every candidate instruction.
+func TestSimUnsafeMatchesScalar(t *testing.T) {
+	for _, d := range oracleDesigns()[1:] {
+		tgt, err := d.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(tgt, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		unsafe := 0
+		for _, mn := range tgt.CandidateSafe {
+			for _, extra := range []int{0, 4} {
+				want, wantErr := scalarSimUnsafe(a, mn, extra)
+				got, gotErr := a.SimUnsafe(mn, extra)
+				if got != want || (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s %s extra=%d: SimUnsafe = %v, %v; scalar %v, %v", d.name, mn, extra, got, gotErr, want, wantErr)
+				}
+				if got && extra == 4 {
+					unsafe++
+				}
+			}
+		}
+		if unsafe == 0 {
+			t.Fatalf("%s: no candidate witnessed a leak; the comparison is vacuous", d.name)
+		}
+	}
+}
+
+// TestCancelExampleGeneration: a context cancelled before or during
+// generation makes it return context.Canceled and no examples.
+func TestCancelExampleGeneration(t *testing.T) {
+	tgt, err := design.NewOoO(design.SmallOoO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := miter.Build(tgt.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultExampleConfig()
+	cfg.RunsPerInstr = 400
+	gen := func() *exampleGen {
+		g, err := newExampleGen(tgt, prod, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ex, err := gen().GenerateCtx(ctx, oooSafeSet); !errors.Is(err, context.Canceled) || ex != nil {
+		t.Fatalf("pre-cancelled: %d examples, err = %v; want none and context.Canceled", len(ex), err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	ex, err := gen().GenerateCtx(ctx, oooSafeSet)
+	if !errors.Is(err, context.Canceled) || ex != nil {
+		t.Fatalf("cancelled mid-run: %d examples, err = %v; want none and context.Canceled", len(ex), err)
+	}
+	t.Logf("cancelled generation returned after %v", time.Since(start))
 }

@@ -222,7 +222,7 @@ var trials = []trialPair{
 // equal-modulo-secret states with adversarial and random secret pairs and
 // compares the observable traces. A true result is a concrete
 // counterexample (the instruction is definitely unsafe); false means no
-// violation was found.
+// violation was found. The trial pairs run as lanes of one circuit.Lanes.
 func (a *Analysis) SimUnsafe(mn string, extraRandom int) (bool, error) {
 	rng := rand.New(rand.NewSource(a.Opts.Examples.Seed + 7))
 	pairs := append([]trialPair(nil), trials...)
@@ -233,44 +233,78 @@ func (a *Analysis) SimUnsafe(mn string, extraRandom int) (bool, error) {
 		}
 		pairs = append(pairs, trialPair{l, r})
 	}
-	pad := a.Target.MaxLatency
-	for _, pair := range pairs {
-		word, err := a.Target.Encode(mn, rng)
+	// One encoding per pair, drawn in pair order; an encoding error ends
+	// the list, and is returned only if no earlier pair witnessed a leak.
+	var words []uint64
+	var encErr error
+	for range pairs {
+		w, err := a.Target.Encode(mn, rng)
 		if err != nil {
-			return false, err
+			encErr = err
+			break
 		}
-		sim := circuit.NewSim(a.Product.Circuit)
-		snap := sim.Snapshot()
-		for _, sec := range a.Target.SecretRegs {
-			li, ri, err := a.Product.RegPair(sec)
-			if err != nil {
-				return false, err
-			}
-			snap[li], snap[ri] = pair.l, pair.r
-		}
-		sim.LoadSnapshot(snap)
+		words = append(words, w)
+	}
+	if len(words) == 0 {
+		return false, encErr
+	}
+	c := a.Product.Circuit
+	port, ok := c.Input(a.Target.InstrPort)
+	if !ok {
+		return false, fmt.Errorf("circuit: unknown input %q", a.Target.InstrPort)
+	}
+	secL, secR, err := a.regPairs(a.Target.SecretRegs)
+	if err != nil {
+		return false, err
+	}
+	obsL, obsR, err := a.regPairs(a.Target.Observable)
+	if err != nil {
+		return false, err
+	}
 
-		words := []uint64{a.Target.Nop, a.Target.Nop, word}
-		for i := 0; i < pad+2; i++ {
-			words = append(words, a.Target.Nop)
-		}
-		for _, w := range words {
-			if err := sim.Step(circuit.Inputs{a.Target.InstrPort: w}); err != nil {
-				return false, err
+	// Each trial feeds NOP, NOP, the instruction, then pad+2 NOPs.
+	steps := a.Target.MaxLatency + 5
+	lanes := circuit.NewLanes(c)
+	for lo := 0; lo < len(words); lo += circuit.NumLanes {
+		batch := words[lo:min(lo+circuit.NumLanes, len(words))]
+		lanes.Reset()
+		for k := range batch {
+			for i := range secL {
+				lanes.SetReg(k, secL[i], pairs[lo+k].l)
+				lanes.SetReg(k, secR[i], pairs[lo+k].r)
 			}
-			cur := sim.Snapshot()
-			for _, obs := range a.Target.Observable {
-				li, ri, err := a.Product.RegPair(obs)
-				if err != nil {
-					return false, err
+		}
+		for t := 0; t < steps; t++ {
+			for k, w := range batch {
+				if t != 2 {
+					w = a.Target.Nop
 				}
-				if cur[li] != cur[ri] {
-					return true, nil
-				}
+				lanes.SetInput(k, port, w)
+			}
+			lanes.Step()
+			var diff uint64
+			for i := range obsL {
+				diff |= lanes.Differ(obsL[i], obsR[i])
+			}
+			if diff&(1<<uint(len(batch))-1) != 0 {
+				return true, nil
 			}
 		}
 	}
-	return false, nil
+	return false, encErr
+}
+
+// regPairs resolves base register names to their left/right product
+// register indices.
+func (a *Analysis) regPairs(names []string) (ls, rs []int, err error) {
+	for _, name := range names {
+		l, r, err := a.Product.RegPair(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		ls, rs = append(ls, l), append(rs, r)
+	}
+	return ls, rs, nil
 }
 
 // Synthesis is the outcome of safe instruction set synthesis.

@@ -1,9 +1,11 @@
 package veloct
 
 import (
+	"slices"
 	"testing"
 
 	"hhoudini/internal/design"
+	"hhoudini/internal/hhoudini"
 )
 
 func execAnalysis(t *testing.T, opts Options) *Analysis {
@@ -340,6 +342,51 @@ func TestOoOSynthesizeMatchesTable2(t *testing.T) {
 	for _, mn := range []string{"div", "divu", "rem", "remu"} {
 		if got[mn] {
 			t.Errorf("%s must be unsafe on the OoO core", mn)
+		}
+	}
+}
+
+// TestWorkersProduceSameInvariant: synthesis learns the same invariant,
+// predicate ID for predicate ID, at one, two and four workers, each run
+// with a private cache so that no run answers from another's memos.
+func TestWorkersProduceSameInvariant(t *testing.T) {
+	for _, mk := range []func() (*design.Target, error){
+		design.NewInOrder,
+		func() (*design.Target, error) { return design.NewOoO(design.SmallOoO) },
+	} {
+		var first []string
+		for _, workers := range []int{1, 2, 4} {
+			tgt, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.Learner.Workers = workers
+			opts.Learner.Cache = hhoudini.NewVerifyCache()
+			a, err := New(tgt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syn, err := a.Synthesize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if syn.Result == nil || syn.Result.Invariant == nil {
+				t.Fatalf("%s workers=%d: no invariant", tgt.Name, workers)
+			}
+			ids := make([]string, 0, syn.Result.Invariant.Size())
+			for _, p := range syn.Result.Invariant.Preds {
+				ids = append(ids, p.ID())
+			}
+			slices.Sort(ids)
+			if workers == 1 {
+				first = ids
+				t.Logf("%s: %d predicates", tgt.Name, len(ids))
+				continue
+			}
+			if !slices.Equal(ids, first) {
+				t.Fatalf("%s: workers=%d learned a different invariant than workers=1:\n got  %v\n want %v", tgt.Name, workers, ids, first)
+			}
 		}
 	}
 }
