@@ -3,7 +3,6 @@ package hhoudini
 import (
 	"io"
 
-	"hhoudini/internal/aiger"
 	"hhoudini/internal/baseline"
 	"hhoudini/internal/btor2"
 	"hhoudini/internal/circuit"
@@ -103,18 +102,6 @@ func ParseBTOR2(r io.Reader) (*BTOR2Design, error) { return btor2.Parse(r) }
 func WriteBTOR2(w io.Writer, c *Circuit, bads, constraints []string) error {
 	return btor2.Write(w, c, bads, constraints)
 }
-
-// --- AIGER ------------------------------------------------------------------------
-
-// AIGERDesign is a parsed ASCII AIGER model.
-type AIGERDesign = aiger.Design
-
-// ParseAIGER reads an ASCII AIGER ("aag") model into a circuit.
-func ParseAIGER(r io.Reader) (*AIGERDesign, error) { return aiger.Parse(r) }
-
-// WriteAIGER exports a circuit as ASCII AIGER; wires named in bads become
-// bad-state properties.
-func WriteAIGER(w io.Writer, c *Circuit, bads []string) error { return aiger.Write(w, c, bads) }
 
 // --- Model checking ---------------------------------------------------------------
 

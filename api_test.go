@@ -130,8 +130,8 @@ func TestPublicAPIDesignConstructors(t *testing.T) {
 	}
 }
 
-// TestPublicAPIModelChecking exercises the BMC/k-induction/PDR and
-// AIGER/VCD exports through the facade.
+// TestPublicAPIModelChecking exercises the BMC/k-induction/PDR and VCD
+// exports through the facade.
 func TestPublicAPIModelChecking(t *testing.T) {
 	b := hh.NewCircuitBuilder()
 	cnt := b.Register("cnt", 4, 0)
@@ -172,19 +172,6 @@ func TestPublicAPIModelChecking(t *testing.T) {
 	}
 	if proved || cex != nil {
 		t.Fatal("k=1 induction should be inconclusive here")
-	}
-
-	// AIGER round trip.
-	var aig bytes.Buffer
-	if err := hh.WriteAIGER(&aig, circ, []string{"bad6"}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := hh.ParseAIGER(&aig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Circuit.NumStateBits() != circ.NumStateBits() || len(d.Bads) != 1 {
-		t.Fatal("AIGER round trip mismatch")
 	}
 
 	// VCD recording.

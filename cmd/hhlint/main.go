@@ -1,28 +1,21 @@
 // Command hhlint runs the repository's static-analysis pass suite
 // (internal/analysis) over the whole module and reports invariant
-// violations in the conventional `file:line:col: [pass] message` form.
+// violations in the conventional `file:line:col: [pass] message` form,
+// with paths relative to the module root.
 //
 // Usage:
 //
-//	hhlint [-C dir] [-json|-sarif] [-list] [-summaries|-graph]
-//	       [-summary-cache file] [-no-cache] [./...]
+//	hhlint [-C dir] [-list] [-v] [./...]
 //
 // hhlint always analyzes the full module rooted at -C (default: the
 // nearest go.mod at or above the working directory); the optional `./...`
-// argument is accepted for familiarity.
-//
-// The interprocedural passes (lockorder, ctxflow, goroleak) compose
-// per-function summaries memoized in .hhcache/lintsumm.json under the
-// module root, keyed by a per-package content fingerprint, so a warm rerun
-// only recomputes summaries for edited packages and their dependents.
-// -summary-cache relocates the memo, -no-cache disables it; -v reports the
-// hit ratio. -summaries and -graph dump the summary table and the call
-// graph for debugging and exit without running passes.
+// argument is accepted for familiarity. -list prints the registered passes
+// and exits; -v reports pass/package counts and wall time to stderr.
 //
 // Exit-code contract (stable; CI and the Makefile depend on it):
 //
 //	0  the module is clean — no findings
-//	1  at least one finding was reported (any output mode)
+//	1  at least one finding was reported
 //	2  usage error or load/type-check failure; diagnostics on stderr
 //
 // Suppress a finding in source with `//hhlint:ignore <pass> <reason>`
@@ -30,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,15 +38,9 @@ func main() {
 
 func run() int {
 	var (
-		flagDir   = flag.String("C", "", "module root to analyze (default: nearest go.mod upward from cwd)")
-		flagJSON  = flag.Bool("json", false, "emit diagnostics as a JSON array (machine-readable, for future tooling)")
-		flagSarif = flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (code-review UI ingestion)")
-		flagList  = flag.Bool("list", false, "list registered passes and exit")
-		flagSumm  = flag.Bool("summaries", false, "dump the function-summary table as JSON and exit (debug)")
-		flagGraph = flag.Bool("graph", false, "dump the call graph as 'caller -> callee [kind]' lines and exit (debug)")
-		flagCache = flag.String("summary-cache", "", "summary memo file (default: <root>/.hhcache/lintsumm.json)")
-		flagCold  = flag.Bool("no-cache", false, "disable the summary memo (force a cold computation, persist nothing)")
-		flagV     = flag.Bool("v", false, "report pass/package counts, summary-cache hit ratio, and wall time to stderr")
+		flagDir  = flag.String("C", "", "module root to analyze (default: nearest go.mod upward from cwd)")
+		flagList = flag.Bool("list", false, "list registered passes and exit")
+		flagV    = flag.Bool("v", false, "report pass/package counts and wall time to stderr")
 	)
 	flag.Parse()
 	for _, arg := range flag.Args() {
@@ -62,10 +48,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "hhlint: only the ./... pattern is supported (got %q)\n", arg)
 			return 2
 		}
-	}
-	if *flagJSON && *flagSarif {
-		fmt.Fprintln(os.Stderr, "hhlint: -json and -sarif are mutually exclusive")
-		return 2
 	}
 
 	passes := analysis.DefaultPasses()
@@ -76,14 +58,18 @@ func run() int {
 		return 0
 	}
 
-	root := *flagDir
-	if root == "" {
-		var err error
+	// The FileSet records absolute paths, so the root must be absolute for
+	// findings to print relative to it.
+	var root string
+	var err error
+	if *flagDir != "" {
+		root, err = filepath.Abs(*flagDir)
+	} else {
 		root, err = findModuleRoot()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hhlint: %v\n", err)
-			return 2
-		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hhlint: %v\n", err)
+		return 2
 	}
 
 	start := time.Now()
@@ -92,64 +78,19 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "hhlint: load: %v\n", err)
 		return 2
 	}
-
-	memo := *flagCache
-	if memo == "" {
-		memo = filepath.Join(root, analysis.DefaultSummaryFile)
-	}
-	if *flagCold {
-		memo = ""
-	}
-	opts := &analysis.RunOptions{ModuleRoot: root, SummaryFile: memo}
-
-	if *flagSumm || *flagGraph {
-		graph := analysis.BuildCallGraph(pkgs)
-		if *flagGraph {
-			fmt.Println(analysis.DumpGraph(graph))
-		}
-		if *flagSumm {
-			set := analysis.BuildSummaries(pkgs, graph, root, memo)
-			fmt.Println(analysis.DumpSummaries(set))
-		}
-		return 0
-	}
-
-	diags, stats := analysis.RunOpts(pkgs, passes, opts)
+	diags := analysis.Run(pkgs, passes)
 	if *flagV {
 		fmt.Fprintf(os.Stderr, "hhlint: %d passes over %d packages in %v: %d finding(s)\n",
 			len(passes), len(pkgs), time.Since(start).Round(time.Millisecond), len(diags))
-		fmt.Fprintf(os.Stderr, "hhlint: summary cache: %d/%d packages, %d/%d functions from memo\n",
-			stats.PkgHits, stats.PkgTotal, stats.FuncHits, stats.FuncTotal)
 	}
 
 	// Render paths relative to the module root: stable across machines and
 	// what CI log matchers expect.
-	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !filepath.IsAbs(rel) {
-			diags[i].File = rel
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.File); err == nil {
+			d.File = rel
 		}
-	}
-
-	switch {
-	case *flagJSON:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "hhlint: %v\n", err)
-			return 2
-		}
-	case *flagSarif:
-		if err := writeSarif(os.Stdout, passes, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "hhlint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		return 1

@@ -4,29 +4,35 @@
 // invariants at CI time.
 //
 // The paper's thesis — replace one monolithic check with many small,
-// incremental, memoizable checks (H-Houdini §3) — applies to the codebase
-// itself: each invariant the engine's correctness rests on (atomic-only
-// Stats counters, durable flush errors, lock scopes) is encoded as one cheap per-package pass, run
-// over ./... on every `make ci`, so later work builds on mechanically
-// enforced ownership rules instead of tribal knowledge.
+// local checks (H-Houdini §3) — applies to the codebase itself: each
+// invariant the engine's correctness rests on (atomic-only Stats counters,
+// durable flush errors, lock scopes and lock order, context threading,
+// goroutine termination) is encoded as one cheap pass, run over ./... on
+// every `make ci`, so later work builds on mechanically enforced ownership
+// rules instead of tribal knowledge.
 //
 // Architecture:
 //
-//   - load.go     parses and type-checks every package of this module using
-//     only the standard library (a topological type-check with
+//   - load.go      parses and type-checks every package of this module
+//     using only the standard library (a topological type-check with
 //     importer "source" for stdlib dependencies);
-//   - suppress.go implements `//hhlint:ignore <pass> <reason>` line-scoped
+//   - callgraph.go and summary.go build the call graph and one summary
+//     per function, composed callee-first, on every Run;
+//   - suppress.go  implements `//hhlint:ignore <pass> <reason>` line-scoped
 //     suppressions (a missing reason is itself a diagnostic);
-//   - harness.go  is the golden-file test harness: testdata packages carry
-//     `// want "regexp"` expectation comments and the harness
+//   - harness.go   is the golden-file test harness: testdata packages
+//     carry `// want "regexp"` expectation comments and the harness
 //     asserts the diagnostic set matches exactly;
 //   - one file per domain pass (atomicstats.go, flusherr.go,
 //     lockscope.go, …).
 //
-// All passes are heuristic, intra-procedural, and deliberately biased
-// toward precision: a finding should either be fixed or carry an
-// `//hhlint:ignore` with a reason that documents why the invariant holds
-// anyway.
+// The four per-package passes (atomicstats, flusherr, lockscope,
+// panicscope) are intra-procedural; the three module-scope passes
+// (lockorder, ctxflow, goroleak) read the function summaries, so their
+// facts cross function and package boundaries. All are heuristic and
+// deliberately biased toward precision: a finding should either be fixed
+// or carry an `//hhlint:ignore` with a reason that documents why the
+// invariant holds anyway.
 package analysis
 
 import (
@@ -51,13 +57,13 @@ type Pass struct {
 // A Diagnostic is one finding: a position, the pass that produced it, and a
 // human-readable message.
 type Diagnostic struct {
-	Pass string `json:"pass"`
+	Pass string
 	// File is the file path as recorded in the FileSet; Line/Col are
 	// 1-based.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Msg  string `json:"msg"`
+	File string
+	Line int
+	Col  int
+	Msg  string
 }
 
 // String renders the conventional `file:line:col: [pass] message` form.
@@ -97,9 +103,9 @@ func (c *Context) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAt records a finding at an explicit file/line (used by the
-// interprocedural passes, whose facts may come from the disk memo rather
-// than live AST positions). file must be the absolute path as the FileSet
-// records it, so suppressions match.
+// interprocedural passes, whose summary facts carry file/line rather than
+// token.Pos). file must be the path as the FileSet records it, so
+// suppressions match.
 func (c *Context) ReportAt(file string, line int, format string, args ...any) {
 	*c.diags = append(*c.diags, Diagnostic{
 		Pass: c.pass.Name,
@@ -136,72 +142,23 @@ func DefaultPasses() []*Pass {
 	return ps
 }
 
-// Facts keys under which the runner publishes the interprocedural layer to
-// passes (lockorder, ctxflow, goroleak read these instead of rebuilding).
-const (
-	factGraph     = "module.graph"
-	factSummaries = "module.summaries"
-)
-
-// RunOptions configures the interprocedural layer of a Run.
-type RunOptions struct {
-	// ModuleRoot anchors relative paths in summaries and diagnostics; when
-	// empty, the first package's directory is used.
-	ModuleRoot string
-	// SummaryFile is the on-disk memo path ("" disables the memo: summaries
-	// are computed cold and not persisted — the harness mode).
-	SummaryFile string
-}
-
-// RunStats reports memo effectiveness for one Run (hhlint -v and the CI
-// warm/cold self-check read these).
-type RunStats struct {
-	PkgTotal  int
-	PkgHits   int
-	FuncTotal int
-	FuncHits  int
-}
+// factSummaries is the Facts key under which the runner publishes the
+// summary table to the module-scope passes (lockorder, ctxflow, goroleak).
+const factSummaries = "module.summaries"
 
 // Run executes every pass over every package and returns the surviving
 // diagnostics (suppressions applied, malformed suppressions reported) in
 // deterministic file/line/col/pass order.
 func Run(pkgs []*Package, passes []*Pass) []Diagnostic {
-	diags, _ := RunOpts(pkgs, passes, nil)
-	return diags
-}
-
-// RunOpts is Run with interprocedural options and memo statistics.
-func RunOpts(pkgs []*Package, passes []*Pass, opts *RunOptions) ([]Diagnostic, RunStats) {
 	known := make(map[string]bool, len(passes))
 	for _, p := range passes {
 		known[p.Name] = true
 	}
 
 	// Build the interprocedural layer once per Run: the call graph over the
-	// whole load, then the summary table (memoized on disk when a summary
-	// file is configured). Passes consume both through Facts.
-	root := ""
-	memoPath := ""
-	if opts != nil {
-		root = opts.ModuleRoot
-		memoPath = opts.SummaryFile
-	}
-	if root == "" && len(pkgs) > 0 {
-		root = pkgs[0].Dir
-	}
-	graph := BuildCallGraph(pkgs)
-	summaries := BuildSummaries(pkgs, graph, root, memoPath)
-	stats := RunStats{
-		PkgTotal:  summaries.PkgTotal,
-		PkgHits:   summaries.PkgHits,
-		FuncTotal: summaries.FuncTotal,
-		FuncHits:  summaries.FuncHits,
-	}
-
+	// whole load, then the summary table the passes read through Facts.
+	facts := map[string]any{factSummaries: BuildSummaries(BuildCallGraph(pkgs))}
 	var raw []Diagnostic
-	facts := make(map[string]any)
-	facts[factGraph] = graph
-	facts[factSummaries] = summaries
 	for _, pass := range passes {
 		for _, pkg := range pkgs {
 			ctx := &Context{Pkg: pkg, All: pkgs, Facts: facts, pass: pass, diags: &raw}
@@ -231,17 +188,11 @@ func RunOpts(pkgs []*Package, passes []*Pass, opts *RunOptions) ([]Diagnostic, R
 		}
 		return a.Msg < b.Msg
 	})
-	return out, stats
-}
-
-// moduleGraph retrieves the call graph the runner published to Facts.
-func moduleGraph(ctx *Context) *CallGraph {
-	g, _ := ctx.Facts[factGraph].(*CallGraph)
-	return g
+	return out
 }
 
 // moduleSummaries retrieves the summary table the runner published.
-func moduleSummaries(ctx *Context) *SummarySet {
-	s, _ := ctx.Facts[factSummaries].(*SummarySet)
+func moduleSummaries(ctx *Context) map[string]*FuncSummary {
+	s, _ := ctx.Facts[factSummaries].(map[string]*FuncSummary)
 	return s
 }

@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // callgraph.go builds the module-wide call graph the interprocedural passes
@@ -68,7 +66,7 @@ type CallEdge struct {
 // CGNode is one analyzable function body: a declared function/method, or an
 // anonymous `go func` literal.
 type CGNode struct {
-	// Key is the stable identity used by summaries and the disk memo:
+	// Key is the stable identity summaries are keyed by:
 	// (*types.Func).FullName() for declarations (init functions are
 	// disambiguated with #n), and "<enclosing>·go<n>" for the n-th spawned
 	// literal inside the enclosing node.
@@ -311,17 +309,4 @@ func devirtualize(n *CGNode, recv ast.Expr, ifaceMethod *types.Func) *types.Func
 	m, _, _ := types.LookupFieldOrMethod(concrete, true, ifaceMethod.Pkg(), ifaceMethod.Name())
 	f, _ := m.(*types.Func)
 	return f
-}
-
-// DumpGraph renders the graph as stable text (one `caller -> callee [kind]`
-// line per edge) for the -graph debug flag and tests.
-func DumpGraph(g *CallGraph) string {
-	var lines []string
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			lines = append(lines, fmt.Sprintf("%s -> %s [%s]", n.Key, e.Callee.Key, e.Kind))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

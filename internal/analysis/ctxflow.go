@@ -40,13 +40,10 @@ func runCtxFlow(ctx *Context) {
 		return
 	}
 	ctx.Facts["ctxflow.ran"] = true
-	set := moduleSummaries(ctx)
-	if set == nil {
-		return
-	}
+	sums := moduleSummaries(ctx)
 
-	keys := make([]string, 0, len(set.Funcs))
-	for k := range set.Funcs {
+	keys := make([]string, 0, len(sums))
+	for k := range sums {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -56,12 +53,12 @@ func runCtxFlow(ctx *Context) {
 	// finding.
 	reported := map[string]bool{}
 	for _, k := range keys {
-		fs := set.Funcs[k]
+		fs := sums[k]
 		if !fs.HasCtx {
 			continue
 		}
 		for _, drop := range fs.CtxDrops {
-			ctx.ReportAt(set.AbsPath(drop.File), drop.Line,
+			ctx.ReportAt(drop.File, drop.Line,
 				"%s receives a ctx but %s", shortFunc(k), drop.Op)
 		}
 		// Direct blocking operations in the ctx-bearing body itself.
@@ -71,12 +68,12 @@ func runCtxFlow(ctx *Context) {
 				continue
 			}
 			reported[key] = true
-			ctx.ReportAt(set.AbsPath(b.File), b.Line,
+			ctx.ReportAt(b.File, b.Line,
 				"%s receives a ctx but blocks here without observing it (%s)", shortFunc(k), b.Op)
 		}
 		// Blocking reached through ctx-less callees.
 		for _, callee := range fs.Calls {
-			cs := set.Funcs[callee]
+			cs := sums[callee]
 			if cs == nil || cs.BlocksNoCtx == nil {
 				continue
 			}
@@ -91,7 +88,7 @@ func runCtxFlow(ctx *Context) {
 			for i, c := range chain {
 				short[i] = shortFunc(c)
 			}
-			ctx.ReportAt(set.AbsPath(w.File), w.Line,
+			ctx.ReportAt(w.File, w.Line,
 				"%s receives a ctx but reaches this blocking %s through ctx-less path %s",
 				shortFunc(k), w.Op, strings.Join(short, " -> "))
 		}

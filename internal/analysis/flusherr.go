@@ -41,10 +41,6 @@ var flushFamily = map[string]bool{
 	"Sync":   true,
 	"Fsync":  true,
 	"Rename": true,
-	// Rotate closes-and-fsyncs the active journal segment before opening the
-	// next one; dropping its error loses the same durability guarantee as a
-	// dropped Sync (the records in the sealed segment may not be on disk).
-	"Rotate": true,
 }
 
 // inFlushScope decides whether a file participates in the durability scope.

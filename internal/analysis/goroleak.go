@@ -1,8 +1,8 @@
 package analysis
 
 import (
+	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // goroleak checks that every `go` statement whose target can run forever
@@ -35,31 +35,24 @@ func runGoroLeak(ctx *Context) {
 		return
 	}
 	ctx.Facts["goroleak.ran"] = true
-	set := moduleSummaries(ctx)
-	if set == nil {
-		return
-	}
+	sums := moduleSummaries(ctx)
 
-	keys := make([]string, 0, len(set.Funcs))
-	for k := range set.Funcs {
+	keys := make([]string, 0, len(sums))
+	for k := range sums {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fs := set.Funcs[k]
+		fs := sums[k]
 		for _, sp := range fs.Spawns {
-			ts := set.Funcs[sp.Target]
+			ts := sums[sp.Target]
 			if ts == nil || ts.MayLoop == nil || ts.HasTerm {
 				continue
 			}
 			loop := ts.MayLoop
-			where := loop.File
-			if i := strings.LastIndex(where, "/"); i >= 0 {
-				where = where[i+1:]
-			}
-			ctx.ReportAt(set.AbsPath(sp.File), sp.Line,
+			ctx.ReportAt(sp.File, sp.Line,
 				"goroutine %s loops unboundedly (%s:%d) but reaches no termination signal (ctx, done channel, or WaitGroup.Done)",
-				shortFunc(sp.Target), where, loop.Line)
+				shortFunc(sp.Target), filepath.Base(loop.File), loop.Line)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -23,8 +21,6 @@ type Package struct {
 	// Path is the import path ("hhoudini/internal/sat"; testdata packages
 	// use their directory base name).
 	Path string
-	// Dir is the package directory on disk.
-	Dir string
 	// Fset is the FileSet shared by every package of one load.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
@@ -32,13 +28,6 @@ type Package struct {
 	// Types and Info are the go/types results for the package.
 	Types *types.Package
 	Info  *types.Info
-	// Imports are the module-internal import paths (load-order deps);
-	// empty for single-package harness loads.
-	Imports []string
-	// Hash is a hex content fingerprint over the package's source files
-	// (names + bytes, in sorted-file order) — the raw material for the
-	// summary memo's per-package cache key.
-	Hash string
 }
 
 // LoadModule parses and type-checks every package under the module rooted
@@ -69,8 +58,6 @@ func LoadModule(dir string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	type rawPkg struct {
 		path    string
-		dir     string
-		hash    string
 		files   []*ast.File
 		imports []string
 	}
@@ -87,7 +74,7 @@ func LoadModule(dir string) ([]*Package, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			files, hash, err := parseDir(fset, d)
+			files, err := parseDir(fset, d)
 			if err != nil {
 				perr[i] = err
 				return
@@ -104,7 +91,7 @@ func LoadModule(dir string) ([]*Package, error) {
 			if rel != "." {
 				path = modPath + "/" + filepath.ToSlash(rel)
 			}
-			parsed[i] = &rawPkg{path: path, dir: d, hash: hash, files: files}
+			parsed[i] = &rawPkg{path: path, files: files}
 		}()
 	}
 	wg.Wait()
@@ -185,9 +172,6 @@ func LoadModule(dir string) ([]*Package, error) {
 					errs[i] = fmt.Errorf("%s: %w", path, err)
 					return
 				}
-				pkg.Dir = rp.dir
-				pkg.Hash = rp.hash
-				pkg.Imports = append([]string(nil), rp.imports...)
 				imp.add(path, pkg.Types)
 				cmu.Lock()
 				checked[path] = pkg
@@ -219,7 +203,7 @@ func LoadPackage(dir string) (*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	files, hash, err := parseDir(fset, abs)
+	files, err := parseDir(fset, abs)
 	if err != nil {
 		return nil, err
 	}
@@ -230,19 +214,15 @@ func LoadPackage(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
-	pkg.Dir = abs
-	pkg.Hash = hash
 	return pkg, nil
 }
 
 // parseDir parses every non-test .go file of one directory, in sorted
 // order, with comments attached (suppressions and annotations live there).
-// The returned hash fingerprints the parsed bytes (file names + contents),
-// feeding the summary memo's per-package cache key.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var names []string
 	for _, e := range ents {
@@ -255,25 +235,14 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
 	}
 	sort.Strings(names)
 	var files []*ast.File
-	h := sha256.New()
 	for _, n := range names {
-		path := filepath.Join(dir, n)
-		src, err := os.ReadFile(path)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, "", err
-		}
-		fmt.Fprintf(h, "%s\x00%d\x00", n, len(src))
-		h.Write(src)
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, "", nil
-	}
-	return files, hex.EncodeToString(h.Sum(nil)), nil
+	return files, nil
 }
 
 // typeCheck runs go/types over one package's files.

@@ -57,15 +57,12 @@ func runLockOrder(ctx *Context) {
 		return
 	}
 	ctx.Facts["lockorder.ran"] = true
-	set := moduleSummaries(ctx)
-	if set == nil {
-		return
-	}
+	sums := moduleSummaries(ctx)
 
 	// Collect edges in deterministic (summary key) order; keep the first
 	// witness per (from, to) pair.
-	keys := make([]string, 0, len(set.Funcs))
-	for k := range set.Funcs {
+	keys := make([]string, 0, len(sums))
+	for k := range sums {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -84,18 +81,18 @@ func runLockOrder(ctx *Context) {
 		}
 	}
 	for _, k := range keys {
-		fs := set.Funcs[k]
+		fs := sums[k]
 		for _, le := range fs.LockEdges {
-			addEdge(lockOrderEdge{from: le.Held, to: le.Acq, file: set.AbsPath(le.File), line: le.Line, fn: k})
+			addEdge(lockOrderEdge{from: le.Held, to: le.Acq, file: le.File, line: le.Line, fn: k})
 		}
 		for _, hc := range fs.HeldCalls {
-			cs := set.Funcs[hc.Callee]
+			cs := sums[hc.Callee]
 			if cs == nil {
 				continue
 			}
 			for _, ta := range cs.TransAcquires {
 				for _, held := range hc.Held {
-					addEdge(lockOrderEdge{from: held, to: ta.Lock, file: set.AbsPath(hc.File), line: hc.Line, fn: k, viaCall: hc.Callee})
+					addEdge(lockOrderEdge{from: held, to: ta.Lock, file: hc.File, line: hc.Line, fn: k, viaCall: hc.Callee})
 				}
 			}
 		}

@@ -1,22 +1,16 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
 // summary.go is the interprocedural engine: one FuncSummary per call-graph
-// node, computed bottom-up over strongly connected components and memoized
-// on disk, mirroring the VerifyCache memo design — compute once, key by
-// content fingerprint, answer warm runs from the store.
+// node, computed bottom-up over strongly connected components on every
+// run (milliseconds for the whole module, next to seconds to load it).
 //
 // A summary has two layers:
 //
@@ -30,213 +24,101 @@ import (
 //     signal is reachable, whether an unbounded loop is reachable), with a
 //     witness chain preserved for diagnostics.
 //
-// The memo (.hhcache/lintsumm.json by default) stores both layers keyed by
-// a per-package fingerprint: a hash of the package's source bytes, the
-// summary schema version, and the fingerprints of its module-internal
-// dependencies — so any edit invalidates exactly the packages above it in
-// the import DAG, and a warm `make lint` answers every summary below the
-// edit from disk. File positions inside stored summaries are module-root-
-// relative, so the memo survives checkouts at different paths.
-
-// summaryVersion invalidates the memo when the fact schema or extraction
-// rules change.
-const summaryVersion = 1
-
-// DefaultSummaryFile is the memo location relative to the module root.
-const DefaultSummaryFile = ".hhcache/lintsumm.json"
+// File fields hold the file name as the FileSet records it, which is what
+// suppression matching compares against.
 
 // LockSite is one direct lock acquisition.
 type LockSite struct {
-	Lock string `json:"lock"`
-	File string `json:"file"`
-	Line int    `json:"line"`
+	Lock string
+	File string
+	Line int
 }
 
 // TransAcq is one lock in the transitive-acquisition closure, with the
 // callee chain that reaches it.
 type TransAcq struct {
-	Lock string   `json:"lock"`
-	File string   `json:"file"`
-	Line int      `json:"line"`
-	Via  []string `json:"via,omitempty"`
+	Lock string
+	File string
+	Line int
+	Via  []string
 }
 
 // LockEdge is one directly observed ordered pair: Acq was acquired while
 // Held was held.
 type LockEdge struct {
-	Held string `json:"held"`
-	Acq  string `json:"acq"`
-	File string `json:"file"`
-	Line int    `json:"line"`
+	Held string
+	Acq  string
+	File string
+	Line int
 }
 
 // HeldCall is a resolved call made while holding locks.
 type HeldCall struct {
-	Callee string   `json:"callee"`
-	Held   []string `json:"held"`
-	File   string   `json:"file"`
-	Line   int      `json:"line"`
+	Callee string
+	Held   []string
+	File   string
+	Line   int
 }
 
 // SpawnSite is one `go` statement with a resolved target.
 type SpawnSite struct {
-	Target string `json:"target"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
+	Target string
+	File   string
+	Line   int
 }
 
 // BlockSite is one direct blocking operation (or other positioned fact).
 type BlockSite struct {
-	Op   string `json:"op"`
-	File string `json:"file"`
-	Line int    `json:"line"`
+	Op   string
+	File string
+	Line int
 }
 
 // Witness is a transitive fact with the callee chain that established it.
 type Witness struct {
-	Op   string   `json:"op"`
-	File string   `json:"file"`
-	Line int      `json:"line"`
-	Via  []string `json:"via,omitempty"`
+	Op   string
+	File string
+	Line int
+	Via  []string
 }
 
-// FuncSummary is the per-function fact record, JSON-stable for the memo.
+// FuncSummary is the per-function fact record.
 type FuncSummary struct {
-	Key    string `json:"key"`
-	HasCtx bool   `json:"has_ctx,omitempty"`
+	Key    string
+	HasCtx bool
 
 	// Direct facts.
-	Acquires  []LockSite  `json:"acquires,omitempty"`
-	LockEdges []LockEdge  `json:"lock_edges,omitempty"`
-	HeldCalls []HeldCall  `json:"held_calls,omitempty"`
-	Calls     []string    `json:"calls,omitempty"`
-	Spawns    []SpawnSite `json:"spawns,omitempty"`
-	Blocks    []BlockSite `json:"blocks,omitempty"`
-	CtxDrops  []BlockSite `json:"ctx_drops,omitempty"`
-	TermSig   string      `json:"term_sig,omitempty"` // "ctx" | "wg" | "chan" | ""
-	Loop      *BlockSite  `json:"loop,omitempty"`     // first unbounded `for {}` loop
+	Acquires  []LockSite
+	LockEdges []LockEdge
+	HeldCalls []HeldCall
+	Calls     []string
+	Spawns    []SpawnSite
+	Blocks    []BlockSite
+	CtxDrops  []BlockSite
+	TermSig   string     // "ctx" | "wg" | "chan" | ""
+	Loop      *BlockSite // first unbounded `for {}` loop
 
-	// Transitive closure (stored, so memo hits skip recomputation).
-	TransAcquires []TransAcq `json:"trans_acquires,omitempty"`
-	BlocksNoCtx   *Witness   `json:"blocks_noctx,omitempty"`
-	HasTerm       bool       `json:"has_term,omitempty"`
-	MayLoop       *Witness   `json:"may_loop,omitempty"`
+	// Transitive closure.
+	TransAcquires []TransAcq
+	BlocksNoCtx   *Witness
+	HasTerm       bool
+	MayLoop       *Witness
 }
 
-// SummarySet is the module-wide summary table plus memo bookkeeping.
-type SummarySet struct {
-	// Root is the directory summaries' file paths are relative to.
-	Root string
-	// Funcs maps summary key → summary for every node of the load.
-	Funcs map[string]*FuncSummary
-
-	// perPkg groups summaries by package path for the memo file.
-	perPkg map[string]map[string]*FuncSummary
-	// fps is the per-package composite fingerprint.
-	fps map[string]string
-
-	// Memo effectiveness counters (reported by hhlint -v and checked by
-	// the CI warm/cold self-test).
-	PkgTotal  int
-	PkgHits   int
-	FuncTotal int
-	FuncHits  int
-}
-
-// AbsPath joins a summary-relative path back to an absolute one for
-// diagnostics.
-func (s *SummarySet) AbsPath(rel string) string {
-	if rel == "" || filepath.IsAbs(rel) {
-		return rel
-	}
-	return filepath.Join(s.Root, rel)
-}
-
-// memoFile is the on-disk schema.
-type memoFile struct {
-	Version  int                 `json:"version"`
-	Packages map[string]*memoPkg `json:"packages"`
-}
-
-type memoPkg struct {
-	Fingerprint string                  `json:"fingerprint"`
-	Funcs       map[string]*FuncSummary `json:"funcs"`
-}
-
-// BuildSummaries computes (or restores) the summary table for the loaded
-// packages. root anchors relative paths; memoPath, when non-empty, is the
-// memo file to read and rewrite. pkgs must be in load order (dependencies
-// first). Memo failures (missing, corrupt, version-skewed) degrade to a
-// cold computation, never an error — same contract as the proofdb.
-func BuildSummaries(pkgs []*Package, g *CallGraph, root, memoPath string) *SummarySet {
-	set := &SummarySet{
-		Root:   root,
-		Funcs:  map[string]*FuncSummary{},
-		perPkg: map[string]map[string]*FuncSummary{},
-		fps:    map[string]string{},
-	}
-	var memo *memoFile
-	if memoPath != "" {
-		memo = readMemo(memoPath)
-	}
-
-	// Composite fingerprints, in dependency order.
-	for _, pkg := range pkgs {
-		h := sha256.New()
-		fmt.Fprintf(h, "v%d\x00%s\x00%s\x00", summaryVersion, pkg.Path, pkg.Hash)
-		deps := append([]string(nil), pkg.Imports...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			fmt.Fprintf(h, "%s=%s\x00", d, set.fps[d])
-		}
-		set.fps[pkg.Path] = hex.EncodeToString(h.Sum(nil))
-	}
-
-	// Partition packages into memo hits and fresh work.
-	fresh := map[string]bool{}
-	for _, pkg := range pkgs {
-		set.PkgTotal++
-		if memo != nil {
-			if mp := memo.Packages[pkg.Path]; mp != nil && mp.Fingerprint == set.fps[pkg.Path] {
-				set.PkgHits++
-				set.perPkg[pkg.Path] = mp.Funcs
-				for k, fs := range mp.Funcs {
-					set.Funcs[k] = fs
-					set.FuncHits++
-					set.FuncTotal++
-				}
-				continue
-			}
-		}
-		fresh[pkg.Path] = true
-	}
-
-	// Direct facts for every node of a fresh package.
-	var freshNodes []*CGNode
+// BuildSummaries computes the summary table, keyed by node key, for every
+// node of g: direct facts first, then the transitive closure callee-first.
+// Tarjan emits SCCs in reverse topological order of the condensation, so
+// each popped component sees final callee facts; mutual recursion inside a
+// component iterates to a fixpoint.
+func BuildSummaries(g *CallGraph) map[string]*FuncSummary {
+	sums := make(map[string]*FuncSummary, len(g.Nodes))
 	for _, n := range g.Nodes {
-		if !fresh[n.Pkg.Path] {
-			continue
-		}
-		fs := directFacts(n, g, root)
-		set.Funcs[n.Key] = fs
-		pp := set.perPkg[n.Pkg.Path]
-		if pp == nil {
-			pp = map[string]*FuncSummary{}
-			set.perPkg[n.Pkg.Path] = pp
-		}
-		pp[n.Key] = fs
-		freshNodes = append(freshNodes, n)
-		set.FuncTotal++
+		sums[n.Key] = directFacts(n, g)
 	}
-
-	// Transitive closure over the fresh subgraph, callee-first: Tarjan
-	// emits SCCs in reverse topological order of the condensation, so each
-	// popped component sees final callee facts; mutual recursion inside a
-	// component iterates to a fixpoint.
-	for _, scc := range tarjanSCC(freshNodes, func(n *CGNode) []*CGNode {
+	for _, scc := range tarjanSCC(g.Nodes, func(n *CGNode) []*CGNode {
 		var out []*CGNode
 		for _, e := range n.Out {
-			if e.Kind != KindGo && fresh[e.Callee.Pkg.Path] {
+			if e.Kind != KindGo {
 				out = append(out, e.Callee)
 			}
 		}
@@ -245,17 +127,13 @@ func BuildSummaries(pkgs []*Package, g *CallGraph, root, memoPath string) *Summa
 		for changed := true; changed; {
 			changed = false
 			for _, n := range scc {
-				if composeTransitive(set.Funcs[n.Key], set.Funcs) {
+				if composeTransitive(sums[n.Key], sums) {
 					changed = true
 				}
 			}
 		}
 	}
-
-	if memoPath != "" {
-		writeMemo(memoPath, set)
-	}
-	return set
+	return sums
 }
 
 // composeTransitive folds callee closures into fs, reporting whether
@@ -382,71 +260,20 @@ func tarjanSCC(nodes []*CGNode, succ func(*CGNode) []*CGNode) [][]*CGNode {
 	return sccs
 }
 
-// --- Memo I/O ----------------------------------------------------------------
-
-// readMemo loads the memo file, returning nil (cold start) on any failure.
-func readMemo(path string) *memoFile {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var m memoFile
-	if json.Unmarshal(data, &m) != nil || m.Version != summaryVersion || m.Packages == nil {
-		return nil
-	}
-	return &m
-}
-
-// writeMemo persists the full summary table atomically (temp file +
-// rename, the proofdb flush discipline minus the fsync: a torn memo only
-// costs a cold relint). Write failures are silently ignored — the memo is
-// an accelerator, not a correctness dependency.
-func writeMemo(path string, set *SummarySet) {
-	m := memoFile{Version: summaryVersion, Packages: map[string]*memoPkg{}}
-	for pkgPath, funcs := range set.perPkg {
-		m.Packages[pkgPath] = &memoPkg{Fingerprint: set.fps[pkgPath], Funcs: funcs}
-	}
-	data, err := json.Marshal(&m)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lintsumm-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if os.Rename(name, path) != nil {
-		os.Remove(name)
-	}
-}
-
 // --- Direct-fact extraction ---------------------------------------------------
 
 // directFacts scans one node's body (go-spawned literals and escaping
 // closures excluded — they are their own nodes or unknown contexts).
-func directFacts(n *CGNode, g *CallGraph, root string) *FuncSummary {
+func directFacts(n *CGNode, g *CallGraph) *FuncSummary {
 	fs := &FuncSummary{Key: n.Key, HasCtx: nodeHasCtx(n)}
-	relPos := func(p token.Pos) (string, int) {
+	posOf := func(p token.Pos) (string, int) {
 		posn := n.Pkg.Fset.Position(p)
-		file := posn.Filename
-		if rel, err := filepath.Rel(root, file); err == nil && !filepath.IsAbs(rel) {
-			file = rel
-		}
-		return filepath.ToSlash(file), posn.Line
+		return posn.Filename, posn.Line
 	}
 
 	// Calls and spawns come straight off the graph edges.
 	for _, e := range n.Out {
-		file, line := relPos(e.Pos)
+		file, line := posOf(e.Pos)
 		switch e.Kind {
 		case KindGo:
 			fs.Spawns = append(fs.Spawns, SpawnSite{Target: e.Callee.Key, File: file, Line: line})
@@ -502,14 +329,14 @@ func directFacts(n *CGNode, g *CallGraph, root string) *FuncSummary {
 			}
 			guardedSelect[x] = guarded || hasDefault
 			if !guarded && !hasDefault {
-				file, line := relPos(x.Pos())
+				file, line := posOf(x.Pos())
 				fs.Blocks = append(fs.Blocks, BlockSite{Op: "select with no ctx.Done case", File: file, Line: line})
 			}
 			return true
 
 		case *ast.SendStmt:
 			if !commOps[x] {
-				file, line := relPos(x.Pos())
+				file, line := posOf(x.Pos())
 				fs.Blocks = append(fs.Blocks, BlockSite{Op: "channel send", File: file, Line: line})
 			}
 			return true
@@ -523,7 +350,7 @@ func directFacts(n *CGNode, g *CallGraph, root string) *FuncSummary {
 				return true
 			}
 			termChan = true
-			file, line := relPos(x.Pos())
+			file, line := posOf(x.Pos())
 			fs.Blocks = append(fs.Blocks, BlockSite{Op: "channel receive", File: file, Line: line})
 			return true
 
@@ -531,7 +358,7 @@ func directFacts(n *CGNode, g *CallGraph, root string) *FuncSummary {
 			if t := n.Pkg.Info.TypeOf(x.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
 					termChan = true
-					file, line := relPos(x.Pos())
+					file, line := posOf(x.Pos())
 					fs.Blocks = append(fs.Blocks, BlockSite{Op: "range over channel", File: file, Line: line})
 				}
 			}
@@ -539,13 +366,13 @@ func directFacts(n *CGNode, g *CallGraph, root string) *FuncSummary {
 
 		case *ast.ForStmt:
 			if x.Init == nil && x.Cond == nil && x.Post == nil && fs.Loop == nil {
-				file, line := relPos(x.Pos())
+				file, line := posOf(x.Pos())
 				fs.Loop = &BlockSite{Op: "for {} loop", File: file, Line: line}
 			}
 			return true
 
 		case *ast.CallExpr:
-			fileOf := func() (string, int) { return relPos(x.Pos()) }
+			fileOf := func() (string, int) { return posOf(x.Pos()) }
 
 			// Lock-state transitions (incl. methods promoted from an
 			// embedded mutex).
@@ -891,23 +718,4 @@ func dedupStrings(in []string) []string {
 		prev = s
 	}
 	return out
-}
-
-// DumpSummaries renders the summary table as indented JSON for the
-// -summaries debug flag.
-func DumpSummaries(set *SummarySet) string {
-	keys := make([]string, 0, len(set.Funcs))
-	for k := range set.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make([]*FuncSummary, 0, len(keys))
-	for _, k := range keys {
-		ordered = append(ordered, set.Funcs[k])
-	}
-	data, err := json.MarshalIndent(ordered, "", "  ")
-	if err != nil {
-		return ""
-	}
-	return string(data)
 }

@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"os"
+	"fmt"
 	"path/filepath"
-	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -17,7 +17,7 @@ func TestCallGraphEdges(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	g := BuildCallGraph([]*Package{pkg})
-	dump := DumpGraph(g)
+	dump := dumpGraph(g)
 	for _, want := range []string{
 		"goroleak.spawnNamed -> goroleak.spin [go]",
 		"goroleak.spawnLit -> goroleak.spawnLit·go1 [go]",
@@ -32,90 +32,6 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 }
 
-// TestSummaryMemo pins the disk-memo contract: a second build over
-// unchanged sources answers every package from the memo and yields an
-// identical summary table; an edit invalidates exactly the touched
-// package.
-func TestSummaryMemo(t *testing.T) {
-	// Work on a throwaway copy so the edit step cannot dirty testdata.
-	src := filepath.Join("testdata", "src", "lockorder")
-	dir := t.TempDir()
-	data, err := os.ReadFile(filepath.Join(src, "lockorder.go"))
-	if err != nil {
-		t.Fatalf("read fixture: %v", err)
-	}
-	work := filepath.Join(dir, "lockorder")
-	if err := os.MkdirAll(work, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(work, "lockorder.go"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	memo := filepath.Join(dir, "lintsumm.json")
-
-	load := func() (*Package, *CallGraph) {
-		pkg, err := LoadPackage(work)
-		if err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		return pkg, BuildCallGraph([]*Package{pkg})
-	}
-
-	pkg, g := load()
-	cold := BuildSummaries([]*Package{pkg}, g, work, memo)
-	if cold.PkgHits != 0 || cold.FuncHits != 0 {
-		t.Errorf("cold build reported hits: %d/%d pkgs, %d/%d funcs",
-			cold.PkgHits, cold.PkgTotal, cold.FuncHits, cold.FuncTotal)
-	}
-	if _, err := os.Stat(memo); err != nil {
-		t.Fatalf("memo not written: %v", err)
-	}
-
-	pkg2, g2 := load()
-	warm := BuildSummaries([]*Package{pkg2}, g2, work, memo)
-	if warm.PkgHits != warm.PkgTotal || warm.PkgHits == 0 {
-		t.Errorf("warm build: %d/%d package hits, want full", warm.PkgHits, warm.PkgTotal)
-	}
-	if warm.FuncHits != warm.FuncTotal || warm.FuncHits == 0 {
-		t.Errorf("warm build: %d/%d function hits, want full", warm.FuncHits, warm.FuncTotal)
-	}
-	if !reflect.DeepEqual(cold.Funcs, warm.Funcs) {
-		t.Errorf("memo-restored summary table differs from cold computation")
-	}
-
-	// An edit (any content change) must invalidate the package fingerprint.
-	edited := append([]byte("// edited\n"), data...)
-	if err := os.WriteFile(filepath.Join(work, "lockorder.go"), edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg3, g3 := load()
-	after := BuildSummaries([]*Package{pkg3}, g3, work, memo)
-	if after.PkgHits != 0 {
-		t.Errorf("edited package still answered from memo (%d hits)", after.PkgHits)
-	}
-}
-
-// TestSummaryMemoCorrupt pins the degradation contract: unreadable or
-// version-skewed memo files mean a cold build, never an error.
-func TestSummaryMemoCorrupt(t *testing.T) {
-	pkg, err := LoadPackage(filepath.Join("testdata", "src", "ctxflow"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	memo := filepath.Join(t.TempDir(), "lintsumm.json")
-	if err := os.WriteFile(memo, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g := BuildCallGraph([]*Package{pkg})
-	set := BuildSummaries([]*Package{pkg}, g, pkg.Dir, memo)
-	if set.PkgHits != 0 {
-		t.Errorf("corrupt memo produced hits")
-	}
-	if len(set.Funcs) == 0 {
-		t.Errorf("corrupt memo aborted the build")
-	}
-}
-
 // TestSummaryFacts spot-checks the extracted facts driving the three
 // interprocedural passes.
 func TestSummaryFacts(t *testing.T) {
@@ -123,10 +39,9 @@ func TestSummaryFacts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	g := BuildCallGraph([]*Package{pkg})
-	set := BuildSummaries([]*Package{pkg}, g, pkg.Dir, "")
+	sums := BuildSummaries(BuildCallGraph([]*Package{pkg}))
 
-	sleepy := set.Funcs["ctxflow.sleepy"]
+	sleepy := sums["ctxflow.sleepy"]
 	if sleepy == nil || !sleepy.HasCtx {
 		t.Fatalf("ctxflow.sleepy summary missing or ctx-less: %+v", sleepy)
 	}
@@ -137,12 +52,12 @@ func TestSummaryFacts(t *testing.T) {
 		t.Errorf("ctx-bearing function must not carry BlocksNoCtx (callers are not responsible)")
 	}
 
-	wait := set.Funcs["ctxflow.wait"]
+	wait := sums["ctxflow.wait"]
 	if wait == nil || wait.BlocksNoCtx == nil || wait.BlocksNoCtx.Op != "channel receive" {
 		t.Errorf("ctxflow.wait BlocksNoCtx = %+v, want channel receive", wait)
 	}
 
-	okFn := set.Funcs["ctxflow.ok"]
+	okFn := sums["ctxflow.ok"]
 	if okFn == nil || len(okFn.Blocks) != 0 {
 		t.Errorf("guarded select must not count as blocking: %+v", okFn)
 	}
@@ -150,8 +65,21 @@ func TestSummaryFacts(t *testing.T) {
 		t.Errorf("ctx.Done select case must set TermSig=ctx, got %q", okFn.TermSig)
 	}
 
-	drop := set.Funcs["ctxflow.drop"]
+	drop := sums["ctxflow.drop"]
 	if drop == nil || len(drop.CtxDrops) != 1 {
 		t.Errorf("ctxflow.drop CtxDrops = %+v, want one", drop)
 	}
+}
+
+// dumpGraph renders the graph as stable text (one `caller -> callee [kind]`
+// line per edge).
+func dumpGraph(g *CallGraph) string {
+	var lines []string
+	for _, n := range g.Nodes {
+		for _, e := range n.Out {
+			lines = append(lines, fmt.Sprintf("%s -> %s [%s]", n.Key, e.Callee.Key, e.Kind))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

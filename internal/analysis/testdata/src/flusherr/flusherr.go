@@ -9,10 +9,6 @@ func (f *file) Close() error { return nil }
 func (f *file) Sync() error  { return nil }
 func (f *file) Flush() error { return nil }
 
-// Rotate seals the current segment and opens the next one; its error is in
-// the flush family because the seal includes the segment's final fsync.
-func (f *file) Rotate() error { return nil }
-
 // note returns no error: flush-family names without an error result are
 // never flagged.
 type buf struct{}
@@ -41,17 +37,10 @@ func plainFunc() {
 	Rename("a", "b") // want "discarded error from Rename"
 }
 
-func rotated(f *file) {
-	f.Rotate() // want "discarded error from Rotate"
-}
-
 // --- handled forms are clean ----------------------------------------------
 
 func handled(f *file) error {
 	if err := f.Flush(); err != nil {
-		return err
-	}
-	if err := f.Rotate(); err != nil {
 		return err
 	}
 	return f.Close()
