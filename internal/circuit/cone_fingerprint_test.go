@@ -118,10 +118,10 @@ func TestConeFingerprintPerturbations(t *testing.T) {
 // fpState-lost-on-duplicate fix. A first replay normalizes node numbering
 // (registers, then inputs, then gates), so its whole-circuit fingerprint is
 // recomputed — deterministically. Once normalized, further pure replays are
-// node-identical and inherit the memoized fingerprint and cone table
-// outright; post-replay builder mutations disable the inheritance. Cone
-// fingerprints are numbering-invariant, so they transfer across every
-// replay, prefixed or not.
+// node-identical and inherit the memoized fingerprint and cone table (memo,
+// node ranks and scratch pool) outright; post-replay builder mutations
+// disable the inheritance. Cone fingerprints are numbering-invariant, so
+// they transfer across every replay, prefixed or not.
 func TestDuplicateInheritsFingerprint(t *testing.T) {
 	src := buildEmbedded(t, true)
 	sup := []string{"a", "b"}
@@ -158,6 +158,18 @@ func TestDuplicateInheritsFingerprint(t *testing.T) {
 	}
 	if dup1.coneTab() != dup3.coneTab() {
 		t.Fatal("normalized pure duplicate did not inherit the cone memo table")
+	}
+	// The node ranks come with the table: dup1 computed them above, and dup3
+	// holds that very array before its first cone walk and keeps it after.
+	r1 := dup1.coneTab().rank
+	if r3 := dup3.coneTab().rank; len(r3) == 0 || &r3[0] != &r1[0] {
+		t.Fatal("normalized pure duplicate did not inherit the node ranks")
+	}
+	if dup3.ConeFingerprint([]string{"a"}) != dup1.ConeFingerprint([]string{"a"}) {
+		t.Fatal("duplicate and source disagree on a cone fingerprint")
+	}
+	if r3 := dup3.coneTab().rank; &r3[0] != &r1[0] {
+		t.Fatal("duplicate recomputed the inherited node ranks")
 	}
 
 	// Mutating the builder after the replay must fall back to recompute —

@@ -158,8 +158,9 @@ func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 	return string(sb), sizeOK
 }
 
-// FuzzConeFingerprint checks two properties on random small cones:
-// embedding invariance (the same cone in a larger, reordered design hashes
+// FuzzConeFingerprint checks three properties on random small cones:
+// agreement with the map-based reference traversal (coneOracle), embedding
+// invariance (the same cone in a larger, reordered design hashes
 // equal) and agreement with the brute-force isomorphism reference under
 // single-byte spec mutations — a mutation changes the fingerprint exactly
 // when it changes the cone's canonical structure (some mutations are
@@ -178,6 +179,11 @@ func FuzzConeFingerprint(f *testing.F) {
 		if !ok2 {
 			t.Skip()
 		}
+		for _, c := range []*Circuit{c1, c2} {
+			if got, want := c.ConeFingerprint(sup), c.coneOracle(sup); got != want {
+				t.Fatalf("cone fingerprint %s differs from the oracle's %s", got.Hex(), want.Hex())
+			}
+		}
 		if c1.ConeFingerprint(sup) != c2.ConeFingerprint(sup) {
 			t.Fatalf("cone fingerprint varies with embedding:\n  plain    %s\n  embedded %s",
 				c1.ConeFingerprint(sup).Hex(), c2.ConeFingerprint(sup).Hex())
@@ -190,6 +196,9 @@ func FuzzConeFingerprint(f *testing.F) {
 		c3, sup3, ok3 := buildSpecCircuit(m, false)
 		if !ok3 || len(sup3) != len(sup) {
 			return
+		}
+		if got, want := c3.ConeFingerprint(sup), c3.coneOracle(sup); got != want {
+			t.Fatalf("mutated cone fingerprint %s differs from the oracle's %s", got.Hex(), want.Hex())
 		}
 		b1, okB1 := bruteConeCanon(c1, sup)
 		b3, okB3 := bruteConeCanon(c3, sup)

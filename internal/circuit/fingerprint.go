@@ -1,8 +1,10 @@
 package circuit
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -98,7 +100,8 @@ type fpState struct {
 }
 
 // adoptIdentity shares the memoized structural identity of an equal circuit:
-// the whole-circuit fingerprint and the cone-fingerprint memo table. Only
+// the whole-circuit fingerprint and the cone table (memo, node ranks and
+// scratch pool). Only
 // valid when the two circuits are structurally identical (same node array,
 // interface, registers and wires) — callers must verify that first.
 func (c *Circuit) adoptIdentity(src *Circuit) {
@@ -133,12 +136,20 @@ func hexPut(dst []byte, v uint64) {
 	}
 }
 
-// coneTable memoizes cone traversals per support set. It is shared between
-// a circuit and its pure duplicates (see adoptIdentity): node ids are
-// identical across a pure replay, so the memo transfers verbatim.
+// coneTable memoizes cone fingerprints per support set, together with the
+// per-circuit data every cone traversal reads: each node's structure rank
+// and the stream state after the input interface. It is shared between a
+// circuit and its pure duplicates (see adoptIdentity): node ids are
+// identical across a pure replay, so all of it transfers verbatim.
 type coneTable struct {
 	mu sync.Mutex
 	m  map[string]ConeFP
+
+	structOnce sync.Once
+	rank       []uint32 // node id → rank of its structure hash (see structureRanks)
+	head       chWriter // stream state after the header and input interface
+
+	scratch sync.Pool // *coneScratch, reused across traversals
 }
 
 func (c *Circuit) coneTab() *coneTable {
@@ -150,9 +161,19 @@ func (c *Circuit) coneTab() *coneTable {
 	return c.cones
 }
 
-// canonSupport sorts, dedups and joins a support-register list into the
-// cone memo key. Empty names are dropped.
-func canonSupport(support []string) string {
+// structure returns the circuit's node ranks and stream head, computing
+// both on first use.
+func (t *coneTable) structure(c *Circuit) ([]uint32, chWriter) {
+	t.structOnce.Do(func() {
+		t.rank = c.structureRanks()
+		t.head = c.coneHead()
+	})
+	return t.rank, t.head
+}
+
+// canonSupport sorts and dedups a support-register list, dropping empty
+// names, and joins it into the cone memo key.
+func canonSupport(support []string) (key string, names []string) {
 	s := make([]string, 0, len(support))
 	for _, name := range support {
 		if name != "" {
@@ -168,7 +189,7 @@ func canonSupport(support []string) string {
 		}
 		prev = name
 	}
-	return strings.Join(out, "\x00")
+	return strings.Join(out, "\x00"), out
 }
 
 // ConeFingerprint returns the canonical fingerprint of the union fan-in
@@ -182,10 +203,11 @@ func canonSupport(support []string) string {
 // environment assumptions encode over input ports, so cones are only
 // interchangeable between designs that agree on the inputs.
 //
-// Results are memoized per support set; repeated cones cost one traversal.
-// Safe for concurrent use.
+// Results are memoized per support set. A miss costs one walk over the
+// cone; the per-node structure hashes it orders operands by are computed
+// once per circuit. Safe for concurrent use.
 func (c *Circuit) ConeFingerprint(support []string) ConeFP {
-	key := canonSupport(support)
+	key, names := canonSupport(support)
 	t := c.coneTab()
 	t.mu.Lock()
 	if fp, ok := t.m[key]; ok {
@@ -194,11 +216,7 @@ func (c *Circuit) ConeFingerprint(support []string) ConeFP {
 	}
 	t.mu.Unlock()
 
-	var names []string
-	if key != "" {
-		names = strings.Split(key, "\x00")
-	}
-	fp := c.computeCone(names)
+	fp := c.computeCone(t, names)
 
 	// A concurrent caller may have stored the same key meanwhile; the
 	// fingerprint is a pure function of the support, so either write wins.
@@ -222,7 +240,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// chWriter feeds one byte stream to the FNV-1 and FNV-1a variants at once.
+// chWriter feeds one byte stream to the FNV-1a (a) and FNV-1 (b) variants
+// at once — byte for byte what hash/fnv's New64a and New64 compute.
 type chWriter ch128
 
 func newCHWriter() chWriter { return chWriter{a: fnvOffset64, b: fnvOffset64} }
@@ -232,18 +251,44 @@ func (w *chWriter) byte(c byte) {
 	w.b = w.b*fnvPrime64 ^ uint64(c)     // FNV-1
 }
 
-func (w *chWriter) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		w.byte(byte(v))
-		v >>= 8
+// fnvPrimePow[k] is fnvPrime64^k (mod 2^64).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
 	}
+	return p
+}()
+
+// u64 writes v little-endian. A zero byte leaves both FNV xors unchanged,
+// so the zero high bytes of a small value collapse into one multiply by a
+// power of the prime — the same digest as writing them one by one.
+func (w *chWriter) u64(v uint64) {
+	n := 0
+	for ; v != 0; v >>= 8 {
+		w.byte(byte(v))
+		n++
+	}
+	p := fnvPrimePow[8-n]
+	w.a *= p
+	w.b *= p
 }
 
+// bool writes b as one byte (the per-node structure hashes).
 func (w *chWriter) bool(b bool) {
 	if b {
 		w.byte(1)
 	} else {
 		w.byte(0)
+	}
+}
+
+// boolWord writes b as a u64 (the cone stream).
+func (w *chWriter) boolWord(b bool) {
+	if b {
+		w.u64(1)
+	} else {
+		w.u64(0)
 	}
 }
 
@@ -256,211 +301,220 @@ func (w *chWriter) str(s string) {
 
 func (w *chWriter) sum() ch128 { return ch128(*w) }
 
+// chCmp orders structure hashes.
+func chCmp(x, y ch128) int {
+	if x.a != y.a {
+		return cmp.Compare(x.a, y.a)
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
 // chLess orders (structure hash, inversion) operand pairs canonically.
 func chLess(x ch128, xi bool, y ch128, yi bool) bool {
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	if x.b != y.b {
-		return x.b < y.b
+	if c := chCmp(x, y); c != 0 {
+		return c < 0
 	}
 	return !xi && yi
 }
 
-// computeCone performs the canonical traversal in two passes over the union
-// next-state cone of the (already sorted) support registers. Pass one
-// computes a per-node canonical structure hash bottom-up, insensitive to
-// AND operand order. Pass two walks the cone again visiting AND operands in
-// canonical (structure-hash) order, assigns dense local ids in discovery
-// order, and hashes each node's structure — expressed over local ids —
-// exactly once. The same byte stream feeds two independent FNV variants to
-// form the 128-bit fingerprint.
-func (c *Circuit) computeCone(support []string) ConeFP {
-	h1 := fnv.New64a()
-	h2 := fnv.New64()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h1.Write(buf[:])
-		h2.Write(buf[:])
+// rankLess is chLess over structure ranks: ranks order nodes exactly as
+// their hashes do, and equal ranks mean equal hashes.
+func rankLess(x uint32, xi bool, y uint32, yi bool) bool {
+	if x != y {
+		return x < y
 	}
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h1.Write([]byte(s))
-		h2.Write([]byte(s))
-	}
-	boolBit := func(b bool) {
-		if b {
-			u64(1)
-		} else {
-			u64(0)
+	return !xi && yi
+}
+
+// structureRanks computes every node's canonical structure hash in one
+// pass — node ids are topological, so operands are always hashed first —
+// and returns each node's rank among the distinct hashes. A node's hash
+// depends only on its own fan-in, so it is the same whichever cone the
+// node is walked in. The cone walk only ever compares hashes, so the
+// 4-byte rank stands in for the 16-byte hash at no loss.
+func (c *Circuit) structureRanks() []uint32 {
+	hs := make([]ch128, len(c.nodes))
+	for id, nd := range c.nodes {
+		w := newCHWriter()
+		switch nd.kind {
+		case kAnd:
+			pa, pb := hs[nd.a.Node()], hs[nd.b.Node()]
+			ia, ib := nd.a.Inverted(), nd.b.Inverted()
+			if chLess(pb, ib, pa, ia) {
+				pa, pb, ia, ib = pb, pa, ib, ia
+			}
+			w.byte('a')
+			w.u64(pa.a)
+			w.u64(pa.b)
+			w.bool(ia)
+			w.u64(pb.a)
+			w.u64(pb.b)
+			w.bool(ib)
+		case kLatch:
+			l := c.latches[nd.a]
+			w.byte('r')
+			w.str(c.regs[l.reg].Name)
+			w.u64(uint64(l.bit))
+		case kInput:
+			port, off := c.inputBitRef(int32(nd.a))
+			w.byte('i')
+			w.str(c.inputs[port].Name)
+			w.u64(uint64(off))
+		case kConst:
+			w.byte('k')
 		}
+		hs[id] = w.sum()
 	}
 
-	str("hhoudini-cone-fp/v1")
+	order := make([]int32, len(hs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return chCmp(hs[x], hs[y]) })
+	rank := make([]uint32, len(hs))
+	var r uint32
+	for i, id := range order {
+		if i > 0 && hs[id] != hs[order[i-1]] {
+			r++
+		}
+		rank[id] = r
+	}
+	return rank
+}
 
-	// Primary-input interface (sorted): pins the environment-encoding
-	// determinism across designs sharing this cone.
+// coneHead hashes the part of the cone stream every support shares: the
+// version tag and the primary-input interface (sorted), which pins the
+// environment-encoding determinism across designs sharing a cone.
+func (c *Circuit) coneHead() chWriter {
+	w := newCHWriter()
+	w.str("hhoudini-cone-fp/v1")
 	inNames := make([]string, len(c.inputs))
 	for i, p := range c.inputs {
 		inNames[i] = p.Name
 	}
 	sort.Strings(inNames)
-	u64(uint64(len(inNames)))
+	w.u64(uint64(len(inNames)))
 	for _, nm := range inNames {
 		p := c.inputs[c.inIdx[nm]]
-		str("in")
-		str(p.Name)
-		u64(uint64(p.Width))
+		w.str("in")
+		w.str(p.Name)
+		w.u64(uint64(p.Width))
 	}
+	return w
+}
 
-	// Pass one: order-insensitive per-node structure hashes, bottom-up.
-	ch := make(map[int32]ch128)
-	type frame struct {
-		id       int32
-		expanded bool
-	}
-	var stack []frame
-	chVisit := func(root int32) {
-		if _, ok := ch[root]; ok {
-			return
-		}
-		stack = append(stack[:0], frame{id: root})
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if _, ok := ch[f.id]; ok {
-				continue
-			}
-			nd := c.nodes[f.id]
-			if nd.kind == kAnd && !f.expanded {
-				stack = append(stack, frame{id: f.id, expanded: true},
-					frame{id: nd.a.Node()}, frame{id: nd.b.Node()})
-				continue
-			}
-			w := newCHWriter()
-			switch nd.kind {
-			case kAnd:
-				pa, pb := ch[nd.a.Node()], ch[nd.b.Node()]
-				ia, ib := nd.a.Inverted(), nd.b.Inverted()
-				if chLess(pb, ib, pa, ia) {
-					pa, pb, ia, ib = pb, pa, ib, ia
-				}
-				w.byte('a')
-				w.u64(pa.a)
-				w.u64(pa.b)
-				w.bool(ia)
-				w.u64(pb.a)
-				w.u64(pb.b)
-				w.bool(ib)
-			case kLatch:
-				l := c.latches[nd.a]
-				w.byte('r')
-				w.str(c.regs[l.reg].Name)
-				w.u64(uint64(l.bit))
-			case kInput:
-				port, off := c.inputBitRef(int32(nd.a))
-				w.byte('i')
-				w.str(c.inputs[port].Name)
-				w.u64(uint64(off))
-			case kConst:
-				w.byte('k')
-			}
-			ch[f.id] = w.sum()
-		}
-	}
+// coneScratch is one traversal's working memory, pooled on the coneTable.
+type coneScratch struct {
+	local []int32 // node id → local id + 1; 0 = not yet numbered
+	stack []coneFrame
+}
 
-	// Pass two: canonical-order DFS assigning local ids and hashing the
-	// stream. AND operands are visited and emitted smaller-structure-hash
-	// first; ties (isomorphic operand subtrees) fall back to ascending
-	// local id, which both orders agree on up to isomorphism.
-	local := make(map[int32]int32)
-	assign := func(id int32) {
-		local[id] = int32(len(local))
+type coneFrame struct {
+	id       int32
+	expanded bool
+}
+
+// computeCone hashes the union next-state cone of the (already sorted and
+// deduplicated) support registers. Starting from the shared stream head, it
+// walks each register's next-state roots depth first, visiting AND operands
+// in canonical order — lower structure rank first, so the order does not
+// depend on how the builder stored them — assigns dense local ids in
+// discovery order, and hashes each node's structure, expressed over local
+// ids, exactly once. The stream feeds the two FNV-64 variants of chWriter
+// to form the 128-bit fingerprint.
+func (c *Circuit) computeCone(t *coneTable, support []string) ConeFP {
+	rank, w := t.structure(c)
+	s, _ := t.scratch.Get().(*coneScratch)
+	if s == nil {
+		s = &coneScratch{local: make([]int32, len(c.nodes))}
 	}
+	local := s.local
+	var next int32 // local ids assigned so far
 
 	visit := func(root int32) {
-		if _, ok := local[root]; ok {
+		if local[root] != 0 {
 			return
 		}
-		chVisit(root)
-		stack = append(stack[:0], frame{id: root})
+		stack := append(s.stack[:0], coneFrame{id: root})
 		for len(stack) > 0 {
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if _, ok := local[f.id]; ok {
+			if local[f.id] != 0 {
 				continue
 			}
 			nd := c.nodes[f.id]
 			if nd.kind == kAnd && !f.expanded {
 				first, second := nd.a.Node(), nd.b.Node()
-				if chLess(ch[second], nd.b.Inverted(), ch[first], nd.a.Inverted()) {
+				if rankLess(rank[second], nd.b.Inverted(), rank[first], nd.a.Inverted()) {
 					first, second = second, first
 				}
 				// LIFO: push the canonical-second child first so the
 				// canonical-first child is discovered (and numbered) first.
-				stack = append(stack, frame{id: f.id, expanded: true},
-					frame{id: second}, frame{id: first})
+				stack = append(stack, coneFrame{id: f.id, expanded: true},
+					coneFrame{id: second}, coneFrame{id: first})
 				continue
 			}
+			next++
+			local[f.id] = next
 			switch nd.kind {
 			case kAnd:
-				la, lb := local[nd.a.Node()], local[nd.b.Node()]
+				la, lb := local[nd.a.Node()]-1, local[nd.b.Node()]-1
 				ia, ib := nd.a.Inverted(), nd.b.Inverted()
-				pa, pb := ch[nd.a.Node()], ch[nd.b.Node()]
-				if chLess(pb, ib, pa, ia) || (pa == pb && ia == ib && lb < la) {
+				ra, rb := rank[nd.a.Node()], rank[nd.b.Node()]
+				// Ties (isomorphic operand subtrees) fall back to ascending
+				// local id, which both orders agree on up to isomorphism.
+				if rankLess(rb, ib, ra, ia) || (ra == rb && ia == ib && lb < la) {
 					la, lb, ia, ib = lb, la, ib, ia
 				}
-				assign(f.id)
-				str("a")
-				u64(uint64(la))
-				boolBit(ia)
-				u64(uint64(lb))
-				boolBit(ib)
+				w.str("a")
+				w.u64(uint64(la))
+				w.boolWord(ia)
+				w.u64(uint64(lb))
+				w.boolWord(ib)
 			case kLatch:
 				l := c.latches[nd.a]
-				assign(f.id)
-				str("r")
-				str(c.regs[l.reg].Name)
-				u64(uint64(l.bit))
+				w.str("r")
+				w.str(c.regs[l.reg].Name)
+				w.u64(uint64(l.bit))
 			case kInput:
-				assign(f.id)
 				port, off := c.inputBitRef(int32(nd.a))
-				str("i")
-				str(c.inputs[port].Name)
-				u64(uint64(off))
+				w.str("i")
+				w.str(c.inputs[port].Name)
+				w.u64(uint64(off))
 			case kConst:
-				assign(f.id)
-				str("k")
+				w.str("k")
 			}
 		}
+		s.stack = stack
 	}
 
-	u64(uint64(len(support)))
+	w.u64(uint64(len(support)))
 	for _, name := range support {
 		ri, ok := c.regIdx[name]
 		if !ok {
 			// Unknown register: hash its absence so the key stays total and
 			// distinct from any real cone.
-			str("reg?")
-			str(name)
+			w.str("reg?")
+			w.str(name)
 			continue
 		}
 		r := c.regs[ri]
-		str("reg")
-		str(r.Name)
-		u64(uint64(r.Width))
-		u64(r.Init)
+		w.str("reg")
+		w.str(r.Name)
+		w.u64(uint64(r.Width))
+		w.u64(r.Init)
 		for bit, root := range r.Next {
 			visit(root.Node())
-			str("root")
-			u64(uint64(bit))
-			u64(uint64(local[root.Node()]))
-			boolBit(root.Inverted())
+			w.str("root")
+			w.u64(uint64(bit))
+			w.u64(uint64(local[root.Node()] - 1))
+			w.boolWord(root.Inverted())
 		}
 	}
 
-	return ConeFP{A: h1.Sum64(), B: h2.Sum64()}
+	clear(local)
+	t.scratch.Put(s)
+	return ConeFP{A: w.a, B: w.b}
 }
 
 // inputBitRef resolves a global input-bit index to (port index, bit offset
