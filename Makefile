@@ -1,11 +1,11 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + hhlint + the
 # tier-1 tests at three core counts + the race, chaos and crash tiers + a
-# 1-iteration smoke run of every go-test benchmark + a short traced run of
-# the repository benchmark (bench/).
+# 10-second SAT fuzz smoke + a 1-iteration smoke run of every go-test
+# benchmark + a short traced run of the repository benchmark (bench/).
 
 GO ?= go
 
-.PHONY: all fmt vet build lint test race race-proofdb chaos crash bench-smoke bench loc ci
+.PHONY: all fmt vet build lint test race race-proofdb chaos crash fuzz-smoke bench-smoke bench loc ci
 
 all: build
 
@@ -72,6 +72,12 @@ crash:
 	$(GO) test -run 'TestCrash' ./internal/proofdb/
 	$(GO) test -run 'TestKill9' ./internal/serve/
 
+# Ten seconds of the SAT core's differential fuzz target past its seed
+# corpus: random incremental sessions with a forced learnt-DB reduction and
+# arena compaction, every verdict checked against brute-force enumeration.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzArenaVsBruteForce$$' -fuzztime 10s ./internal/sat
+
 # One iteration of every benchmark: catches bit-rot in the harness without
 # paying for stable timings.
 bench-smoke:
@@ -98,7 +104,7 @@ loc:
 # (an assertion that holds at one core count only, or only in a cached `ok`,
 # fails here), then a short traced run of the real benchmark, gated by its
 # own answer checks, the audit and >= 0.95 span coverage (~40 s).
-ci: fmt vet build lint race race-proofdb chaos crash bench-smoke
+ci: fmt vet build lint race race-proofdb chaos crash fuzz-smoke bench-smoke
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...

@@ -39,12 +39,8 @@ type (
 	Inputs   = circuit.Inputs
 )
 
-// Encoder Tseitin-encodes circuit cones into a SAT solver; EncoderStats
-// counts the encode work it has performed (gates, clauses, memo hits).
-type (
-	Encoder      = circuit.Encoder
-	EncoderStats = circuit.EncoderStats
-)
+// Encoder Tseitin-encodes circuit cones into a SAT solver.
+type Encoder = circuit.Encoder
 
 // NewCircuitBuilder returns an empty circuit builder.
 func NewCircuitBuilder() *CircuitBuilder { return circuit.NewBuilder() }
@@ -72,17 +68,13 @@ func NewVCDRecorder(w io.Writer, sim *Sim, module string) (*VCDRecorder, error) 
 // SATSolver is the CDCL solver underlying every query.
 type SATSolver = sat.Solver
 
-// SATLit is a solver literal; SATStatus is a solve verdict.
-type (
-	SATLit    = sat.Lit
-	SATStatus = sat.Status
-)
+// SATLit is a solver literal.
+type SATLit = sat.Lit
 
 // SAT verdicts.
 const (
-	SATUnknown = sat.Unknown
-	SATSat     = sat.Sat
-	SATUnsat   = sat.Unsat
+	SATSat   = sat.Sat
+	SATUnsat = sat.Unsat
 )
 
 // NewSATSolver returns an empty solver.
@@ -166,13 +158,8 @@ var (
 
 // --- ISA -------------------------------------------------------------------------
 
-// ISAOp is an RV32 mnemonic; ISAInstr a decoded instruction; MaskMatch an
-// InSafeSet pattern.
-type (
-	ISAOp     = isa.Op
-	ISAInstr  = isa.Instr
-	MaskMatch = isa.MaskMatch
-)
+// ISAOp is an RV32 mnemonic.
+type ISAOp = isa.Op
 
 // ParseISAOp resolves a mnemonic such as "add".
 func ParseISAOp(name string) (ISAOp, bool) { return isa.ParseOp(name) }
@@ -228,10 +215,6 @@ type (
 	LearnerOptions = core.Options
 )
 
-// StatsSnapshot is an atomically-consistent copy of a Stats, safe to read
-// while the learner that owns the Stats is still running (Stats.Snapshot).
-type StatsSnapshot = core.StatsSnapshot
-
 // MineOracle supplies candidate predicates per cone (Algorithm 2's role).
 type MineOracle = core.MineOracle
 
@@ -246,11 +229,8 @@ func DefaultLearnerOptions() LearnerOptions { return core.DefaultOptions() }
 // VerifyCache is the verification memo store: abduction verdicts and proven
 // abducts shared across Learner instances, keyed by cone fingerprint +
 // environment-assumption key. Only answers live here — a learner's solvers
-// last for one Learn. CacheCounters snapshots its effectiveness counters.
-type (
-	VerifyCache   = core.VerifyCache
-	CacheCounters = core.CacheCounters
-)
+// last for one Learn.
+type VerifyCache = core.VerifyCache
 
 // NewVerifyCache returns an empty cache with default bounds. Pass it via
 // LearnerOptions.Cache to isolate a workload from the shared process-global
@@ -267,15 +247,10 @@ func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 // (abduction verdicts and abducts, keyed by cone fingerprint and
 // environment key) so separate process invocations share warm starts.
 // ProofDBConfig configures the binding (staleness bound, byte budget,
-// appends); ProofStoreOptions and ProofStoreStats are
-// the underlying store's tuning knobs and counters; ProofSnapshot is the
-// portable exchange form between cache and store.
+// appends).
 type (
-	ProofDB           = core.ProofDB
-	ProofDBConfig     = core.ProofDBConfig
-	ProofStoreOptions = proofdb.Options
-	ProofStoreStats   = proofdb.Stats
-	ProofSnapshot     = proofdb.Snapshot
+	ProofDB       = core.ProofDB
+	ProofDBConfig = core.ProofDBConfig
 )
 
 // DefaultCacheDir is the conventional on-disk cache directory tools use
@@ -285,7 +260,7 @@ const DefaultCacheDir = proofdb.DefaultDir
 // OpenProofDB opens (creating if needed) the proof store in dir, restores
 // its contents into vc, and returns the binding; Flush/Close persist the
 // cache back with crash-safe atomic rewrites. Corrupt or version-mismatched
-// stores are never an error — they load colder (see ProofStoreStats).
+// stores are never an error — they load colder.
 //
 // For embedded use, LearnerOptions.CacheDir performs the same binding
 // implicitly (with a flush at every Learn shutdown); CloseProofDBs is the
@@ -301,32 +276,8 @@ func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, erro
 func CloseProofDBs() error { return core.CloseProofDBs() }
 
 // Audit monolithically verifies a learned invariant (initiation,
-// consecution, property). Its consecution query runs under
-// DefaultAuditConflicts; AuditBudget chooses the budget explicitly.
+// consecution, property) under a bounded consecution budget.
 func Audit(sys *System, inv *Invariant) error { return core.Audit(sys, inv) }
-
-// AuditBudget is Audit with an explicit conflict budget on the consecution
-// query (<= 0 solves unbounded); exhaustion returns an error wrapping
-// ErrBudgetExceeded.
-func AuditBudget(sys *System, inv *Invariant, conflicts int64) error {
-	return core.AuditBudget(sys, inv, conflicts)
-}
-
-// DefaultAuditConflicts is Audit's default consecution budget.
-const DefaultAuditConflicts = core.DefaultAuditConflicts
-
-// --- Robustness ---------------------------------------------------------------
-
-// ErrBudgetExceeded is the typed verdict for a solver query abandoned at
-// its conflict-budget cap (LearnerOptions.MaxSolverConflicts, AuditBudget).
-// Test with errors.Is; a budget exhaustion is a resource verdict, never a
-// soundness one, so retrying with a larger budget is always legitimate.
-var ErrBudgetExceeded = core.ErrBudgetExceeded
-
-// PanicError reports a panic captured at a learner worker's recover
-// boundary: the Learn fails with this stack-carrying error while the
-// process survives.
-type PanicError = core.PanicError
 
 // --- Baselines ------------------------------------------------------------------------
 
@@ -357,16 +308,10 @@ type (
 	ExampleConfig   = veloct.ExampleConfig
 	Result          = veloct.Result
 	Synthesis       = veloct.Synthesis
-	PredMiner       = veloct.Miner
 )
 
-// VeloCT relational predicate forms (§5.1.1).
-type (
-	EqPred         = veloct.EqPred
-	EqConstPred    = veloct.EqConstPred
-	EqConstSetPred = veloct.EqConstSetPred
-	InSafeSetPred  = veloct.InSafeSetPred
-)
+// EqPred is VeloCT's relational equality predicate (§5.1.1).
+type EqPred = veloct.EqPred
 
 // NewAnalysis builds a VeloCT analysis for a target design.
 func NewAnalysis(tgt *Target, opts AnalysisOptions) (*Analysis, error) {
@@ -381,29 +326,13 @@ func DefaultAnalysisOptions() AnalysisOptions { return veloct.DefaultOptions() }
 // Server is the multi-tenant invariant-learning service core behind
 // cmd/veloctd: a bounded fair-share job queue in front of a worker-pool
 // executor, every job under its own deadline context, tenant-namespaced
-// cache keys, and a graceful Drain. ServerConfig tunes it; JobSpec /
-// JobView / JobServerStats are its JSON wire types.
+// cache keys, and a graceful Drain. ServerConfig tunes it; JobSpec and
+// JobView are its JSON wire types.
 type (
-	Server         = serve.Server
-	ServerConfig   = serve.Config
-	JobSpec        = serve.JobSpec
-	JobView        = serve.JobView
-	JobResult      = serve.JobResult
-	JobStatsView   = serve.StatsView
-	JobServerStats = serve.ServerStats
-)
-
-// Job kinds and terminal/lifecycle states on the service wire.
-const (
-	JobKindLearn      = serve.KindLearn
-	JobKindVerify     = serve.KindVerify
-	JobKindSynthesize = serve.KindSynthesize
-
-	JobStateQueued   = serve.StateQueued
-	JobStateRunning  = serve.StateRunning
-	JobStateDone     = serve.StateDone
-	JobStateFailed   = serve.StateFailed
-	JobStateCanceled = serve.StateCanceled
+	Server       = serve.Server
+	ServerConfig = serve.Config
+	JobSpec      = serve.JobSpec
+	JobView      = serve.JobView
 )
 
 // NewServer builds a service core and starts its executor pool. Expose it

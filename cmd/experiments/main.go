@@ -465,18 +465,13 @@ func ablations() {
 	o.Learner.MinimizeCores = false
 	run("no core minimization", o)
 
-	// Budget-escalation ablation: a deliberately tiny first rung forces the
+	// Budget-escalation row: a deliberately tiny first rung forces the
 	// retry ladder to engage on every nontrivial query (retries > 0 in the
-	// row output), against the disabled-ladder single-unbounded-attempt
-	// configuration. The invariant must be identical either way — escalation
+	// row output). The result must still be a valid invariant — escalation
 	// trades extra bounded probes for never hanging on a hard query.
 	o = hh.DefaultAnalysisOptions()
 	o.Learner.InitialSolverConflicts = 1
 	run("budget escalation (1-conflict rung)", o)
-
-	o = hh.DefaultAnalysisOptions()
-	o.Learner.InitialSolverConflicts = -1
-	run("no budget escalation (unbounded)", o)
 
 	// Warm cache: verify once into a private cache, then measure a second,
 	// fully warmed verification of the same system.

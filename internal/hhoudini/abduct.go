@@ -14,7 +14,7 @@ import (
 // user-facing semantics).
 const (
 	// defaultInitialConflicts is the first-attempt budget when
-	// Options.InitialSolverConflicts is 0. Small on purpose: H-Houdini's
+	// Options.InitialSolverConflicts is <= 0. Small on purpose: H-Houdini's
 	// whole premise (§3.2.4) is that relative-induction queries are
 	// individually cheap, so the common case resolves on the first rung and
 	// the ladder only pays for the rare hard query.
@@ -41,25 +41,7 @@ const (
 func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) (sat.Status, []sat.Lit, error) {
 	initial := l.opts.InitialSolverConflicts
 	limit := l.opts.MaxSolverConflicts
-	if initial < 0 {
-		// Ladder disabled (the budget-escalation ablation): one attempt,
-		// bounded only by the user limit.
-		if limit > 0 {
-			s.SetConflictBudget(limit)
-		} else {
-			s.SetConflictBudget(-1)
-		}
-		st, core := s.SolveWithCore(assumps)
-		if st != sat.Unknown {
-			return st, core, nil
-		}
-		if l.stop.Load() || s.Interrupted() {
-			return st, nil, errLearnInterrupted
-		}
-		atomic.AddInt64(&l.stats.QueryBudgetAbandons, 1)
-		return st, nil, fmt.Errorf("abduction query for %s (single attempt, limit %d): %w", target, limit, ErrBudgetExceeded)
-	}
-	if initial == 0 {
+	if initial <= 0 {
 		initial = defaultInitialConflicts
 	}
 	budget := initial

@@ -44,10 +44,8 @@ type Options struct {
 	// abduction query's first attempt runs under this many solver conflicts
 	// and each sat.Unknown verdict escalates the budget ×4 (counted by
 	// Stats.QueryRetries) until the query resolves or the ladder tops out
-	// at MaxSolverConflicts. 0 selects the default (2048 conflicts); a
-	// negative value disables the ladder entirely — each query gets a
-	// single attempt bounded only by MaxSolverConflicts — which is the
-	// budget-escalation ablation.
+	// at MaxSolverConflicts. A value <= 0 selects the default (2048
+	// conflicts).
 	InitialSolverConflicts int64
 	// MaxSolverConflicts caps the ladder's per-query budget. 0 means
 	// uncapped: once the next escalation step would exceed ~2M conflicts

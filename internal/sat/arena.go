@@ -27,9 +27,7 @@ package sat
 // Deleted clauses keep their header and body in place (walkable; see
 // forEachClause) until garbageCollect compacts the slab, rewriting every
 // clauseRef held by the watch lists, the learnt index and the reason array
-// via forwarding pointers stored in the old headers. Strengthened clauses
-// (inprocess.go) shrink in place and leave a zero filler word, which the
-// walk skips.
+// via forwarding pointers stored in the old headers.
 
 type clauseRef uint32
 
@@ -80,18 +78,10 @@ func (s *Solver) clauseLits(cr clauseRef) []uint32 {
 	return s.arena[start : start+int(h>>hdrSizeShift)]
 }
 
-func (s *Solver) isLearnt(cr clauseRef) bool  { return s.arena[cr]&hdrLearnt != 0 }
-func (s *Solver) isDeleted(cr clauseRef) bool { return s.arena[cr]&hdrDeleted != 0 }
+func (s *Solver) isLearnt(cr clauseRef) bool { return s.arena[cr]&hdrLearnt != 0 }
 
 func (s *Solver) clauseLBD(cr clauseRef) int {
 	return int((s.arena[cr] >> hdrLBDShift) & hdrLBDMask)
-}
-
-func (s *Solver) setClauseLBD(cr clauseRef, lbd int) {
-	if lbd > lbdMax {
-		lbd = lbdMax
-	}
-	s.arena[cr] = s.arena[cr]&^(hdrLBDMask<<hdrLBDShift) | uint32(lbd)<<hdrLBDShift
 }
 
 // clauseWords is the total slab footprint of the clause at cr.
@@ -99,9 +89,6 @@ func (s *Solver) clauseWords(cr clauseRef) int {
 	h := s.arena[cr]
 	return 1 + int(h&hdrLearnt) + int(h>>hdrSizeShift)
 }
-
-// actSlot returns the activity side-array index of a learnt clause.
-func (s *Solver) actSlot(cr clauseRef) uint32 { return s.arena[cr+1] }
 
 func (s *Solver) clauseAct(cr clauseRef) float32 { return s.claAct[s.arena[cr+1]] }
 
@@ -139,10 +126,6 @@ func (s *Solver) markDeleted(cr clauseRef) {
 func (s *Solver) forEachClause(fn func(cr clauseRef)) {
 	for off := 1; off < len(s.arena); {
 		h := s.arena[off]
-		if h == 0 { // filler word left by in-place strengthening
-			off++
-			continue
-		}
 		if h&hdrDeleted == 0 {
 			fn(clauseRef(off))
 		}
@@ -159,9 +142,10 @@ func (s *Solver) maybeCollect() {
 }
 
 // garbageCollect rebuilds the arena with only the live clauses (arena
-// compaction — the inprocessing pass's reclamation path). Every live clause is
-// reachable from the watch lists (all stored clauses have >= 2 literals),
-// so the watch sweep both relocates clauses and rewrites watcher refs; the
+// compaction; Solve reaches it through maybeCollect at restart boundaries
+// every collectInterval conflicts). Every live clause is reachable from
+// the watch lists (all stored clauses have >= 2 literals), so the watch
+// sweep both relocates clauses and rewrites watcher refs; the
 // learnt index and reason array are then remapped through the forwarding
 // pointers left in the old headers. Watch lists that grew far beyond their
 // live population are reallocated at size, returning the slack to the Go

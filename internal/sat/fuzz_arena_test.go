@@ -8,9 +8,9 @@ import (
 // FuzzArenaVsBruteForce is the differential fuzz target for the flat-arena
 // solver: the fuzzer picks a seed and interleaving shape, the test derives
 // a random incremental session from it (clause batches, assumption solves,
-// a forced mid-stream inprocessing pass) and cross-checks every verdict
-// against brute-force enumeration. Mutating the two integers explores
-// different clause densities and solve cadences.
+// a forced mid-stream learnt-DB reduction and arena compaction) and
+// cross-checks every verdict against brute-force enumeration. Mutating the
+// two integers explores different clause densities and solve cadences.
 func FuzzArenaVsBruteForce(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(31337), uint8(7))
@@ -28,7 +28,10 @@ func FuzzArenaVsBruteForce(f *testing.F) {
 				s.AddClause(c...)
 			}
 			if r == rounds/2 {
-				s.inprocess() // exercise subsumption/SSR mid-session
+				// Exercise the arena rewrite mid-session: Solve leaves the
+				// solver at level 0, where compaction runs in production.
+				s.reduceDB()
+				s.garbageCollect()
 			}
 			var assum []Lit
 			if rng.Intn(2) == 1 {

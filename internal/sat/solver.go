@@ -24,14 +24,8 @@ type Stats struct {
 	ClausesAdded int64
 	// VarsAdded counts allocated variables (monotone; equals NumVars).
 	VarsAdded int64
-	// Compactions counts arena garbage collections (see arena.go); Subsumed
-	// and Strengthened count clauses removed / shrunk by the inprocessing
-	// pass (backward subsumption and self-subsuming resolution; see
-	// inprocess.go). Inprocessings counts the passes themselves.
-	Compactions   int64
-	Subsumed      int64
-	Strengthened  int64
-	Inprocessings int64
+	// Compactions counts arena garbage collections (see arena.go).
+	Compactions int64
 }
 
 // watcher is one two-watched-literal entry. cref carries the watchBinary
@@ -66,7 +60,6 @@ type Solver struct {
 	watches  [][]watcher // indexed by Lit
 	assigns  []lbool     // indexed by Var
 	polarity []bool      // saved phase per Var; true = assign false next time
-	decision []bool      // per Var: eligible as a decision variable
 	level    []int32
 	reason   []clauseRef
 	trail    []Lit
@@ -79,7 +72,6 @@ type Solver struct {
 	order    *varHeap
 
 	seen         []byte
-	litSeen      []byte // indexed by Lit; inprocessing subset checks
 	stampLevel   []int64
 	stampCtr     int64
 	analyzeStack []Lit
@@ -95,11 +87,9 @@ type Solver struct {
 	learntAdjustCt  int64
 	learntAdjustIvl float64 // current adjustment interval, grows by adjustInc
 
-	// lastInprocess remembers Stats.Conflicts at the previous inprocessing
-	// pass; scratchRefs is the inprocessing pass's reusable candidate
-	// buffer.
-	lastInprocess int64
-	scratchRefs   []clauseRef
+	// lastCollect remembers Stats.Conflicts at the previous compaction
+	// check (see Solve).
+	lastCollect int64
 
 	// MaxConflicts bounds the search effort per Solve call; <0 means
 	// unlimited. When the budget is exhausted Solve returns Unknown.
@@ -145,6 +135,10 @@ const (
 	// glueLBD: learnt clauses at or below this LBD are never deleted by
 	// reduceDB ("glue" clauses in Glucose terminology).
 	glueLBD = 2
+
+	// collectInterval is the number of conflicts between arena compaction
+	// checks at restart boundaries; small queries never reach it.
+	collectInterval = 10000
 )
 
 // NumVars returns the number of allocated variables.
@@ -156,12 +150,10 @@ func (s *Solver) NewVar() Var {
 	s.Stats.VarsAdded++
 	s.assigns = append(s.assigns, lUndef)
 	s.polarity = append(s.polarity, true)
-	s.decision = append(s.decision, true)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
-	s.litSeen = append(s.litSeen, 0, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
 	return v
@@ -395,7 +387,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 		s.assigns[v] = lUndef
 		s.polarity[v] = l.Neg()
 		s.reason[v] = crUndef
-		if !s.order.inHeap(v) && s.decision[v] {
+		if !s.order.inHeap(v) {
 			s.order.insert(v)
 		}
 	}
@@ -628,7 +620,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 func (s *Solver) pickBranchLit() Lit {
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == lUndef && s.decision[v] {
+		if s.assigns[v] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
@@ -794,7 +786,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 			}
 			next = s.pickBranchLit()
 			if next == LitUndef {
-				// All decision variables assigned: model found.
+				// All variables assigned: model found.
 				return Sat
 			}
 			s.Stats.Decisions++
@@ -843,20 +835,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if s.MaxConflicts >= 0 && s.Stats.Conflicts >= s.MaxConflicts && status == Unknown {
 			break
 		}
-		if status == Unknown {
-			// Restart boundary: periodically run the inprocessing pass. It
-			// needs the solver at level 0; assumptions are re-decided by the
-			// next search call.
-			if s.Stats.Conflicts-s.lastInprocess >= inprocessInterval {
-				s.cancelUntil(0)
-				s.inprocess()
-			}
-			if !s.ok {
-				// A level-0 contradiction from strengthened clauses refutes
-				// the database independent of assumptions.
-				s.core = s.core[:0]
-				status = Unsat
-			}
+		if status == Unknown && s.Stats.Conflicts-s.lastCollect >= collectInterval {
+			// Restart boundary: periodically reclaim the slab words of the
+			// learnts reduceDB deleted. Compaction needs the solver at
+			// level 0; assumptions are re-decided by the next search call.
+			s.lastCollect = s.Stats.Conflicts
+			s.cancelUntil(0)
+			s.maybeCollect()
 		}
 	}
 	if status == Sat {
@@ -888,16 +873,6 @@ func (s *Solver) ModelValue(l Lit) bool {
 // own. The slice is owned by the solver; callers must copy to retain it.
 func (s *Solver) Core() []Lit {
 	return s.core
-}
-
-// SetDecisionVar includes or excludes v from branching decisions.
-// Non-decision variables can still be assigned by propagation.
-func (s *Solver) SetDecisionVar(v Var, b bool) {
-	s.ensureVar(v)
-	s.decision[v] = b
-	if b && !s.order.inHeap(v) {
-		s.order.insert(v)
-	}
 }
 
 // Okay reports whether the clause database is still possibly satisfiable

@@ -353,18 +353,18 @@ func TestMaxConflictsBudget(t *testing.T) {
 	}
 }
 
-func TestSetDecisionVar(t *testing.T) {
+// TestLongSearchCompacts: arena compaction runs only at restart boundaries
+// every collectInterval conflicts, so a plain Solve must reach it on a
+// refutation long enough for reduceDB to leave dead learnts behind.
+func TestLongSearchCompacts(t *testing.T) {
 	s := New()
-	addVars(s, 2)
-	s.AddClause(lit(1), lit(2))
-	s.SetDecisionVar(Var(0), false)
-	if st := s.Solve(); st != Sat {
-		t.Fatalf("got %v", st)
+	pigeonhole(s, 9, 8)
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("PHP(9,8): got %v, want Unsat", st)
 	}
-	// x2 must carry the clause since x1 can't be decided (it may still be
-	// propagated, but with a single clause only a decision can set it).
-	if !s.ModelValue(lit(2)) && !s.ModelValue(lit(1)) {
-		t.Fatal("clause unsatisfied")
+	if s.Stats.Compactions < 1 {
+		t.Fatalf("Compactions = %d after %d conflicts, want >= 1",
+			s.Stats.Compactions, s.Stats.Conflicts)
 	}
 }
 
