@@ -17,10 +17,12 @@ vet:
 	$(GO) vet ./...
 
 # hhlint: the repo's own static-analysis suite (internal/analysis). Exit 0
-# on a clean tree, 1 on findings, so CI fails fast. Loading and
-# type-checking the module is ~99% of its wall time; the call graph and
-# function summaries are recomputed on every run. See DESIGN.md "Static
-# analysis" for the pass inventory and the suppression policy.
+# on a clean tree, 1 on findings, so CI fails fast. One `go list -deps
+# -export` call names the packages and compiles the export data their
+# imports are read from; loading and type-checking is still most of the
+# wall time, and the call graph and function summaries are recomputed on
+# every run. See DESIGN.md "Static analysis" for the pass inventory, the
+# time split and the suppression policy.
 lint:
 	$(GO) run ./cmd/hhlint ./...
 
@@ -30,9 +32,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The explicit timeout is for internal/veloct: its OoO sweeps take ~9 min
-# under the race detector on a 2-core host, past go test's 10-minute default
-# once the other packages' binaries compete for the cores.
+# The explicit timeout is for internal/veloct alone: its OoO sweeps take
+# 9-11 min under the race detector on a 2-core host, past go test's
+# 10-minute default once the other packages' binaries compete for the cores.
+# Every other package finishes within ~3 min (internal/analysis in ~4 s);
+# the whole target takes ~13 min.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -103,7 +107,9 @@ loc:
 # The gate. After the tiers above: tier-1 uncached at three scheduler widths
 # (an assertion that holds at one core count only, or only in a cached `ok`,
 # fails here), then a short traced run of the real benchmark, gated by its
-# own answer checks, the audit and >= 0.95 span coverage (~40 s).
+# own answer checks, the audit and >= 0.95 span coverage (~40 s). `lint`
+# runs after `build`, so the export data its `go list -export` call needs is
+# already in the build cache; keep that order.
 ci: fmt vet build lint race race-proofdb chaos crash fuzz-smoke bench-smoke
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...

@@ -118,6 +118,31 @@ func TestCLIUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestCLIHonoursBuildConstraints: a file excluded by its //go:build line is
+// not part of the package, so the F it redeclares is no type error.
+func TestCLIHonoursBuildConstraints(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"a.go":   "package probe\n\nfunc F() int { return 1 }\n",
+		"gen.go": "//go:build ignore\n\npackage probe\n\nfunc F() int { return 2 }\n",
+	})
+	stdout, stderr, code := hhlint(t, t.TempDir(), "-C", root, "./...")
+	if code != 0 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 0 and no output", code, stdout, stderr)
+	}
+}
+
+// TestCLILoadFailureExitsTwo: a type error in the module is a load failure:
+// exit 2, nothing on stdout, and the failing file named on stderr.
+func TestCLILoadFailureExitsTwo(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"bad.go": "package probe\n\nvar x int = \"s\"\n",
+	})
+	stdout, stderr, code := hhlint(t, t.TempDir(), "-C", root, "./...")
+	if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "hhlint: load:") || !strings.Contains(stderr, "bad.go") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 and an hhlint: load: message naming bad.go", code, stdout, stderr)
+	}
+}
+
 // goModUpward reports whether a go.mod exists in dir or any parent.
 func goModUpward(dir string) bool {
 	for {

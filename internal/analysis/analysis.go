@@ -1,6 +1,6 @@
 // Package analysis is hhlint's self-contained static-analysis framework:
-// a stdlib-only (go/parser + go/types + go/importer, no external modules)
-// pass runner that enforces the engine's concurrency and resource-ownership
+// a stdlib-only (go/parser + go/types + go/importer, no external modules,
+// plus the go command it runs under) pass runner that enforces the engine's concurrency and resource-ownership
 // invariants at CI time.
 //
 // The paper's thesis — replace one monolithic check with many small,
@@ -14,8 +14,9 @@
 // Architecture:
 //
 //   - load.go      parses and type-checks every package of this module
-//     using only the standard library (a topological type-check with
-//     importer "source" for stdlib dependencies);
+//     from source, in the dependency-first order and with the file lists
+//     of one `go list -deps -export` call; every other import is read
+//     from the export data that call compiled;
 //   - callgraph.go and summary.go build the call graph and one summary
 //     per function, composed callee-first, on every Run;
 //   - suppress.go  implements `//hhlint:ignore <pass> <reason>` line-scoped

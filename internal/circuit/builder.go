@@ -97,8 +97,8 @@ type Builder struct {
 	// dupSrc records pure-replay provenance: DuplicateInto sets it when it
 	// replays a finalized circuit verbatim (no prefix, no shared inputs)
 	// into an empty builder. Build then verifies structural equality and
-	// lets the new circuit inherit the source's memoized fingerprint and
-	// cone-fingerprint table instead of recomputing them.
+	// lets the new circuit inherit the source's cone-fingerprint table
+	// instead of recomputing it.
 	dupSrc *Circuit
 }
 
@@ -667,7 +667,7 @@ func (b *Builder) Build() (*Circuit, error) {
 
 // structurallyEqual reports whether two circuits are identical transition
 // systems with identical node numbering — the condition under which
-// memoized fingerprints and cone tables transfer verbatim. It guards the
+// the memoized cone table transfers verbatim. It guards the
 // pure-duplicate inheritance path against builder mutations made after the
 // DuplicateInto replay.
 func structurallyEqual(a, b *Circuit) bool {

@@ -37,7 +37,7 @@ type Circuit struct {
 	supports map[string][]string // memoized per-register 1-step COI
 	supMu    sync.Mutex
 
-	fpState // memoized structural fingerprint (see fingerprint.go)
+	fpState // memoized cone fingerprints (see fingerprint.go)
 }
 
 // NumNodes returns the number of AIG nodes (including constants and leaves).

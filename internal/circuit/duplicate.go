@@ -10,7 +10,7 @@ import "fmt"
 func DuplicateInto(b *Builder, c *Circuit, prefix string, shared map[string]Word) error {
 	// A verbatim replay into an empty builder reproduces the source node
 	// for node (the builder's structural hashing is deterministic), so the
-	// result may inherit the source's memoized fingerprint and cone table.
+	// result may inherit the source's memoized cone table.
 	// Record the provenance; Build re-verifies structural equality before
 	// adopting, so later builder mutations simply disable the inheritance.
 	pure := prefix == "" && len(shared) == 0 && len(b.nodes) == 1 &&

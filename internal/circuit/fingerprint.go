@@ -2,95 +2,15 @@ package circuit
 
 import (
 	"cmp"
-	"encoding/binary"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Fingerprint returns a structural identity hash of the circuit: every AIG
-// node (kind and operands), every input port, every register (name, width,
-// reset value, next-state function) and every named wire participate. Two
-// circuits with equal fingerprints are structurally identical transition
-// systems, so abduction answers derived from one are sound to reuse on the
-// other.
-//
-// The fingerprint is the top half of the whole-system verification cache key
-// (the other half is the environment-assumption identity, System.EnvKey in
-// internal/hhoudini): it is what makes "same design, new Learner" cache
-// hits safe and "changed design" runs miss. The hash is computed once per
-// Circuit and memoized; Circuit is immutable, so the value never changes.
-func (c *Circuit) Fingerprint() uint64 {
-	c.fpOnce.Do(func() { c.fp = c.computeFingerprint() })
-	return c.fp
-}
-
-func (c *Circuit) computeFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	sig := func(s Signal) { u64(uint64(int64(s))) }
-	word := func(w Word) {
-		u64(uint64(len(w)))
-		for _, s := range w {
-			sig(s)
-		}
-	}
-
-	str("hhoudini-circuit-fp/v1")
-
-	// AIG structure. Node ids are assigned in construction order, so the
-	// (kind, a, b) stream pins the whole graph.
-	u64(uint64(len(c.nodes)))
-	for _, n := range c.nodes {
-		u64(uint64(n.kind))
-		sig(n.a)
-		sig(n.b)
-	}
-
-	// Interface: input ports and registers with resets and next-state
-	// functions (declaration order is part of the identity).
-	u64(uint64(len(c.inputs)))
-	for _, p := range c.inputs {
-		str(p.Name)
-		word(p.Bits)
-	}
-	u64(uint64(len(c.regs)))
-	for _, r := range c.regs {
-		str(r.Name)
-		u64(r.Init)
-		word(r.Bits)
-		word(r.Next)
-	}
-
-	// Named wires (predicates may encode through them).
-	names := make([]string, 0, len(c.wires))
-	for name := range c.wires {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		str(name)
-		word(c.wires[name])
-	}
-	return h.Sum64()
-}
-
 // fpState is embedded in Circuit (see circuit.go); split out here so the
 // fingerprint machinery stays in one file.
 type fpState struct {
-	fpOnce sync.Once
-	fp     uint64
-
 	coneOnce sync.Once
 	cones    *coneTable
 
@@ -100,12 +20,10 @@ type fpState struct {
 }
 
 // adoptIdentity shares the memoized structural identity of an equal circuit:
-// the whole-circuit fingerprint and the cone table (memo, node ranks and
-// scratch pool). Only
-// valid when the two circuits are structurally identical (same node array,
-// interface, registers and wires) — callers must verify that first.
+// the cone table (memo, node ranks and scratch pool). Only valid when the
+// two circuits are structurally identical (same node array, interface,
+// registers and wires) — callers must verify that first.
 func (c *Circuit) adoptIdentity(src *Circuit) {
-	c.fpOnce.Do(func() { c.fp = src.Fingerprint() })
 	c.coneOnce.Do(func() { c.cones = src.coneTab() })
 }
 

@@ -16,9 +16,9 @@ type OoOVariant struct {
 	IQ         int // issue-queue entries
 	ROB        int // reorder-buffer entries
 	// DebugCounter adds a free-running cycle counter register that nothing
-	// reads — the archetypal "instrumentation-only" RTL edit. It perturbs
-	// the whole-circuit fingerprint while leaving every verification
-	// target's fan-in cone untouched, so it is the clean demonstrator for
+	// reads — the archetypal "instrumentation-only" RTL edit. It changes
+	// the circuit as a whole while leaving every verification target's
+	// fan-in cone untouched, so it is the clean demonstrator for
 	// cone-level cache transfer (a whole-circuit-keyed cache restarts cold,
 	// a cone-keyed one stays fully warm).
 	DebugCounter bool

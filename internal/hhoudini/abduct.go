@@ -136,7 +136,10 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 	var vk verdictKey
 	var ckey string
 	if l.cache != nil {
-		ckey = l.coneIdentFor(target)
+		var err error
+		if ckey, err = l.coneIdentFor(target); err != nil {
+			return abductResult{}, err
+		}
 		vk = verdictKeyFor(target, cands, l.opts.MinimizeCores)
 		if res, fromDisk, ok := l.cache.lookupVerdict(ckey, vk, target, cands); ok {
 			atomic.AddInt64(&l.stats.CacheVerdictHits, 1)

@@ -181,7 +181,7 @@ func TestUncacheableSystemBypassesCache(t *testing.T) {
 	cache := NewVerifyCache()
 	sys, target := envSystem(t, 0, "in=0")
 	sys.EnvKey = "" // same constraint, but anonymous: not cacheable
-	if _, ok := sys.CacheKey(); ok {
+	if sys.cacheable() {
 		t.Fatal("non-nil Constrain with empty EnvKey must not be cacheable")
 	}
 	l := NewLearner(sys, minerOf(target), warmOptions(cache))

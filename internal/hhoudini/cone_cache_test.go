@@ -9,7 +9,7 @@ import (
 // embeddedBacktrackSystem builds the backtrack cone (T, A, B, C, X over the
 // single input "in") either alone or surrounded by unrelated machinery that
 // is declared FIRST — so global node ids, register order, and the
-// whole-circuit fingerprint all differ between the two designs while the
+// all-register cone fingerprint all differ between the two designs while the
 // cone itself stays isomorphic. The input interface is identical (cone keys
 // hash it), which is the realistic cross-design shape: same ports, more
 // internal state.
@@ -52,10 +52,11 @@ func TestConeCacheCrossDesignTransfer(t *testing.T) {
 	plain, universe, target := embeddedBacktrackSystem(t, false)
 	junk, junkUniverse, junkTarget := embeddedBacktrackSystem(t, true)
 
-	// Precondition: the designs must be distinguishable at whole-circuit
-	// granularity, or the test proves nothing.
-	if plain.Circuit.Fingerprint() == junk.Circuit.Fingerprint() {
-		t.Fatal("designs share a whole-circuit fingerprint; the embedding is vacuous")
+	// Precondition: the designs must be distinguishable over all their
+	// registers, or the test proves nothing.
+	all := func(s *System) circuit.ConeFP { return s.Circuit.ConeFingerprint(s.Circuit.RegNames()) }
+	if all(plain) == all(junk) {
+		t.Fatal("designs share an all-register cone fingerprint; the embedding is vacuous")
 	}
 	// And indistinguishable at cone granularity over the target's support.
 	support := []string{"T", "A", "B", "C", "X"}

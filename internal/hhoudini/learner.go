@@ -29,7 +29,7 @@ type Options struct {
 	// Cache is the memo store abduction answers are kept in across Learner
 	// instances (see VerifyCache); nil selects the process-global shared
 	// cache (SharedCache). Pass NewVerifyCache() to isolate a workload. It
-	// only engages for cacheable systems (see System.CacheKey).
+	// only engages for cacheable systems (see System.EnvKey).
 	Cache *VerifyCache
 	// CacheDir, when non-empty (for a cacheable system), binds the cache to
 	// a persistent proof store in that directory: the first Learner to name
@@ -365,11 +365,10 @@ type Learner struct {
 	opts  Options
 	stats *Stats
 
-	// cache/cacheKey enable answer memoization across Learners. Both stay
-	// zero when the system is not cacheable (System.CacheKey), in which case
-	// every query is solved.
-	cache    *VerifyCache
-	cacheKey string
+	// cache enables answer memoization across Learners. It stays nil when
+	// the system is not cacheable (System.EnvKey), in which case every
+	// query is solved.
+	cache *VerifyCache
 	// coneIdents memoizes per-target cone cache keys (coneIdentFor) by
 	// predicate ID. Cone membership is a pure function of the predicate and
 	// the circuit, so the memo is sound for the learner's lifetime.
@@ -438,8 +437,7 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 	if l.opts.Workers == 0 {
 		l.opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if key, ok := sys.CacheKey(); ok {
-		l.cacheKey = key
+	if sys.cacheable() {
 		l.cache = opts.Cache
 		if l.cache == nil {
 			l.cache = sharedCache
@@ -460,21 +458,20 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 // candidate universe of its abduction queries — unioned with its own
 // variables, so an equal key pins the structure every answer under it can
 // reference: the target's next-state cone, every candidate's registers
-// (names, widths, resets) and the input interface. When slicing fails the
-// identity degrades to the whole-circuit key, which is always sound.
-func (l *Learner) coneIdentFor(target Pred) string {
+// (names, widths, resets) and the input interface. Only called with a
+// cache bound, so the system is cacheable and the key always exists.
+func (l *Learner) coneIdentFor(target Pred) (string, error) {
 	if v, ok := l.coneIdents.Load(target.ID()); ok {
-		return v.(string)
+		return v.(string), nil
 	}
-	key := l.cacheKey
-	if slice, err := l.slice.Slice(target); err == nil {
-		support := append(append([]string(nil), slice...), target.Vars()...)
-		if k, ok := l.sys.ConeCacheKey(support); ok {
-			key = k
-		}
+	slice, err := l.slice.Slice(target)
+	if err != nil {
+		return "", err
 	}
+	support := append(append([]string(nil), slice...), target.Vars()...)
+	key, _ := l.sys.ConeCacheKey(support)
 	l.coneIdents.Store(target.ID(), key)
-	return key
+	return key, nil
 }
 
 // Stats exposes the instrumentation collected during Learn.

@@ -1,8 +1,6 @@
 package hhoudini
 
 import (
-	"strconv"
-
 	"hhoudini/internal/circuit"
 	"hhoudini/internal/sat"
 )
@@ -25,7 +23,7 @@ type System struct {
 	// memoize any answer for it. Changing the safe set changes the key,
 	// which is the cache's invalidation story.
 	EnvKey string
-	// Namespace partitions every cache identity (CacheKey, ConeCacheKey) by
+	// Namespace partitions every cache identity (ConeCacheKey) by
 	// an opaque owner id — the multi-tenant service folds each tenant's id
 	// in here. Soundness is inherited from the key discipline: two systems
 	// with different namespaces never produce equal keys, so no verdict or
@@ -48,18 +46,11 @@ func (s *System) newEncoder() (*circuit.Encoder, error) {
 	return enc, nil
 }
 
-// CacheKey returns the whole-system cache identity — the circuit's
-// structural fingerprint combined with the environment-assumption key — and
-// whether the system is cacheable at all. Systems with an anonymous
-// environment assumption (Constrain set, EnvKey empty) are not: nothing
-// identifies what their answers were derived under. Query answers are keyed
-// per cone (ConeCacheKey); this key is the fallback for a target whose cone
-// cannot be sliced.
-func (s *System) CacheKey() (string, bool) {
-	if s.Constrain != nil && s.EnvKey == "" {
-		return "", false
-	}
-	return s.nsPrefix() + strconv.FormatUint(s.Circuit.Fingerprint(), 16) + "|" + s.EnvKey, true
+// cacheable reports whether the system's answers may be memoized at all.
+// Systems with an anonymous environment assumption (Constrain set, EnvKey
+// empty) are not: nothing identifies what their answers were derived under.
+func (s *System) cacheable() bool {
+	return s.Constrain == nil || s.EnvKey != ""
 }
 
 // nsPrefix renders the namespace component of every cache key. The \x02
@@ -77,14 +68,14 @@ func (s *System) nsPrefix() string {
 // ConeCacheKey returns the cone-level cache identity for queries whose
 // candidate universe is drawn from the given register support: the
 // canonical fingerprint of the support's fan-in cone combined with the
-// environment-assumption key. Unlike CacheKey it is invariant to everything
-// outside the cone — the same cone embedded in a different design produces
+// environment-assumption key. It is invariant to everything outside the
+// cone — the same cone embedded in a different design produces
 // the same key, which is what makes cross-design cache transfer sound: an
 // equal key pins the cone's structure, the support registers' names, widths
-// and reset values, and the full input interface. Cacheability follows the
-// same rule as CacheKey.
+// and reset values, and the full input interface. The bool is false when
+// the system is not cacheable.
 func (s *System) ConeCacheKey(support []string) (string, bool) {
-	if s.Constrain != nil && s.EnvKey == "" {
+	if !s.cacheable() {
 		return "", false
 	}
 	return s.nsPrefix() + "cone:" + s.Circuit.ConeFingerprint(support).Hex() + "|" + s.EnvKey, true

@@ -90,8 +90,8 @@ type Snapshot struct {
 	Keys []KeyRecord
 }
 
-// KeyRecord holds every persisted fact for one system identity (a
-// whole-circuit key, or — for Abducts especially — a cone-level key).
+// KeyRecord holds every persisted fact for one cache identity (a
+// cone-level key).
 type KeyRecord struct {
 	Key      string
 	Verdicts []Verdict

@@ -875,10 +875,6 @@ func (s *Solver) Core() []Lit {
 	return s.core
 }
 
-// Okay reports whether the clause database is still possibly satisfiable
-// (false once an unconditional contradiction was derived).
-func (s *Solver) Okay() bool { return s.ok }
-
 // NumClauses returns the number of live problem clauses plus learnt clauses.
 func (s *Solver) NumClauses() int {
 	return s.liveProblem + len(s.learnts)
