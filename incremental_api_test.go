@@ -128,7 +128,7 @@ func TestColdVerifyCountsArePinned(t *testing.T) {
 	const (
 		queries, allocs, reuses = 84, 84, 0
 		encodedClauses          = 333368
-		conflicts               = 18522
+		conflicts               = 18069
 	)
 	want := [5]int64{queries, allocs, reuses, encodedClauses, conflicts}
 	for _, workers := range []int{1, 2} {

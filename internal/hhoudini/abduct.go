@@ -243,8 +243,11 @@ func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 
 // orderCoreForMinimization orders a core for deletion-based minimization,
 // biasing toward the weakest abduct (§3.2.3): deletion drops literals
-// front-to-back, so the strongest (highest-tier) entries go first and are
-// removed whenever the weaker ones suffice.
+// front-to-back, so the strongest (highest-tier) entries are tried first
+// and removed whenever the weaker ones suffice. The order holds only until
+// the first refinement: once a deletion probe's own, smaller core replaces
+// the current one, sat.MinimizeCore goes on in the solver's core order,
+// not tier order.
 func orderCoreForMinimization(core []sat.Lit, rank func(sat.Lit) int) {
 	sort.SliceStable(core, func(i, j int) bool {
 		return rank(core[i]) > rank(core[j])

@@ -17,42 +17,63 @@ func (s *Solver) SolveWithCore(assumptions []Lit) (Status, []Lit) {
 // the paper's abduction oracle (§3.2.3): no single literal can be removed
 // while staying Unsat, though the core is not guaranteed globally minimum.
 //
+// Literals are dropped front to back in the order given. When a probe is
+// Unsat with a smaller core of its own, that core replaces the current one
+// and the scan restarts from its front, so from then on the order is the
+// solver's core order, not the caller's. A literal whose removal was Sat is
+// necessary in every subset of the current core (each such subset without
+// it is satisfiable too), so it is remembered and never probed again: with
+// no Unknown probe, minimization costs at most one Solve per input literal.
+// An Unknown probe keeps its literal without proving it necessary, so the
+// literal is probed again after a refinement.
+//
 // The input core must be an Unsat core for the solver's current clause
 // database. The solver's clause database is reused incrementally, so learnt
 // clauses from earlier calls accelerate later ones.
 func (s *Solver) MinimizeCore(core []Lit) []Lit {
 	cur := append([]Lit(nil), core...)
+	var needed, trial []Lit
 	for i := 0; i < len(cur); {
-		trial := make([]Lit, 0, len(cur)-1)
-		trial = append(trial, cur[:i]...)
-		trial = append(trial, cur[i+1:]...)
+		if containsLit(needed, cur[i]) {
+			i++
+			continue
+		}
+		trial = append(append(trial[:0], cur[:i]...), cur[i+1:]...)
 		st := s.Solve(trial...)
 		if st == Unsat {
 			// The dropped literal is unnecessary. Prefer the (possibly much
 			// smaller) core reported by the solver for the trial set.
-			next := append([]Lit(nil), s.core...)
-			if len(next) > 0 && len(next) <= len(trial) && subsetOf(next, trial) {
-				cur = next
+			if next := s.core; len(next) > 0 && len(next) <= len(trial) && subsetOf(next, trial) {
+				cur = append(cur[:0], next...)
 				i = 0
 				continue
 			}
-			cur = trial
 			// Stay at index i: a new literal shifted into this slot.
+			cur = append(cur[:i], cur[i+1:]...)
 			continue
 		}
-		// Removal made it Sat (or Unknown): the literal is required.
+		if st == Sat {
+			needed = append(needed, cur[i])
+		}
 		i++
 	}
 	return cur
 }
 
-func subsetOf(sub, super []Lit) bool {
-	set := make(map[Lit]bool, len(super))
-	for _, l := range super {
-		set[l] = true
+// containsLit reports whether l occurs in ls. Cores are short, so a scan
+// beats building a set.
+func containsLit(ls []Lit, l Lit) bool {
+	for _, x := range ls {
+		if x == l {
+			return true
+		}
 	}
+	return false
+}
+
+func subsetOf(sub, super []Lit) bool {
 	for _, l := range sub {
-		if !set[l] {
+		if !containsLit(super, l) {
 			return false
 		}
 	}

@@ -83,34 +83,3 @@ func TestDIMACSRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestVarHeapOrdering(t *testing.T) {
-	act := make([]float64, 10)
-	h := newVarHeap(&act)
-	for i := range act {
-		act[i] = float64(i)
-		h.insert(Var(i))
-	}
-	// Highest activity first.
-	prev := 1e18
-	for !h.empty() {
-		v := h.removeMin()
-		if act[v] > prev {
-			t.Fatalf("heap order violated: %f after %f", act[v], prev)
-		}
-		prev = act[v]
-	}
-}
-
-func TestVarHeapDecreased(t *testing.T) {
-	act := make([]float64, 5)
-	h := newVarHeap(&act)
-	for i := range act {
-		h.insert(Var(i))
-	}
-	act[3] = 100
-	h.decreased(Var(3))
-	if got := h.removeMin(); got != Var(3) {
-		t.Fatalf("expected var 3 first, got %d", got)
-	}
-}

@@ -77,30 +77,6 @@ const (
 	lFalse lbool = -1
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
-// xorSign flips a defined lbool when sign is true.
-func (b lbool) xorSign(sign bool) lbool {
-	if sign {
-		return -b
-	}
-	return b
-}
-
-// xorSignBit is the branch-free form of xorSign for a 0/1 sign bit:
-// (b ^ -1) + 1 is two's-complement negation, (b ^ 0) + 0 is identity.
-// lUndef (0) is a fixed point either way. valueLit sits in the propagation
-// hot loop, where the literal's sign is data-dependent and the branchy form
-// costs a misprediction per lookup.
-func (b lbool) xorSignBit(sign lbool) lbool {
-	return (b ^ -sign) + sign
-}
-
 // Status is the result of a Solve call.
 type Status int8
 

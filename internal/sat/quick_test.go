@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +235,85 @@ func TestQuickPropertyIdempotentSolve(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// normalizeRef is the reference clause normaliser AddClause must agree
+// with: sort.Slice the literals, and call the clause satisfied when a
+// literal is true at level 0 or the clause holds a literal and its
+// complement; otherwise keep each distinct literal not false at level 0,
+// in sorted order.
+func normalizeRef(s *Solver, lits []Lit) (out []Lit, satisfied bool) {
+	ls := append([]Lit(nil), lits...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	present := map[Lit]bool{}
+	for _, l := range ls {
+		present[l] = true
+	}
+	for _, l := range ls {
+		if s.valueLit(l) == lTrue || present[l.Not()] {
+			return nil, true
+		}
+	}
+	for i, l := range ls {
+		if s.valueLit(l) == lFalse || (i > 0 && ls[i-1] == l) {
+			continue
+		}
+		out = append(out, l)
+	}
+	return out, false
+}
+
+// TestQuickAddClauseNormalisation feeds AddClause clauses of 0 to 40
+// literals — over pools of variables small enough to give duplicates and
+// tautologies, some of them fixed by level-0 units — and checks each
+// against normalizeRef: the same return value, and the same clause in the
+// arena (or unit on the trail, or nothing when satisfied).
+func TestQuickAddClauseNormalisation(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const nVars = 64
+		s := New()
+		addVars(s, nVars)
+		for i := rng.Intn(8); i > 0; i-- {
+			if u := MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 1); s.valueLit(u) == lUndef {
+				s.AddClause(u)
+			}
+		}
+		// Half the clauses are monotone, so not every long one is a
+		// tautology.
+		pool, mixed := 1+rng.Intn(nVars), rng.Intn(2) == 0
+		lits := make([]Lit, rng.Intn(41))
+		for i := range lits {
+			lits[i] = MkLit(Var(rng.Intn(pool)), mixed && rng.Intn(4) == 0)
+		}
+		want, satisfied := normalizeRef(s, lits)
+		arena, trail := len(s.arena), len(s.trail)
+		got := s.AddClause(lits...)
+		switch {
+		case satisfied:
+			return got && len(s.arena) == arena && len(s.trail) == trail
+		case len(want) == 0:
+			return !got && len(s.arena) == arena
+		case len(want) == 1:
+			return got && len(s.arena) == arena && len(s.trail) == trail+1 && s.trail[trail] == want[0]
+		}
+		if !got || len(s.trail) != trail {
+			return false
+		}
+		body := s.clauseLits(clauseRef(arena))
+		if len(body) != len(want) {
+			return false
+		}
+		for i, l := range want {
+			if Lit(body[i]) != l {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package sat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -58,7 +59,7 @@ type Solver struct {
 
 	learnts  []clauseRef
 	watches  [][]watcher // indexed by Lit
-	assigns  []lbool     // indexed by Var
+	vals     []lbool     // the assignment, indexed by Lit (see valueLit)
 	polarity []bool      // saved phase per Var; true = assign false next time
 	level    []int32
 	reason   []clauseRef
@@ -69,7 +70,7 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 	claInc   float64
-	order    *varHeap
+	order    varHeap
 
 	seen         []byte
 	stampLevel   []int64
@@ -78,8 +79,9 @@ type Solver struct {
 	learntBuf    []Lit // reusable conflict-clause buffer (see analyze)
 	toClear      []Lit
 
-	ok          bool // false once the clause DB is UNSAT at level 0
-	model       []lbool
+	ok          bool    // false once the clause DB is UNSAT at level 0
+	model       []lbool // copy of vals at the last Sat; empty when there is none
+	addBuf      []Lit   // reusable AddClause normalisation buffer
 	core        []Lit
 	assumptions []Lit
 
@@ -119,7 +121,6 @@ func New() *Solver {
 		claInc:       1.0,
 		MaxConflicts: -1,
 	}
-	s.order = newVarHeap(&s.activity)
 	return s
 }
 
@@ -142,20 +143,20 @@ const (
 )
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.vals) >> 1 }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
+	v := Var(s.NumVars())
 	s.Stats.VarsAdded++
-	s.assigns = append(s.assigns, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.polarity = append(s.polarity, true)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
-	s.order.insert(v)
+	s.order.insert(v, 0)
 	return v
 }
 
@@ -168,14 +169,17 @@ func (s *Solver) NewSelector() Lit { return PosLit(s.NewVar()) }
 
 // ensureVar allocates variables up to and including v.
 func (s *Solver) ensureVar(v Var) {
-	for Var(len(s.assigns)) <= v {
+	for Var(s.NumVars()) <= v {
 		s.NewVar()
 	}
 }
 
-func (s *Solver) valueVar(v Var) lbool { return s.assigns[v] }
-
-func (s *Solver) valueLit(l Lit) lbool { return s.assigns[l>>1].xorSignBit(lbool(l & 1)) }
+// valueLit is one load: the assignment is stored per literal, so there is
+// no sign fix-up in the propagation loop. vals is the only record of the
+// assignment; uncheckedEnqueue and cancelUntil write both literals of a
+// variable together, and a variable's value is that of its positive
+// literal.
+func (s *Solver) valueLit(l Lit) lbool { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
@@ -193,15 +197,17 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.Stats.ClausesAdded++
 	// Normalize: sort, remove duplicates, detect tautologies, drop literals
 	// already false at level 0, and succeed early if already satisfied.
-	ls := make([]Lit, len(lits))
-	copy(ls, lits)
+	// The work happens in a buffer the solver keeps; allocClause copies the
+	// result into the arena.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
 	for _, l := range ls {
 		if l < 0 {
 			panic("sat: undefined literal in clause")
 		}
 		s.ensureVar(l.Var())
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
@@ -278,7 +284,8 @@ func (s *Solver) removeWatch(l Lit, cr clauseRef) {
 
 func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -384,12 +391,11 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := len(s.trail) - 1; i >= int(end); i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.assigns[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
 		s.polarity[v] = l.Neg()
 		s.reason[v] = crUndef
-		if !s.order.inHeap(v) {
-			s.order.insert(v)
-		}
+		s.order.insert(v, s.activity[v])
 	}
 	s.trail = s.trail[:end]
 	s.trailLim = s.trailLim[:lvl]
@@ -404,9 +410,10 @@ func (s *Solver) varBumpActivity(v Var) {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
+		s.order.rescale(1e-100)
 		s.varInc *= 1e-100
 	}
-	s.order.decreased(v)
+	s.order.decreased(v, s.activity[v])
 }
 
 func (s *Solver) claBumpActivity(cr clauseRef) {
@@ -620,7 +627,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 func (s *Solver) pickBranchLit() Lit {
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == lUndef {
+		if s.valueLit(PosLit(v)) == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
@@ -775,7 +782,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 			}
 		}
 		if next == LitUndef {
-			if len(s.trail) == len(s.assigns) {
+			if len(s.trail) == s.NumVars() {
 				// Every variable is assigned and propagation is at fixpoint:
 				// the assignment is a model. Returning here (instead of
 				// letting pickBranchLit discover it) keeps the order heap
@@ -801,7 +808,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 // returns the failing subset of assumptions.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.Stats.Solves++
-	s.model = nil
+	s.model = s.model[:0]
 	s.core = s.core[:0]
 	if !s.ok {
 		return Unsat
@@ -845,8 +852,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	if status == Sat {
-		s.model = make([]lbool, len(s.assigns))
-		copy(s.model, s.assigns)
+		s.model = append(s.model, s.vals...)
 	}
 	s.cancelUntil(0)
 	s.assumptions = s.assumptions[:0]
@@ -860,11 +866,10 @@ func (s *Solver) numProblemClauses() int {
 // ModelValue returns the value of l in the most recent satisfying model.
 // It panics if the last Solve did not return Sat.
 func (s *Solver) ModelValue(l Lit) bool {
-	if s.model == nil {
+	if len(s.model) == 0 {
 		panic("sat: ModelValue without a model")
 	}
-	v := s.model[l.Var()].xorSign(l.Neg())
-	return v == lTrue // unassigned defaults to false
+	return s.model[l] == lTrue // unassigned defaults to false
 }
 
 // Core returns the subset of the assumption literals under which the last
