@@ -46,9 +46,12 @@ race:
 # automatically (currently: TestConcurrentSnapshotWhileLearn and
 # TestConcurrentAttachFlushLastErr — Persist racing Flush, Attach and
 # LastFlushErr — in internal/hhoudini/persist_test.go,
-# TestConcurrentMergeFlushSnapshot in internal/proofdb, and the
-# multi-session service-shape tests TestConcurrentMultiSession* in
-# internal/hhoudini/multisession_test.go).
+# TestConcurrentMonotoneMemo — memo stores and lookups racing
+# SnapshotData/Restore — in internal/hhoudini/cache_test.go,
+# TestConcurrentMergeFlushSnapshot in internal/proofdb, the multi-session
+# service-shape tests TestConcurrentMultiSession* in
+# internal/hhoudini/multisession_test.go, and TestConcurrentConeFingerprint
+# in internal/circuit).
 race-proofdb:
 	$(GO) test -race ./internal/proofdb/
 	$(GO) test -race -run 'TestConcurrent' ./internal/...

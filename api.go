@@ -226,10 +226,12 @@ func NewLearner(sys *System, mine MineOracle, opts LearnerOptions) *Learner {
 // DefaultLearnerOptions mirror the paper's configuration.
 func DefaultLearnerOptions() LearnerOptions { return core.DefaultOptions() }
 
-// VerifyCache is the verification memo store: abduction verdicts and proven
-// abducts shared across Learner instances, keyed by cone fingerprint +
-// environment-assumption key. Only answers live here — a learner's solvers
-// last for one Learn.
+// VerifyCache is the verification memo store, shared across Learner
+// instances and keyed by cone fingerprint + environment-assumption key. Per
+// target it keeps one monotone memo: proven abducts, each answering any
+// query whose candidates contain it, and maximal candidate sets proven Sat,
+// each answering "no abduct" for any subset of itself. Only answers live
+// here — a learner's solvers last for one query.
 type VerifyCache = core.VerifyCache
 
 // NewVerifyCache returns an empty cache with default bounds. Pass it via
@@ -244,7 +246,7 @@ func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 // --- Persistent proof store -------------------------------------------------
 
 // ProofDB binds a verification cache to a versioned on-disk proof store
-// (abduction verdicts and abducts, keyed by cone fingerprint and
+// (proven abducts and Sat candidate sets, keyed by cone fingerprint and
 // environment key) so separate process invocations share warm starts.
 // ProofDBConfig configures the binding (staleness bound, byte budget,
 // appends).

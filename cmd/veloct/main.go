@@ -34,7 +34,7 @@ var (
 	flagSafe       = flag.String("safe", "", "comma-separated proposed safe set (empty: synthesize)")
 	flagSynthesize = flag.Bool("synthesize", false, "synthesize the safe set instead of verifying one")
 	flagWorkers    = flag.Int("workers", 1, "parallel learner workers (0 = GOMAXPROCS)")
-	flagCacheDir   = flag.String("cache-dir", "", "persist the verification cache (abduction verdicts and abducts) in this directory across process runs")
+	flagCacheDir   = flag.String("cache-dir", "", "persist the verification cache (proven abducts and Sat candidate sets) in this directory across process runs")
 	flagPersist    = flag.Bool("persist", false, "shorthand for -cache-dir "+hh.DefaultCacheDir)
 	flagVerbose    = flag.Bool("v", false, "verbose instrumentation (cache counter report)")
 	flagShowInv    = flag.Bool("show-invariant", false, "print every predicate of the learned invariant")
@@ -256,7 +256,7 @@ func report(a *hh.Analysis, res *hh.Result, elapsed time.Duration) {
 		fmt.Printf("  solvers=%d encoded gates=%d clauses=%d\n",
 			res.Stats.SolverAllocs, res.Stats.EncodedGates, res.Stats.EncodedClauses)
 		if reportCacheCounters() {
-			fmt.Printf("  cache: verdict-hits=%d abduct-hits=%d entries=%d (~%dB)\n",
+			fmt.Printf("  cache: negative-hits=%d abduct-hits=%d entries=%d (~%dB)\n",
 				res.Stats.CacheVerdictHits, res.Stats.CacheAbductHits,
 				res.Stats.CacheEntries, res.Stats.CacheBytes)
 			if *flagCacheDir != "" {

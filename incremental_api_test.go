@@ -87,13 +87,21 @@ func TestIncrementalBackendRejectsUnsafeSet(t *testing.T) {
 // (RunsPerInstr 1, no compositions), which makes the learner backtrack.
 func coldSmallOoO(t *testing.T, workers int, weak bool) *hh.Result {
 	t.Helper()
+	return verifySmallOoO(t, workers, hh.NewVerifyCache(), "", weak)
+}
+
+// verifySmallOoO is coldSmallOoO over the given cache and, when cacheDir is
+// not empty, the proof store in cacheDir.
+func verifySmallOoO(t *testing.T, workers int, cache *hh.VerifyCache, cacheDir string, weak bool) *hh.Result {
+	t.Helper()
 	tgt, err := hh.NewOoO(hh.SmallOoO)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := hh.DefaultAnalysisOptions()
 	opts.Learner.Workers = workers
-	opts.Learner.Cache = hh.NewVerifyCache()
+	opts.Learner.Cache = cache
+	opts.Learner.CacheDir = cacheDir
 	opts.Examples.Seed = 1
 	if weak {
 		opts.Examples.RunsPerInstr = 1
@@ -164,6 +172,58 @@ func TestWeakExamplesRepeatAtOneWorker(t *testing.T) {
 		}
 		if !reflect.DeepEqual(inv, firstInv) {
 			t.Fatalf("run %d learned a different invariant:\n got   %v\n first %v", run, inv, firstInv)
+		}
+	}
+}
+
+// TestWarmRepeatScenariosArePinned: a SmallOoO verification at one worker
+// that follows another over the same memo — on one shared VerifyCache, and
+// through CacheDir with a CloseProofDBs restart between the runs — builds no
+// solver and learns exactly the invariant a cold run of its own
+// configuration learns, whichever example sets the two runs use. Its task
+// count is pinned: the weak set backtracks 19 tasks fewer than cold,
+// because the memo answers the smallest abduct it holds.
+func TestWarmRepeatScenariosArePinned(t *testing.T) {
+	defer hh.CloseProofDBs()
+	coldInv := map[bool][]string{} // by weak; filled by each first run, which is cold
+	for _, sc := range []struct {
+		name                  string
+		firstWeak, secondWeak bool
+		tasks                 int64
+	}{
+		{"weak→weak", true, true, 178},
+		{"strong→weak", false, true, 84},
+		{"weak→strong", true, false, 84},
+	} {
+		for _, disk := range []bool{false, true} {
+			mode := "memory"
+			cache, dir := hh.NewVerifyCache(), ""
+			if disk {
+				mode, dir = "disk", t.TempDir()
+			}
+			first := verifySmallOoO(t, 1, cache, dir, sc.firstWeak)
+			if st := first.Stats.Snapshot(); st.SolverAllocs != st.Queries {
+				t.Fatalf("%s/%s: first run is not cold: %d solvers for %d queries", sc.name, mode, st.SolverAllocs, st.Queries)
+			}
+			coldInv[sc.firstWeak] = predIDs(first.Invariant)
+			if disk {
+				if err := hh.CloseProofDBs(); err != nil {
+					t.Fatal(err)
+				}
+				cache = hh.NewVerifyCache()
+			}
+			second := verifySmallOoO(t, 1, cache, dir, sc.secondWeak)
+			st := second.Stats.Snapshot()
+			if st.SolverAllocs != 0 || st.Tasks != sc.tasks {
+				t.Fatalf("%s/%s: second run built %d solvers over %d tasks; want 0 over %d",
+					sc.name, mode, st.SolverAllocs, st.Tasks, sc.tasks)
+			}
+			if got, want := predIDs(second.Invariant), coldInv[sc.secondWeak]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: second run's invariant differs from a cold run's:\n got  %v\n cold %v", sc.name, mode, got, want)
+			}
+			if err := hh.CloseProofDBs(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

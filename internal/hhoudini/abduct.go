@@ -116,13 +116,15 @@ type abductResult struct {
 // A memo miss is answered by solveQuery on a solver built for this query
 // alone, so the answer depends only on (target, candidates), never on which
 // worker took the task or what it solved before. For a cacheable system
-// the whole query is memoized by (target, candidate set, minimize flag):
-// predicate IDs are canonical within one system identity, so an identical
-// query re-issued by a later Learner — the common case in safe-set
+// every answer lands in the target's monotone memo (VerifyCache.lookup):
+// predicate IDs are canonical within one cone key, so a later query — from
+// this Learn after a backtrack, or from a later Learner in safe-set
 // synthesis, which re-runs Verify after every mutation that leaves most
-// cones untouched — is answered without touching a solver. A memoized
-// abduct is one the solver really returned for this exact query on this
-// exact system, so replaying it preserves soundness.
+// cones untouched — is answered without touching a solver whenever its
+// candidates are a subset of a set proven Sat or a superset of a proven
+// abduct. Both answers are sound: adding candidates cannot make
+// A ∧ t ∧ ¬t′ satisfiable, so A stays an abduct of every superset, and
+// dropping candidates cannot make a satisfiable query Unsat.
 func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 	start := time.Now()
 	defer func() {
@@ -133,41 +135,27 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 		// interrupt protocol must win.
 		faultinject.Sleep(faultinject.QueryDelay)
 	}
-	var vk verdictKey
 	var ckey string
 	if l.cache != nil {
 		var err error
 		if ckey, err = l.coneIdentFor(target); err != nil {
 			return abductResult{}, err
 		}
-		vk = verdictKeyFor(target, cands, l.opts.MinimizeCores)
-		if res, fromDisk, ok := l.cache.lookupVerdict(ckey, vk, target, cands); ok {
-			atomic.AddInt64(&l.stats.CacheVerdictHits, 1)
+		if res, fromDisk, ok := l.cache.lookup(ckey, target, cands); ok {
+			if res.ok {
+				atomic.AddInt64(&l.stats.CacheAbductHits, 1)
+			} else {
+				atomic.AddInt64(&l.stats.CacheVerdictHits, 1)
+			}
 			if fromDisk {
 				atomic.AddInt64(&l.stats.CacheDiskHits, 1)
 			}
 			return res, nil
 		}
-		// Subset-abduct memo: a proven abduct A for this target remains a
-		// valid answer for ANY candidate set containing A — adding selector
-		// assumptions cannot make A ∧ t ∧ ¬t′ satisfiable, and A ⊆ cands is
-		// exactly what qualifies it as this query's abduct. So even when the
-		// exact verdict key misses (candidate sets drift across designs and
-		// mining changes), a remembered positive answer is replayed for free.
-		if preds, fromDisk, ok := l.cache.lookupAbduct(ckey, target, cands); ok {
-			atomic.AddInt64(&l.stats.CacheAbductHits, 1)
-			if fromDisk {
-				atomic.AddInt64(&l.stats.CacheDiskHits, 1)
-			}
-			return abductResult{preds: preds, ok: true}, nil
-		}
 	}
 	res, err := l.solveQuery(target, cands)
 	if err == nil && l.cache != nil {
-		l.cache.storeVerdict(ckey, vk, res)
-		if res.ok {
-			l.cache.storeAbduct(ckey, target, res)
-		}
+		l.cache.store(ckey, target, cands, res)
 	}
 	return res, err
 }

@@ -2,7 +2,7 @@ package hhoudini
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,14 +22,15 @@ import (
 // the target's fan-in cone combined with the environment-assumption identity
 // (EnvKey). Changing the safe set changes the EnvKey, so stale entries can
 // never be consulted; that is the whole invalidation story, by
-// construction. Under each key live two memos:
+// construction. Under each key, every target keeps one monotone memo in two
+// halves (see lookup):
 //
-//  1. the verdict memo for whole relative-induction queries:
-//     (target, candidate-set signature, minimize flag) → SAT/UNSAT + core;
-//  2. the subset-abduct memo: target → proven abducts, each of which answers
-//     any query whose candidate set contains it.
+//  1. proven abducts — an abduct A stays Unsat under more candidates, so it
+//     answers every query whose candidate set contains A;
+//  2. maximal candidate sets proven Sat — a Sat set stays Sat under fewer
+//     candidates, so it answers "no abduct" for every subset of itself.
 //
-// Memory is bounded: both memos are capped per key, and whole keys are
+// Memory is bounded: each half is capped per target, and whole keys are
 // evicted LRU beyond maxKeys. The same records are what internal/proofdb
 // persists (SnapshotData / Restore / delta sinks).
 type VerifyCache struct {
@@ -37,7 +38,7 @@ type VerifyCache struct {
 	entries map[string]*cacheEntry
 	useSeq  uint64 // global LRU clock
 
-	// curRecords/curBytes are the cache's footprint (verdicts, abducts),
+	// curRecords/curBytes are the cache's footprint (abducts, Sat sets),
 	// maintained incrementally by every mutation under vc.mu so Len/Bytes
 	// are O(1); bytesHighWater tracks the largest curBytes ever observed
 	// (never reset — the capacity-planning gauge the service reports).
@@ -45,8 +46,7 @@ type VerifyCache struct {
 	curBytes       int64
 	bytesHighWater int64
 
-	maxKeys     int
-	maxVerdicts int // max verdict memo entries per key
+	maxKeys int
 
 	// Process-lifetime counters (atomics; see Counters).
 	keyEvictions  int64
@@ -61,8 +61,8 @@ type VerifyCache struct {
 	diskVerdictHits    int64
 	diskFlushes        int64
 
-	// sinks receive the delta of every live mutation (new verdict, new
-	// abduct) — the write-ahead feed a bound ProofDB journals as the facts
+	// sinks receive the delta of every live mutation (new abduct, new Sat
+	// set) — the write-ahead feed a bound ProofDB journals as the facts
 	// land, so the crash-loss window is the sync policy's, not the flush
 	// interval's. Registered under vc.mu; invoked strictly outside it (a
 	// sink appends to a store whose own lock ordering must stay independent
@@ -81,63 +81,48 @@ type deltaSink struct {
 const (
 	// Every distinct target cone is its own key, so the LRU must hold a
 	// design's worth of cones — the evaluated OoO designs have a few
-	// hundred. Worst-case memory stays bounded by the per-key caps below.
-	defaultCacheMaxKeys     = 512
-	defaultCacheMaxVerdicts = 1 << 16
-	// maxAbductsPerTarget caps the subset-abduct memo per (key, target):
-	// distinct proven abducts for one target are rare (candidate drift
-	// yields near-identical cores), so a small cap bounds the containment
-	// scan while keeping every useful answer.
-	maxAbductsPerTarget = 8
+	// hundred. Worst-case memory stays bounded by the per-target cap below.
+	defaultCacheMaxKeys = 512
+	// maxRecordsPerTarget caps each half of the memo per (key, target):
+	// distinct proven abducts or maximal Sat sets for one target are rare
+	// (candidate drift yields near-identical cores), so a small cap bounds
+	// the containment scans while keeping every useful answer.
+	maxRecordsPerTarget = 8
 )
 
 type cacheEntry struct {
 	lastUse uint64
 	// bytes/records mirror this entry's share of the cache's footprint
-	// (verdicts, abducts, key string), maintained by the add paths so
-	// whole-key eviction can decrement in O(1).
+	// (records, key string), maintained by the add paths so whole-key
+	// eviction can decrement in O(1).
 	bytes   int64
 	records int
 
-	verdicts map[verdictKey]verdictVal
-
-	// abducts is the subset-abduct memo: target predicate ID → proven
-	// abducts (member ID lists). Unlike the verdict memo it is keyed by the
-	// target alone, because a positive answer transfers to every candidate
-	// superset of its members (see Learner.abduct). Negative (SAT) verdicts
-	// never enter here — they are only meaningful for the exact candidate
-	// set, which the verdict memo already covers.
-	abducts map[string][]abductRec
+	// targets is the monotone memo: target predicate ID → what is proven
+	// about that target's abduction queries under this key.
+	targets map[string]*targetMemo
 }
 
-// abductRec is one remembered proven abduct.
-type abductRec struct {
-	sig      string   // canonical member signature (sorted IDs) for dedup
-	preds    []string // member IDs in solver-returned order
-	fromDisk bool     // restored from a persistent proof store
+// targetMemo is the memo for one target predicate.
+type targetMemo struct {
+	abducts []memoRec // proven abducts: each answers its candidate supersets
+	satSets []memoRec // maximal candidate sets proven Sat: each answers its subsets
 }
 
-// verdictKey identifies one abduction query up to semantics: the target,
-// the candidate set (order-independent) and the core-minimization flag.
-// Two independent 64-bit FNV hashes make accidental collisions — which
-// would be unsound, unlike cone-key collisions — astronomically unlikely.
-type verdictKey struct{ a, b uint64 }
-
-type verdictVal struct {
-	ok    bool
-	preds []string // abduct member IDs (all drawn from the query's candidates)
-	// fromDisk marks verdicts restored from a persistent proof store; hits
-	// on them are additionally counted as disk hits (the warm-process
-	// acceptance metric).
-	fromDisk bool
+// memoRec is one remembered solver answer.
+type memoRec struct {
+	// ids are an abduct's member IDs in solver-returned order, or a Sat
+	// set's candidate IDs sorted and without the target.
+	ids      []string
+	sig      string // abducts: canonical member signature (sorted IDs)
+	fromDisk bool   // restored from a persistent proof store
 }
 
 // NewVerifyCache returns an empty cache with default bounds.
 func NewVerifyCache() *VerifyCache {
 	return &VerifyCache{
-		entries:     make(map[string]*cacheEntry),
-		maxKeys:     defaultCacheMaxKeys,
-		maxVerdicts: defaultCacheMaxVerdicts,
+		entries: make(map[string]*cacheEntry),
+		maxKeys: defaultCacheMaxKeys,
 	}
 }
 
@@ -148,21 +133,22 @@ var sharedCache = NewVerifyCache()
 // SharedCache returns the process-global verification cache.
 func SharedCache() *VerifyCache { return sharedCache }
 
-// CacheCounters is a snapshot of cache effectiveness counters.
+// CacheCounters is a snapshot of cache effectiveness counters. Every
+// memo lookup is exactly one of a verdict hit, an abduct hit or a miss.
 type CacheCounters struct {
-	KeyEvictions  int64 // whole keys (both memos) dropped by key-LRU pressure
-	VerdictHits   int64 // whole abduction queries answered from the memo
-	VerdictMisses int64
-	AbductHits    int64 // queries answered by the subset-abduct memo
+	KeyEvictions  int64 // whole keys dropped by key-LRU pressure
+	VerdictHits   int64 // queries answered "no abduct" by a stored Sat set
+	VerdictMisses int64 // queries neither half of the memo answered
+	AbductHits    int64 // queries answered by a stored abduct
 
 	// Persistence counters (zero unless a proof store is attached).
-	DiskVerdictsLoaded int64 // verdicts and abducts restored from a disk snapshot
-	DiskVerdictHits    int64 // hits answered by restored memos
+	DiskVerdictsLoaded int64 // abducts and Sat sets restored from a disk snapshot
+	DiskVerdictHits    int64 // hits answered by restored records
 	DiskFlushes        int64 // snapshots of this cache merged into a store
 
 	// Introspection (see Len and Bytes; maintained incrementally).
-	Entries     int64 // records held: verdicts + abducts
-	ApproxBytes int64 // approximate heap bytes of the memos
+	Entries     int64 // records held: abducts + Sat sets
+	ApproxBytes int64 // approximate heap bytes of the memo
 	// BytesHighWater is the largest ApproxBytes this cache ever reached —
 	// eviction keeps the live figure bounded, so capacity planning needs
 	// the peak, not the current value.
@@ -188,40 +174,31 @@ func (vc *VerifyCache) Counters() CacheCounters {
 	}
 }
 
-// Len returns the number of records the cache currently holds — memoized
-// verdicts and abducts across every key. O(1): the figure is maintained
+// Len returns the number of records the cache currently holds — proven
+// abducts and Sat sets across every key. O(1): the figure is maintained
 // incrementally by every mutation.
 func (vc *VerifyCache) Len() int {
 	n, _, _ := vc.footprint()
 	return n
 }
 
-// Bytes returns an approximation of the heap footprint of the verdict and
-// abduct memos. The estimate counts string payloads plus fixed per-record
-// overheads; it exists so eviction behavior is observable, not as an
-// accounting guarantee. O(1).
+// Bytes returns an approximation of the heap footprint of the memo. The
+// estimate counts string payloads plus fixed per-record overheads; it
+// exists so eviction behavior is observable, not as an accounting
+// guarantee. O(1).
 func (vc *VerifyCache) Bytes() int64 {
 	_, b, _ := vc.footprint()
 	return b
 }
 
-// verdictOverhead is the fixed per-record share of the byte estimate (see
-// Bytes): verdictKey + verdictVal + map entry share.
-const verdictOverhead = 64
+// recordOverhead is the fixed per-record share of the byte estimate (see
+// Bytes): the memoRec header plus its slice slot.
+const recordOverhead = 64
 
-// verdictBytes estimates the heap footprint of one memoized verdict.
-func verdictBytes(val verdictVal) int64 {
-	b := int64(verdictOverhead)
-	for _, id := range val.preds {
-		b += 16 + int64(len(id))
-	}
-	return b
-}
-
-// abductBytes estimates the heap footprint of one abduct record.
-func abductBytes(r abductRec) int64 {
-	b := verdictOverhead + int64(len(r.sig))
-	for _, id := range r.preds {
+// recBytes estimates the heap footprint of one memo record.
+func recBytes(r memoRec) int64 {
+	b := recordOverhead + int64(len(r.sig))
+	for _, id := range r.ids {
 		b += 16 + int64(len(id))
 	}
 	return b
@@ -236,7 +213,7 @@ func (vc *VerifyCache) footprint() (int, int64, int64) {
 
 // creditLocked charges a footprint delta to an entry and the cache-wide
 // aggregates, advancing the high-water mark on growth. Caller holds vc.mu.
-// Deltas are negative on whole-key eviction.
+// Deltas are negative when a record is replaced.
 func (vc *VerifyCache) creditLocked(e *cacheEntry, records int, bytes int64) {
 	e.records += records
 	e.bytes += bytes
@@ -251,8 +228,8 @@ func (vc *VerifyCache) creditLocked(e *cacheEntry, records int, bytes int64) {
 func (vc *VerifyCache) String() string {
 	c := vc.Counters()
 	s := fmt.Sprintf(
-		"verify-cache{verdict hit/miss %d/%d, abduct hits %d, key evictions %d, entries %d (~%dB)",
-		c.VerdictHits, c.VerdictMisses, c.AbductHits, c.KeyEvictions, c.Entries, c.ApproxBytes)
+		"verify-cache{negative hits %d, abduct hits %d, misses %d, key evictions %d, entries %d (~%dB)",
+		c.VerdictHits, c.AbductHits, c.VerdictMisses, c.KeyEvictions, c.Entries, c.ApproxBytes)
 	if c.DiskVerdictsLoaded+c.DiskVerdictHits+c.DiskFlushes > 0 {
 		s += fmt.Sprintf(", disk loaded %d hits %d flushes %d",
 			c.DiskVerdictsLoaded, c.DiskVerdictHits, c.DiskFlushes)
@@ -277,10 +254,7 @@ func (vc *VerifyCache) Reset() {
 func (vc *VerifyCache) entryLocked(key string) *cacheEntry {
 	e, ok := vc.entries[key]
 	if !ok {
-		e = &cacheEntry{
-			verdicts: make(map[verdictKey]verdictVal),
-			abducts:  make(map[string][]abductRec),
-		}
+		e = &cacheEntry{targets: make(map[string]*targetMemo)}
 		vc.entries[key] = e
 		vc.creditLocked(e, 0, int64(len(key))) // key string + map slot share
 	}
@@ -310,244 +284,219 @@ func (vc *VerifyCache) evictKeysLocked() {
 	}
 }
 
-// --- Verdict memo -----------------------------------------------------------
+// --- The monotone memo ------------------------------------------------------
 
-// verdictKeyFor hashes one abduction query identity. Candidate order is
-// canonicalized by sorting IDs; the target is excluded from the candidate
-// list by the abduction backends, so its ID participates separately.
-func verdictKeyFor(target Pred, cands []Pred, minimize bool) verdictKey {
+// sortedSet returns ids sorted and without duplicates, in a new slice.
+func sortedSet(ids []string) []string {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// candidateIDs is a query's candidate set as a sorted set of IDs, without
+// the target: the abduction backends assert the target unconditionally, so
+// its presence among the candidates never changes the answer.
+func candidateIDs(targetID string, cands []Pred) []string {
 	ids := make([]string, 0, len(cands))
 	for _, c := range cands {
-		ids = append(ids, c.ID())
-	}
-	sort.Strings(ids)
-	ha, hb := fnv.New64a(), fnv.New64()
-	write := func(s string) {
-		ha.Write([]byte(s))
-		ha.Write([]byte{0})
-		hb.Write([]byte(s))
-		hb.Write([]byte{0xff})
-	}
-	if minimize {
-		write("min")
-	}
-	write(target.ID())
-	for _, id := range ids {
-		write(id)
-	}
-	return verdictKey{ha.Sum64(), hb.Sum64()}
-}
-
-// lookupVerdict consults the memo and, on a hit, rebuilds the abduct from
-// the current candidate instances (IDs are canonical within a fingerprint:
-// equal IDs ⇒ semantically identical predicates). The second result
-// reports whether the answering memo entry was restored from a persistent
-// proof store (a "disk hit").
-func (vc *VerifyCache) lookupVerdict(key string, vk verdictKey, target Pred, cands []Pred) (abductResult, bool, bool) {
-	vc.mu.Lock()
-	e, ok := vc.entries[key]
-	if !ok {
-		vc.mu.Unlock()
-		atomic.AddInt64(&vc.verdictMisses, 1)
-		return abductResult{}, false, false
-	}
-	vc.useSeq++
-	e.lastUse = vc.useSeq
-	val, ok := e.verdicts[vk]
-	vc.mu.Unlock()
-	if !ok {
-		atomic.AddInt64(&vc.verdictMisses, 1)
-		return abductResult{}, false, false
-	}
-	hit := func() {
-		atomic.AddInt64(&vc.verdictHits, 1)
-		if val.fromDisk {
-			atomic.AddInt64(&vc.diskVerdictHits, 1)
+		if id := c.ID(); id != targetID {
+			ids = append(ids, id)
 		}
 	}
-	if !val.ok {
-		hit()
-		return abductResult{ok: false}, val.fromDisk, true
-	}
-	byID := make(map[string]Pred, len(cands)+1)
-	for _, c := range cands {
-		byID[c.ID()] = c
-	}
-	byID[target.ID()] = target
-	preds := make([]Pred, len(val.preds))
-	for i, id := range val.preds {
-		p, ok := byID[id]
-		if !ok {
-			// Defensive: treat an unmappable memo entry as a miss rather
-			// than fabricating predicates.
-			atomic.AddInt64(&vc.verdictMisses, 1)
-			return abductResult{}, false, false
-		}
-		preds[i] = p
-	}
-	hit()
-	return abductResult{preds: preds, ok: true}, val.fromDisk, true
+	return sortedSet(ids)
 }
-
-// storeVerdict records one computed abduction verdict.
-func (vc *VerifyCache) storeVerdict(key string, vk verdictKey, res abductResult) {
-	var val verdictVal
-	val.ok = res.ok
-	if res.ok {
-		val.preds = make([]string, len(res.preds))
-		for i, p := range res.preds {
-			val.preds[i] = p.ID()
-		}
-	}
-	vc.mu.Lock()
-	e := vc.entryLocked(key)
-	old, exists := e.verdicts[vk]
-	if !exists && len(e.verdicts) >= vc.maxVerdicts {
-		vc.mu.Unlock()
-		return // memo full; favor the working set already present
-	}
-	if exists {
-		vc.creditLocked(e, -1, -verdictBytes(old))
-	}
-	e.verdicts[vk] = val
-	vc.creditLocked(e, 1, verdictBytes(val))
-	sinks := vc.sinksLocked()
-	vc.mu.Unlock()
-
-	emitDelta(sinks, proofdb.KeyRecord{Key: key, Verdicts: []proofdb.Verdict{{
-		A: vk.a, B: vk.b, OK: val.ok,
-		Preds: append([]string(nil), val.preds...),
-	}}})
-}
-
-// --- Subset-abduct memo -----------------------------------------------------
 
 // abductSig canonicalizes an abduct's member-ID list (order-independent).
 func abductSig(ids []string) string {
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
 	var b []byte
-	for _, id := range sorted {
+	for _, id := range sortedSet(ids) {
 		b = append(b, id...)
 		b = append(b, 0)
 	}
 	return string(b)
 }
 
-// lookupAbduct consults the subset-abduct memo: a remembered proven abduct
-// for target whose members all appear in cands (or are the target itself)
-// answers the query regardless of what else cands contains. When several
-// remembered abducts qualify the smallest is returned — fewer members mean
-// fewer downstream proof obligations. The second result reports whether the
-// answering record was restored from a persistent proof store.
-func (vc *VerifyCache) lookupAbduct(key string, target Pred, cands []Pred) ([]Pred, bool, bool) {
-	byID := make(map[string]Pred, len(cands)+1)
-	for _, c := range cands {
-		byID[c.ID()] = c
+// subsetOf reports whether every element of the sorted list a occurs in
+// the sorted list b.
+func subsetOf(a, b []string) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
 	}
-	byID[target.ID()] = target
+	return true
+}
+
+// lookup answers one abduction query from the memo. A stored Sat set that
+// contains every candidate answers "no abduct". Otherwise the smallest
+// stored abduct whose members all appear among the candidates (or are the
+// target) answers, rebuilt from the caller's predicate instances (IDs are
+// canonical within a key: equal IDs ⇒ semantically identical predicates);
+// equal sizes go to the lowest signature, so a memo restored from disk
+// answers exactly as the live one it was written from. ok is false when
+// neither half answers; fromDisk reports that the answering record was
+// restored from a persistent proof store.
+func (vc *VerifyCache) lookup(key string, target Pred, cands []Pred) (res abductResult, fromDisk, ok bool) {
+	tid := target.ID()
+	ids := candidateIDs(tid, cands)
+	contained := func(members []string) bool {
+		for _, id := range members {
+			if _, found := slices.BinarySearch(ids, id); !found && id != tid {
+				return false
+			}
+		}
+		return true
+	}
 
 	vc.mu.Lock()
-	e, ok := vc.entries[key]
-	if !ok {
-		vc.mu.Unlock()
-		return nil, false, false
+	var m *targetMemo
+	if e, found := vc.entries[key]; found {
+		vc.useSeq++
+		e.lastUse = vc.useSeq
+		m = e.targets[tid]
 	}
-	vc.useSeq++
-	e.lastUse = vc.useSeq
-	var best *abductRec
-	for i := range e.abducts[target.ID()] {
-		r := &e.abducts[target.ID()][i]
-		contained := true
-		for _, id := range r.preds {
-			if _, ok := byID[id]; !ok {
-				contained = false
+	var best *memoRec
+	sat := false
+	if m != nil {
+		for i := range m.satSets {
+			if subsetOf(ids, m.satSets[i].ids) {
+				best, sat = &m.satSets[i], true
 				break
 			}
 		}
-		if !contained {
-			continue
-		}
-		if best == nil || len(r.preds) < len(best.preds) {
-			best = r
+	}
+	if m != nil && !sat {
+		for i := range m.abducts {
+			r := &m.abducts[i]
+			if contained(r.ids) && (best == nil || len(r.ids) < len(best.ids) ||
+				len(r.ids) == len(best.ids) && r.sig < best.sig) {
+				best = r
+			}
 		}
 	}
 	if best == nil {
 		vc.mu.Unlock()
-		return nil, false, false
+		atomic.AddInt64(&vc.verdictMisses, 1)
+		return abductResult{}, false, false
 	}
-	ids := append([]string(nil), best.preds...)
-	fromDisk := best.fromDisk
+	members := slices.Clone(best.ids)
+	fromDisk = best.fromDisk
 	vc.mu.Unlock()
 
-	preds := make([]Pred, len(ids))
-	for i, id := range ids {
-		preds[i] = byID[id]
-	}
-	atomic.AddInt64(&vc.abductHits, 1)
 	if fromDisk {
 		atomic.AddInt64(&vc.diskVerdictHits, 1)
 	}
-	return preds, fromDisk, true
+	if sat {
+		atomic.AddInt64(&vc.verdictHits, 1)
+		return abductResult{ok: false}, fromDisk, true
+	}
+	atomic.AddInt64(&vc.abductHits, 1)
+	byID := make(map[string]Pred, len(cands)+1)
+	for _, c := range cands {
+		byID[c.ID()] = c
+	}
+	byID[tid] = target
+	preds := make([]Pred, len(members))
+	for i, id := range members {
+		preds[i] = byID[id]
+	}
+	return abductResult{preds: preds, ok: true}, fromDisk, true
 }
 
-// storeAbduct records one solver-proven abduct for target.
-func (vc *VerifyCache) storeAbduct(key string, target Pred, res abductResult) {
-	if !res.ok {
-		return
-	}
-	ids := make([]string, len(res.preds))
-	for i, p := range res.preds {
-		ids[i] = p.ID()
+// store records one solver answer for target: its abduct, or — when no
+// abduct exists — its candidate set as a Sat set. A record the memo did not
+// already imply is delivered to the delta sinks.
+func (vc *VerifyCache) store(key string, target Pred, cands []Pred, res abductResult) {
+	tid := target.ID()
+	var ids []string
+	if res.ok {
+		ids = make([]string, len(res.preds))
+		for i, p := range res.preds {
+			ids[i] = p.ID()
+		}
+	} else {
+		ids = candidateIDs(tid, cands)
 	}
 	vc.mu.Lock()
-	e := vc.entryLocked(key)
-	added := e.addAbductLocked(target.ID(), ids, false)
-	if added {
-		recs := e.abducts[target.ID()]
-		vc.creditLocked(e, 1, abductBytes(recs[len(recs)-1]))
-	}
+	added := vc.addLocked(vc.entryLocked(key), tid, !res.ok, ids, false)
 	var sinks []func(*proofdb.Snapshot)
 	if added {
 		sinks = vc.sinksLocked()
 	}
 	vc.mu.Unlock()
 
-	if added {
-		emitDelta(sinks, proofdb.KeyRecord{Key: key, Abducts: []proofdb.Abduct{{
-			Target: target.ID(),
-			Preds:  append([]string(nil), ids...),
-		}}})
+	if len(sinks) == 0 {
+		return
 	}
+	kr := proofdb.KeyRecord{Key: key}
+	if res.ok {
+		kr.Abducts = []proofdb.Abduct{{Target: tid, Preds: ids}}
+	} else {
+		kr.Negsets = []proofdb.Negset{{Target: tid, Cands: ids}}
+	}
+	emitDelta(sinks, kr)
 }
 
-// addAbductLocked dedups and appends one abduct record; reports whether it
-// was new. Caller holds vc.mu (via entryLocked).
-func (e *cacheEntry) addAbductLocked(targetID string, ids []string, fromDisk bool) bool {
-	recs := e.abducts[targetID]
-	if len(recs) >= maxAbductsPerTarget {
-		return false
+// addLocked installs one record for targetID under e, credits the
+// footprint, and reports whether the memo changed. An abduct is new unless
+// its signature is already stored. A Sat set (ids sorted, without the
+// target) is new unless a stored one contains it, and it replaces every
+// stored one it contains. Each half holds at most maxRecordsPerTarget
+// records; past the cap, new records are dropped in favor of the working
+// set already present. Caller holds vc.mu.
+func (vc *VerifyCache) addLocked(e *cacheEntry, targetID string, sat bool, ids []string, fromDisk bool) bool {
+	m := e.targets[targetID]
+	if m == nil {
+		m = &targetMemo{}
+		e.targets[targetID] = m
 	}
-	sig := abductSig(ids)
-	for _, r := range recs {
-		if r.sig == sig {
+	rec := memoRec{ids: slices.Clone(ids), fromDisk: fromDisk}
+	if sat {
+		for _, r := range m.satSets {
+			if subsetOf(ids, r.ids) {
+				return false
+			}
+		}
+		kept := m.satSets[:0]
+		for _, r := range m.satSets {
+			if subsetOf(r.ids, ids) {
+				vc.creditLocked(e, -1, -recBytes(r))
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		clear(m.satSets[len(kept):])
+		m.satSets = kept
+		if len(kept) >= maxRecordsPerTarget {
 			return false
 		}
+		m.satSets = append(kept, rec)
+	} else {
+		rec.sig = abductSig(ids)
+		if len(m.abducts) >= maxRecordsPerTarget {
+			return false
+		}
+		for _, r := range m.abducts {
+			if r.sig == rec.sig {
+				return false
+			}
+		}
+		m.abducts = append(m.abducts, rec)
 	}
-	e.abducts[targetID] = append(recs, abductRec{
-		sig:      sig,
-		preds:    append([]string(nil), ids...),
-		fromDisk: fromDisk,
-	})
+	vc.creditLocked(e, 1, recBytes(rec))
 	return true
 }
 
 // --- Persistence (internal/proofdb exchange) --------------------------------
 
-// SnapshotData exports the cache — the per-key verdict and abduct memos —
-// as a portable proofdb snapshot. Keys are emitted in sorted order, so equal
-// cache contents serialize identically. Safe to call concurrently with
-// learners using the cache: the snapshot is assembled under the cache lock.
+// SnapshotData exports the memo as a portable proofdb snapshot: keys,
+// targets and each target's records in sorted order, so equal cache
+// contents serialize identically. Safe to call concurrently with learners
+// using the cache: the snapshot is assembled under the cache lock.
 func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
@@ -560,94 +509,65 @@ func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
 	for _, k := range keys {
 		e := vc.entries[k]
 		kr := proofdb.KeyRecord{Key: k}
-		vks := make([]verdictKey, 0, len(e.verdicts))
-		for vk := range e.verdicts {
-			vks = append(vks, vk)
-		}
-		sort.Slice(vks, func(i, j int) bool {
-			if vks[i].a != vks[j].a {
-				return vks[i].a < vks[j].a
-			}
-			return vks[i].b < vks[j].b
-		})
-		for _, vk := range vks {
-			val := e.verdicts[vk]
-			kr.Verdicts = append(kr.Verdicts, proofdb.Verdict{
-				A: vk.a, B: vk.b, OK: val.ok,
-				Preds: append([]string(nil), val.preds...),
-			})
-		}
-		tids := make([]string, 0, len(e.abducts))
-		for tid := range e.abducts {
+		tids := make([]string, 0, len(e.targets))
+		for tid := range e.targets {
 			tids = append(tids, tid)
 		}
 		sort.Strings(tids)
 		for _, tid := range tids {
-			recs := append([]abductRec(nil), e.abducts[tid]...)
-			sort.Slice(recs, func(i, j int) bool { return recs[i].sig < recs[j].sig })
-			for _, r := range recs {
-				kr.Abducts = append(kr.Abducts, proofdb.Abduct{
-					Target: tid,
-					Preds:  append([]string(nil), r.preds...),
-				})
+			m := e.targets[tid]
+			abducts := slices.Clone(m.abducts)
+			sort.Slice(abducts, func(i, j int) bool { return abducts[i].sig < abducts[j].sig })
+			for _, r := range abducts {
+				kr.Abducts = append(kr.Abducts, proofdb.Abduct{Target: tid, Preds: slices.Clone(r.ids)})
+			}
+			sats := slices.Clone(m.satSets)
+			sort.Slice(sats, func(i, j int) bool { return slices.Compare(sats[i].ids, sats[j].ids) < 0 })
+			for _, r := range sats {
+				kr.Negsets = append(kr.Negsets, proofdb.Negset{Target: tid, Cands: slices.Clone(r.ids)})
 			}
 		}
-		if len(kr.Verdicts)+len(kr.Abducts) > 0 {
+		if len(kr.Abducts)+len(kr.Negsets) > 0 {
 			snap.Keys = append(snap.Keys, kr)
 		}
 	}
 	return snap
 }
 
-// Restore merges a proofdb snapshot into the cache: verdicts and abducts
-// are installed where absent, marked as disk-restored so hits on them are
-// observable (CacheCounters.DiskVerdictHits, Stats.CacheDiskHits). In-memory
-// entries always win over restored ones: a verdict this process computed is
-// at least as fresh as anything on disk. Restoring more keys than the
-// cache's key budget LRU-evicts the earliest restored ones, exactly as live
-// insertion would. Returns the number of records (exact verdicts plus cone
-// abducts) admitted.
-func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (verdicts int) {
+// Restore merges a proofdb snapshot into the cache: abducts and Sat sets
+// are installed as live ones would be (a Sat set already implied is
+// skipped), marked as disk-restored so hits on them are observable
+// (CacheCounters.DiskVerdictHits, Stats.CacheDiskHits). In-memory records
+// win over restored ones with the same content. Hashed verdict records
+// from older stores are not restored: a positive one was always written
+// beside a cone abduct with the same answer, and a negative one costs one
+// re-solve. Restoring more keys than the cache's key budget LRU-evicts the
+// earliest restored ones, exactly as live insertion would. Returns the
+// number of records admitted.
+func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (records int) {
 	if s == nil {
 		return 0
 	}
 	vc.mu.Lock()
 	for _, kr := range s.Keys {
-		if len(kr.Verdicts)+len(kr.Abducts) == 0 {
+		if len(kr.Abducts)+len(kr.Negsets) == 0 {
 			continue
 		}
 		e := vc.entryLocked(kr.Key)
-		for _, v := range kr.Verdicts {
-			vk := verdictKey{a: v.A, b: v.B}
-			if _, exists := e.verdicts[vk]; exists {
-				continue
-			}
-			if len(e.verdicts) >= vc.maxVerdicts {
-				continue
-			}
-			val := verdictVal{
-				ok:       v.OK,
-				preds:    append([]string(nil), v.Preds...),
-				fromDisk: true,
-			}
-			e.verdicts[vk] = val
-			vc.creditLocked(e, 1, verdictBytes(val))
-			verdicts++
-		}
 		for _, a := range kr.Abducts {
-			if a.Target == "" {
-				continue
+			if a.Target != "" && vc.addLocked(e, a.Target, false, a.Preds, true) {
+				records++
 			}
-			if e.addAbductLocked(a.Target, a.Preds, true) {
-				recs := e.abducts[a.Target]
-				vc.creditLocked(e, 1, abductBytes(recs[len(recs)-1]))
-				verdicts++
+		}
+		for _, n := range kr.Negsets {
+			if n.Target != "" && vc.addLocked(e, n.Target, true, sortedSet(n.Cands), true) {
+				records++
 			}
 		}
 	}
 	vc.mu.Unlock()
-	atomic.AddInt64(&vc.diskVerdictsLoaded, int64(verdicts))
-	return verdicts
+	atomic.AddInt64(&vc.diskVerdictsLoaded, int64(records))
+	return records
 }
 
 // noteDiskFlush counts one merge of this cache into a persistent store.

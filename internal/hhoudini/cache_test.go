@@ -3,6 +3,8 @@ package hhoudini
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"hhoudini/internal/circuit"
@@ -23,7 +25,7 @@ func warmOptions(c *VerifyCache) Options {
 // drawn from seed, a cold learner and two warm learners sharing one cache
 // (the second answering from the first's memos) must agree exactly — same
 // verdict, same invariant predicate set — and every invariant must audit.
-// It returns the second warm learners' summed verdict-memo and abduct-memo
+// It returns the second warm learners' summed negative (Sat-set) and abduct
 // hits; a caller seeing none has run a vacuous differential.
 func coldWarmDifferential(t *testing.T, seed int64) (verdictHits, abductHits int64) {
 	t.Helper()
@@ -79,15 +81,15 @@ func coldWarmDifferential(t *testing.T, seed int64) (verdictHits, abductHits int
 	if checked < 10 {
 		t.Fatalf("sweep too small: only %d usable systems", checked)
 	}
-	t.Logf("random systems: %d checked, %d verdict hits, %d abduct hits", checked, verdictHits, abductHits)
+	t.Logf("random systems: %d checked, %d negative hits, %d abduct hits", checked, verdictHits, abductHits)
 	return verdictHits, abductHits
 }
 
 // TestCrossRunDifferentialRandomSystems runs the sweep and requires the
-// second warm learners to have hit the verdict memo.
+// second warm learners to have answered "no abduct" from a stored Sat set.
 func TestCrossRunDifferentialRandomSystems(t *testing.T) {
 	if verdictHits, _ := coldWarmDifferential(t, 20250806); verdictHits == 0 {
-		t.Fatal("second warm runs never hit the verdict memo; differential is vacuous")
+		t.Fatal("second warm runs never hit a stored Sat set; differential is vacuous")
 	}
 }
 
@@ -169,8 +171,8 @@ func TestCrossRunEnvKeyInvalidation(t *testing.T) {
 	if inv2 == nil {
 		t.Fatal("returning to in==0 must still find the invariant")
 	}
-	if l2.Stats().CacheVerdictHits == 0 {
-		t.Fatal("repeat of a cached EnvKey must hit the verdict memo")
+	if l2.Stats().CacheAbductHits == 0 {
+		t.Fatal("repeat of a cached EnvKey must hit the abduct memo")
 	}
 }
 
@@ -203,11 +205,11 @@ func TestUncacheableSystemBypassesCache(t *testing.T) {
 }
 
 // TestVerifyCacheMaxKeysEviction drives more distinct cache keys than
-// maxKeys through the verdict store and checks whole-key LRU eviction keeps
+// maxKeys through the abduct store and checks whole-key LRU eviction keeps
 // the table bounded.
 func TestVerifyCacheMaxKeysEviction(t *testing.T) {
 	vc := NewVerifyCache()
-	storeDummyVerdicts(vc, defaultCacheMaxKeys*2)
+	storeDummyAbducts(vc, defaultCacheMaxKeys*2)
 	vc.mu.Lock()
 	n := len(vc.entries)
 	vc.mu.Unlock()
@@ -222,10 +224,10 @@ func TestVerifyCacheMaxKeysEviction(t *testing.T) {
 // footprint counters (a recount over the table agrees with them).
 func TestVerifyCacheEvictionKeepsNewestKey(t *testing.T) {
 	vc := NewVerifyCache()
-	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
+	target := regEq{reg: "A", val: 1}
 	const n = 600
 	for i := 0; i < n; i++ {
-		vc.storeVerdict(fmt.Sprintf("key%03d", i), vk, abductResult{ok: false})
+		vc.store(fmt.Sprintf("key%03d", i), target, []Pred{regEq{reg: "B", val: 1}}, abductResult{ok: false})
 	}
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
@@ -233,27 +235,31 @@ func TestVerifyCacheEvictionKeepsNewestKey(t *testing.T) {
 		t.Fatalf("cache holds %d keys, budget is %d", len(vc.entries), defaultCacheMaxKeys)
 	}
 	newest := fmt.Sprintf("key%03d", n-1)
-	if e, ok := vc.entries[newest]; !ok || len(e.verdicts) != 1 {
-		t.Fatalf("newest key %q was evicted (or lost its verdict)", newest)
+	if e, ok := vc.entries[newest]; !ok || e.records != 1 || len(e.targets[target.ID()].satSets) != 1 {
+		t.Fatalf("newest key %q was evicted (or lost its Sat set)", newest)
 	}
+	checkFootprintLocked(t, vc)
+}
+
+// checkFootprintLocked recounts every entry's records and bytes and
+// compares them with the incrementally maintained counters. Caller holds
+// vc.mu.
+func checkFootprintLocked(t *testing.T, vc *VerifyCache) {
+	t.Helper()
 	records, bytes := 0, int64(0)
-	for _, e := range vc.entries {
-		records += len(e.verdicts)
-		for _, v := range e.verdicts {
-			bytes += verdictBytes(v)
-		}
-		for _, recs := range e.abducts {
-			for _, r := range recs {
-				records++
-				bytes += abductBytes(r)
+	for k, e := range vc.entries {
+		n, b := 0, int64(len(k))
+		for _, m := range e.targets {
+			for _, r := range append(append([]memoRec(nil), m.abducts...), m.satSets...) {
+				n++
+				b += recBytes(r)
 			}
 		}
-		if e.records != len(e.verdicts) {
-			t.Fatalf("entry credited %d records, holds %d verdicts", e.records, len(e.verdicts))
+		if e.records != n || e.bytes != b {
+			t.Fatalf("entry %q credited %d records / %d bytes, holds %d / %d", k, e.records, e.bytes, n, b)
 		}
-	}
-	for k := range vc.entries {
-		bytes += int64(len(k))
+		records += n
+		bytes += b
 	}
 	if vc.curRecords != records || vc.curBytes != bytes {
 		t.Fatalf("footprint counters %d records / %d bytes, recount %d / %d",
@@ -299,10 +305,10 @@ func TestCrossRunConcurrentLearners(t *testing.T) {
 	}
 }
 
-func storeDummyVerdicts(vc *VerifyCache, n int) {
-	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
+// storeDummyAbducts stores one empty abduct under each of n distinct keys.
+func storeDummyAbducts(vc *VerifyCache, n int) {
 	for i := 0; i < n; i++ {
-		vc.storeVerdict(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('0'+i/260)), vk, abductResult{ok: false})
+		vc.store(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('0'+i/260)), regEq{reg: "A", val: 1}, nil, abductResult{ok: true})
 	}
 }
 
@@ -315,7 +321,7 @@ func TestVerifyCacheFootprintCounters(t *testing.T) {
 		t.Fatalf("fresh cache reports footprint %+v", c0)
 	}
 
-	storeDummyVerdicts(vc, 10)
+	storeDummyAbducts(vc, 10)
 	c1 := vc.Counters()
 	if c1.Entries != 10 || c1.ApproxBytes <= 0 {
 		t.Fatalf("after 10 keys: entries %d bytes %d", c1.Entries, c1.ApproxBytes)
@@ -324,16 +330,15 @@ func TestVerifyCacheFootprintCounters(t *testing.T) {
 		t.Fatalf("high-water %d below live footprint %d", c1.BytesHighWater, c1.ApproxBytes)
 	}
 
-	// Overwriting a verdict must not double-count its bytes.
-	vk := verdictKeyFor(regEq{reg: "A", val: 1}, nil, true)
-	vc.storeVerdict("a00", vk, abductResult{ok: true})
+	// Storing an answer the memo already holds must not double-count it.
+	vc.store("a00", regEq{reg: "A", val: 1}, nil, abductResult{ok: true})
 	c2 := vc.Counters()
 	if c2.Entries != 10 || c2.ApproxBytes != c1.ApproxBytes {
-		t.Fatalf("overwrite changed footprint: %d → %d bytes", c1.ApproxBytes, c2.ApproxBytes)
+		t.Fatalf("repeated store changed footprint: %d → %d bytes", c1.ApproxBytes, c2.ApproxBytes)
 	}
 
 	// Eviction debits the live footprint but never the high-water mark.
-	storeDummyVerdicts(vc, defaultCacheMaxKeys*2)
+	storeDummyAbducts(vc, defaultCacheMaxKeys*2)
 	c3 := vc.Counters()
 	if c3.KeyEvictions == 0 {
 		t.Fatal("no evictions under flood")
@@ -344,4 +349,260 @@ func TestVerifyCacheFootprintCounters(t *testing.T) {
 	if c3.BytesHighWater < c1.BytesHighWater {
 		t.Fatalf("high-water went backwards: %d → %d", c1.BytesHighWater, c3.BytesHighWater)
 	}
+}
+
+// regs returns one regEq (value 1) per space-separated register name.
+func regs(names string) []Pred {
+	var ps []Pred
+	for _, n := range strings.Fields(names) {
+		ps = append(ps, regEq{reg: n, val: 1})
+	}
+	return ps
+}
+
+// answer renders a memo lookup as the table below spells it: "miss", "sat",
+// or the abduct's registers in order.
+func answer(res abductResult, ok bool) string {
+	switch {
+	case !ok:
+		return "miss"
+	case !res.ok:
+		return "sat"
+	}
+	names := make([]string, len(res.preds))
+	for i, p := range res.preds {
+		names[i] = p.(regEq).reg
+	}
+	return strings.Join(names, " ")
+}
+
+// TestMonotoneMemoLookupStore pins the two monotone halves of the memo for
+// target T: a Sat set answers "no abduct" for any subset of itself, an
+// abduct answers any superset of itself, and stores keep the Sat sets a
+// maximal antichain under the per-target cap.
+func TestMonotoneMemoLookupStore(t *testing.T) {
+	type step struct {
+		op    string // "abduct" or "sat" stores cands as that answer; "lookup" queries cands
+		cands string // register names
+		want  string // lookup: answer(); stores: the record count afterwards
+	}
+	// The cap case fills each half past maxRecordsPerTarget with pairwise
+	// incomparable records: the overflow is dropped, not swapped in.
+	var capSteps []step
+	for i := 0; i < maxRecordsPerTarget+2; i++ {
+		capSteps = append(capSteps, step{"sat", fmt.Sprintf("S%d", i), fmt.Sprint(min(i+1, maxRecordsPerTarget))})
+	}
+	for i := 0; i < maxRecordsPerTarget+2; i++ {
+		capSteps = append(capSteps, step{"abduct", fmt.Sprintf("A%d", i), fmt.Sprint(maxRecordsPerTarget + min(i+1, maxRecordsPerTarget))})
+	}
+	capSteps = append(capSteps,
+		step{"lookup", fmt.Sprintf("S%d", maxRecordsPerTarget-1), "sat"},
+		step{"lookup", fmt.Sprintf("S%d", maxRecordsPerTarget), "miss"},
+		step{"lookup", fmt.Sprintf("A%d", maxRecordsPerTarget-1), fmt.Sprintf("A%d", maxRecordsPerTarget-1)},
+		step{"lookup", fmt.Sprintf("A%d", maxRecordsPerTarget), "miss"})
+
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"Sat set answers its subsets, not its supersets", []step{
+			{"sat", "A B C", "1"},
+			{"lookup", "A B C", "sat"},
+			{"lookup", "C A", "sat"},
+			{"lookup", "", "sat"},
+			{"lookup", "A B C D", "miss"},
+		}},
+		{"abduct answers only when contained", []step{
+			{"abduct", "B A", "1"},
+			{"lookup", "A B C", "B A"},
+			{"lookup", "A B", "B A"},
+			{"lookup", "A C", "miss"},
+		}},
+		{"smallest contained abduct wins, ties by signature", []step{
+			{"abduct", "C D E", "1"},
+			{"abduct", "D C", "2"},
+			{"abduct", "B A", "3"},
+			{"lookup", "A B C D E", "B A"},
+			{"lookup", "C D E", "D C"},
+			{"lookup", "A C E D", "D C"},
+			{"lookup", "B C", "miss"},
+		}},
+		{"subsumed Sat set is a no-op, a larger one replaces", []step{
+			{"sat", "A B", "1"},
+			{"sat", "C D", "2"},
+			{"sat", "A", "2"},
+			{"sat", "B A", "2"},
+			{"sat", "A B C D", "1"},
+			{"lookup", "B C", "sat"},
+			{"lookup", "A B C D E", "miss"},
+		}},
+		{"target's own ID in cands is ignored", []step{
+			{"sat", "A", "1"},
+			{"lookup", "A T", "sat"},
+			{"sat", "T A", "1"},
+			{"lookup", "T", "sat"},
+			{"abduct", "B", "2"},
+			{"lookup", "T B", "B"},
+		}},
+		{"per-target cap holds", capSteps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := NewVerifyCache()
+			target := regEq{reg: "T", val: 1}
+			for i, s := range tc.steps {
+				cands := regs(s.cands)
+				var got string
+				switch s.op {
+				case "lookup":
+					res, _, ok := vc.lookup("k", target, cands)
+					got = answer(res, ok)
+				case "abduct":
+					vc.store("k", target, cands, abductResult{preds: cands, ok: true})
+					got = fmt.Sprint(vc.Len())
+				case "sat":
+					vc.store("k", target, cands, abductResult{ok: false})
+					got = fmt.Sprint(vc.Len())
+				}
+				if got != s.want {
+					t.Fatalf("step %d %s %q = %q, want %q", i, s.op, s.cands, got, s.want)
+				}
+			}
+			vc.mu.Lock()
+			defer vc.mu.Unlock()
+			checkFootprintLocked(t, vc)
+		})
+	}
+}
+
+// TestMemoTieBreakMemoryMatchesDisk: between two contained abducts of equal
+// size the lowest signature answers, whichever was stored first and
+// whether the memo is live or restored from its snapshot — so a disk-warm
+// run repeats an in-memory warm run exactly.
+func TestMemoTieBreakMemoryMatchesDisk(t *testing.T) {
+	target, query := regEq{reg: "T", val: 1}, regs("A B C")
+	for _, order := range []string{"B A|C A", "C A|B A"} {
+		live := NewVerifyCache()
+		for _, ab := range strings.Split(order, "|") {
+			live.store("k", target, query, abductResult{preds: regs(ab), ok: true})
+		}
+		restored := NewVerifyCache()
+		restored.Restore(live.SnapshotData())
+		for name, vc := range map[string]*VerifyCache{"live": live, "restored": restored} {
+			res, _, ok := vc.lookup("k", target, query)
+			if got := answer(res, ok); got != "B A" {
+				t.Fatalf("stored %q, %s memo answered %q, want \"B A\"", order, name, got)
+			}
+		}
+	}
+}
+
+// TestConcurrentMonotoneMemo races learners storing and looking up abducts
+// and Sat sets against SnapshotData/Restore round trips into the same cache
+// and a scratch one (the -race tier for the memo). Sat sets are drawn from
+// A–D and every abduct contains E, so a consistent memo never answers "no
+// abduct" for a query holding E, never answers an abduct it does not
+// contain, and ends with each target's Sat sets a capped antichain and its
+// footprint counters equal to a recount.
+func TestConcurrentMonotoneMemo(t *testing.T) {
+	vc := NewVerifyCache()
+	universe := regs("A B C D E F G H")
+	pick := func(rng *rand.Rand, from []Pred) []Pred {
+		var out []Pred
+		for _, p := range from {
+			if rng.Intn(2) == 0 {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	stop := make(chan struct{})
+	restorer := make(chan struct{})
+	go func() {
+		defer close(restorer)
+		scratch := NewVerifyCache()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := vc.SnapshotData()
+			scratch.Restore(snap)
+			vc.Restore(snap)
+		}
+	}()
+	const learners = 4
+	errs := make(chan error, learners)
+	for g := 0; g < learners; g++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(3))
+				target := regEq{reg: fmt.Sprintf("T%d", rng.Intn(3)), val: 1}
+				switch rng.Intn(3) {
+				case 0:
+					vc.store(key, target, pick(rng, universe[:4]), abductResult{ok: false})
+				case 1:
+					vc.store(key, target, nil, abductResult{preds: append(pick(rng, universe[:4]), universe[4]), ok: true})
+				default:
+					cands := pick(rng, universe)
+					res, _, ok := vc.lookup(key, target, cands)
+					if err := checkMemoAnswer(cands, res, ok); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(int64(g))
+	}
+	for g := 0; g < learners; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-restorer
+
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	checkFootprintLocked(t, vc)
+	for k, e := range vc.entries {
+		for tid, m := range e.targets {
+			if len(m.abducts) > maxRecordsPerTarget || len(m.satSets) > maxRecordsPerTarget {
+				t.Fatalf("%s/%s holds %d abducts and %d Sat sets, cap %d", k, tid, len(m.abducts), len(m.satSets), maxRecordsPerTarget)
+			}
+			for i, a := range m.satSets {
+				for j, b := range m.satSets {
+					if i != j && subsetOf(a.ids, b.ids) {
+						t.Fatalf("%s/%s: Sat set %v is kept beside its superset %v", k, tid, a.ids, b.ids)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkMemoAnswer checks one answer of TestConcurrentMonotoneMemo's memo.
+func checkMemoAnswer(cands []Pred, res abductResult, ok bool) error {
+	in := map[string]bool{}
+	for _, c := range cands {
+		in[c.ID()] = true
+	}
+	switch {
+	case !ok:
+		return nil
+	case !res.ok && in["E==1"]:
+		return fmt.Errorf("query %v answered by a Sat set, but every Sat set lacks E", cands)
+	case res.ok:
+		if !slices.ContainsFunc(res.preds, func(p Pred) bool { return p.ID() == "E==1" }) {
+			return fmt.Errorf("query %v answered by abduct %v, but every abduct holds E", cands, res.preds)
+		}
+		for _, p := range res.preds {
+			if !in[p.ID()] {
+				return fmt.Errorf("query %v answered by abduct %v, which it does not contain", cands, res.preds)
+			}
+		}
+	}
+	return nil
 }

@@ -98,16 +98,15 @@ type Stats struct {
 	SolverAllocs   int64 // solver/encoder pairs constructed
 	PoolReuses     int64
 
-	// Memo counters, as seen by this learner: whole abduction queries
-	// answered by the verdict memo, and queries answered by the subset-abduct
-	// memo — a previously proven abduct whose members are all present in the
-	// current candidate set is returned without any solver work, even when
-	// the candidate sets differ.
+	// Memo counters, as seen by this learner (VerifyCache.lookup): queries
+	// answered "no abduct" because their candidates are a subset of a set
+	// proven Sat, and queries answered by a proven abduct their candidates
+	// contain. Neither builds a solver; their sum is the memo hit count.
 	CacheVerdictHits int64
 	CacheAbductHits  int64
 
 	// Persistent-proof-store counters (Options.CacheDir / OpenProofDB).
-	// CacheDiskHits counts abduction queries answered by a verdict memo
+	// CacheDiskHits counts abduction queries answered by a memo record
 	// restored from disk (the warm-process acceptance metric); the others
 	// snapshot the store/cache state at Learn shutdown: records restored
 	// at open, flushes of this learner's cache, and the cache's footprint

@@ -142,11 +142,12 @@ func TestConcurrentMultiSessionNamespaces(t *testing.T) {
 	wg.Wait()
 
 	warm := run("a")
-	if hits := warm.Stats().CacheVerdictHits; hits == 0 {
-		t.Fatal("same-namespace repeat must hit the verdict memo")
+	if hits := warm.Stats().CacheAbductHits; hits == 0 {
+		t.Fatal("same-namespace repeat must hit the abduct memo")
 	}
 	cold := run("b")
-	if hits := cold.Stats().CacheVerdictHits; hits != 0 {
+	if st := cold.Stats(); st.CacheVerdictHits+st.CacheAbductHits != 0 {
+		hits := st.CacheVerdictHits + st.CacheAbductHits
 		t.Fatalf("namespace b answered %d queries from namespace a's memo — isolation leaked", hits)
 	}
 }

@@ -3,7 +3,7 @@ package hhoudini
 // Persistence wiring: binds VerifyCaches to an on-disk proof store
 // (internal/proofdb) so separate process invocations share warm starts.
 // The soundness argument is unchanged from the in-memory cache: records
-// are keyed by (cone fingerprint, EnvKey), so a restored verdict or abduct
+// are keyed by (cone fingerprint, EnvKey), so a restored abduct or Sat set
 // is only ever consulted for a cone with the identical structural and
 // environmental identity it was derived under.
 
@@ -60,7 +60,7 @@ func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, erro
 }
 
 // Attach restores the store's memos into vc, registers it as a flush
-// source, and subscribes to its deltas: every new verdict or abduct is
+// source, and subscribes to its deltas: every new abduct or Sat set is
 // appended to the store file as it lands, so the crash-loss window is the
 // sync policy's, not the time since the last rewrite. Idempotent per cache.
 func (p *ProofDB) Attach(vc *VerifyCache) {

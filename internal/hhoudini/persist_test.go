@@ -477,3 +477,62 @@ func TestJournalDegradedLearnerStillSucceeds(t *testing.T) {
 		t.Fatal("snapshot written by the degraded store restored nothing")
 	}
 }
+
+// TestVerdictRecordStoreWarmsFromAbducts opens a store laid out the way
+// engines with the hashed exact-verdict memo wrote it: every cone abduct
+// beside a `verdict` line carrying the same answer. The store opens without
+// a skipped record, the cache restores the abducts alone, and a repeat of
+// the all-Unsat AND-gate verification builds no solver.
+func TestVerdictRecordStoreWarmsFromAbducts(t *testing.T) {
+	universe := regs("A B C D E")
+	learn := func(cache *VerifyCache) (*Learner, *Invariant) {
+		t.Helper()
+		l := NewLearner(andGateSystem(t), minerOf(universe...), warmOptions(cache))
+		inv, err := l.Learn(universe[:1])
+		if err != nil || inv == nil {
+			t.Fatalf("Learn: inv=%v err=%v", inv, err)
+		}
+		return l, inv
+	}
+	cold := NewVerifyCache()
+	_, inv1 := learn(cold)
+
+	old := cold.SnapshotData()
+	abducts := old.Len()
+	for i := range old.Keys {
+		kr := &old.Keys[i]
+		for j, a := range kr.Abducts {
+			kr.Verdicts = append(kr.Verdicts, proofdb.Verdict{A: uint64(j) + 1, B: uint64(i) + 1, OK: true, Preds: a.Preds})
+		}
+	}
+	dir := t.TempDir()
+	db, err := proofdb.Open(dir, proofdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Merge(old)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := NewVerifyCache()
+	p, err := OpenProofDB(dir, warm, ProofDBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	st := p.Stats()
+	if st.CorruptSkipped != 0 || st.HeaderRejected || st.VerdictsLoaded != int64(abducts) || st.AbductsLoaded != int64(abducts) {
+		t.Fatalf("parent-format store loaded as %+v; want %d verdicts and %d abducts, none skipped", st, abducts, abducts)
+	}
+	if warm.Len() != abducts {
+		t.Fatalf("cache restored %d records, want the %d abducts", warm.Len(), abducts)
+	}
+	l2, inv2 := learn(warm)
+	if s := l2.Stats(); s.SolverAllocs != 0 || s.CacheDiskHits != s.Queries {
+		t.Fatalf("warm verify built %d solvers, answered %d of %d queries from disk", s.SolverAllocs, s.CacheDiskHits, s.Queries)
+	}
+	if !reflect.DeepEqual(ids(inv1), ids(inv2)) {
+		t.Fatalf("warm invariant %v differs from cold %v", ids(inv2), ids(inv1))
+	}
+}

@@ -103,6 +103,52 @@ func TestMixedStoreAgingEvictsConeRecords(t *testing.T) {
 	}
 }
 
+// TestNegsetRecords pins the negset record: a target with the candidate
+// sets proven Sat for it. It round-trips through the file under the v1
+// header, permuted candidates are one record (and distinct from a cone
+// abduct over the same IDs), loads count as verdicts, and a negset without
+// a target is corruption.
+func TestNegsetRecords(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir, Options{})
+	db.Merge(&Snapshot{Keys: []KeyRecord{{
+		Key:     "cone:k|",
+		Abducts: []Abduct{{Target: "t", Preds: []string{"a", "b"}}},
+		Negsets: []Negset{
+			{Target: "t", Cands: []string{"a", "b"}},
+			{Target: "t", Cands: []string{"b", "a"}}, // permutation
+			{Target: "t"},                            // Sat with no candidates at all
+			{Target: "u", Cands: []string{"a"}},
+		},
+	}}})
+	want := db.Snapshot()
+	if n := len(want.Keys[0].Negsets); n != 3 || want.Len() != 4 {
+		t.Fatalf("permuted negset not deduped (or merged into the abduct): %+v", want)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, raw := storeFile(t, dir)
+	if !bytes.HasPrefix(raw, []byte("HHPDB v1\n")) || !bytes.Contains(raw, []byte(`"t":"negset"`)) {
+		t.Fatalf("store with negsets is not a v1 file with negset lines:\n%s", raw)
+	}
+	bad, err := encodeLine(&record{T: recNegset, Key: "cone:k|", At: time.Now().Unix(), Preds: []string{"", "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, dir, Options{})
+	st := db.Stats()
+	if st.CorruptSkipped != 1 || st.VerdictsLoaded != 3 || st.AbductsLoaded != 1 {
+		t.Fatalf("reopened store: corrupt=%d verdicts=%d abducts=%d, want 1/3/1", st.CorruptSkipped, st.VerdictsLoaded, st.AbductsLoaded)
+	}
+	if got := db.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded negsets\n %+v\nwant %+v", got, want)
+	}
+}
+
 // legacyStore is proof.db as an older engine laid it out: verdict, abduct
 // and learnt-clause records under the v1 header (clock 1_700_000_000).
 const legacyStore = "HHPDB v1\n" +

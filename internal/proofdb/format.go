@@ -35,26 +35,30 @@ func header() string { return fmt.Sprintf("%s v%d", magic, Version) }
 // they do not know); Version is for changes to the meaning of existing
 // ones. recLegacyClause is the learnt-clause record older engines wrote:
 // it is recognised, so their stores open without reporting corruption, and
-// dropped at load.
+// dropped at load. recVerdict is the hashed exact-query record older
+// engines wrote; it still loads, but the verification cache no longer
+// reads it.
 const (
 	recVerdict      = "verdict"
 	recConeAbduct   = "coneabd"
+	recNegset       = "negset"
 	recLegacyClause = "clause"
 )
 
-// record is the wire form of one store line. Verdict and cone-abduct
-// records share the struct; omitempty keeps each line minimal (all omitted
-// fields decode to their zero value, which is exactly what was encoded).
+// record is the wire form of one store line. Every record type shares the
+// struct; omitempty keeps each line minimal (all omitted fields decode to
+// their zero value, which is exactly what was encoded).
 type record struct {
-	T   string `json:"t"`  // recVerdict | recConeAbduct
+	T   string `json:"t"`  // recVerdict | recConeAbduct | recNegset
 	Key string `json:"k"`  // cache key: circuit fingerprint | EnvKey
 	At  int64  `json:"at"` // unix seconds of last use (staleness policy)
 
 	// Verdict fields. A/B are the two independent 64-bit hashes of the
 	// abduction-query identity; OK false means "no abduct exists".
-	// Cone-abduct records reuse Preds: Preds[0] is the target predicate ID,
-	// Preds[1:] are the abduct member IDs (possibly none — an empty abduct
-	// means the target is inductive relative to nothing but itself).
+	// Cone-abduct and negset records use Preds alone: Preds[0] is the
+	// target predicate ID, Preds[1:] are the abduct member IDs (possibly
+	// none — an empty abduct means the target is inductive relative to
+	// nothing but itself) or the sorted candidate IDs proven Sat.
 	A     uint64   `json:"a,omitempty"`
 	B     uint64   `json:"b,omitempty"`
 	OK    bool     `json:"ok,omitempty"`
@@ -69,7 +73,7 @@ func (r *record) valid() bool {
 	switch r.T {
 	case recVerdict, recLegacyClause:
 		return true
-	case recConeAbduct:
+	case recConeAbduct, recNegset:
 		for _, p := range r.Preds {
 			if p == "" {
 				return false

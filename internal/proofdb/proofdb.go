@@ -1,6 +1,6 @@
 // Package proofdb is the persistent proof store: the answers the
-// verification engine has already derived — abduction verdicts and
-// cone-level abducts — keyed by system identity (circuit fingerprint +
+// verification engine has already derived — cone-level abducts and
+// candidate sets proven Sat — keyed by system identity (circuit fingerprint +
 // environment key). The paper's relative-induction checks are pure
 // functions of that identity (§3.2), so a CLI run, an experiment sweep and
 // a CI job over the same design can restore each other's warm starts.
@@ -65,7 +65,7 @@ type Stats struct {
 	// stores are skipped at Open. The field stays for callers that sum
 	// the Loaded counters.
 	ClausesLoaded  int64
-	VerdictsLoaded int64 // verdict records restored from disk at Open
+	VerdictsLoaded int64 // negset and verdict records restored from disk at Open
 	AbductsLoaded  int64 // cone-abduct records restored from disk at Open
 	CorruptSkipped int64 // records dropped for framing/CRC/JSON/validity
 	ExpiredSkipped int64 // records dropped at load for exceeding MaxAge
@@ -96,11 +96,14 @@ type KeyRecord struct {
 	Key      string
 	Verdicts []Verdict
 	Abducts  []Abduct
+	Negsets  []Negset
 }
 
-// Verdict is one memoized abduction verdict. A/B are the two independent
-// 64-bit hashes identifying the query; OK false records "no abduct exists";
-// Preds are the abduct member predicate IDs when OK.
+// Verdict is one hashed abduction verdict as older engines wrote it. A/B
+// are the two independent 64-bit hashes identifying the query; OK false
+// records "no abduct exists"; Preds are the abduct member predicate IDs
+// when OK. The store still loads and rewrites these records; the
+// verification cache does not restore them.
 type Verdict struct {
 	A, B  uint64
 	OK    bool
@@ -115,6 +118,13 @@ type Abduct struct {
 	Preds  []string
 }
 
+// Negset is one candidate set proven Sat for a target predicate: no abduct
+// exists over Cands, nor over any subset of them.
+type Negset struct {
+	Target string
+	Cands  []string
+}
+
 // Len returns the total number of records in the snapshot.
 func (s *Snapshot) Len() int {
 	if s == nil {
@@ -122,7 +132,7 @@ func (s *Snapshot) Len() int {
 	}
 	n := 0
 	for _, kr := range s.Keys {
-		n += len(kr.Verdicts) + len(kr.Abducts)
+		n += len(kr.Verdicts) + len(kr.Abducts) + len(kr.Negsets)
 	}
 	return n
 }
@@ -145,6 +155,9 @@ func (s *Snapshot) records(at int64) []record {
 		}
 		for _, a := range kr.Abducts {
 			add(record{T: recConeAbduct, Key: kr.Key, At: at, Preds: append([]string{a.Target}, a.Preds...)})
+		}
+		for _, n := range kr.Negsets {
+			add(record{T: recNegset, Key: kr.Key, At: at, Preds: append([]string{n.Target}, n.Cands...)})
 		}
 	}
 	return out
@@ -171,22 +184,23 @@ type DB struct {
 	rewriteBytes int64
 }
 
-// recID is a record's identity in the model: its key plus either the
-// verdict's query hashes or, for a cone record, the abduct's signature —
-// target and member set, sorted so member permutations dedup.
+// recID is a record's identity in the model: its key and type plus either
+// the verdict's query hashes or, for a cone or negset record, its
+// signature — target and ID set, sorted so permutations dedup.
 type recID struct {
 	key  string
+	t    string
 	a, b uint64
 	sig  string // "" for verdicts
 }
 
 func idOf(r *record) recID {
 	if r.T == recVerdict {
-		return recID{key: r.Key, a: r.A, b: r.B}
+		return recID{key: r.Key, t: r.T, a: r.A, b: r.B}
 	}
 	members := append([]string(nil), r.Preds[1:]...)
 	sort.Strings(members)
-	return recID{key: r.Key, sig: r.Preds[0] + "\x00" + strings.Join(members, "\x00")}
+	return recID{key: r.Key, t: r.T, sig: r.Preds[0] + "\x00" + strings.Join(members, "\x00")}
 }
 
 // Open opens (creating the directory if needed) the store in dir and loads
@@ -295,19 +309,19 @@ func (db *DB) load() (usable bool, err error) {
 		default:
 			db.putLocked(&r)
 			db.stats.JournalReplayed++
-			if r.T == recVerdict {
-				db.stats.VerdictsLoaded++
-			} else {
+			if r.T == recConeAbduct {
 				db.stats.AbductsLoaded++
+			} else {
+				db.stats.VerdictsLoaded++
 			}
 		}
 	}
 	return true, nil
 }
 
-// putLocked folds one valid verdict or cone record into the model. A record
-// at least as recent as the one it meets replaces it, so the newest line
-// wins at load and a merge refreshes the last-use time.
+// putLocked folds one valid record into the model. A record at least as
+// recent as the one it meets replaces it, so the newest line wins at load
+// and a merge refreshes the last-use time.
 func (db *DB) putLocked(r *record) {
 	id := idOf(r)
 	if prev, dup := db.model[id]; !dup || r.At >= prev.At {
@@ -329,8 +343,7 @@ func (db *DB) Merge(s *Snapshot) {
 }
 
 // sortedIDsLocked lists the model's record identities in deterministic
-// order: by key, verdicts (by query hashes) before cone records (by
-// signature).
+// order: by key, then type, then signature or query hashes.
 func (db *DB) sortedIDsLocked() []recID {
 	ids := make([]recID, 0, len(db.model))
 	for id := range db.model {
@@ -341,6 +354,8 @@ func (db *DB) sortedIDsLocked() []recID {
 		switch {
 		case x.key != y.key:
 			return x.key < y.key
+		case x.t != y.t:
+			return x.t < y.t
 		case x.sig != y.sig:
 			return x.sig < y.sig
 		case x.a != y.a:
@@ -362,15 +377,18 @@ func (db *DB) Snapshot() *Snapshot {
 			out.Keys = append(out.Keys, KeyRecord{Key: r.Key})
 		}
 		kr := &out.Keys[len(out.Keys)-1]
-		if r.T == recVerdict {
+		var ids []string // nil, not empty, when the record names only its target
+		if r.T != recVerdict && len(r.Preds) > 1 {
+			ids = r.Preds[1:]
+		}
+		switch r.T {
+		case recVerdict:
 			kr.Verdicts = append(kr.Verdicts, Verdict{A: r.A, B: r.B, OK: r.OK, Preds: r.Preds})
-			continue
+		case recConeAbduct:
+			kr.Abducts = append(kr.Abducts, Abduct{Target: r.Preds[0], Preds: ids})
+		default:
+			kr.Negsets = append(kr.Negsets, Negset{Target: r.Preds[0], Cands: ids})
 		}
-		a := Abduct{Target: r.Preds[0]}
-		if len(r.Preds) > 1 {
-			a.Preds = r.Preds[1:]
-		}
-		kr.Abducts = append(kr.Abducts, a)
 	}
 	return out
 }

@@ -17,8 +17,8 @@
 //     a stuck worker.
 //   - Tenant isolation in the cache layer is by key construction, not by
 //     separate caches: the tenant id is folded into every cache identity
-//     (System.Namespace → ConeCacheKey), so no verdict or abduct
-//     can cross a tenant boundary, while
+//     (System.Namespace → ConeCacheKey), so no memo answer can cross a
+//     tenant boundary, while
 //     within one tenant the full warm-transfer story (including
 //     cross-design cone transfer) applies unchanged.
 //   - Graceful drain (SIGTERM in cmd/veloctd): stop admitting, let

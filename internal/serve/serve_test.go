@@ -276,7 +276,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if st.JobsDone != 2 || st.Accepted != 2 || st.Workers != 2 {
 		t.Fatalf("stats = done %d accepted %d workers %d", st.JobsDone, st.Accepted, st.Workers)
 	}
-	if st.Cache.VerdictHits == 0 {
+	if st.Cache.AbductHits == 0 {
 		t.Fatal("stats must surface shared-cache hit counters")
 	}
 

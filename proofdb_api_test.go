@@ -134,7 +134,7 @@ func TestProofDBExplicitOpenSurface(t *testing.T) {
 	}
 	defer p2.Close()
 	st := p2.Stats()
-	if st.ClausesLoaded+st.VerdictsLoaded == 0 {
+	if st.ClausesLoaded+st.VerdictsLoaded+st.AbductsLoaded == 0 {
 		t.Fatal("reopen restored no records")
 	}
 	if cache2.Len() == 0 {
