@@ -19,10 +19,10 @@ vet:
 # hhlint: the repo's own static-analysis suite (internal/analysis). Exit 0
 # on a clean tree, 1 on findings, so CI fails fast. One `go list -deps
 # -export` call names the packages and compiles the export data their
-# imports are read from; loading and type-checking is still most of the
-# wall time, and the call graph and function summaries are recomputed on
-# every run. See DESIGN.md "Static analysis" for the pass inventory, the
-# time split and the suppression policy.
+# imports are read from; loading and type-checking is most of the wall
+# time, and the four passes are per-package and intra-procedural. See
+# DESIGN.md "Static analysis" for the pass inventory, the time split and
+# the suppression policy.
 lint:
 	$(GO) run ./cmd/hhlint ./...
 

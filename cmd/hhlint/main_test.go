@@ -88,6 +88,24 @@ func TestCLIFindingExitsOne(t *testing.T) {
 	}
 }
 
+// TestCLIListNamesPasses: -list exits 0 and names exactly the registered
+// passes, one per line, in name order.
+func TestCLIListNamesPasses(t *testing.T) {
+	stdout, stderr, code := hhlint(t, t.TempDir(), "-list")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q; want exit 0 and nothing on stderr", code, stderr)
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSuffix(stdout, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			names = append(names, f[0])
+		}
+	}
+	if got, want := strings.Join(names, " "), "ctxflow flusherr lockscope panicscope"; got != want {
+		t.Fatalf("-list names %q; want %q\nstdout:\n%s", got, want, stdout)
+	}
+}
+
 // TestCLIUsageErrorsExitTwo: a pattern other than ./..., a -C directory
 // without go.mod, and a working directory with no go.mod upward are all
 // exit 2 with the reason on stderr.

@@ -1,15 +1,14 @@
 // Package analysis is hhlint's self-contained static-analysis framework:
 // a stdlib-only (go/parser + go/types + go/importer, no external modules,
-// plus the go command it runs under) pass runner that enforces the engine's concurrency and resource-ownership
-// invariants at CI time.
+// plus the go command it runs under) pass runner that enforces the engine's
+// concurrency and resource-ownership invariants at CI time.
 //
 // The paper's thesis — replace one monolithic check with many small,
 // local checks (H-Houdini §3) — applies to the codebase itself: each
-// invariant the engine's correctness rests on (atomic-only Stats counters,
-// durable flush errors, lock scopes and lock order, context threading,
-// goroutine termination) is encoded as one cheap pass, run over ./... on
-// every `make ci`, so later work builds on mechanically enforced ownership
-// rules instead of tribal knowledge.
+// invariant the engine's correctness rests on (durable flush errors, lock
+// scopes, context threading, a single panic boundary) is encoded as one
+// cheap pass, run over ./... on every `make ci`, so later work builds on
+// mechanically enforced ownership rules instead of tribal knowledge.
 //
 // Architecture:
 //
@@ -17,20 +16,15 @@
 //     from source, in the dependency-first order and with the file lists
 //     of one `go list -deps -export` call; every other import is read
 //     from the export data that call compiled;
-//   - callgraph.go and summary.go build the call graph and one summary
-//     per function, composed callee-first, on every Run;
 //   - suppress.go  implements `//hhlint:ignore <pass> <reason>` line-scoped
 //     suppressions (a missing reason is itself a diagnostic);
 //   - harness.go   is the golden-file test harness: testdata packages
 //     carry `// want "regexp"` expectation comments and the harness
 //     asserts the diagnostic set matches exactly;
-//   - one file per domain pass (atomicstats.go, flusherr.go,
-//     lockscope.go, …).
+//   - one file per domain pass (ctxflow.go, flusherr.go, lockscope.go,
+//     panicscope.go).
 //
-// The four per-package passes (atomicstats, flusherr, lockscope,
-// panicscope) are intra-procedural; the three module-scope passes
-// (lockorder, ctxflow, goroleak) read the function summaries, so their
-// facts cross function and package boundaries. All are heuristic and
+// Every pass is per-package and intra-procedural. All are heuristic and
 // deliberately biased toward precision: a finding should either be fixed
 // or carry an `//hhlint:ignore` with a reason that documents why the
 // invariant holds anyway.
@@ -76,15 +70,6 @@ func (d Diagnostic) String() string {
 type Context struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// All is every package of the load (the whole module for hhlint runs, a
-	// single testdata package under the test harness). Passes that need
-	// module-global facts — e.g. which struct types carry the
-	// `hhlint:atomic-counters` annotation — scan All and memoize in Facts.
-	All []*Package
-	// Facts is a scratch memo shared by every (pass, package) pair of one
-	// Run invocation. Keys are pass-prefixed strings; the runner is
-	// sequential, so no locking is needed.
-	Facts map[string]any
 
 	pass  *Pass
 	diags *[]Diagnostic
@@ -103,20 +88,6 @@ func (c *Context) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a finding at an explicit file/line (used by the
-// interprocedural passes, whose summary facts carry file/line rather than
-// token.Pos). file must be the path as the FileSet records it, so
-// suppressions match.
-func (c *Context) ReportAt(file string, line int, format string, args ...any) {
-	*c.diags = append(*c.diags, Diagnostic{
-		Pass: c.pass.Name,
-		File: file,
-		Line: line,
-		Col:  1,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
 // TypeOf is a shorthand for the package's types.Info.TypeOf.
 func (c *Context) TypeOf(e ast.Expr) types.Type { return c.Pkg.Info.TypeOf(e) }
 
@@ -131,21 +102,14 @@ func (c *Context) ObjectOf(id *ast.Ident) types.Object {
 // DefaultPasses returns every registered domain pass, ordered by name.
 func DefaultPasses() []*Pass {
 	ps := []*Pass{
-		AtomicStatsPass(),
 		CtxFlowPass(),
 		FlushErrPass(),
-		GoroLeakPass(),
-		LockOrderPass(),
 		LockScopePass(),
 		PanicScopePass(),
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
 	return ps
 }
-
-// factSummaries is the Facts key under which the runner publishes the
-// summary table to the module-scope passes (lockorder, ctxflow, goroleak).
-const factSummaries = "module.summaries"
 
 // Run executes every pass over every package and returns the surviving
 // diagnostics (suppressions applied, malformed suppressions reported) in
@@ -156,13 +120,10 @@ func Run(pkgs []*Package, passes []*Pass) []Diagnostic {
 		known[p.Name] = true
 	}
 
-	// Build the interprocedural layer once per Run: the call graph over the
-	// whole load, then the summary table the passes read through Facts.
-	facts := map[string]any{factSummaries: BuildSummaries(BuildCallGraph(pkgs))}
 	var raw []Diagnostic
 	for _, pass := range passes {
 		for _, pkg := range pkgs {
-			ctx := &Context{Pkg: pkg, All: pkgs, Facts: facts, pass: pass, diags: &raw}
+			ctx := &Context{Pkg: pkg, pass: pass, diags: &raw}
 			pass.Run(ctx)
 		}
 	}
@@ -190,10 +151,4 @@ func Run(pkgs []*Package, passes []*Pass) []Diagnostic {
 		return a.Msg < b.Msg
 	})
 	return out
-}
-
-// moduleSummaries retrieves the summary table the runner published.
-func moduleSummaries(ctx *Context) map[string]*FuncSummary {
-	s, _ := ctx.Facts[factSummaries].(map[string]*FuncSummary)
-	return s
 }

@@ -51,8 +51,8 @@ func TestMetaBuggyExactDiagnosticSet(t *testing.T) {
 	main := filepath.Join(dir, "metabuggy.go")
 	persist := filepath.Join(dir, "persist.go")
 	want := []string{
-		fmt.Sprintf("metabuggy.go:%d: [atomicstats] plain write to atomic counter stats.Hits (use sync/atomic)",
-			lineOf(t, main, "BUG(atomicstats)")),
+		fmt.Sprintf("metabuggy.go:%d: [ctxflow] metabuggy.nap receives a ctx but blocks here without observing it (time.Sleep)",
+			lineOf(t, main, "BUG(ctxflow)")),
 		fmt.Sprintf("metabuggy.go:%d: [lockscope] call through function value e.hook while holding e.mu (agent-visible callback under lock)",
 			lineOf(t, main, "BUG(lockscope)")),
 		fmt.Sprintf("persist.go:%d: [flusherr] discarded error from Close (durable-path errors must be handled, or suppressed with a reason)",

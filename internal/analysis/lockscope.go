@@ -122,11 +122,11 @@ func checkHeldCallbacks(c *Context, unit funcUnit) {
 			return true
 		}
 		name := calleeName(call)
-		recv := calleeRecv(call)
 
-		// Lock-state transitions.
-		if recv != nil && mutexKind(c.TypeOf(recv)) != "" {
-			key := types.ExprString(recv)
+		// Lock-state transitions, including the promoted methods of an
+		// embedded mutex (reg.Lock() on a struct{ sync.Mutex; … }).
+		if isMutexMethod(c, call) {
+			key := types.ExprString(calleeRecv(call))
 			switch name {
 			case "Lock":
 				// Re-locking a mutex that is still held in this body — the
@@ -165,4 +165,19 @@ func checkHeldCallbacks(c *Context, unit funcUnit) {
 		}
 		return true
 	})
+}
+
+// isMutexMethod reports whether call invokes a method of sync.Mutex or
+// sync.RWMutex, directly on a mutex or promoted through an embedded one.
+func isMutexMethod(c *Context, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := c.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isMutex(recv.Type())
 }

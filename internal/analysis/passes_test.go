@@ -14,15 +14,12 @@ func TestGoldenPasses(t *testing.T) {
 		dir      string
 		minDiags int // ISSUE floor: each pass fixture carries ≥2 expected diagnostics
 	}{
-		{"atomicstats", 2},
 		{"flusherr", 2},
 		{"lockscope", 2},
 		{"panicscope", 2},
 		{"servectx", 3},
 		{"suppress", 2},
-		{"lockorder", 2},
 		{"ctxflow", 3},
-		{"goroleak", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -47,10 +44,10 @@ func TestSuppressionScope(t *testing.T) {
 	if counts[SuppressionPass] != 2 {
 		t.Errorf("want 2 %q diagnostics (malformed + unknown pass), got %d", SuppressionPass, counts[SuppressionPass])
 	}
-	if counts["atomicstats"] != 4 {
-		t.Errorf("want 4 surviving atomicstats diagnostics (wrong-pass, malformed, unknown-pass, brace-line targets), got %d", counts["atomicstats"])
+	if counts["panicscope"] != 4 {
+		t.Errorf("want 4 surviving panicscope diagnostics (wrong-pass, malformed, unknown-pass, brace-line targets), got %d", counts["panicscope"])
 	}
-	// Two passes fire on the twoPassSpace line; only atomicstats is named by
+	// Two passes fire on the twoPassSpace line; only panicscope is named by
 	// the ignore (space-separated trailing tokens are reason text), so
 	// exactly one lockscope finding must survive.
 	if counts["lockscope"] != 1 {
@@ -64,10 +61,10 @@ func TestSplitIgnore(t *testing.T) {
 		passes []string
 		reason string
 	}{
-		{"atomicstats the reason", []string{"atomicstats"}, "the reason"},
+		{"ctxflow the reason", []string{"ctxflow"}, "the reason"},
 		{"a,b two passes one reason", []string{"a", "b"}, "two passes one reason"},
 		{"all everything silenced here", []string{"all"}, "everything silenced here"},
-		{"atomicstats", []string{"atomicstats"}, ""},
+		{"ctxflow", []string{"ctxflow"}, ""},
 		{"", nil, ""},
 	}
 	for _, tc := range cases {

@@ -55,6 +55,20 @@ func badRelock(e *engine) int {
 	return n
 }
 
+// reg mirrors a package-level registry that embeds its mutex.
+var reg = struct {
+	sync.Mutex
+	hook func()
+}{}
+
+// badEmbeddedHook calls a stored callback under the promoted Lock of the
+// embedded mutex.
+func badEmbeddedHook() {
+	reg.Lock()
+	defer reg.Unlock()
+	reg.hook() // want "call through function value reg.hook while holding reg"
+}
+
 // --- locks copied by value -------------------------------------------------
 
 func copyParam(e engine) int { // want "parameter of copyParam passes a lock by value"

@@ -4,15 +4,14 @@
 // harness_test.go locates each bug by the marker substring on its line.
 package metabuggy
 
-import "sync"
+import (
+	"context"
+	"sync"
+	"time"
+)
 
-// hhlint:atomic-counters
-type stats struct {
-	Hits int64
-}
-
-func bumpPlain(s *stats) {
-	s.Hits++ // BUG(atomicstats): plain write
+func nap(ctx context.Context) {
+	time.Sleep(time.Millisecond) // BUG(ctxflow): sleeps without observing ctx
 }
 
 type engine struct {

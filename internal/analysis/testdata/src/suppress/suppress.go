@@ -1,116 +1,104 @@
 // Package suppress is the golden-file fixture for hhlint's suppression
 // comments: well-formed ignores silence the named pass on their line (or
 // the next line), wrong-pass ignores do not, and malformed or unknown-pass
-// ignores are themselves diagnostics under the "hhlint" pseudo-pass.
+// ignores are themselves diagnostics under the "hhlint" pseudo-pass. The
+// vehicle is panicscope's stray recover(), which fires on the line of the
+// call.
 package suppress
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Stats mirrors the engine's annotated counter block.
-//
-// hhlint:atomic-counters
-type Stats struct {
-	N int64
-}
+import "sync"
 
 // standaloneOK: a standalone ignore suppresses the next line.
-func standaloneOK(s *Stats) {
-	//hhlint:ignore atomicstats test fixture exercises standalone suppression
-	s.N++
+func standaloneOK() {
+	//hhlint:ignore panicscope test fixture exercises standalone suppression
+	recover()
 }
 
 // trailingOK: a trailing ignore suppresses its own line.
-func trailingOK(s *Stats) {
-	s.N = 7 //hhlint:ignore atomicstats test fixture exercises trailing suppression
+func trailingOK() {
+	recover() //hhlint:ignore panicscope test fixture exercises trailing suppression
 }
 
 // allOK: the "all" wildcard silences every pass on the target line.
-func allOK(s *Stats) int64 {
+func allOK() any {
 	//hhlint:ignore all test fixture exercises the all wildcard
-	return s.N
+	return recover()
 }
 
 // multiOK: comma-separated pass lists are honoured.
-func multiOK(s *Stats) {
-	s.N += 2 //hhlint:ignore atomicstats,lockscope test fixture exercises multi-pass suppression
+func multiOK() {
+	recover() //hhlint:ignore panicscope,lockscope test fixture exercises multi-pass suppression
 }
 
 // wrongPass: suppressing a different pass leaves the finding intact.
-func wrongPass(s *Stats) {
-	//hhlint:ignore flusherr this names the wrong pass so atomicstats still fires
-	s.N++ // want "plain write to atomic counter Stats.N"
+func wrongPass() {
+	//hhlint:ignore flusherr this names the wrong pass so panicscope still fires
+	recover() // want "recover\\(\\) outside a designated panic boundary"
 }
 
 // missingReason: a suppression without a justification is malformed and is
-// reported itself; it suppresses nothing, so the write below still fires.
-func missingReason(s *Stats) {
-	/*hhlint:ignore atomicstats*/ // want "malformed suppression"
-	s.N++                         // want "plain write to atomic counter Stats.N"
+// reported itself; it suppresses nothing, so the recover below still fires.
+func missingReason() {
+	/*hhlint:ignore panicscope*/ // want "malformed suppression"
+	recover()                    // want "recover\\(\\) outside a designated panic boundary"
 }
 
 // unknownPass: typos must not silently disable enforcement.
-func unknownPass(s *Stats) {
+func unknownPass() {
 	/*hhlint:ignore nosuchpass the pass name is a typo*/ // want "suppression names unknown pass"
-	s.N++                                                // want "plain write to atomic counter Stats.N"
+	recover()                                            // want "recover\\(\\) outside a designated panic boundary"
 }
 
-// good needs no suppression at all.
-func good(s *Stats) int64 {
-	atomic.AddInt64(&s.N, 1)
-	return atomic.LoadInt64(&s.N)
+// good needs no suppression at all. (hhlint:panic-boundary)
+func good() any {
+	return recover()
 }
 
 // --- two passes firing on one line ------------------------------------------
 //
-// `e.N = e.hook()` under a held lock triggers both atomicstats (plain write
-// to an annotated counter) and lockscope (callback under lock), which pins
-// how multi-pass lines interact with each suppression spelling.
+// `e.hook(recover())` under a held lock triggers both panicscope (stray
+// recover) and lockscope (callback under lock), which pins how multi-pass
+// lines interact with each suppression spelling.
 
-// lockedStats carries an annotated counter, a mutex, and an agent hook.
-//
-// hhlint:atomic-counters
-type lockedStats struct {
+// locked carries a mutex and an agent hook.
+type locked struct {
 	mu   sync.Mutex
-	hook func() int64
-	N    int64
+	hook func(any)
 }
 
 // twoPassSpace: everything after the first space-separated token is reason
-// text, NOT a second pass name — so only atomicstats is silenced and
+// text, NOT a second pass name — so only panicscope is silenced and
 // lockscope still fires.
-func twoPassSpace(e *lockedStats) {
+func twoPassSpace(e *locked) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//hhlint:ignore atomicstats the word lockscope below is reason text, not a pass list
-	e.N = e.hook() // want "call through function value e.hook while holding e.mu"
+	//hhlint:ignore panicscope the word lockscope below is reason text, not a pass list
+	e.hook(recover()) // want "call through function value e.hook while holding e.mu"
 }
 
 // twoPassComma: the comma-separated list silences both passes with one
 // comment.
-func twoPassComma(e *lockedStats) {
+func twoPassComma(e *locked) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//hhlint:ignore atomicstats,lockscope one comma-separated ignore covers both passes on the next line
-	e.N = e.hook()
+	//hhlint:ignore panicscope,lockscope one comma-separated ignore covers both passes on the next line
+	e.hook(recover())
 }
 
 // twoPassTwoComments: a standalone ignore (scoping to the next line) and a
 // trailing ignore (scoping to its own line) stack on one target line.
-func twoPassTwoComments(e *lockedStats) {
+func twoPassTwoComments(e *locked) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	//hhlint:ignore lockscope stacked with the trailing ignore on the next line
-	e.N = e.hook() //hhlint:ignore atomicstats the two comments together silence both passes
+	e.hook(recover()) //hhlint:ignore panicscope the two comments together silence both passes
 }
 
 // --- ignore on a closing-brace line -----------------------------------------
 
 // braceLine: an ignore on the closing brace scopes to the brace line and
-// the line after it — never backward into the block, so the write above
+// the line after it — never backward into the block, so the recover above
 // still fires.
-func braceLine(s *Stats) {
-	s.N++ // want "plain write to atomic counter Stats.N"
-} //hhlint:ignore atomicstats brace-line scope is the brace line and the next line only
+func braceLine() {
+	recover() // want "recover\\(\\) outside a designated panic boundary"
+} //hhlint:ignore panicscope brace-line scope is the brace line and the next line only

@@ -192,28 +192,27 @@ func isMethodCall(c *Context, call *ast.CallExpr) bool {
 	return ok && s.Kind() == types.MethodVal
 }
 
-// mutexKind classifies a type as sync.Mutex / sync.RWMutex (after pointer
-// dereference), returning "" otherwise.
-func mutexKind(t types.Type) string {
+// isMutex reports whether t is sync.Mutex or sync.RWMutex (after pointer
+// dereference).
+func isMutex(t types.Type) bool {
+	name := syncTypeName(t)
+	return name == "Mutex" || name == "RWMutex"
+}
+
+// syncTypeName returns Name when t is sync.Name (after pointer
+// dereference), or "".
+func syncTypeName(t types.Type) string {
 	if t == nil {
 		return ""
 	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	if !ok {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
 		return ""
 	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return ""
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex":
-		return obj.Name()
-	}
-	return ""
+	return n.Obj().Name()
 }
 
 // containsLock reports whether a value of type t embeds a sync lock
@@ -228,7 +227,7 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 		return false
 	}
 	seen[t] = true
-	if mutexKind(t) != "" {
+	if isMutex(t) {
 		return true
 	}
 	switch u := t.Underlying().(type) {
@@ -245,7 +244,7 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 }
 
 // docContains reports whether any of the given comment groups mentions the
-// marker string (used for `hhlint:atomic-counters`-style annotations).
+// marker string (used for the `hhlint:panic-boundary` marker).
 func docContains(marker string, docs ...*ast.CommentGroup) bool {
 	for _, d := range docs {
 		if d == nil {

@@ -72,7 +72,6 @@ func Crash() {
 	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	// SIGKILL cannot be caught; block until the kernel reaps us rather
 	// than returning into code that believes it survived.
-	//hhlint:ignore ctxflow the process is already dead (SIGKILL sent above); this select never actually blocks a live caller
 	select {}
 }
 

@@ -80,10 +80,6 @@ func tierOf(p Pred) int {
 //
 // The counter fields are updated with atomic operations on the hot path
 // (no lock); read them only after Learn returns, or via atomic loads.
-//
-// hhlint:atomic-counters — every plain-int64 field below is a hot-path
-// counter; hhlint's atomicstats pass rejects non-atomic access (plain
-// reads are permitted in package main, the post-Learn accessor set).
 type Stats struct {
 	Tasks      int64 // H-Houdini task bodies executed (Fig. 5 x-axis)
 	Backtracks int64 // re-syntheses caused by failed predicates (Fig. 5)

@@ -1,10 +1,14 @@
 package veloct
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"hhoudini/internal/design"
+	"hhoudini/internal/faultinject"
 	"hhoudini/internal/hhoudini"
 )
 
@@ -388,5 +392,51 @@ func TestWorkersProduceSameInvariant(t *testing.T) {
 				t.Fatalf("%s: workers=%d learned a different invariant than workers=1:\n got  %v\n want %v", tgt.Name, workers, ids, first)
 			}
 		}
+	}
+}
+
+// TestCancelVerifyReachesLearner: a cancel that lands once the learner is
+// querying (the query-delay point has fired) must stop VerifyCtx with
+// context.Canceled. Every query is stretched, so the run cannot finish
+// before the cancel, and the cancel cannot land in example generation:
+// only a ctx that reaches LearnCtx passes.
+func TestCancelVerifyReachesLearner(t *testing.T) {
+	tgt, err := design.NewOoO(design.SmallOoO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Learner.Cache = hhoudini.NewVerifyCache()
+	a, err := New(tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Arm(faultinject.QueryDelay, faultinject.Spec{Count: -1, Delay: 50 * time.Millisecond})
+	defer faultinject.Reset()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.VerifyCtx(ctx, oooSafeSet)
+		done <- err
+	}()
+	for faultinject.Fired(faultinject.QueryDelay) == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("VerifyCtx returned before its first query: err = %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		t.Logf("cancelled VerifyCtx returned %v after the cancel", time.Since(start))
+	case <-time.After(3 * time.Second):
+		t.Fatal("VerifyCtx still running 3s after the cancel")
 	}
 }
