@@ -1,6 +1,6 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + hhlint + the
 # tier-1 tests at three core counts + the race, chaos and crash tiers + a
-# 10-second SAT fuzz smoke + a 1-iteration smoke run of every go-test
+# 20-second SAT fuzz smoke + a 1-iteration smoke run of every go-test
 # benchmark + a short traced run of the repository benchmark (bench/).
 
 GO ?= go
@@ -79,11 +79,15 @@ crash:
 	$(GO) test -run 'TestCrash' ./internal/proofdb/
 	$(GO) test -run 'TestKill9' ./internal/serve/
 
-# Ten seconds of the SAT core's differential fuzz target past its seed
-# corpus: random incremental sessions with a forced learnt-DB reduction and
-# arena compaction, every verdict checked against brute-force enumeration.
+# Ten seconds each of the SAT core's two differential fuzz targets past
+# their seed corpora: random incremental sessions with a forced learnt-DB
+# reduction and arena compaction, every verdict checked against brute-force
+# enumeration; and core minimisation with a critical hook that returns
+# brute-force-necessary literals, whose result must be Unsat and locally
+# minimal in no more probes than without the hook.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzArenaVsBruteForce$$' -fuzztime 10s ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeCoreCritical$$' -fuzztime 10s ./internal/sat
 
 # One iteration of every benchmark: catches bit-rot in the harness without
 # paying for stable timings.

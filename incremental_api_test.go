@@ -122,28 +122,32 @@ func verifySmallOoO(t *testing.T, workers int, cache *hh.VerifyCache, cacheDir s
 }
 
 // TestColdVerifyCountsArePinned pins the search itself: the queries issued,
-// solvers built, pool reuses (always 0), clauses encoded and CDCL conflicts
-// of a cold SmallOoO verification repeat exactly, and are the same at one
-// worker and at two — no query depends on which worker takes it — so a
-// change that claims to leave the search alone, or to move one of these
+// solvers built, pool reuses (always 0), clauses encoded, CDCL conflicts,
+// core-minimisation probes and core literals proven critical by model
+// rotation of a cold SmallOoO verification repeat exactly, and are the same
+// at one worker and at two — no query depends on which worker takes it — so
+// a change that claims to leave the search alone, or to move one of these
 // counts, has a gate noise cannot touch. To re-measure after a deliberate
 // change to the search, run this test and copy the "got" line it prints on
-// failure (the same numbers `go run ./bench -workload cold-seq -seed 1
-// -rounds 2 -trace 1` reports per round as hhoudini.queries /
-// solver_allocs / encoded_clauses and sat.conflicts, there summed over the
-// round's five operations).
+// failure (the first five are the numbers `go run ./bench -workload
+// cold-seq -seed 1 -rounds 2 -trace 1` reports per round as
+// hhoudini.queries / solver_allocs / encoded_clauses and sat.conflicts,
+// there summed over the round's five operations).
 func TestColdVerifyCountsArePinned(t *testing.T) {
 	const (
 		queries, allocs, reuses = 84, 84, 0
 		encodedClauses          = 333368
-		conflicts               = 18069
+		conflicts               = 17455
+		minimizeSolves          = 755
+		criticalBySimulation    = 641
 	)
-	want := [5]int64{queries, allocs, reuses, encodedClauses, conflicts}
+	want := [7]int64{queries, allocs, reuses, encodedClauses, conflicts, minimizeSolves, criticalBySimulation}
 	for _, workers := range []int{1, 2} {
 		st := coldSmallOoO(t, workers, false).Stats.Snapshot()
-		got := [5]int64{st.Queries, st.SolverAllocs, st.PoolReuses, st.EncodedClauses, st.SolverConflicts}
+		got := [7]int64{st.Queries, st.SolverAllocs, st.PoolReuses, st.EncodedClauses, st.SolverConflicts,
+			st.MinimizeSolves, st.CriticalBySimulation}
 		if got != want {
-			t.Fatalf("workers=%d queries/allocs/reuses/encoded clauses/conflicts:\n got  %v\n want %v", workers, got, want)
+			t.Fatalf("workers=%d queries/allocs/reuses/encoded clauses/conflicts/minimize solves/critical by simulation:\n got  %v\n want %v", workers, got, want)
 		}
 	}
 }

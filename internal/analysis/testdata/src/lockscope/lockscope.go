@@ -69,6 +69,18 @@ func badEmbeddedHook() {
 	reg.hook() // want "call through function value reg.hook while holding reg"
 }
 
+// hook is a package-level function variable: any code in the package, or
+// a test, may replace it.
+var hook = func() {}
+
+// badPackageHook calls the package-level variable by its bare name under
+// the lock.
+func badPackageHook(e *engine) {
+	e.mu.Lock()
+	hook() // want "call through function value hook while holding e.mu"
+	e.mu.Unlock()
+}
+
 // --- locks copied by value -------------------------------------------------
 
 func copyParam(e engine) int { // want "parameter of copyParam passes a lock by value"

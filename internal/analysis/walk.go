@@ -160,11 +160,13 @@ func isCallbackCall(c *Context, call *ast.CallExpr, params map[types.Object]bool
 	}
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		obj := c.ObjectOf(fn)
-		if _, isVar := obj.(*types.Var); !isVar {
+		v, isVar := c.ObjectOf(fn).(*types.Var)
+		if !isVar {
 			return false
 		}
-		return params[obj]
+		// A package-level func variable called by its bare name inside its
+		// own package is as replaceable as one called as pkg.F.
+		return params[v] || v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 	case *ast.SelectorExpr:
 		if s, ok := c.Pkg.Info.Selections[fn]; ok {
 			return s.Kind() == types.FieldVal

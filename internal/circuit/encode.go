@@ -25,7 +25,11 @@ type Encoder struct {
 	S *sat.Solver
 	c *Circuit
 
-	lits       []sat.Lit // per node; litUnset until encoded
+	lits []sat.Lit // per node; litUnset until encoded
+	// order lists the encoded nodes in encoding order. A node is encoded
+	// only after its operands, so the order is topological: ConeLanes
+	// steps the query's own cone along it.
+	order      []int32
 	constFalse sat.Lit
 	stats      EncoderStats
 }
@@ -49,6 +53,7 @@ func NewEncoder(c *Circuit, s *sat.Solver) *Encoder {
 	e.constFalse = sat.PosLit(s.NewVar())
 	e.addClause(e.constFalse.Not())
 	e.lits[0] = e.constFalse
+	e.order = append(e.order, 0)
 	return e
 }
 
@@ -95,6 +100,7 @@ func (e *Encoder) nodeLit(id int32) sat.Lit {
 		switch nd.kind {
 		case kInput, kLatch:
 			e.lits[n] = sat.PosLit(e.S.NewVar())
+			e.order = append(e.order, n)
 			stack = stack[:len(stack)-1]
 		case kAnd:
 			la, lb := e.lits[nd.a.Node()], e.lits[nd.b.Node()]
@@ -115,6 +121,7 @@ func (e *Encoder) nodeLit(id int32) sat.Lit {
 			e.addClause(g.Not(), b)
 			e.addClause(a.Not(), b.Not(), g)
 			e.lits[n] = g
+			e.order = append(e.order, n)
 			stack = stack[:len(stack)-1]
 		default: // kConst handled in NewEncoder
 			stack = stack[:len(stack)-1]

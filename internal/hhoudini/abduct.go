@@ -216,7 +216,15 @@ func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 	if l.opts.MinimizeCores {
 		orderCoreForMinimization(core, func(s sat.Lit) int { return tierOf(bySel[s]) })
 		l.armMinimizeBudget(enc.S)
-		core = enc.S.MinimizeCore(core)
+		rot := l.newRotation(enc, target, bySel)
+		critical := rot.critical
+		if l.wrapCritical != nil {
+			critical = l.wrapCritical(enc.S, critical)
+		}
+		probes := enc.S.Stats.Solves
+		core = enc.S.MinimizeCore(core, critical)
+		atomic.AddInt64(&l.stats.MinimizeSolves, enc.S.Stats.Solves-probes)
+		atomic.AddInt64(&l.stats.CriticalBySimulation, rot.claims)
 	}
 	out := make([]Pred, 0, len(core))
 	for _, s := range core {

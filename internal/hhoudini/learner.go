@@ -126,6 +126,12 @@ type Stats struct {
 	QueryRetries        int64
 	QueryBudgetAbandons int64
 
+	// Core-minimisation counters (Options.MinimizeCores): deletion probes
+	// solved, and core literals proven critical by model rotation instead
+	// (each one a probe sat.MinimizeCore skipped).
+	MinimizeSolves       int64
+	CriticalBySimulation int64
+
 	// WallTime accumulates Learn wall-clock time. It is written under the
 	// Stats mutex (addWall) so Snapshot can observe it race-free while a
 	// Learn is still running; plain reads remain fine once Learn returns.
@@ -174,6 +180,9 @@ type StatsSnapshot struct {
 	QueryRetries        int64
 	QueryBudgetAbandons int64
 
+	MinimizeSolves       int64
+	CriticalBySimulation int64
+
 	WallTime time.Duration
 	Span     time.Duration
 	// TotalQueryTime / TotalTaskTime are the summed per-query and per-task
@@ -210,6 +219,9 @@ func (s *Stats) Snapshot() StatsSnapshot {
 
 		QueryRetries:        atomic.LoadInt64(&s.QueryRetries),
 		QueryBudgetAbandons: atomic.LoadInt64(&s.QueryBudgetAbandons),
+
+		MinimizeSolves:       atomic.LoadInt64(&s.MinimizeSolves),
+		CriticalBySimulation: atomic.LoadInt64(&s.CriticalBySimulation),
 	}
 	s.mu.Lock()
 	snap.WallTime = s.WallTime
@@ -398,6 +410,10 @@ type Learner struct {
 	// instead of running to completion; on deregistration the solver's
 	// conflicts are folded into Stats.SolverConflicts.
 	solvers map[*sat.Solver]struct{}
+
+	// wrapCritical, when set, wraps every query's model-rotation hook
+	// before core minimisation gets it (tests probe each claim through it).
+	wrapCritical func(s *sat.Solver, critical func(cur []sat.Lit, l sat.Lit) []sat.Lit) func(cur []sat.Lit, l sat.Lit) []sat.Lit
 }
 
 type entry struct {

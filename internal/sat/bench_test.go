@@ -90,7 +90,7 @@ func BenchmarkMinimizeCore(b *testing.B) {
 		}
 		before := s.Stats.Solves
 		b.StartTimer()
-		minimizedCore = s.MinimizeCore(core)
+		minimizedCore = s.MinimizeCore(core, nil)
 		solves += s.Stats.Solves - before
 	}
 	b.ReportMetric(float64(solves)/float64(b.N), "probes/op")

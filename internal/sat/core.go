@@ -27,10 +27,20 @@ func (s *Solver) SolveWithCore(assumptions []Lit) (Status, []Lit) {
 // An Unknown probe keeps its literal without proving it necessary, so the
 // literal is probed again after a refinement.
 //
+// critical, when not nil, proves literals necessary without a probe (model
+// rotation): it is called right after a probe of cur \ {l} returned Sat,
+// while ModelValue still reads that probe's model, and every literal it
+// returns is treated as a literal whose removal was Sat and is never
+// probed. A claim only ever keeps a literal, and cur still shrinks only on
+// Unsat probes, so a wrong claim can cost minimality but never soundness:
+// the result is an Unsat subset of the input core either way, and locally
+// minimal when every claim is right. Callers without a model to rotate
+// pass nil.
+//
 // The input core must be an Unsat core for the solver's current clause
 // database. The solver's clause database is reused incrementally, so learnt
 // clauses from earlier calls accelerate later ones.
-func (s *Solver) MinimizeCore(core []Lit) []Lit {
+func (s *Solver) MinimizeCore(core []Lit, critical func(cur []Lit, l Lit) []Lit) []Lit {
 	cur := append([]Lit(nil), core...)
 	var needed, trial []Lit
 	for i := 0; i < len(cur); {
@@ -54,6 +64,9 @@ func (s *Solver) MinimizeCore(core []Lit) []Lit {
 		}
 		if st == Sat {
 			needed = append(needed, cur[i])
+			if critical != nil {
+				needed = append(needed, critical(cur, cur[i])...)
+			}
 		}
 		i++
 	}

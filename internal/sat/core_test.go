@@ -120,7 +120,7 @@ func TestMinimizeCoreMatchesOracle(t *testing.T) {
 					got := minimize(s, core)
 					return core, got, s.Stats.Solves - before
 				}
-				core, got, solves := run((*Solver).MinimizeCore)
+				core, got, solves := run(func(s *Solver, core []Lit) []Lit { return s.MinimizeCore(core, nil) })
 				_, want, oracleSolves := run(minimizeCoreOracle)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: core %v\n got  %v\n want %v (oracle)", seed, core, got, want)
@@ -170,7 +170,7 @@ func TestMinimizeCoreProbesEachLiteralOnce(t *testing.T) {
 		}
 		checked++
 		before := s.Stats.Solves
-		min := s.MinimizeCore(core)
+		min := s.MinimizeCore(core, nil)
 		if solves := s.Stats.Solves - before; solves > int64(len(core)) {
 			t.Fatalf("iter %d: %d solves for a %d-literal core", iter, solves, len(core))
 		}

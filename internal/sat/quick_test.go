@@ -146,7 +146,7 @@ func TestQuickAssumptionCores(t *testing.T) {
 		if st2 := s.Solve(core...); st2 != Unsat {
 			t.Fatalf("iter %d: core %v does not reproduce Unsat", iter, core)
 		}
-		min := s.MinimizeCore(core)
+		min := s.MinimizeCore(core, nil)
 		if !subsetOf(min, core) {
 			t.Fatalf("iter %d: minimized core %v not subset of %v", iter, min, core)
 		}

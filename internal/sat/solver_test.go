@@ -247,7 +247,7 @@ func TestCoreIsUnsatSubset(t *testing.T) {
 	if st2 := s.Solve(core...); st2 != Unsat {
 		t.Fatalf("core does not reproduce Unsat: %v", core)
 	}
-	min := s.MinimizeCore(core)
+	min := s.MinimizeCore(core, nil)
 	if len(min) != 2 {
 		t.Fatalf("minimal core should have 2 selectors, got %v", min)
 	}
@@ -275,7 +275,7 @@ func TestMinimizeCoreLocallyMinimal(t *testing.T) {
 	if st != Unsat {
 		t.Fatalf("got %v", st)
 	}
-	min := s.MinimizeCore(core)
+	min := s.MinimizeCore(core, nil)
 	if len(min) != 3 {
 		t.Fatalf("all three selectors are needed, got %v", min)
 	}
