@@ -79,15 +79,19 @@ crash:
 	$(GO) test -run 'TestCrash' ./internal/proofdb/
 	$(GO) test -run 'TestKill9' ./internal/serve/
 
-# Ten seconds each of the SAT core's two differential fuzz targets past
-# their seed corpora: random incremental sessions with a forced learnt-DB
-# reduction and arena compaction, every verdict checked against brute-force
-# enumeration; and core minimisation with a critical hook that returns
-# brute-force-necessary literals, whose result must be Unsat and locally
-# minimal in no more probes than without the hook.
+# Ten seconds each of three differential fuzz targets past their seed
+# corpora. Two are the SAT core's: random incremental sessions with a forced
+# learnt-DB reduction and arena compaction, every verdict checked against
+# brute-force enumeration; and core minimisation with a critical hook that
+# returns brute-force-necessary literals, whose result must be Unsat and
+# locally minimal in no more probes than without the hook. The third is the
+# cone key, which guards the soundness of every memo transfer: random small
+# cones checked against the map-based definition, embedding invariance and a
+# brute-force expression-tree comparison.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzArenaVsBruteForce$$' -fuzztime 10s ./internal/sat
 	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeCoreCritical$$' -fuzztime 10s ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzConeFingerprint$$' -fuzztime 10s ./internal/circuit
 
 # One iteration of every benchmark: catches bit-rot in the harness without
 # paying for stable timings.

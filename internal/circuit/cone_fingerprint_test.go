@@ -122,8 +122,8 @@ func TestConeFingerprintPerturbations(t *testing.T) {
 // fpState-lost-on-duplicate fix. A first replay normalizes node numbering
 // (registers, then inputs, then gates), so its cone table is recomputed —
 // deterministically. Once normalized, further pure replays are
-// node-identical and inherit the memoized cone table (memo, node ranks and
-// scratch pool) outright; post-replay builder mutations
+// node-identical and inherit the memoized cone table (memo, root hashes
+// and stream head) outright; post-replay builder mutations
 // disable the inheritance. Cone fingerprints are numbering-invariant, so
 // they transfer across every replay, prefixed or not.
 func TestDuplicateInheritsFingerprint(t *testing.T) {
@@ -160,17 +160,17 @@ func TestDuplicateInheritsFingerprint(t *testing.T) {
 	if dup1.coneTab() != dup3.coneTab() {
 		t.Fatal("normalized pure duplicate did not inherit the cone memo table")
 	}
-	// The node ranks come with the table: dup1 computed them above, and dup3
-	// holds that very array before its first cone walk and keeps it after.
-	r1 := dup1.coneTab().rank
-	if r3 := dup3.coneTab().rank; len(r3) == 0 || &r3[0] != &r1[0] {
-		t.Fatal("normalized pure duplicate did not inherit the node ranks")
+	// The root hashes come with the table: dup1 computed them above, and
+	// dup3 holds that very table before its first key and keeps it after.
+	r1 := dup1.coneTab().roots
+	if r3 := dup3.coneTab().roots; len(r3) == 0 || &r3[0] != &r1[0] {
+		t.Fatal("normalized pure duplicate did not inherit the root hashes")
 	}
 	if dup3.ConeFingerprint([]string{"a"}) != dup1.ConeFingerprint([]string{"a"}) {
 		t.Fatal("duplicate and source disagree on a cone fingerprint")
 	}
-	if r3 := dup3.coneTab().rank; &r3[0] != &r1[0] {
-		t.Fatal("duplicate recomputed the inherited node ranks")
+	if r3 := dup3.coneTab().roots; &r3[0] != &r1[0] {
+		t.Fatal("duplicate recomputed the inherited root hashes")
 	}
 	if got, want := allRegsCone(dup3), allRegsCone(dup1); got != want {
 		t.Fatalf("normalized replay fingerprint mismatch: %s vs %s", got.Hex(), want.Hex())

@@ -52,7 +52,7 @@ func buildSpecCircuit(spec []byte, junk bool) (c *Circuit, support []string, ok 
 	for i := 0; i < nRegs; i++ {
 		pool = append(pool, regBits[i][0])
 	}
-	// Bounded op count: the brute-force isomorphism check unfolds the DAG
+	// Bounded op count: the brute-force tree comparison unfolds the DAG
 	// into expression trees, which can grow geometrically with depth.
 	for i, n := 0, 0; i+1 < len(opBytes) && n < 12; i, n = i+2, n+1 {
 		x := pool[int(opBytes[i+1]&0xf)%len(pool)]
@@ -82,11 +82,11 @@ func buildSpecCircuit(spec []byte, junk bool) (c *Circuit, support []string, ok 
 	return c, names, true
 }
 
-// bruteConeCanon is the brute-force structural-isomorphism reference: it
-// unfolds each support register's next-state DAG into a canonical
-// expression string (the builder hash-conses AND nodes, so tree equality
-// coincides with DAG isomorphism) together with the register and input
-// interfaces. Returns ok=false when the unfolding exceeds a size cap.
+// bruteConeCanon is the brute-force expression-tree reference: it unfolds
+// each support register's next-state DAG into a canonical expression string
+// (AND operands sorted as strings, not by hash) together with the register
+// and input interfaces. Two cones should get equal keys exactly when these
+// strings are equal. Returns ok=false when the unfolding exceeds a size cap.
 func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 	const cap = 1 << 20
 	memo := make(map[int32]string)
@@ -159,9 +159,9 @@ func bruteConeCanon(c *Circuit, support []string) (string, bool) {
 }
 
 // FuzzConeFingerprint checks three properties on random small cones:
-// agreement with the map-based reference traversal (coneOracle), embedding
+// agreement with the map-based definition (coneOracle), embedding
 // invariance (the same cone in a larger, reordered design hashes
-// equal) and agreement with the brute-force isomorphism reference under
+// equal) and agreement with the brute-force expression-tree reference under
 // single-byte spec mutations — a mutation changes the fingerprint exactly
 // when it changes the cone's canonical structure (some mutations are
 // no-ops after constant folding and structural hashing; the reference
@@ -207,7 +207,7 @@ func FuzzConeFingerprint(f *testing.F) {
 		}
 		fpEq := c1.ConeFingerprint(sup) == c3.ConeFingerprint(sup)
 		if fpEq != (b1 == b3) {
-			t.Fatalf("fingerprint disagrees with brute-force isomorphism: fpEq=%v isoEq=%v\nspec=%x\nmut =%x",
+			t.Fatalf("fingerprint disagrees with brute-force tree equality: fpEq=%v treeEq=%v\nspec=%x\nmut =%x",
 				fpEq, b1 == b3, spec, m)
 		}
 	})

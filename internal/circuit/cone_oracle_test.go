@@ -2,216 +2,130 @@ package circuit
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"sort"
 )
 
-// coneOracle is the reference cone fingerprint that computeCone must equal
-// bit for bit: a per-call two-pass traversal over maps, hashed through
-// hash/fnv. Pass one computes the order-insensitive structure hash of every
-// node in the cone bottom-up; pass two walks the cone again visiting AND
-// operands in structure-hash order, assigns dense local ids in discovery
-// order, and streams each node's structure over local ids into FNV-1a and
-// FNV-1.
+// fnvPair feeds one byte stream to hash/fnv's FNV-1a and FNV-1, the two
+// halves of a 128-bit digest.
+type fnvPair struct{ a, b hash.Hash64 }
+
+func newFNVPair() fnvPair { return fnvPair{fnv.New64a(), fnv.New64()} }
+
+func (h fnvPair) put(p ...byte) {
+	h.a.Write(p)
+	h.b.Write(p)
+}
+
+func (h fnvPair) u64(v uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	h.put(buf[:]...)
+}
+
+func (h fnvPair) bool(b bool) {
+	if b {
+		h.put(1)
+	} else {
+		h.put(0)
+	}
+}
+
+func (h fnvPair) str(s string) {
+	h.u64(uint64(len(s)))
+	h.put([]byte(s)...)
+}
+
+func (h fnvPair) sum() ch128 { return ch128{h.a.Sum64(), h.b.Sum64()} }
+
+// coneOracle is the definition of the cone fingerprint that ConeFingerprint
+// must equal bit for bit, computed per call with maps and hash/fnv.
+//
+// A node's tree hash digests its unfolded expression tree: a leaf hashes
+// its kind and name ('r' register and bit, 'i' input port and bit, 'k' the
+// constant), an AND hashes 'a' and its two operands' (tree hash, inversion)
+// pairs, the smaller pair first, so stored operand order does not matter.
+// The key streams the version tag and the sorted input interface, then for
+// each sorted, deduplicated support register its name, width and reset
+// value and, per next-state bit, the root's tree hash and inversion.
 func (c *Circuit) coneOracle(support []string) ConeFP {
 	_, support = canonSupport(support)
-	h1 := fnv.New64a()
-	h2 := fnv.New64()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h1.Write(buf[:])
-		h2.Write(buf[:])
-	}
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h1.Write([]byte(s))
-		h2.Write([]byte(s))
-	}
-	boolBit := func(b bool) {
-		if b {
-			u64(1)
-		} else {
-			u64(0)
+
+	memo := make(map[int32]ch128)
+	var tree func(id int32) ch128
+	tree = func(id int32) ch128 {
+		if h, ok := memo[id]; ok {
+			return h
 		}
+		h := newFNVPair()
+		nd := c.nodes[id]
+		switch nd.kind {
+		case kAnd:
+			pa, pb := tree(nd.a.Node()), tree(nd.b.Node())
+			ia, ib := nd.a.Inverted(), nd.b.Inverted()
+			if chLess(pb, ib, pa, ia) {
+				pa, pb, ia, ib = pb, pa, ib, ia
+			}
+			h.put('a')
+			h.u64(pa.a)
+			h.u64(pa.b)
+			h.bool(ia)
+			h.u64(pb.a)
+			h.u64(pb.b)
+			h.bool(ib)
+		case kLatch:
+			l := c.latches[nd.a]
+			h.put('r')
+			h.str(c.regs[l.reg].Name)
+			h.u64(uint64(l.bit))
+		case kInput:
+			port, off := c.inputBitRef(int32(nd.a))
+			h.put('i')
+			h.str(c.inputs[port].Name)
+			h.u64(uint64(off))
+		case kConst:
+			h.put('k')
+		}
+		memo[id] = h.sum()
+		return memo[id]
 	}
 
-	str("hhoudini-cone-fp/v1")
-
+	w := newFNVPair()
+	w.str("hhoudini-cone-fp/v2")
 	inNames := make([]string, len(c.inputs))
 	for i, p := range c.inputs {
 		inNames[i] = p.Name
 	}
 	sort.Strings(inNames)
-	u64(uint64(len(inNames)))
+	w.u64(uint64(len(inNames)))
 	for _, nm := range inNames {
 		p := c.inputs[c.inIdx[nm]]
-		str("in")
-		str(p.Name)
-		u64(uint64(p.Width))
+		w.str("in")
+		w.str(p.Name)
+		w.u64(uint64(p.Width))
 	}
 
-	// Pass one: order-insensitive per-node structure hashes, bottom-up.
-	ch := make(map[int32]ch128)
-	type frame struct {
-		id       int32
-		expanded bool
-	}
-	var stack []frame
-	h, g := fnv.New64a(), fnv.New64()
-	put := func(b ...byte) {
-		h.Write(b)
-		g.Write(b)
-	}
-	put64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		put(b[:]...)
-	}
-	putBool := func(b bool) {
-		if b {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-	putStr := func(s string) {
-		put64(uint64(len(s)))
-		put([]byte(s)...)
-	}
-	chVisit := func(root int32) {
-		if _, ok := ch[root]; ok {
-			return
-		}
-		stack = append(stack[:0], frame{id: root})
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if _, ok := ch[f.id]; ok {
-				continue
-			}
-			nd := c.nodes[f.id]
-			if nd.kind == kAnd && !f.expanded {
-				stack = append(stack, frame{id: f.id, expanded: true},
-					frame{id: nd.a.Node()}, frame{id: nd.b.Node()})
-				continue
-			}
-			h.Reset()
-			g.Reset()
-			switch nd.kind {
-			case kAnd:
-				pa, pb := ch[nd.a.Node()], ch[nd.b.Node()]
-				ia, ib := nd.a.Inverted(), nd.b.Inverted()
-				if chLess(pb, ib, pa, ia) {
-					pa, pb, ia, ib = pb, pa, ib, ia
-				}
-				put('a')
-				put64(pa.a)
-				put64(pa.b)
-				putBool(ia)
-				put64(pb.a)
-				put64(pb.b)
-				putBool(ib)
-			case kLatch:
-				l := c.latches[nd.a]
-				put('r')
-				putStr(c.regs[l.reg].Name)
-				put64(uint64(l.bit))
-			case kInput:
-				port, off := c.inputBitRef(int32(nd.a))
-				put('i')
-				putStr(c.inputs[port].Name)
-				put64(uint64(off))
-			case kConst:
-				put('k')
-			}
-			ch[f.id] = ch128{h.Sum64(), g.Sum64()}
-		}
-	}
-
-	// Pass two: canonical-order DFS assigning local ids and hashing the
-	// stream.
-	local := make(map[int32]int32)
-	assign := func(id int32) {
-		local[id] = int32(len(local))
-	}
-
-	visit := func(root int32) {
-		if _, ok := local[root]; ok {
-			return
-		}
-		chVisit(root)
-		stack = append(stack[:0], frame{id: root})
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if _, ok := local[f.id]; ok {
-				continue
-			}
-			nd := c.nodes[f.id]
-			if nd.kind == kAnd && !f.expanded {
-				first, second := nd.a.Node(), nd.b.Node()
-				if chLess(ch[second], nd.b.Inverted(), ch[first], nd.a.Inverted()) {
-					first, second = second, first
-				}
-				stack = append(stack, frame{id: f.id, expanded: true},
-					frame{id: second}, frame{id: first})
-				continue
-			}
-			switch nd.kind {
-			case kAnd:
-				la, lb := local[nd.a.Node()], local[nd.b.Node()]
-				ia, ib := nd.a.Inverted(), nd.b.Inverted()
-				pa, pb := ch[nd.a.Node()], ch[nd.b.Node()]
-				if chLess(pb, ib, pa, ia) || (pa == pb && ia == ib && lb < la) {
-					la, lb, ia, ib = lb, la, ib, ia
-				}
-				assign(f.id)
-				str("a")
-				u64(uint64(la))
-				boolBit(ia)
-				u64(uint64(lb))
-				boolBit(ib)
-			case kLatch:
-				l := c.latches[nd.a]
-				assign(f.id)
-				str("r")
-				str(c.regs[l.reg].Name)
-				u64(uint64(l.bit))
-			case kInput:
-				assign(f.id)
-				port, off := c.inputBitRef(int32(nd.a))
-				str("i")
-				str(c.inputs[port].Name)
-				u64(uint64(off))
-			case kConst:
-				assign(f.id)
-				str("k")
-			}
-		}
-	}
-
-	u64(uint64(len(support)))
+	w.u64(uint64(len(support)))
 	for _, name := range support {
 		ri, ok := c.regIdx[name]
 		if !ok {
-			str("reg?")
-			str(name)
+			w.str("reg?")
+			w.str(name)
 			continue
 		}
 		r := c.regs[ri]
-		str("reg")
-		str(r.Name)
-		u64(uint64(r.Width))
-		u64(r.Init)
-		for bit, root := range r.Next {
-			visit(root.Node())
-			str("root")
-			u64(uint64(bit))
-			u64(uint64(local[root.Node()]))
-			boolBit(root.Inverted())
+		w.str("reg")
+		w.str(r.Name)
+		w.u64(uint64(r.Width))
+		w.u64(r.Init)
+		for _, root := range r.Next {
+			h := tree(root.Node())
+			w.u64(h.a)
+			w.u64(h.b)
+			w.bool(root.Inverted())
 		}
 	}
-
-	return ConeFP{A: h1.Sum64(), B: h2.Sum64()}
+	fp := w.sum()
+	return ConeFP{A: fp.a, B: fp.b}
 }

@@ -8,9 +8,9 @@ package circuit
 func ConeOracle(c *Circuit, support []string) ConeFP { return c.coneOracle(support) }
 
 // ResetConeTable gives c a cold cone table: no memoized fingerprints and no
-// node ranks. Not safe for concurrent use.
+// root hashes. Not safe for concurrent use.
 func ResetConeTable(c *Circuit) { c.cones = &coneTable{m: make(map[string]ConeFP)} }
 
 // SharesConeTable reports whether a and b share one cone table, and with it
-// the node ranks and the traversal scratch pool.
+// the memo and the root hashes.
 func SharesConeTable(a, b *Circuit) bool { return a.coneTab() == b.coneTab() }

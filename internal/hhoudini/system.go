@@ -71,9 +71,9 @@ func (s *System) nsPrefix() string {
 // environment-assumption key. It is invariant to everything outside the
 // cone — the same cone embedded in a different design produces
 // the same key, which is what makes cross-design cache transfer sound: an
-// equal key pins the cone's structure, the support registers' names, widths
-// and reset values, and the full input interface. The bool is false when
-// the system is not cacheable.
+// equal key pins the support registers' names, widths, reset values and
+// next-state expression trees, and the full input interface. The bool is
+// false when the system is not cacheable.
 func (s *System) ConeCacheKey(support []string) (string, bool) {
 	if !s.cacheable() {
 		return "", false

@@ -82,10 +82,11 @@ func (m *Miner) predsFor(base string) ([]hhoudini.Pred, error) {
 	}
 	m.mu.Unlock()
 
-	li, ri, err := m.prod.RegPair(base)
+	pair, err := resolvePair(m.prod, base)
 	if err != nil {
 		return nil, err
 	}
+	li, ri := pair.li, pair.ri
 	width := m.prod.Circuit.Regs()[li].Width
 
 	var preds []hhoudini.Pred
@@ -100,7 +101,7 @@ func (m *Miner) predsFor(base string) ([]hhoudini.Pred, error) {
 			}
 		}
 		if inVEq {
-			preds = append(preds, EqPred{Reg: base}) // line 5
+			preds = append(preds, EqPred{Reg: base, pair: pair}) // line 5
 
 			// EqConst when a single constant fits all examples (line 7).
 			if len(m.examples) > 0 {
@@ -113,12 +114,12 @@ func (m *Miner) predsFor(base string) ([]hhoudini.Pred, error) {
 					}
 				}
 				if allSame {
-					preds = append(preds, EqConstPred{Reg: base, Val: c})
+					preds = append(preds, EqConstPred{Reg: base, Val: c, pair: pair})
 				}
 			}
 
 			// InSafeSet when consistent with every example (line 11).
-			safe := InSafeSetPred{Reg: base, Pats: m.patterns}
+			safe := InSafeSetPred{Reg: base, Pats: m.patterns, pair: pair}
 			ok := true
 			for _, e := range m.examples {
 				holds, err := safe.Eval(m.prod.Circuit, e)
@@ -137,6 +138,7 @@ func (m *Miner) predsFor(base string) ([]hhoudini.Pred, error) {
 			// Expert predicates, validated against the examples (line 15).
 			for _, rule := range m.rules[base] {
 				p := NewEqConstSet("InSafeUop", base, rule.Values)
+				p.pair = pair
 				ok := true
 				for _, e := range m.examples {
 					holds, err := p.Eval(m.prod.Circuit, e)

@@ -34,7 +34,8 @@ const (
 // right executions (§5.1.1). Its variables are the two product-circuit
 // copies of the base register.
 type EqPred struct {
-	Reg string // base register name
+	Reg  string // base register name
+	pair regPair
 }
 
 // ID implements hhoudini.Pred.
@@ -59,7 +60,7 @@ func (p EqPred) Encode(enc *circuit.Encoder, next bool) (sat.Lit, error) {
 
 // Eval implements hhoudini.Pred.
 func (p EqPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, error) {
-	lv, rv, err := pairVals(c, s, p.Reg)
+	lv, rv, err := pairVals(c, s, p.Reg, p.pair)
 	if err != nil {
 		return false, err
 	}
@@ -69,8 +70,9 @@ func (p EqPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, error) {
 // EqConstPred is EqConst(v, val): v holds the constant val in both
 // executions (implicitly an Eq, §5.1.1).
 type EqConstPred struct {
-	Reg string
-	Val uint64
+	Reg  string
+	Val  uint64
+	pair regPair
 }
 
 // ID implements hhoudini.Pred.
@@ -95,7 +97,7 @@ func (p EqConstPred) Encode(enc *circuit.Encoder, next bool) (sat.Lit, error) {
 
 // Eval implements hhoudini.Pred.
 func (p EqConstPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, error) {
-	lv, rv, err := pairVals(c, s, p.Reg)
+	lv, rv, err := pairVals(c, s, p.Reg, p.pair)
 	if err != nil {
 		return false, err
 	}
@@ -109,6 +111,7 @@ type EqConstSetPred struct {
 	Label string // e.g. "InSafeUop"
 	Reg   string
 	Vals  []uint64 // sorted, deduped
+	pair  regPair
 }
 
 // NewEqConstSet normalizes the value list.
@@ -158,7 +161,7 @@ func (p EqConstSetPred) Encode(enc *circuit.Encoder, next bool) (sat.Lit, error)
 
 // Eval implements hhoudini.Pred.
 func (p EqConstSetPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, error) {
-	lv, rv, err := pairVals(c, s, p.Reg)
+	lv, rv, err := pairVals(c, s, p.Reg, p.pair)
 	if err != nil {
 		return false, err
 	}
@@ -179,6 +182,7 @@ func (p EqConstSetPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, erro
 type InSafeSetPred struct {
 	Reg  string
 	Pats []isa.MaskMatch
+	pair regPair
 }
 
 // ID implements hhoudini.Pred. The pattern list is fixed per analysis, so
@@ -208,7 +212,7 @@ func (p InSafeSetPred) Encode(enc *circuit.Encoder, next bool) (sat.Lit, error) 
 
 // Eval implements hhoudini.Pred.
 func (p InSafeSetPred) Eval(c *circuit.Circuit, s circuit.Snapshot) (bool, error) {
-	lv, rv, err := pairVals(c, s, p.Reg)
+	lv, rv, err := pairVals(c, s, p.Reg, p.pair)
 	if err != nil {
 		return false, err
 	}
@@ -234,13 +238,33 @@ func pairLits(enc *circuit.Encoder, baseReg string, next bool) (l, r []sat.Lit, 
 	return l, r, nil
 }
 
-// pairVals reads the left/right copies of a base register from a product
-// snapshot.
-func pairVals(c *circuit.Circuit, s circuit.Snapshot, baseReg string) (lv, rv uint64, err error) {
-	li := c.RegIndex(miter.Left(baseReg))
-	ri := c.RegIndex(miter.Right(baseReg))
-	if li < 0 || ri < 0 {
-		return 0, 0, fmt.Errorf("veloct: base register %q not in product circuit", baseReg)
+// regPair is a base register resolved to the indices of its left and right
+// copies in one product circuit, so Eval reads a snapshot without building
+// the copies' names or looking them up. The mining oracle and Targets
+// resolve every predicate they make; the zero value is resolved in no
+// circuit.
+type regPair struct {
+	prod   *circuit.Circuit
+	li, ri int
+}
+
+// resolvePair resolves a base register in a product.
+func resolvePair(prod *miter.Product, baseReg string) (regPair, error) {
+	li, ri, err := prod.RegPair(baseReg)
+	if err != nil {
+		return regPair{}, err
 	}
-	return s[li], s[ri], nil
+	return regPair{prod: prod.Circuit, li: li, ri: ri}, nil
+}
+
+// pairVals reads the left/right copies of a base register from a product
+// snapshot: through q when it was resolved in c, by name otherwise.
+func pairVals(c *circuit.Circuit, s circuit.Snapshot, baseReg string, q regPair) (lv, rv uint64, err error) {
+	if q.prod != c {
+		q = regPair{prod: c, li: c.RegIndex(miter.Left(baseReg)), ri: c.RegIndex(miter.Right(baseReg))}
+		if q.li < 0 || q.ri < 0 {
+			return 0, 0, fmt.Errorf("veloct: base register %q not in product circuit", baseReg)
+		}
+	}
+	return s[q.li], s[q.ri], nil
 }

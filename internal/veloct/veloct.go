@@ -119,7 +119,10 @@ func (a *Analysis) System(safe []string) *hhoudini.System {
 func (a *Analysis) Targets() []hhoudini.Pred {
 	out := make([]hhoudini.Pred, len(a.Target.Observable))
 	for i, obs := range a.Target.Observable {
-		out[i] = EqPred{Reg: obs}
+		// An observable missing from the product keeps the zero pair, and
+		// Eval reports it by name.
+		pair, _ := resolvePair(a.Product, obs)
+		out[i] = EqPred{Reg: obs, pair: pair}
 	}
 	return out
 }

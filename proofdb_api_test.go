@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	hh "hhoudini"
+	"hhoudini/internal/proofdb"
 )
 
 // verifyInDir runs one "process": a fresh private VerifyCache bound to the
@@ -139,5 +140,83 @@ func TestProofDBExplicitOpenSurface(t *testing.T) {
 	}
 	if cache2.Len() == 0 {
 		t.Fatal("restored cache is empty")
+	}
+}
+
+// v1ConeKeyRecords are the records a cold Verify of the exec-stage safe set
+// {add} left in its proof store when cone keys were a canonical walk of the
+// union cone under the tag "hhoudini-cone-fp/v1": the abducts the current
+// build derives too, filed under keys it no longer computes.
+var v1ConeKeyRecords = []proofdb.KeyRecord{
+	{Key: "cone:2fbc6152393f0b48d394b192c1eb9a62|safeset:opcode_in;3/0;3/1", Abducts: []proofdb.Abduct{
+		{Target: "Eq(opcode)"},
+		{Target: "InSafeSet(opcode)"},
+	}},
+	{Key: "cone:50d673629db656d47ccb6c2e2948d406|safeset:opcode_in;3/0;3/1", Abducts: []proofdb.Abduct{
+		{Target: "Eq(valid_add)", Preds: []string{"Eq(opcode)"}},
+	}},
+	{Key: "cone:d83401759a8373b346f5686d3fa73ac3|safeset:opcode_in;3/0;3/1", Abducts: []proofdb.Abduct{
+		{Target: "Eq(valid)", Preds: []string{"Eq(valid_add)", "InSafeSet(opcode)"}},
+	}},
+}
+
+// TestProofDBUpgradesOldConeKeys opens a store written under the previous
+// cone-key scheme. Its records are well formed, so the store opens with
+// nothing reported corrupt; their keys never equal a current one, so the
+// first Verify answers every query cold, and correctly. That run's flush
+// files its answers under current keys, and a second process answers every
+// query from disk.
+func TestProofDBUpgradesOldConeKeys(t *testing.T) {
+	tgt := execStageTarget(t)
+	dir := t.TempDir()
+	safe := []string{"add"}
+
+	// Written at the current time, so age eviction keeps every record.
+	db, err := proofdb.Open(dir, proofdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Merge(&proofdb.Snapshot{Keys: v1ConeKeyRecords})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := hh.NewVerifyCache()
+	p, err := hh.OpenProofDB(dir, cache, hh.ProofDBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.CorruptSkipped != 0 || st.HeaderRejected || st.AbductsLoaded != 4 {
+		t.Fatalf("old-key store opened with corrupt_skipped %d, header rejected %v, %d abducts loaded; want 0, false, 4",
+			st.CorruptSkipped, st.HeaderRejected, st.AbductsLoaded)
+	}
+	opts := hh.DefaultAnalysisOptions()
+	opts.Learner.Cache = cache
+	a, err := hh.NewAnalysis(tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := a.Verify(safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first.Invariant == nil {
+		t.Fatalf("first verify over the old-key store found no invariant: %s", first.Reason)
+	}
+	if first.Stats.Queries == 0 || first.Stats.CacheDiskHits != 0 {
+		t.Fatalf("first verify: %d disk hits of %d queries, want 0 of at least 1",
+			first.Stats.CacheDiskHits, first.Stats.Queries)
+	}
+
+	second := verifyInDir(t, tgt, dir, safe)
+	defer hh.CloseProofDBs()
+	if s := second.Stats; s.Queries == 0 || s.CacheDiskHits != s.Queries {
+		t.Fatalf("second verify: %d disk hits of %d queries, want all", s.CacheDiskHits, s.Queries)
+	}
+	if second.Invariant.Size() != first.Invariant.Size() {
+		t.Fatalf("second invariant size %d differs from first %d", second.Invariant.Size(), first.Invariant.Size())
 	}
 }
