@@ -1,6 +1,6 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + hhlint + the
 # tier-1 tests at three core counts + the race, chaos and crash tiers + a
-# 20-second SAT fuzz smoke + a 1-iteration smoke run of every go-test
+# 20-second fuzz smoke + a 1-iteration smoke run of every go-test
 # benchmark + a short traced run of the repository benchmark (bench/).
 
 GO ?= go
@@ -79,18 +79,15 @@ crash:
 	$(GO) test -run 'TestCrash' ./internal/proofdb/
 	$(GO) test -run 'TestKill9' ./internal/serve/
 
-# Ten seconds each of three differential fuzz targets past their seed
-# corpora. Two are the SAT core's: random incremental sessions with a forced
+# Ten seconds each of two differential fuzz targets past their seed
+# corpora. One is the SAT core's: random incremental sessions with a forced
 # learnt-DB reduction and arena compaction, every verdict checked against
-# brute-force enumeration; and core minimisation with a critical hook that
-# returns brute-force-necessary literals, whose result must be Unsat and
-# locally minimal in no more probes than without the hook. The third is the
-# cone key, which guards the soundness of every memo transfer: random small
-# cones checked against the map-based definition, embedding invariance and a
-# brute-force expression-tree comparison.
+# brute-force enumeration. The other is the cone key, which guards the
+# soundness of every memo transfer: random small cones checked against the
+# map-based definition, embedding invariance and a brute-force
+# expression-tree comparison.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzArenaVsBruteForce$$' -fuzztime 10s ./internal/sat
-	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeCoreCritical$$' -fuzztime 10s ./internal/sat
 	$(GO) test -run '^$$' -fuzz '^FuzzConeFingerprint$$' -fuzztime 10s ./internal/circuit
 
 # One iteration of every benchmark: catches bit-rot in the harness without

@@ -228,22 +228,6 @@ func BenchmarkSpeedupVsBaselines(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ----------------------------------------------------
 
-// BenchmarkAblationCoreMinimization compares learning with and without
-// locally minimal UNSAT cores in the abduction oracle.
-func BenchmarkAblationCoreMinimization(b *testing.B) {
-	tgt := mustOoO(b, hh.SmallOoO)
-	for _, min := range []bool{true, false} {
-		b.Run(fmt.Sprintf("minimize=%v", min), func(b *testing.B) {
-			opts := hh.DefaultAnalysisOptions()
-			opts.Learner.MinimizeCores = min
-			for i := 0; i < b.N; i++ {
-				res := mustVerify(b, tgt, oooSafe(), opts)
-				b.ReportMetric(float64(res.Invariant.Size()), "invariant")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationExampleFiltering compares the paper's example regimes:
 // rich compositions (near-zero backtracking) against the weak single-run
 // examples (backtracking compensates).

@@ -461,15 +461,11 @@ func ablations() {
 
 	run("default", hh.DefaultAnalysisOptions())
 
-	o := hh.DefaultAnalysisOptions()
-	o.Learner.MinimizeCores = false
-	run("no core minimization", o)
-
 	// Budget-escalation row: a deliberately tiny first rung forces the
 	// retry ladder to engage on every nontrivial query (retries > 0 in the
 	// row output). The result must still be a valid invariant — escalation
 	// trades extra bounded probes for never hanging on a hard query.
-	o = hh.DefaultAnalysisOptions()
+	o := hh.DefaultAnalysisOptions()
 	o.Learner.InitialSolverConflicts = 1
 	run("budget escalation (1-conflict rung)", o)
 

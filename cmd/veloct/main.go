@@ -255,10 +255,6 @@ func report(a *hh.Analysis, res *hh.Result, elapsed time.Duration) {
 			res.Stats.Tasks, res.Stats.Queries, res.Stats.Backtracks, res.Examples)
 		fmt.Printf("  solvers=%d encoded gates=%d clauses=%d\n",
 			res.Stats.SolverAllocs, res.Stats.EncodedGates, res.Stats.EncodedClauses)
-		if *flagVerbose {
-			fmt.Printf("  core minimisation: probes=%d critical-by-simulation=%d\n",
-				res.Stats.MinimizeSolves, res.Stats.CriticalBySimulation)
-		}
 		if reportCacheCounters() {
 			fmt.Printf("  cache: negative-hits=%d abduct-hits=%d entries=%d (~%dB)\n",
 				res.Stats.CacheVerdictHits, res.Stats.CacheAbductHits,

@@ -25,11 +25,7 @@ type Encoder struct {
 	S *sat.Solver
 	c *Circuit
 
-	lits []sat.Lit // per node; litUnset until encoded
-	// order lists the encoded nodes in encoding order. A node is encoded
-	// only after its operands, so the order is topological: ConeLanes
-	// steps the query's own cone along it.
-	order      []int32
+	lits       []*litPage // per page of nodes; nil until a node on it is encoded
 	constFalse sat.Lit
 	stats      EncoderStats
 }
@@ -43,18 +39,43 @@ type EncoderStats struct {
 
 const litUnset sat.Lit = -2
 
+// litPageBits sizes the pages of the node-to-literal table. A query
+// encodes a cone, not the circuit, and a cone's nodes cluster in node
+// order: a MediumOoO query encodes ~1.1 k of the product's 30 k nodes on
+// ~16 pages of 256. So an encoder allocates one pointer per page and the
+// pages its cone touches, not a slot for every node of the circuit.
+const litPageBits = 8
+
+type litPage [1 << litPageBits]sat.Lit
+
 // NewEncoder creates an encoder targeting the given solver. Multiple
 // encoders must not share a solver.
 func NewEncoder(c *Circuit, s *sat.Solver) *Encoder {
-	e := &Encoder{S: s, c: c, lits: make([]sat.Lit, len(c.nodes))}
-	for i := range e.lits {
-		e.lits[i] = litUnset
-	}
+	e := &Encoder{S: s, c: c, lits: make([]*litPage, (len(c.nodes)+1<<litPageBits-1)>>litPageBits)}
 	e.constFalse = sat.PosLit(s.NewVar())
 	e.addClause(e.constFalse.Not())
-	e.lits[0] = e.constFalse
-	e.order = append(e.order, 0)
+	e.setLit(0, e.constFalse)
 	return e
+}
+
+// lit returns the literal of node n, or litUnset before n is encoded.
+func (e *Encoder) lit(n int32) sat.Lit {
+	if p := e.lits[n>>litPageBits]; p != nil {
+		return p[n&(1<<litPageBits-1)]
+	}
+	return litUnset
+}
+
+func (e *Encoder) setLit(n int32, l sat.Lit) {
+	p := e.lits[n>>litPageBits]
+	if p == nil {
+		p = new(litPage)
+		for i := range p {
+			p[i] = litUnset
+		}
+		e.lits[n>>litPageBits] = p
+	}
+	p[n&(1<<litPageBits-1)] = l
 }
 
 // Stats returns the cumulative encode-work counters.
@@ -85,25 +106,24 @@ func (e *Encoder) SignalLit(sig Signal) sat.Lit {
 }
 
 func (e *Encoder) nodeLit(id int32) sat.Lit {
-	if l := e.lits[id]; l != litUnset {
+	if l := e.lit(id); l != litUnset {
 		return l
 	}
 	// Iterative DFS to avoid deep recursion on big cones.
 	stack := []int32{id}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
-		if e.lits[n] != litUnset {
+		if e.lit(n) != litUnset {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		nd := e.c.nodes[n]
 		switch nd.kind {
 		case kInput, kLatch:
-			e.lits[n] = sat.PosLit(e.S.NewVar())
-			e.order = append(e.order, n)
+			e.setLit(n, sat.PosLit(e.S.NewVar()))
 			stack = stack[:len(stack)-1]
 		case kAnd:
-			la, lb := e.lits[nd.a.Node()], e.lits[nd.b.Node()]
+			la, lb := e.lit(nd.a.Node()), e.lit(nd.b.Node())
 			if la == litUnset || lb == litUnset {
 				if la == litUnset {
 					stack = append(stack, nd.a.Node())
@@ -120,14 +140,13 @@ func (e *Encoder) nodeLit(id int32) sat.Lit {
 			e.addClause(g.Not(), a)
 			e.addClause(g.Not(), b)
 			e.addClause(a.Not(), b.Not(), g)
-			e.lits[n] = g
-			e.order = append(e.order, n)
+			e.setLit(n, g)
 			stack = stack[:len(stack)-1]
 		default: // kConst handled in NewEncoder
 			stack = stack[:len(stack)-1]
 		}
 	}
-	return e.lits[id]
+	return e.lit(id)
 }
 
 // WordLits encodes each bit of a word.

@@ -2,7 +2,6 @@ package hhoudini
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -79,18 +78,6 @@ func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) 
 	}
 }
 
-// armMinimizeBudget grants core minimization a fresh conflict allowance
-// after the main query resolved. MinimizeCore treats an Unknown deletion
-// probe as "keep the literal" — sound, merely less minimal — so a bounded
-// budget here can cost minimality but never correctness.
-func (l *Learner) armMinimizeBudget(s *sat.Solver) {
-	if limit := l.opts.MaxSolverConflicts; limit > 0 {
-		s.SetConflictBudget(limit)
-	} else {
-		s.SetConflictBudget(-1)
-	}
-}
-
 // abductResult is the outcome of one O_abduct invocation.
 type abductResult struct {
 	// preds is the synthesized abduct (empty = target is inductive under
@@ -107,11 +94,12 @@ type abductResult struct {
 //	⋀_v P_V ∧ p_target ∧ ¬p'_target
 //
 // Candidates are attached through selector literals assumed at solve time;
-// if the query is SAT there is no abduct; if UNSAT, the (locally
-// minimized, mirroring cvc5's minimal-unsat-cores) core over the selectors
-// is the abduct. Since ⋀P_V ∧ p_target is non-contradictory — every
-// candidate and the target hold on the positive examples (P-S) — the
-// UNSAT-ness must come from ¬p'_target, making the extraction sound.
+// if the query is SAT there is no abduct; if UNSAT, the solver's
+// final-conflict core over the selectors — the assumptions the refutation
+// used — is the abduct. Since
+// ⋀P_V ∧ p_target is non-contradictory — every candidate and the target
+// hold on the positive examples (P-S) — the UNSAT-ness must come from
+// ¬p'_target, making the extraction sound.
 //
 // A memo miss is answered by solveQuery on a solver built for this query
 // alone, so the answer depends only on (target, candidates), never on which
@@ -213,19 +201,6 @@ func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 	if st == sat.Sat {
 		return abductResult{ok: false}, nil
 	}
-	if l.opts.MinimizeCores {
-		orderCoreForMinimization(core, func(s sat.Lit) int { return tierOf(bySel[s]) })
-		l.armMinimizeBudget(enc.S)
-		rot := l.newRotation(enc, target, bySel)
-		critical := rot.critical
-		if l.wrapCritical != nil {
-			critical = l.wrapCritical(enc.S, critical)
-		}
-		probes := enc.S.Stats.Solves
-		core = enc.S.MinimizeCore(core, critical)
-		atomic.AddInt64(&l.stats.MinimizeSolves, enc.S.Stats.Solves-probes)
-		atomic.AddInt64(&l.stats.CriticalBySimulation, rot.claims)
-	}
 	out := make([]Pred, 0, len(core))
 	for _, s := range core {
 		p, ok := bySel[s]
@@ -235,17 +210,4 @@ func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 		out = append(out, p)
 	}
 	return abductResult{preds: out, ok: true}, nil
-}
-
-// orderCoreForMinimization orders a core for deletion-based minimization,
-// biasing toward the weakest abduct (§3.2.3): deletion drops literals
-// front-to-back, so the strongest (highest-tier) entries are tried first
-// and removed whenever the weaker ones suffice. The order holds only until
-// the first refinement: once a deletion probe's own, smaller core replaces
-// the current one, sat.MinimizeCore goes on in the solver's core order,
-// not tier order.
-func orderCoreForMinimization(core []sat.Lit, rank func(sat.Lit) int) {
-	sort.SliceStable(core, func(i, j int) bool {
-		return rank(core[i]) > rank(core[j])
-	})
 }

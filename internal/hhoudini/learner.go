@@ -22,10 +22,6 @@ type Options struct {
 	// runs the algorithm sequentially and deterministically. 0 defaults
 	// to GOMAXPROCS.
 	Workers int
-	// MinimizeCores shrinks every UNSAT core to a locally minimal one
-	// before using it as an abduct (the paper's cvc5 minimal-unsat-cores
-	// setting). Disabling it is the core-minimization ablation.
-	MinimizeCores bool
 	// Cache is the memo store abduction answers are kept in across Learner
 	// instances (see VerifyCache); nil selects the process-global shared
 	// cache (SharedCache). Pass NewVerifyCache() to isolate a workload. It
@@ -56,24 +52,9 @@ type Options struct {
 	MaxSolverConflicts int64
 }
 
-// DefaultOptions mirror the paper's configuration (minimal cores, one
-// worker).
+// DefaultOptions run the learner with one worker.
 func DefaultOptions() Options {
-	return Options{Workers: 1, MinimizeCores: true}
-}
-
-// Tiered is an optional interface predicates may implement to rank
-// themselves for core minimization: lower tiers are tried for removal last,
-// so a minimized core prefers them.
-type Tiered interface {
-	Tier() int
-}
-
-func tierOf(p Pred) int {
-	if t, ok := p.(Tiered); ok {
-		return t.Tier()
-	}
-	return 0
+	return Options{Workers: 1}
 }
 
 // Stats aggregates the instrumentation behind the paper's Figures 4 and 5.
@@ -126,12 +107,6 @@ type Stats struct {
 	QueryRetries        int64
 	QueryBudgetAbandons int64
 
-	// Core-minimisation counters (Options.MinimizeCores): deletion probes
-	// solved, and core literals proven critical by model rotation instead
-	// (each one a probe sat.MinimizeCore skipped).
-	MinimizeSolves       int64
-	CriticalBySimulation int64
-
 	// WallTime accumulates Learn wall-clock time. It is written under the
 	// Stats mutex (addWall) so Snapshot can observe it race-free while a
 	// Learn is still running; plain reads remain fine once Learn returns.
@@ -180,9 +155,6 @@ type StatsSnapshot struct {
 	QueryRetries        int64
 	QueryBudgetAbandons int64
 
-	MinimizeSolves       int64
-	CriticalBySimulation int64
-
 	WallTime time.Duration
 	Span     time.Duration
 	// TotalQueryTime / TotalTaskTime are the summed per-query and per-task
@@ -219,9 +191,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 
 		QueryRetries:        atomic.LoadInt64(&s.QueryRetries),
 		QueryBudgetAbandons: atomic.LoadInt64(&s.QueryBudgetAbandons),
-
-		MinimizeSolves:       atomic.LoadInt64(&s.MinimizeSolves),
-		CriticalBySimulation: atomic.LoadInt64(&s.CriticalBySimulation),
 	}
 	s.mu.Lock()
 	snap.WallTime = s.WallTime
@@ -410,10 +379,6 @@ type Learner struct {
 	// instead of running to completion; on deregistration the solver's
 	// conflicts are folded into Stats.SolverConflicts.
 	solvers map[*sat.Solver]struct{}
-
-	// wrapCritical, when set, wraps every query's model-rotation hook
-	// before core minimisation gets it (tests probe each claim through it).
-	wrapCritical func(s *sat.Solver, critical func(cur []sat.Lit, l sat.Lit) []sat.Lit) func(cur []sat.Lit, l sat.Lit) []sat.Lit
 }
 
 type entry struct {

@@ -11,15 +11,13 @@ import (
 
 // regEq is a minimal test predicate: register == constant.
 type regEq struct {
-	reg  string
-	val  uint64
-	tier int
+	reg string
+	val uint64
 }
 
 func (p regEq) ID() string     { return fmt.Sprintf("%s==%d", p.reg, p.val) }
 func (p regEq) Vars() []string { return []string{p.reg} }
 func (p regEq) String() string { return p.ID() }
-func (p regEq) Tier() int      { return p.tier }
 
 func (p regEq) Encode(enc *circuit.Encoder, next bool) (sat.Lit, error) {
 	var lits []sat.Lit
@@ -65,10 +63,10 @@ func minerOf(preds ...Pred) tableMiner {
 	return m
 }
 
-// testOptions is the in-package tests' base configuration: minimal cores
-// and a private cache, so no learner is answered from another's memos.
+// testOptions is the in-package tests' base configuration: a private
+// cache, so no learner is answered from another's memos.
 func testOptions(workers int) Options {
-	return Options{Workers: workers, MinimizeCores: true, Cache: NewVerifyCache()}
+	return Options{Workers: workers, Cache: NewVerifyCache()}
 }
 
 func ids(inv *Invariant) map[string]bool {

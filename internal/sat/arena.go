@@ -149,8 +149,10 @@ func (s *Solver) maybeCollect() {
 // learnt index and reason array are then remapped through the forwarding
 // pointers left in the old headers. Watch lists that grew far beyond their
 // live population are reallocated at size, returning the slack to the Go
-// heap. The retired slab is kept as scratch for the next compaction.
+// heap. The retired slab is kept as scratch for the next compaction. It
+// settles first, so pending clauses are on the watch lists too.
 func (s *Solver) garbageCollect() {
+	s.settle()
 	old := s.arena
 	neu := s.gcArena
 	if cap(neu) < len(old)-s.wasted {

@@ -68,30 +68,3 @@ func BenchmarkSatPropagateChains(b *testing.B) {
 func BenchmarkSatPropagateWide(b *testing.B)   { benchWorkload(b, "propagate_wide") }
 func BenchmarkSatSolvePHP(b *testing.B)        { benchWorkload(b, "solve_php") }
 func BenchmarkSatSolveRandom3SAT(b *testing.B) { benchWorkload(b, "solve_random3sat") }
-
-// minimizedCore keeps BenchmarkMinimizeCore's result live.
-var minimizedCore []Lit
-
-// BenchmarkMinimizeCore times core minimization on a query shaped like a
-// cold abduction query (andTail): 18 critical selectors and 2 unneeded
-// ones over a ~1.5k-variable Tseitin AND-gate tail, so every Sat probe
-// completes a model over the whole tail as a real probe does. Each
-// iteration builds a fresh solver and takes its first core outside the
-// timer, as the learner builds one solver per query.
-func BenchmarkMinimizeCore(b *testing.B) {
-	b.ReportAllocs()
-	var solves int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, sels := andTail(int64(i%8)+1, 18, 2, 150, 1300)
-		st, core := s.SolveWithCore(sels)
-		if st != Unsat {
-			b.Fatalf("query is %v, want Unsat", st)
-		}
-		before := s.Stats.Solves
-		b.StartTimer()
-		minimizedCore = s.MinimizeCore(core, nil)
-		solves += s.Stats.Solves - before
-	}
-	b.ReportMetric(float64(solves)/float64(b.N), "probes/op")
-}

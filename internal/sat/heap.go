@@ -25,6 +25,12 @@ func (h *varHeap) grow(n int) {
 	}
 }
 
+// reserve makes room for n variables (withRoom).
+func (h *varHeap) reserve(n int) {
+	h.heap = withRoom(h.heap, n)
+	h.indices = withRoom(h.indices, n)
+}
+
 func (h *varHeap) inHeap(v Var) bool {
 	return int(v) < len(h.indices) && h.indices[v] >= 0
 }

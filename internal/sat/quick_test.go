@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,16 @@ func randomClauses(rng *rand.Rand, nVars, nClauses, maxLen int) [][]Lit {
 	return clauses
 }
 
+// subsetOf reports whether every literal of sub occurs in super.
+func subsetOf(sub, super []Lit) bool {
+	for _, l := range sub {
+		if !slices.Contains(super, l) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickAgainstBruteForce cross-checks the CDCL solver against exhaustive
 // enumeration on random small formulas, checking both the verdict and that
 // returned models actually satisfy the formula.
@@ -98,9 +109,9 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestQuickAssumptionCores checks on random formulas that (i) Unsat cores
-// are subsets of the assumptions, (ii) re-solving under just the core stays
-// Unsat, and (iii) minimized cores are locally minimal.
+// TestQuickAssumptionCores checks on random formulas that Unsat cores are
+// subsets of the assumptions and that re-solving under just the core stays
+// Unsat.
 func TestQuickAssumptionCores(t *testing.T) {
 	rng := rand.New(rand.NewSource(999))
 	for iter := 0; iter < 200; iter++ {
@@ -145,19 +156,6 @@ func TestQuickAssumptionCores(t *testing.T) {
 		}
 		if st2 := s.Solve(core...); st2 != Unsat {
 			t.Fatalf("iter %d: core %v does not reproduce Unsat", iter, core)
-		}
-		min := s.MinimizeCore(core, nil)
-		if !subsetOf(min, core) {
-			t.Fatalf("iter %d: minimized core %v not subset of %v", iter, min, core)
-		}
-		if st3 := s.Solve(min...); st3 != Unsat {
-			t.Fatalf("iter %d: minimized core %v not Unsat", iter, min)
-		}
-		for i := range min {
-			trial := append(append([]Lit{}, min[:i]...), min[i+1:]...)
-			if s.Solve(trial...) == Unsat {
-				t.Fatalf("iter %d: core %v not locally minimal (drop %v)", iter, min, min[i])
-			}
 		}
 	}
 }

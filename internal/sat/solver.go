@@ -72,6 +72,10 @@ type Solver struct {
 	claInc   float64
 	order    varHeap
 
+	// pending lists the problem clauses in the arena that are not on the
+	// watch lists yet (see settle).
+	pending []clauseRef
+
 	seen         []byte
 	stampLevel   []int64
 	stampCtr     int64
@@ -145,19 +149,89 @@ const (
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.vals) >> 1 }
 
-// NewVar allocates a fresh variable.
+// NewVar allocates a fresh variable. Only its value slot is made here; its
+// other per-variable slots wait for settle.
 func (s *Solver) NewVar() Var {
 	v := Var(s.NumVars())
 	s.Stats.VarsAdded++
 	s.vals = append(s.vals, lUndef, lUndef)
-	s.polarity = append(s.polarity, true)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, crUndef)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.order.insert(v, 0)
 	return v
+}
+
+// settle brings the search state up to the variables and clauses added
+// since its last call: it extends every per-variable slice to the variable
+// count in one step and attaches the pending clauses, growing each watch
+// list once, for all its new watchers, from one shared slab. A solver
+// serves one query and is built by thousands of NewVar and AddClause calls
+// before it first propagates; growing these slices call by call left
+// several times their final size behind as garbage. settle runs before
+// anything reads that state — a unit clause's propagation and every Solve
+// — and inserts the variables and appends the watchers in the order the
+// calls came, so the heap, the watch lists and every propagation and
+// decision are the ones immediate attachment gave.
+func (s *Solver) settle() {
+	if old, n := len(s.level), s.NumVars(); old < n {
+		s.polarity = extend(s.polarity, n, true)
+		s.level = extend(s.level, n, 0)
+		s.reason = extend(s.reason, n, crUndef)
+		s.activity = extend(s.activity, n, 0)
+		s.seen = extend(s.seen, n, 0)
+		s.watches = extend(s.watches, 2*n, nil)
+		s.order.reserve(n)
+		for v := old; v < n; v++ {
+			s.order.insert(Var(v), 0)
+		}
+	}
+	if len(s.pending) == 0 {
+		return
+	}
+	// need[l] counts the new watchers of l; a list short of room for them
+	// gets it from the slab.
+	need := make([]int32, len(s.watches))
+	for _, cr := range s.pending {
+		lits := s.clauseLits(cr)
+		need[Lit(lits[0]).Not()]++
+		need[Lit(lits[1]).Not()]++
+	}
+	total := 0
+	for l, k := range need {
+		if ws := s.watches[l]; cap(ws)-len(ws) < int(k) {
+			total += len(ws) + int(k)
+		}
+	}
+	slab := make([]watcher, 0, total)
+	for l, k := range need {
+		if ws := s.watches[l]; cap(ws)-len(ws) < int(k) {
+			n := len(slab)
+			slab = append(slab, ws...)
+			s.watches[l] = slab[n : len(slab) : len(slab)+int(k)]
+			slab = slab[:len(slab)+int(k)]
+		}
+	}
+	for _, cr := range s.pending {
+		s.attachClause(cr)
+	}
+	s.pending = s.pending[:0]
+}
+
+// withRoom returns s with capacity for n elements, reallocating at most
+// once and then leaving half as much room again: an abduction query
+// settles at its target's unit clauses and again at Solve, and its
+// candidates' variables then fit without a second copy.
+func withRoom[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s, n+n/2-len(s))
+	}
+	return s
+}
+
+// extend returns s lengthened to n, new elements set to fill (withRoom).
+func extend[T any](s []T, n int, fill T) []T {
+	s = withRoom(s, n)
+	for len(s) < n {
+		s = append(s, fill)
+	}
+	return s
 }
 
 // NewSelector allocates a fresh activation (selector) variable and returns
@@ -225,12 +299,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
+		s.settle()
 		s.uncheckedEnqueue(out[0], crUndef)
 		s.ok = s.propagate() == crUndef
 		return s.ok
 	}
-	cr := s.allocClause(out, false, 0)
-	s.attachClause(cr)
+	s.pending = append(s.pending, s.allocClause(out, false, 0))
 	return true
 }
 
@@ -238,6 +312,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // literal block distance computed at learn time; problem clauses pass 0.
 func (s *Solver) allocClause(lits []Lit, learnt bool, lbd int) clauseRef {
 	cr := clauseRef(len(s.arena))
+	if need := len(s.arena) + 2 + len(lits); need > cap(s.arena) {
+		// Double: past 256 elements append grows by ~1.25×, which leaves
+		// about three times the slab's final size behind as garbage.
+		s.arena = slices.Grow(s.arena, max(need, 2*cap(s.arena))-len(s.arena))
+	}
 	s.arena = append(s.arena, mkHeader(len(lits), learnt, lbd))
 	if learnt {
 		s.arena = append(s.arena, s.allocActSlot())
@@ -695,9 +774,9 @@ func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 // independent of how many conflicts this solver has already spent: it
 // rebases MaxConflicts on the cumulative Stats.Conflicts counter. n < 0
 // removes the bound. This is the per-attempt budget primitive behind the
-// learner's Unknown-escalation ladder, whose rungs and core minimization
-// solve repeatedly on one solver; such callers must use it instead of
-// assigning MaxConflicts directly.
+// learner's Unknown-escalation ladder, whose rungs solve repeatedly on one
+// solver; such callers must use it instead of assigning MaxConflicts
+// directly.
 func (s *Solver) SetConflictBudget(n int64) {
 	if n < 0 {
 		s.MaxConflicts = -1
@@ -821,6 +900,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	for _, a := range assumptions {
 		s.ensureVar(a.Var())
 	}
+	s.settle()
 	s.assumptions = append(s.assumptions[:0], assumptions...)
 	s.maxLearnts = float64(s.numProblemClauses()) * learntFactor
 	if s.maxLearnts < 1000 {

@@ -243,48 +243,13 @@ func TestCoreIsUnsatSubset(t *testing.T) {
 	if st != Unsat {
 		t.Fatalf("got %v", st)
 	}
-	// Core must include s2 and s4; must re-verify Unsat.
+	// Core must include s2 and s4, name only assumptions, and re-verify
+	// Unsat.
 	if st2 := s.Solve(core...); st2 != Unsat {
 		t.Fatalf("core does not reproduce Unsat: %v", core)
 	}
-	min := s.MinimizeCore(core, nil)
-	if len(min) != 2 {
-		t.Fatalf("minimal core should have 2 selectors, got %v", min)
-	}
-	seen := map[Lit]bool{}
-	for _, l := range min {
-		seen[l] = true
-	}
-	if !seen[sel[1]] || !seen[sel[3]] {
-		t.Fatalf("minimal core should be {s2,s4}, got %v", min)
-	}
-}
-
-func TestMinimizeCoreLocallyMinimal(t *testing.T) {
-	s := New()
-	addVars(s, 6)
-	// Three selectors each forcing a distinct variable; a clause makes all
-	// three together impossible only when combined.
-	x, y, z := lit(1), lit(2), lit(3)
-	s1, s2, s3 := lit(4), lit(5), lit(6)
-	s.AddClause(s1.Not(), x)
-	s.AddClause(s2.Not(), y)
-	s.AddClause(s3.Not(), z)
-	s.AddClause(x.Not(), y.Not(), z.Not())
-	st, core := s.SolveWithCore([]Lit{s1, s2, s3})
-	if st != Unsat {
-		t.Fatalf("got %v", st)
-	}
-	min := s.MinimizeCore(core, nil)
-	if len(min) != 3 {
-		t.Fatalf("all three selectors are needed, got %v", min)
-	}
-	// Local minimality: dropping any single literal must become Sat.
-	for i := range min {
-		trial := append(append([]Lit{}, min[:i]...), min[i+1:]...)
-		if st := s.Solve(trial...); st != Sat {
-			t.Fatalf("core not locally minimal at %d: %v", i, min)
-		}
+	if !subsetOf(core, sel) || !subsetOf([]Lit{sel[1], sel[3]}, core) {
+		t.Fatalf("core %v must contain {s2,s4} and lie within the selectors", core)
 	}
 }
 

@@ -19,17 +19,6 @@ import (
 	"hhoudini/internal/sat"
 )
 
-// Predicate tiers, ordered weakest-first: EqConst(v,c) implies Eq(v), so
-// Eq is the weakest form and EqConst the strongest. Core minimization drops
-// stronger predicates first, which implements the paper's weakest-abduct
-// bias (§3.2.3).
-const (
-	tierEq = iota
-	tierInSafeSet
-	tierExpert
-	tierEqConst
-)
-
 // EqPred is the Eq(v) predicate: v holds the same value in the left and
 // right executions (§5.1.1). Its variables are the two product-circuit
 // copies of the base register.
@@ -43,9 +32,6 @@ func (p EqPred) ID() string { return "Eq(" + p.Reg + ")" }
 
 // Vars implements hhoudini.Pred.
 func (p EqPred) Vars() []string { return []string{miter.Left(p.Reg), miter.Right(p.Reg)} }
-
-// Tier implements hhoudini.Tiered.
-func (p EqPred) Tier() int { return tierEq }
 
 func (p EqPred) String() string { return p.ID() }
 
@@ -80,9 +66,6 @@ func (p EqConstPred) ID() string { return fmt.Sprintf("EqConst(%s,%#x)", p.Reg, 
 
 // Vars implements hhoudini.Pred.
 func (p EqConstPred) Vars() []string { return []string{miter.Left(p.Reg), miter.Right(p.Reg)} }
-
-// Tier implements hhoudini.Tiered.
-func (p EqConstPred) Tier() int { return tierEqConst }
 
 func (p EqConstPred) String() string { return p.ID() }
 
@@ -141,9 +124,6 @@ func (p EqConstSetPred) ID() string {
 // Vars implements hhoudini.Pred.
 func (p EqConstSetPred) Vars() []string { return []string{miter.Left(p.Reg), miter.Right(p.Reg)} }
 
-// Tier implements hhoudini.Tiered.
-func (p EqConstSetPred) Tier() int { return tierExpert }
-
 func (p EqConstSetPred) String() string { return p.ID() }
 
 // Encode implements hhoudini.Pred.
@@ -191,9 +171,6 @@ func (p InSafeSetPred) ID() string { return "InSafeSet(" + p.Reg + ")" }
 
 // Vars implements hhoudini.Pred.
 func (p InSafeSetPred) Vars() []string { return []string{miter.Left(p.Reg), miter.Right(p.Reg)} }
-
-// Tier implements hhoudini.Tiered.
-func (p InSafeSetPred) Tier() int { return tierInSafeSet }
 
 func (p InSafeSetPred) String() string { return p.ID() }
 

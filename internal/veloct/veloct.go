@@ -16,8 +16,8 @@ import (
 
 // Options configure a VeloCT analysis.
 type Options struct {
-	// Learner configures H-Houdini (workers, core minimization, the answer
-	// cache and its proof store, solver budgets).
+	// Learner configures H-Houdini (workers, the answer cache and its
+	// proof store, solver budgets).
 	Learner hhoudini.Options
 	// Examples configures positive example generation.
 	Examples ExampleConfig
