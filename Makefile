@@ -50,8 +50,9 @@ race:
 # SnapshotData/Restore — in internal/hhoudini/cache_test.go,
 # TestConcurrentMergeFlushSnapshot in internal/proofdb, the multi-session
 # service-shape tests TestConcurrentMultiSession* in
-# internal/hhoudini/multisession_test.go, and TestConcurrentConeFingerprint
-# in internal/circuit).
+# internal/hhoudini/multisession_test.go, TestConcurrentConeFingerprint
+# in internal/circuit, and TestConcurrentMine — parallel lookups in one
+# predicate table — in internal/veloct).
 race-proofdb:
 	$(GO) test -race ./internal/proofdb/
 	$(GO) test -race -run 'TestConcurrent' ./internal/...
@@ -101,8 +102,8 @@ bench:
 	$(GO) run ./bench -all
 
 # Non-test Go lines — the number ROADMAP aim 2 tracks — and the share of it
-# in the five packages the simplicity work shrinks.
-LOC_PKGS = hhoudini proofdb sat circuit analysis
+# in the six packages the simplicity work shrinks.
+LOC_PKGS = hhoudini proofdb sat circuit analysis veloct
 
 loc:
 	@printf 'non-test Go lines:          '

@@ -245,31 +245,19 @@ func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 
 // --- Persistent proof store -------------------------------------------------
 
-// ProofDB binds a verification cache to a versioned on-disk proof store
-// (proven abducts and Sat candidate sets, keyed by cone fingerprint and
-// environment key) so separate process invocations share warm starts.
-// ProofDBConfig configures the binding (staleness bound, byte budget,
-// appends).
-type (
-	ProofDB       = core.ProofDB
-	ProofDBConfig = core.ProofDBConfig
-)
+// A learner binds its cache to a versioned on-disk proof store through
+// LearnerOptions.CacheDir: the first learner to name a directory opens the
+// store (proof.db) and restores its memos — proven abducts and Sat
+// candidate sets, keyed by cone fingerprint and environment key — into the
+// cache; every learner streams new answers into the file as they land and
+// makes them durable at Learn shutdown, so separate process invocations
+// share warm starts. Corrupt or version-mismatched stores are never an
+// error — they load colder — and an unusable directory degrades to the
+// in-memory cache alone.
 
 // DefaultCacheDir is the conventional on-disk cache directory tools use
 // when persistence is requested without an explicit path (.gitignored).
 const DefaultCacheDir = proofdb.DefaultDir
-
-// OpenProofDB opens (creating if needed) the proof store in dir, restores
-// its contents into vc, and returns the binding; Flush/Close persist the
-// cache back with crash-safe atomic rewrites. Corrupt or version-mismatched
-// stores are never an error — they load colder.
-//
-// For embedded use, LearnerOptions.CacheDir performs the same binding
-// implicitly (with a flush at every Learn shutdown); CloseProofDBs is the
-// matching process-exit hook.
-func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, error) {
-	return core.OpenProofDB(dir, vc, cfg)
-}
 
 // CloseProofDBs flushes and closes every proof store opened implicitly via
 // LearnerOptions.CacheDir. Call it before process exit (each Learn already

@@ -299,13 +299,6 @@ func TestRegSupportChain(t *testing.T) {
 	if got := sup("c"); len(got) != 2 || got[0] != "b" || got[1] != "c" {
 		t.Fatalf("support(c) = %v, want [b c]", got)
 	}
-	fan, err := c.FanoutRegs("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fan) != 1 || fan[0] != "b" {
-		t.Fatalf("fanout(a) = %v, want [b]", fan)
-	}
 	c.WarmSupports()
 }
 

@@ -167,27 +167,3 @@ func (c *Circuit) WarmSupports() {
 		c.RegSupport(r.Name) //nolint:errcheck // name is known-valid
 	}
 }
-
-// FanoutRegs returns the inverse of RegSupport: the registers whose next
-// state the named register can influence in one step. Computed from the
-// full support relation; call WarmSupports first for deterministic cost.
-func (c *Circuit) FanoutRegs(name string) ([]string, error) {
-	if _, ok := c.regIdx[name]; !ok {
-		return nil, fmt.Errorf("circuit: unknown register %q", name)
-	}
-	var out []string
-	for _, r := range c.regs {
-		sup, err := c.RegSupport(r.Name)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sup {
-			if s == name {
-				out = append(out, r.Name)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}

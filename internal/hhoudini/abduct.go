@@ -20,10 +20,9 @@ const (
 	defaultInitialConflicts = 2048
 	// escalationFactor multiplies the budget after each Unknown.
 	escalationFactor = 4
-	// escalationUnboundedAfter: with no user limit, once the next rung would
-	// exceed this many conflicts the final attempt runs unbounded — matching
-	// the pre-ladder behaviour of never giving up, just with bounded
-	// intermediate probes.
+	// escalationUnboundedAfter: once the next rung would exceed this many
+	// conflicts the final attempt runs unbounded — the pre-ladder behaviour
+	// of never giving up, just with bounded intermediate probes.
 	escalationUnboundedAfter = 1 << 21
 )
 
@@ -31,21 +30,16 @@ const (
 // ladder: bounded attempts starting at the configured initial conflict
 // budget, escalating ×escalationFactor per sat.Unknown (Stats.QueryRetries)
 // until the query resolves, the learner is cancelled (errLearnInterrupted),
-// or the ladder tops out at Options.MaxSolverConflicts (ErrBudgetExceeded,
+// or the unbounded top rung itself returns Unknown (ErrBudgetExceeded,
 // Stats.QueryBudgetAbandons). Budgets are armed relative to the solver's
 // cumulative conflict count (sat.SetConflictBudget), so each rung grants
 // fresh effort on top of the rungs before it; an escalated re-solve is
 // never wasted work either, since the solver keeps the learnt clauses of
 // the abandoned attempt.
 func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) (sat.Status, []sat.Lit, error) {
-	initial := l.opts.InitialSolverConflicts
-	limit := l.opts.MaxSolverConflicts
-	if initial <= 0 {
-		initial = defaultInitialConflicts
-	}
-	budget := initial
-	if limit > 0 && budget > limit {
-		budget = limit
+	budget := l.opts.InitialSolverConflicts
+	if budget <= 0 {
+		budget = defaultInitialConflicts
 	}
 	for {
 		if l.stop.Load() {
@@ -59,20 +53,15 @@ func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) 
 		if l.stop.Load() || s.Interrupted() {
 			return st, nil, errLearnInterrupted
 		}
-		atLimit := budget < 0 || (limit > 0 && budget >= limit)
-		if atLimit {
-			// An Unknown with no budget left and no interrupt is a solver
-			// give-up (in practice: an injected fault or a user limit).
+		if budget < 0 {
+			// An unbounded Unknown with no interrupt is a solver give-up
+			// (in practice: an injected fault).
 			atomic.AddInt64(&l.stats.QueryBudgetAbandons, 1)
-			return st, nil, fmt.Errorf("abduction query for %s (limit %d conflicts): %w", target, limit, ErrBudgetExceeded)
+			return st, nil, fmt.Errorf("abduction query for %s: %w", target, ErrBudgetExceeded)
 		}
 		atomic.AddInt64(&l.stats.QueryRetries, 1)
 		budget *= escalationFactor
-		if limit > 0 {
-			if budget > limit {
-				budget = limit
-			}
-		} else if budget > escalationUnboundedAfter {
+		if budget > escalationUnboundedAfter {
 			budget = -1 // final attempt unbounded
 		}
 	}

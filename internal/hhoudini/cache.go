@@ -62,7 +62,7 @@ type VerifyCache struct {
 	diskFlushes        int64
 
 	// sinks receive the delta of every live mutation (new abduct, new Sat
-	// set) — the write-ahead feed a bound ProofDB journals as the facts
+	// set) — the write-ahead feed a bound proof store journals as the facts
 	// land, so the crash-loss window is the sync policy's, not the flush
 	// interval's. Registered under vc.mu; invoked strictly outside it (a
 	// sink appends to a store whose own lock ordering must stay independent

@@ -76,10 +76,10 @@ func TestChaosForcedUnknownEscalates(t *testing.T) {
 	}
 }
 
-// TestChaosUnknownAtCapAbandons: with a hard conflict cap and a forever-
-// Unknown solver, the ladder must abandon with the typed error rather than
-// loop or hang.
-func TestChaosUnknownAtCapAbandons(t *testing.T) {
+// TestChaosUnknownAtTopRungAbandons: with a forever-Unknown solver, the
+// ladder climbs to its unbounded top rung and, when that returns Unknown
+// too, abandons with the typed error rather than loop or hang.
+func TestChaosUnknownAtTopRungAbandons(t *testing.T) {
 	sys, universe, target := backtrackSystem(t)
 
 	faultinject.Arm(faultinject.SolverUnknown, faultinject.Spec{Count: -1})
@@ -87,7 +87,6 @@ func TestChaosUnknownAtCapAbandons(t *testing.T) {
 
 	o := coldOptions()
 	o.InitialSolverConflicts = 16
-	o.MaxSolverConflicts = 64
 	l := NewLearner(sys, minerOf(universe...), o)
 	inv, err := l.Learn([]Pred{target})
 	if !errors.Is(err, ErrBudgetExceeded) {

@@ -8,8 +8,8 @@ import (
 // ErrBudgetExceeded is the typed verdict for a solver query that exhausted
 // its conflict budget without resolving. During learning it is an internal
 // signal consumed by the escalation ladder (solveAbduction) and only
-// escapes — wrapped with the query's context — when the ladder tops out at
-// Options.MaxSolverConflicts; Audit/AuditBudget return it when the
+// escapes — wrapped with the query's context — when the ladder's unbounded
+// top rung still returns Unknown; Audit/AuditBudget return it when the
 // monolithic consecution check outgrows its budget. Callers test for it
 // with errors.Is and may retry with a larger budget: budget exhaustion is
 // a resource verdict, never a soundness one.

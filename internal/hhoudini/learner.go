@@ -33,23 +33,18 @@ type Options struct {
 	// cache, and every Learn persists the cache back at shutdown — so
 	// separate process invocations over the same design share warm starts.
 	// Unusable stores (corrupt, version-mismatched, unwritable) degrade to a
-	// cold start; they never fail the learner. See OpenProofDB for explicit
-	// lifecycle control and CloseProofDBs for the process-exit hook.
+	// cold start; they never fail the learner. CloseProofDBs is the
+	// process-exit hook.
 	CacheDir string
 	// InitialSolverConflicts seeds the budget-escalation ladder: every
 	// abduction query's first attempt runs under this many solver conflicts
 	// and each sat.Unknown verdict escalates the budget ×4 (counted by
-	// Stats.QueryRetries) until the query resolves or the ladder tops out
-	// at MaxSolverConflicts. A value <= 0 selects the default (2048
+	// Stats.QueryRetries); once the next rung would exceed ~2M conflicts
+	// the final attempt runs unbounded. A query still Unknown there is
+	// abandoned with ErrBudgetExceeded (counted by
+	// Stats.QueryBudgetAbandons). A value <= 0 selects the default (2048
 	// conflicts).
 	InitialSolverConflicts int64
-	// MaxSolverConflicts caps the ladder's per-query budget. 0 means
-	// uncapped: once the next escalation step would exceed ~2M conflicts
-	// the final attempt runs unbounded. With a positive cap, a query still
-	// Unknown at the cap is abandoned with ErrBudgetExceeded (counted by
-	// Stats.QueryBudgetAbandons) — the learner degrades with a typed error
-	// instead of hanging.
-	MaxSolverConflicts int64
 }
 
 // DefaultOptions run the learner with one worker.
@@ -82,7 +77,7 @@ type Stats struct {
 	CacheVerdictHits int64
 	CacheAbductHits  int64
 
-	// Persistent-proof-store counters (Options.CacheDir / OpenProofDB).
+	// Persistent-proof-store counters (Options.CacheDir).
 	// CacheDiskHits counts abduction queries answered by a memo record
 	// restored from disk (the warm-process acceptance metric); the others
 	// snapshot the store/cache state at Learn shutdown: records restored
@@ -100,10 +95,10 @@ type Stats struct {
 	ShareImported   int64
 	SolverConflicts int64
 
-	// Budget-escalation counters (Options.InitialSolverConflicts /
-	// MaxSolverConflicts): attempts re-issued with an escalated conflict
-	// budget after a sat.Unknown, and queries abandoned with
-	// ErrBudgetExceeded once the ladder reached its cap.
+	// Budget-escalation counters (Options.InitialSolverConflicts): attempts
+	// re-issued with an escalated conflict budget after a sat.Unknown, and
+	// queries abandoned with ErrBudgetExceeded when the unbounded top rung
+	// returned Unknown.
 	QueryRetries        int64
 	QueryBudgetAbandons int64
 
@@ -352,7 +347,7 @@ type Learner struct {
 	// pdb is the persistent proof store bound via Options.CacheDir (nil
 	// when persistence is off or the store is unusable). Learn flushes the
 	// cache into it at shutdown.
-	pdb *ProofDB
+	pdb *proofDB
 
 	// init is the reset-state snapshot, computed once per learner;
 	// initEval memoizes per-predicate init-state evaluation by pred ID

@@ -14,17 +14,11 @@ import (
 	"hhoudini/internal/proofdb"
 )
 
-// ProofDBConfig configures a persistent proof-store binding.
-type ProofDBConfig struct {
-	// Store tunes the on-disk side (staleness bound, byte budget, clock,
-	// appends).
-	Store proofdb.Options
-}
-
-// ProofDB binds an open proof store to one or more VerifyCaches: opening
+// proofDB binds an open proof store to one or more VerifyCaches: attaching
 // restores the store's memos into the cache, and every Flush merges the
-// caches' current contents back and atomically rewrites the file.
-type ProofDB struct {
+// caches' current contents back and atomically rewrites the file. Learners
+// bind one through Options.CacheDir (boundProofDB).
+type proofDB struct {
 	db *proofdb.DB
 
 	mu       sync.Mutex
@@ -38,32 +32,15 @@ type ProofDB struct {
 	flushErr error
 	// unhooks removes the delta sinks this binding registered on attached
 	// caches. Caches can outlive the binding (the shared in-process cache is
-	// process-global), so a closed ProofDB must stop receiving their deltas.
+	// process-global), so a closed proofDB must stop receiving their deltas.
 	unhooks []func()
-}
-
-// OpenProofDB opens (creating if needed) the proof store in dir, restores
-// its contents into vc (when non-nil), and returns the binding. Data-level
-// corruption — torn records, bit flips, a version-mismatched file — is
-// never an error; the store just loads colder (see proofdb.Stats). Errors
-// are environmental (unwritable directory).
-func OpenProofDB(dir string, vc *VerifyCache, cfg ProofDBConfig) (*ProofDB, error) {
-	db, err := proofdb.Open(dir, cfg.Store)
-	if err != nil {
-		return nil, err
-	}
-	p := &ProofDB{db: db, seen: make(map[*VerifyCache]bool)}
-	if vc != nil {
-		p.Attach(vc)
-	}
-	return p, nil
 }
 
 // Attach restores the store's memos into vc, registers it as a flush
 // source, and subscribes to its deltas: every new abduct or Sat set is
 // appended to the store file as it lands, so the crash-loss window is the
 // sync policy's, not the time since the last rewrite. Idempotent per cache.
-func (p *ProofDB) Attach(vc *VerifyCache) {
+func (p *proofDB) Attach(vc *VerifyCache) {
 	if vc == nil {
 		return
 	}
@@ -86,13 +63,13 @@ func (p *ProofDB) Attach(vc *VerifyCache) {
 // store's memory image and appends it to the file. proofdb.Append never
 // errors — on persistent I/O failure the store degrades to rewrite-only
 // mode and the delta still lands in memory for the next Flush.
-func (p *ProofDB) appendDelta(s *proofdb.Snapshot) { p.db.Append(s) }
+func (p *proofDB) appendDelta(s *proofdb.Snapshot) { p.db.Append(s) }
 
 // Flush merges the contents of every attached cache into the store and
 // atomically rewrites the file (crash-safe: temp file + fsync + rename).
 // The outcome is also recorded for LastFlushErr, so callers that cannot
 // propagate (Learn's shutdown path) still leave the failure observable.
-func (p *ProofDB) Flush() error {
+func (p *proofDB) Flush() error {
 	p.mu.Lock()
 	caches := append([]*VerifyCache(nil), p.attached...)
 	p.mu.Unlock()
@@ -114,7 +91,7 @@ func (p *ProofDB) Flush() error {
 // has to make the bytes durable. When appends are off or degraded, or have
 // doubled the file since its last rewrite, the store escalates to a full
 // Flush on its own. The outcome is recorded for LastFlushErr like any flush.
-func (p *ProofDB) Persist() error {
+func (p *proofDB) Persist() error {
 	p.mu.Lock()
 	caches := append([]*VerifyCache(nil), p.attached...)
 	p.mu.Unlock()
@@ -133,21 +110,18 @@ func (p *ProofDB) Persist() error {
 // LastFlushErr reports the outcome of the most recent Flush or Persist
 // (Learn shutdown, explicit calls) — nil when none has failed since the
 // last success. Close remains the authoritative durability point.
-func (p *ProofDB) LastFlushErr() error {
+func (p *proofDB) LastFlushErr() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.flushErr
 }
 
 // Stats returns the underlying store's counters.
-func (p *ProofDB) Stats() proofdb.Stats { return p.db.Stats() }
-
-// Path returns the store file path.
-func (p *ProofDB) Path() string { return p.db.Path() }
+func (p *proofDB) Stats() proofdb.Stats { return p.db.Stats() }
 
 // Close performs a final flush and marks the binding closed. Safe to call
 // more than once.
-func (p *ProofDB) Close() error {
+func (p *proofDB) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -171,7 +145,7 @@ func (p *ProofDB) Close() error {
 // and the store is abandoned (append handle closed without a final sync).
 // Crash-simulation only — recovery then sees exactly what a kill -9 would
 // have left.
-func (p *ProofDB) abandon() {
+func (p *proofDB) abandon() {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -189,15 +163,15 @@ func (p *ProofDB) abandon() {
 
 // --- Options.CacheDir registry ----------------------------------------------
 //
-// Learners configured with Options.CacheDir share one ProofDB per directory
+// Learners configured with Options.CacheDir share one proofDB per directory
 // for the life of the process: the first learner to name a directory opens
 // (and loads) the store; every learner's cache is attached on construction;
 // Learn flushes at shutdown. CloseProofDBs is the process-exit hook.
 
 var proofDBReg = struct {
 	sync.Mutex
-	open map[string]*ProofDB
-}{open: make(map[string]*ProofDB)}
+	open map[string]*proofDB
+}{open: make(map[string]*proofDB)}
 
 // defaultJournal is the append configuration CacheDir-bound stores open
 // with. Appends are on by default (SyncOnFlush: bounded loss, no fsync per
@@ -217,11 +191,14 @@ func SetDefaultJournal(opts proofdb.JournalOptions) {
 	defaultJournal.Unlock()
 }
 
-// boundProofDB returns the process-wide ProofDB for dir (opening it on
-// first use) with vc attached. Failures degrade to nil — the learner then
-// runs with a purely in-memory cache, which is the documented cold-start
-// behaviour for unusable stores.
-func boundProofDB(dir string, vc *VerifyCache) *ProofDB {
+// boundProofDB returns the process-wide proofDB for dir (opening it on
+// first use, with the default append options) with vc attached. Data-level
+// corruption — torn records, bit flips, a version-mismatched file — only
+// makes the store load colder (see proofdb.Stats); an environmental failure
+// (unwritable directory) degrades to nil, and the learner then runs with a
+// purely in-memory cache, which is the documented cold-start behaviour for
+// unusable stores.
+func boundProofDB(dir string, vc *VerifyCache) *proofDB {
 	key := dir
 	if abs, err := filepath.Abs(dir); err == nil {
 		key = abs
@@ -230,14 +207,14 @@ func boundProofDB(dir string, vc *VerifyCache) *ProofDB {
 	p := proofDBReg.open[key]
 	if p == nil {
 		defaultJournal.Lock()
-		cfg := ProofDBConfig{Store: proofdb.Options{Journal: defaultJournal.opts}}
+		opts := proofdb.Options{Journal: defaultJournal.opts}
 		defaultJournal.Unlock()
-		var err error
-		p, err = OpenProofDB(dir, nil, cfg)
+		db, err := proofdb.Open(dir, opts)
 		if err != nil {
 			proofDBReg.Unlock()
 			return nil
 		}
+		p = &proofDB{db: db, seen: make(map[*VerifyCache]bool)}
 		proofDBReg.open[key] = p
 	}
 	proofDBReg.Unlock()
@@ -246,7 +223,7 @@ func boundProofDB(dir string, vc *VerifyCache) *ProofDB {
 }
 
 // ProofDBStatsFor reports the live store counters for the CacheDir-bound
-// ProofDB at dir, if one is open in this process. Serving daemons use it to
+// proofDB at dir, if one is open in this process. Serving daemons use it to
 // surface append health without holding their own store reference.
 func ProofDBStatsFor(dir string) (proofdb.Stats, bool) {
 	key := dir
@@ -265,11 +242,10 @@ func ProofDBStatsFor(dir string) (proofdb.Stats, bool) {
 // CloseProofDBs flushes and closes every proof store opened through
 // Options.CacheDir and empties the registry (so a later Learner re-opens —
 // and re-reads — the file). It returns the first error encountered.
-// Explicitly opened ProofDBs (OpenProofDB) are not affected.
 func CloseProofDBs() error {
 	proofDBReg.Lock()
 	open := proofDBReg.open
-	proofDBReg.open = make(map[string]*ProofDB)
+	proofDBReg.open = make(map[string]*proofDB)
 	proofDBReg.Unlock()
 	var first error
 	for _, p := range open {
@@ -288,7 +264,7 @@ func CloseProofDBs() error {
 func CrashProofDBs() {
 	proofDBReg.Lock()
 	open := proofDBReg.open
-	proofDBReg.open = make(map[string]*ProofDB)
+	proofDBReg.open = make(map[string]*proofDB)
 	proofDBReg.Unlock()
 	for _, p := range open {
 		p.abandon()

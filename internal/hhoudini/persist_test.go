@@ -87,24 +87,24 @@ func TestLenBytesIntrospection(t *testing.T) {
 func TestProofDBWarmProcessRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	// Process 1: cold store, populate, close.
+	// Process 1: cold store, populate, close (CloseProofDBs stands in for
+	// process exit).
 	cache1 := NewVerifyCache()
-	p1, err := OpenProofDB(dir, cache1, ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
+	if boundProofDB(dir, cache1) == nil {
+		t.Fatal("store did not open")
 	}
 	_, inv1 := learnOnce(t, warmOptions(cache1))
-	if err := p1.Close(); err != nil {
+	if err := CloseProofDBs(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Process 2: brand-new cache restored from the same directory.
 	cache2 := NewVerifyCache()
-	p2, err := OpenProofDB(dir, cache2, ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
+	p2 := boundProofDB(dir, cache2)
+	if p2 == nil {
+		t.Fatal("store did not reopen")
 	}
-	defer p2.Close()
+	defer CloseProofDBs()
 	st := p2.Stats()
 	if st.VerdictsLoaded+st.AbductsLoaded == 0 {
 		t.Fatal("warm process restored nothing from disk")
@@ -316,9 +316,9 @@ func TestConcurrentSnapshotWhileLearn(t *testing.T) {
 func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewVerifyCache()
-	p, err := OpenProofDB(dir, cache, ProofDBConfig{Store: proofdb.Options{Journal: proofdb.JournalOptions{Enable: true}}})
-	if err != nil {
-		t.Fatal(err)
+	p := boundProofDB(dir, cache) // appends on: the default journal policy
+	if p == nil {
+		t.Fatal("store did not open")
 	}
 	learnOnce(t, warmOptions(cache))
 
@@ -350,7 +350,7 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	}
 	<-done
 	<-persisted
-	if err := p.Close(); err != nil {
+	if err := CloseProofDBs(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil { // idempotent
@@ -366,7 +366,7 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	}
 }
 
-// TestBoundProofDBRegistry: one ProofDB per directory per process, shared
+// TestBoundProofDBRegistry: one proofDB per directory per process, shared
 // by every learner that names it.
 func TestBoundProofDBRegistry(t *testing.T) {
 	dir := t.TempDir()
@@ -377,7 +377,7 @@ func TestBoundProofDBRegistry(t *testing.T) {
 	}
 	other := boundProofDB(t.TempDir(), NewVerifyCache())
 	if other == p1 {
-		t.Fatal("distinct directories share a ProofDB")
+		t.Fatal("distinct directories share a proofDB")
 	}
 	if err := CloseProofDBs(); err != nil {
 		t.Fatal(err)
@@ -516,11 +516,11 @@ func TestVerdictRecordStoreWarmsFromAbducts(t *testing.T) {
 	}
 
 	warm := NewVerifyCache()
-	p, err := OpenProofDB(dir, warm, ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
+	p := boundProofDB(dir, warm)
+	if p == nil {
+		t.Fatal("store did not open")
 	}
-	defer p.Close()
+	defer CloseProofDBs()
 	st := p.Stats()
 	if st.CorruptSkipped != 0 || st.HeaderRejected || st.VerdictsLoaded != int64(abducts) || st.AbductsLoaded != int64(abducts) {
 		t.Fatalf("parent-format store loaded as %+v; want %d verdicts and %d abducts, none skipped", st, abducts, abducts)

@@ -25,7 +25,8 @@ type ExampleConfig struct {
 	// (§3.2.1: "with a robust set of examples, a majority of the
 	// backtracking can be eliminated").
 	CompositionRuns int
-	// CompositionLen is the burst length (default 8).
+	// CompositionLen is the burst length; 0 means 8
+	// (DefaultExampleConfig sets 32).
 	CompositionLen int
 	// DirtyPreamble executes the target's unsafe start-up code before the
 	// instruction under analysis (the situation §5.2.1's masking cleans
@@ -181,25 +182,21 @@ func (r *runPlan) word(t, pad, preSteps int, nop uint64) (uint64, bool) {
 	return nop, true
 }
 
-// Generate produces the positive example set for a proposed safe set: the
-// initial product state, a pure-NOP run, and RunsPerInstr paired runs per
-// safe instruction. Each run optionally executes the dirty preamble, then
-// the instruction under analysis, NOP-padded; product states from the
-// instruction's in-flight window become (masked) examples. A property
-// violation during any run aborts with ErrUnsafe. It is GenerateCtx under
-// a background (never-cancelled) context.
-func (g *exampleGen) Generate(safe []string) ([]circuit.Snapshot, error) {
-	return g.GenerateCtx(context.Background(), safe)
-}
-
-// GenerateCtx is Generate under a context. It plans every run first (all
-// random draws, in the order a one-run-at-a-time loop makes them), then
-// simulates the runs 64 at a time, one per lane of a circuit.Lanes, in run
-// order, writing each collected state straight into its slot of the
-// batch's slab. The example set and any ErrUnsafe (the lowest-index
-// failing run and its cycle) are exactly those of simulating the runs one
-// after another. Cancellation is observed between batches and every
-// cancelEvery steps inside one, and surfaces as ctx.Err().
+// GenerateCtx produces the positive example set for a proposed safe set:
+// the initial product state, a pure-NOP run, RunsPerInstr paired runs per
+// safe instruction and CompositionRuns bursts. Each run optionally
+// executes the dirty preamble, then the instruction(s) under analysis,
+// NOP-padded; product states from the in-flight window become (masked)
+// examples. A property violation during any run aborts with ErrUnsafe.
+//
+// It plans every run first (all random draws, in the order a
+// one-run-at-a-time loop makes them), then simulates the runs 64 at a
+// time, one per lane of a circuit.Lanes, in run order, writing each
+// collected state straight into its slot of the batch's slab. The example
+// set and any ErrUnsafe (the lowest-index failing run and its cycle) are
+// exactly those of simulating the runs one after another. Cancellation is
+// observed between batches and every cancelEvery steps inside one, and
+// surfaces as ctx.Err().
 func (g *exampleGen) GenerateCtx(ctx context.Context, safe []string) ([]circuit.Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -330,10 +327,10 @@ func (g *exampleGen) plan(safe []string) ([]runPlan, int, error) {
 }
 
 // simulate runs one batch of at most circuit.NumLanes runs, run k in lane
-// k. Every step past a run's preamble checks its observables and collects
-// its masked state into out. A violation ends the batch with ErrUnsafe for
-// the lowest-index failing run, as soon as no lower-index run is still
-// going.
+// k. Every step past a run's preamble checks its observables and, unless
+// out is nil, collects its masked state into out. A violation ends the
+// batch with ErrUnsafe for the lowest-index failing run, as soon as no
+// lower-index run is still going.
 func (g *exampleGen) simulate(ctx context.Context, lanes *circuit.Lanes, port circuit.Port, batch []runPlan, out []circuit.Snapshot) error {
 	pad, nop := g.tgt.MaxLatency, g.tgt.Nop
 	lanes.Reset()
@@ -392,6 +389,9 @@ func (g *exampleGen) simulate(ctx context.Context, lanes *circuit.Lanes, port ci
 			if running&(failed&-failed-1) == 0 {
 				break
 			}
+			continue
+		}
+		if out == nil {
 			continue
 		}
 		for m := checked; m != 0; m &= m - 1 {

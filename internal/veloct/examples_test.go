@@ -30,11 +30,11 @@ func TestExampleGenDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := g1.Generate([]string{"add"})
+	e1, err := g1.GenerateCtx(context.Background(), []string{"add"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := g2.Generate([]string{"add"})
+	e2, err := g2.GenerateCtx(context.Background(), []string{"add"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestExampleGenPropertyHoldsOnAllExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	examples, err := g.Generate([]string{"add", "xor", "lui"})
+	examples, err := g.GenerateCtx(context.Background(), []string{"add", "xor", "lui"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExampleGenUnsafeDetected(t *testing.T) {
 	// And the generator itself flags mul unsafe (over many random runs the
 	// 8-bit operands hit zero or the generator-independent SimUnsafe path
 	// covers it; accept either signal).
-	if _, err := g.Generate([]string{"mul"}); err == nil {
+	if _, err := g.GenerateCtx(context.Background(), []string{"mul"}); err == nil {
 		a, err2 := New(tgt, DefaultOptions())
 		if err2 != nil {
 			t.Fatal(err2)
@@ -158,7 +158,7 @@ func TestExampleMaskingCleansResidue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := g.Generate([]string{"add"})
+		ex, err := g.GenerateCtx(context.Background(), []string{"add"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestGenerateMatchesScalarOracle(t *testing.T) {
 					return g
 				}
 				want, wantErr := scalarGenerate(context.Background(), gen(), safe)
-				got, gotErr := gen().Generate(safe)
+				got, gotErr := gen().GenerateCtx(context.Background(), safe)
 				if v.fail {
 					var wu, gu ErrUnsafe
 					if !errors.As(wantErr, &wu) {

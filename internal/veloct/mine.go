@@ -1,8 +1,8 @@
 package veloct
 
 import (
+	"fmt"
 	"sort"
-	"sync"
 
 	"hhoudini/internal/circuit"
 	"hhoudini/internal/design"
@@ -17,39 +17,38 @@ import (
 // against the examples before use, so incorrect annotations cannot cause
 // unsoundness (§5.1.2).
 //
-// Results are memoized per base register, which is what makes overlapping
-// cones cheap to re-mine. The Miner is safe for concurrent use by the
-// parallel learner.
+// NewMiner runs Algorithm 2 once for every base register and keeps only
+// the resulting predicate table: the examples are not referenced once it
+// returns. A Miner is read-only after construction, so the parallel
+// learner can share it without locking.
 type Miner struct {
-	prod     *miter.Product
-	examples []circuit.Snapshot
-	patterns []isa.MaskMatch
-	rules    map[string][]design.UopRule // base reg → expert rules
-
-	mu    sync.Mutex
-	cache map[string][]hhoudini.Pred
+	regs  []string                   // base registers, in prod.BaseRegs() order
+	table map[string][]hhoudini.Pred // base reg → its mined predicates
 }
 
 // NewMiner builds the mining oracle for a product circuit, a set of
 // (masked) positive examples, the InSafeSet patterns of the proposed safe
 // set, and optional expert annotations.
-func NewMiner(prod *miter.Product, examples []circuit.Snapshot, patterns []isa.MaskMatch, rules []design.UopRule) *Miner {
+func NewMiner(prod *miter.Product, examples []circuit.Snapshot, patterns []isa.MaskMatch, rules []design.UopRule) (*Miner, error) {
 	byReg := make(map[string][]design.UopRule)
 	for _, r := range rules {
 		byReg[r.Reg] = append(byReg[r.Reg], r)
 	}
-	return &Miner{
-		prod:     prod,
-		examples: examples,
-		patterns: patterns,
-		rules:    byReg,
-		cache:    make(map[string][]hhoudini.Pred),
+	m := &Miner{regs: prod.BaseRegs()}
+	m.table = make(map[string][]hhoudini.Pred, len(m.regs))
+	for _, base := range m.regs {
+		preds, err := minePreds(prod, examples, patterns, byReg[base], base)
+		if err != nil {
+			return nil, err
+		}
+		m.table[base] = preds
 	}
+	return m, nil
 }
 
 // Mine implements hhoudini.MineOracle. The slice contains product-circuit
-// register names (both copies); predicates are generated per base
-// register.
+// register names (both copies); predicates are listed per base register,
+// in sorted base-name order.
 func (m *Miner) Mine(target hhoudini.Pred, slice []string) ([]hhoudini.Pred, error) {
 	bases := make(map[string]bool)
 	for _, r := range slice {
@@ -64,116 +63,88 @@ func (m *Miner) Mine(target hhoudini.Pred, slice []string) ([]hhoudini.Pred, err
 
 	var out []hhoudini.Pred
 	for _, base := range names {
-		preds, err := m.predsFor(base)
-		if err != nil {
-			return nil, err
+		preds, ok := m.table[base]
+		if !ok {
+			return nil, fmt.Errorf("veloct: base register %q not in product circuit", base)
 		}
 		out = append(out, preds...)
 	}
 	return out, nil
 }
 
-// predsFor runs the per-register body of Algorithm 2.
-func (m *Miner) predsFor(base string) ([]hhoudini.Pred, error) {
-	m.mu.Lock()
-	if cached, ok := m.cache[base]; ok {
-		m.mu.Unlock()
-		return cached, nil
-	}
-	m.mu.Unlock()
-
-	pair, err := resolvePair(m.prod, base)
+// minePreds runs the per-register body of Algorithm 2.
+func minePreds(prod *miter.Product, examples []circuit.Snapshot, patterns []isa.MaskMatch, rules []design.UopRule, base string) ([]hhoudini.Pred, error) {
+	pair, err := resolvePair(prod, base)
 	if err != nil {
 		return nil, err
 	}
 	li, ri := pair.li, pair.ri
-	width := m.prod.Circuit.Regs()[li].Width
+	if prod.Circuit.Regs()[li].Width > 64 {
+		return nil, nil
+	}
+	// Rule (i): only registers equal across copies in every example are
+	// candidates (line 2).
+	for _, e := range examples {
+		if e[li] != e[ri] {
+			return nil, nil
+		}
+	}
+	preds := []hhoudini.Pred{EqPred{Reg: base, pair: pair}} // line 5
 
-	var preds []hhoudini.Pred
-	if width <= 64 {
-		// Rule (i): only registers equal across copies in every example
-		// are candidates (line 2).
-		inVEq := true
-		for _, e := range m.examples {
-			if e[li] != e[ri] {
-				inVEq = false
+	// EqConst when a single constant fits all examples (line 7).
+	if len(examples) > 0 {
+		c := examples[0][li]
+		allSame := true
+		for _, e := range examples {
+			if e[li] != c {
+				allSame = false
 				break
 			}
 		}
-		if inVEq {
-			preds = append(preds, EqPred{Reg: base, pair: pair}) // line 5
-
-			// EqConst when a single constant fits all examples (line 7).
-			if len(m.examples) > 0 {
-				c := m.examples[0][li]
-				allSame := true
-				for _, e := range m.examples {
-					if e[li] != c {
-						allSame = false
-						break
-					}
-				}
-				if allSame {
-					preds = append(preds, EqConstPred{Reg: base, Val: c, pair: pair})
-				}
-			}
-
-			// InSafeSet when consistent with every example (line 11).
-			safe := InSafeSetPred{Reg: base, Pats: m.patterns, pair: pair}
-			ok := true
-			for _, e := range m.examples {
-				holds, err := safe.Eval(m.prod.Circuit, e)
-				if err != nil {
-					return nil, err
-				}
-				if !holds {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				preds = append(preds, safe)
-			}
-
-			// Expert predicates, validated against the examples (line 15).
-			for _, rule := range m.rules[base] {
-				p := NewEqConstSet("InSafeUop", base, rule.Values)
-				p.pair = pair
-				ok := true
-				for _, e := range m.examples {
-					holds, err := p.Eval(m.prod.Circuit, e)
-					if err != nil {
-						return nil, err
-					}
-					if !holds {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					preds = append(preds, p)
-				}
-			}
+		if allSame {
+			preds = append(preds, EqConstPred{Reg: base, Val: c, pair: pair})
 		}
 	}
 
-	m.mu.Lock()
-	m.cache[base] = preds
-	m.mu.Unlock()
-	return preds, nil
-}
-
-// Universe mines predicates for every register of the base design — the
-// full predicate set P* the monolithic baselines start from (§2.2.1's
-// positive-example sifting, applied globally rather than per-slice).
-func (m *Miner) Universe() ([]hhoudini.Pred, error) {
-	var out []hhoudini.Pred
-	for _, name := range m.prod.BaseRegs() {
-		preds, err := m.predsFor(name)
+	// InSafeSet when consistent with every example (line 11), then the
+	// expert predicates, validated against the examples (line 15).
+	cands := []hhoudini.Pred{InSafeSetPred{Reg: base, Pats: patterns, pair: pair}}
+	for _, rule := range rules {
+		p := NewEqConstSet("InSafeUop", base, rule.Values)
+		p.pair = pair
+		cands = append(cands, p)
+	}
+	for _, p := range cands {
+		ok, err := holdsOnAll(prod.Circuit, p, examples)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, preds...)
+		if ok {
+			preds = append(preds, p)
+		}
+	}
+	return preds, nil
+}
+
+// holdsOnAll reports whether p holds on every example.
+func holdsOnAll(c *circuit.Circuit, p hhoudini.Pred, examples []circuit.Snapshot) (bool, error) {
+	for _, e := range examples {
+		holds, err := p.Eval(c, e)
+		if err != nil || !holds {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// Universe lists the predicates of every register of the base design, in
+// prod.BaseRegs() order — the full predicate set P* the monolithic
+// baselines start from (§2.2.1's positive-example sifting, applied
+// globally rather than per-slice).
+func (m *Miner) Universe() ([]hhoudini.Pred, error) {
+	var out []hhoudini.Pred
+	for _, base := range m.regs {
+		out = append(out, m.table[base]...)
 	}
 	return out, nil
 }

@@ -169,7 +169,10 @@ func TestMinerAlgorithm2(t *testing.T) {
 	}
 	pats := []isa.MaskMatch{{Mask: 0b11, Match: 0b01}} // 5&3==1 ✓; 1&3,2&3 ✗ for y
 	rules := []design.UopRule{{Reg: "y", Values: []uint64{1, 2}}}
-	m := NewMiner(p, examples, pats, rules)
+	m, err := NewMiner(p, examples, pats, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	preds, err := m.Mine(EqPred{Reg: "x"}, []string{"l::x", "r::x", "l::y", "r::y"})
 	if err != nil {
@@ -206,7 +209,10 @@ func TestMinerAlgorithm2(t *testing.T) {
 
 	// A differing register yields no predicates.
 	examples2 := []circuit.Snapshot{snapWith(t, p, 1, 2, 0, 0)}
-	m2 := NewMiner(p, examples2, nil, nil)
+	m2, err := NewMiner(p, examples2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	preds2, err := m2.Mine(EqPred{Reg: "x"}, []string{"l::x"})
 	if err != nil {
 		t.Fatal(err)

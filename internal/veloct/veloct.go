@@ -32,7 +32,7 @@ type Options struct {
 }
 
 // DefaultOptions mirror the paper's configuration: sequential learner,
-// minimal cores, masking and annotations enabled.
+// masking and annotations enabled.
 func DefaultOptions() Options {
 	return Options{
 		Learner:  hhoudini.DefaultOptions(),
@@ -155,7 +155,11 @@ func (a *Analysis) BuildMinerCtx(ctx context.Context, safe []string) (*Miner, []
 	if a.Target.UopRules != nil && !a.Opts.DisableAnnotations {
 		rules = a.Target.UopRules(safe)
 	}
-	return NewMiner(a.Product, examples, a.Target.SafePatterns(safe), rules), examples, nil
+	miner, err := NewMiner(a.Product, examples, a.Target.SafePatterns(safe), rules)
+	if err != nil {
+		return nil, nil, err
+	}
+	return miner, examples, nil
 }
 
 // Verify attempts to prove the proposed safe set: it generates examples,
@@ -225,7 +229,8 @@ var trials = []trialPair{
 // equal-modulo-secret states with adversarial and random secret pairs and
 // compares the observable traces. A true result is a concrete
 // counterexample (the instruction is definitely unsafe); false means no
-// violation was found. The trial pairs run as lanes of one circuit.Lanes.
+// violation was found. Each trial pair is one run of the example
+// generator's lane loop, with collection off.
 func (a *Analysis) SimUnsafe(mn string, extraRandom int) (bool, error) {
 	rng := rand.New(rand.NewSource(a.Opts.Examples.Seed + 7))
 	pairs := append([]trialPair(nil), trials...)
@@ -236,78 +241,43 @@ func (a *Analysis) SimUnsafe(mn string, extraRandom int) (bool, error) {
 		}
 		pairs = append(pairs, trialPair{l, r})
 	}
-	// One encoding per pair, drawn in pair order; an encoding error ends
-	// the list, and is returned only if no earlier pair witnessed a leak.
-	var words []uint64
+	g, err := newExampleGen(a.Target, a.Product, a.Opts.Examples)
+	if err != nil {
+		return false, err
+	}
+	port, ok := a.Product.Circuit.Input(a.Target.InstrPort)
+	if !ok {
+		return false, fmt.Errorf("circuit: unknown input %q", a.Target.InstrPort)
+	}
+	// One run per pair, encoded in pair order: the pair on every secret
+	// register, then NOP, NOP, the instruction and MaxLatency+2 NOPs. An
+	// encoding error ends the list, and is returned only if no earlier
+	// pair witnessed a leak.
+	var runs []runPlan
 	var encErr error
-	for range pairs {
+	for _, p := range pairs {
 		w, err := a.Target.Encode(mn, rng)
 		if err != nil {
 			encErr = err
 			break
 		}
-		words = append(words, w)
-	}
-	if len(words) == 0 {
-		return false, encErr
-	}
-	c := a.Product.Circuit
-	port, ok := c.Input(a.Target.InstrPort)
-	if !ok {
-		return false, fmt.Errorf("circuit: unknown input %q", a.Target.InstrPort)
-	}
-	secL, secR, err := a.regPairs(a.Target.SecretRegs)
-	if err != nil {
-		return false, err
-	}
-	obsL, obsR, err := a.regPairs(a.Target.Observable)
-	if err != nil {
-		return false, err
-	}
-
-	// Each trial feeds NOP, NOP, the instruction, then pad+2 NOPs.
-	steps := a.Target.MaxLatency + 5
-	lanes := circuit.NewLanes(c)
-	for lo := 0; lo < len(words); lo += circuit.NumLanes {
-		batch := words[lo:min(lo+circuit.NumLanes, len(words))]
-		lanes.Reset()
-		for k := range batch {
-			for i := range secL {
-				lanes.SetReg(k, secL[i], pairs[lo+k].l)
-				lanes.SetReg(k, secR[i], pairs[lo+k].r)
-			}
+		secrets := make([]uint64, 0, 2*len(g.secretsL))
+		for range g.secretsL {
+			secrets = append(secrets, p.l, p.r)
 		}
-		for t := 0; t < steps; t++ {
-			for k, w := range batch {
-				if t != 2 {
-					w = a.Target.Nop
-				}
-				lanes.SetInput(k, port, w)
-			}
-			lanes.Step()
-			var diff uint64
-			for i := range obsL {
-				diff |= lanes.Differ(obsL[i], obsR[i])
-			}
-			if diff&(1<<uint(len(batch))-1) != 0 {
-				return true, nil
-			}
+		runs = append(runs, runPlan{name: mn, secrets: secrets, instrs: []uint64{w}, tail: a.Target.MaxLatency + 2})
+	}
+	lanes := circuit.NewLanes(a.Product.Circuit)
+	for lo := 0; lo < len(runs); lo += circuit.NumLanes {
+		err := g.simulate(context.Background(), lanes, port, runs[lo:min(lo+circuit.NumLanes, len(runs))], nil)
+		if _, leak := err.(ErrUnsafe); leak {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
 		}
 	}
 	return false, encErr
-}
-
-// regPairs resolves base register names to their left/right product
-// register indices.
-func (a *Analysis) regPairs(names []string) (ls, rs []int, err error) {
-	for _, name := range names {
-		l, r, err := a.Product.RegPair(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		ls, rs = append(ls, l), append(rs, r)
-	}
-	return ls, rs, nil
 }
 
 // Synthesis is the outcome of safe instruction set synthesis.
@@ -405,10 +375,4 @@ func (a *Analysis) attribute(ctx context.Context, safe []string) (victim string,
 	}
 	victim = safe[len(safe)-1]
 	return victim, safe[:len(safe)-1], nil
-}
-
-// PatternsFor exposes the InSafeSet patterns of a safe set (used by tools
-// and examples).
-func (a *Analysis) PatternsFor(safe []string) []isa.MaskMatch {
-	return a.Target.SafePatterns(safe)
 }

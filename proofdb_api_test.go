@@ -1,8 +1,8 @@
 package hhoudini_test
 
 // End-to-end tests of the persistent proof store through the public facade:
-// the >=90% warm-process acceptance bound from the issue, cold-start
-// degradation on a corrupted store, and the explicit OpenProofDB surface.
+// the >=90% warm-process acceptance bound, cold-start degradation on a
+// corrupted store, and a store written under an older cone-key scheme.
 
 import (
 	"os"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	hh "hhoudini"
+	core "hhoudini/internal/hhoudini"
 	"hhoudini/internal/proofdb"
 )
 
@@ -101,48 +102,6 @@ func TestProofDBCorruptedStoreColdStarts(t *testing.T) {
 	}
 }
 
-// TestProofDBExplicitOpenSurface exercises the exported OpenProofDB path:
-// restore into a caller-owned cache, flush explicitly, reopen.
-func TestProofDBExplicitOpenSurface(t *testing.T) {
-	tgt := execStageTarget(t)
-	dir := t.TempDir()
-
-	cache := hh.NewVerifyCache()
-	p, err := hh.OpenProofDB(dir, cache, hh.ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := hh.DefaultAnalysisOptions()
-	opts.Learner.Cache = cache
-	a, err := hh.NewAnalysis(tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := a.Verify([]string{"add"}); err != nil || res.Invariant == nil {
-		t.Fatalf("verify: res=%v err=%v", res, err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "proof.db")); err != nil {
-		t.Fatalf("store file missing: %v", err)
-	}
-
-	cache2 := hh.NewVerifyCache()
-	p2, err := hh.OpenProofDB(dir, cache2, hh.ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	st := p2.Stats()
-	if st.ClausesLoaded+st.VerdictsLoaded+st.AbductsLoaded == 0 {
-		t.Fatal("reopen restored no records")
-	}
-	if cache2.Len() == 0 {
-		t.Fatal("restored cache is empty")
-	}
-}
-
 // v1ConeKeyRecords are the records a cold Verify of the exec-stage safe set
 // {add} left in its proof store when cone keys were a canonical walk of the
 // union cone under the tag "hhoudini-cone-fp/v1": the abducts the current
@@ -181,30 +140,17 @@ func TestProofDBUpgradesOldConeKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := hh.NewVerifyCache()
-	p, err := hh.OpenProofDB(dir, cache, hh.ProofDBConfig{})
-	if err != nil {
-		t.Fatal(err)
+	first := verifyInDir(t, tgt, dir, safe)
+	st, ok := core.ProofDBStatsFor(dir)
+	if !ok {
+		t.Fatal("no proof store bound to the cache directory")
 	}
-	if st := p.Stats(); st.CorruptSkipped != 0 || st.HeaderRejected || st.AbductsLoaded != 4 {
+	if st.CorruptSkipped != 0 || st.HeaderRejected || st.AbductsLoaded != 4 {
 		t.Fatalf("old-key store opened with corrupt_skipped %d, header rejected %v, %d abducts loaded; want 0, false, 4",
 			st.CorruptSkipped, st.HeaderRejected, st.AbductsLoaded)
 	}
-	opts := hh.DefaultAnalysisOptions()
-	opts.Learner.Cache = cache
-	a, err := hh.NewAnalysis(tgt, opts)
-	if err != nil {
+	if err := hh.CloseProofDBs(); err != nil {
 		t.Fatal(err)
-	}
-	first, err := a.Verify(safe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if first.Invariant == nil {
-		t.Fatalf("first verify over the old-key store found no invariant: %s", first.Reason)
 	}
 	if first.Stats.Queries == 0 || first.Stats.CacheDiskHits != 0 {
 		t.Fatalf("first verify: %d disk hits of %d queries, want 0 of at least 1",
