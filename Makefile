@@ -51,7 +51,8 @@ race:
 # TestConcurrentMergeFlushSnapshot in internal/proofdb, the multi-session
 # service-shape tests TestConcurrentMultiSession* in
 # internal/hhoudini/multisession_test.go, TestConcurrentConeFingerprint
-# in internal/circuit, and TestConcurrentMine — parallel lookups in one
+# and TestConcurrentRegSupport — the first use of the support table raced
+# — in internal/circuit, and TestConcurrentMine — parallel lookups in one
 # predicate table — in internal/veloct).
 race-proofdb:
 	$(GO) test -race ./internal/proofdb/

@@ -93,13 +93,6 @@ type Builder struct {
 	nInBits  int
 	nLatches int
 	err      error
-
-	// dupSrc records pure-replay provenance: DuplicateInto sets it when it
-	// replays a finalized circuit verbatim (no prefix, no shared inputs)
-	// into an empty builder. Build then verifies structural equality and
-	// lets the new circuit inherit the source's cone-fingerprint table
-	// instead of recomputing it.
-	dupSrc *Circuit
 }
 
 // NewBuilder returns an empty builder containing only the constant node.
@@ -627,15 +620,14 @@ func (b *Builder) Build() (*Circuit, error) {
 		}
 	}
 	c := &Circuit{
-		nodes:    b.nodes,
-		inputs:   b.inputs,
-		inIdx:    b.inIdx,
-		regIdx:   b.regIdx,
-		wires:    b.wires,
-		nInBits:  b.nInBits,
-		latches:  make([]latch, b.nLatches),
-		regs:     make([]Reg, len(b.regs)),
-		supports: make(map[string][]string),
+		nodes:   b.nodes,
+		inputs:  b.inputs,
+		inIdx:   b.inIdx,
+		regIdx:  b.regIdx,
+		wires:   b.wires,
+		nInBits: b.nInBits,
+		latches: make([]latch, b.nLatches),
+		regs:    make([]Reg, len(b.regs)),
 	}
 	for i, rd := range b.regs {
 		c.regs[i] = Reg{Port: rd.Port, Init: rd.init, Next: rd.next}
@@ -659,58 +651,7 @@ func (b *Builder) Build() (*Circuit, error) {
 			}
 		}
 	}
-	if b.dupSrc != nil && structurallyEqual(c, b.dupSrc) {
-		c.adoptIdentity(b.dupSrc)
-	}
 	return c, nil
-}
-
-// structurallyEqual reports whether two circuits are identical transition
-// systems with identical node numbering — the condition under which
-// the memoized cone table transfers verbatim. It guards the
-// pure-duplicate inheritance path against builder mutations made after the
-// DuplicateInto replay.
-func structurallyEqual(a, b *Circuit) bool {
-	if len(a.nodes) != len(b.nodes) || len(a.inputs) != len(b.inputs) ||
-		len(a.regs) != len(b.regs) || len(a.wires) != len(b.wires) {
-		return false
-	}
-	for i, n := range a.nodes {
-		if n != b.nodes[i] {
-			return false
-		}
-	}
-	wordEq := func(x, y Word) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i, s := range x {
-			if s != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i, p := range a.inputs {
-		q := b.inputs[i]
-		if p.Name != q.Name || p.Width != q.Width || !wordEq(p.Bits, q.Bits) {
-			return false
-		}
-	}
-	for i, r := range a.regs {
-		s := b.regs[i]
-		if r.Name != s.Name || r.Width != s.Width || r.Init != s.Init ||
-			!wordEq(r.Bits, s.Bits) || !wordEq(r.Next, s.Next) {
-			return false
-		}
-	}
-	for name, w := range a.wires {
-		v, ok := b.wires[name]
-		if !ok || !wordEq(w, v) {
-			return false
-		}
-	}
-	return true
 }
 
 // sortedNames returns map keys in deterministic order (test helper shared

@@ -2,7 +2,8 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -34,8 +35,8 @@ type Circuit struct {
 	wires   map[string]Word
 	nInBits int
 
-	supports map[string][]string // memoized per-register 1-step COI
-	supMu    sync.Mutex
+	supOnce  sync.Once
+	supports [][]int32 // register index → its 1-step COI (see Support)
 
 	fpState // memoized cone fingerprints (see fingerprint.go)
 }
@@ -111,59 +112,95 @@ func (c *Circuit) VisitAnds(fn func(node int32, a, b Signal)) {
 	}
 }
 
-// RegSupport computes the 1-step cone of influence of a register at
-// register granularity: the names of all registers whose current value can
-// affect the register's next value. This is the slicing oracle O_slice of
-// Algorithm 1 specialized to sequential circuits (footnote 3 of the paper).
-// Results are memoized; the method is safe for concurrent use.
+// Support returns the 1-step cone of influence of register ri at register
+// granularity: the indices, in register-name order, of all registers whose
+// current value can affect the register's next value. This is the slicing
+// oracle O_slice of Algorithm 1 specialized to sequential circuits
+// (footnote 3 of the paper). The first call computes every register's
+// support in one pass; the method is safe for concurrent use, and callers
+// must not modify the result.
+func (c *Circuit) Support(ri int) []int32 {
+	c.supOnce.Do(c.computeSupports)
+	return c.supports[ri]
+}
+
+// computeSupports walks each register's next-state fan-in down to latches.
+// One epoch-stamped mark array serves every walk: a node is visited in
+// register ri's walk iff its mark is ri+1. A walk collects name ranks, so
+// sorting them yields the name order keys and miners read supports in.
+func (c *Circuit) computeSupports() {
+	byName := make([]int32, len(c.regs)) // name rank → register index
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(c.regs[a].Name, c.regs[b].Name) })
+	rank := make([]int32, len(c.regs)) // register index → name rank
+	for k, ri := range byName {
+		rank[ri] = int32(k)
+	}
+
+	mark := make([]uint32, len(c.nodes))
+	regMark := make([]uint32, len(c.regs))
+	ends := make([]int, len(c.regs))
+	var flat []int32
+	var stack []int32
+	for ri, r := range c.regs {
+		epoch := uint32(ri + 1)
+		start := len(flat)
+		for _, s := range r.Next {
+			if n := s.Node(); mark[n] != epoch {
+				mark[n] = epoch
+				stack = append(stack, n)
+			}
+		}
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			switch nd := c.nodes[n]; nd.kind {
+			case kAnd:
+				for _, op := range [2]int32{nd.a.Node(), nd.b.Node()} {
+					if mark[op] != epoch {
+						mark[op] = epoch
+						stack = append(stack, op)
+					}
+				}
+			case kLatch:
+				if reg := c.latches[nd.a].reg; regMark[reg] != epoch {
+					regMark[reg] = epoch
+					flat = append(flat, rank[reg])
+				}
+			}
+		}
+		sup := flat[start:]
+		slices.Sort(sup)
+		for k, r := range sup {
+			sup[k] = byName[r]
+		}
+		ends[ri] = len(flat)
+	}
+	c.supports = make([][]int32, len(c.regs))
+	start := 0
+	for ri, end := range ends {
+		c.supports[ri] = flat[start:end:end]
+		start = end
+	}
+}
+
+// RegSupport returns the names, sorted, of the registers in the named
+// register's 1-step cone of influence (see Support).
 func (c *Circuit) RegSupport(name string) ([]string, error) {
 	i, ok := c.regIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("circuit: unknown register %q", name)
 	}
-	c.supMu.Lock()
-	defer c.supMu.Unlock()
-	if s, ok := c.supports[name]; ok {
-		return s, nil
+	sup := c.Support(i)
+	out := make([]string, len(sup))
+	for k, ri := range sup {
+		out[k] = c.regs[ri].Name
 	}
-	seen := make(map[int32]bool)
-	regSet := make(map[int]bool)
-	var stack []int32
-	push := func(s Signal) {
-		n := s.Node()
-		if !seen[n] {
-			seen[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for _, s := range c.regs[i].Next {
-		push(s)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := c.nodes[n]
-		switch nd.kind {
-		case kAnd:
-			push(nd.a)
-			push(nd.b)
-		case kLatch:
-			regSet[c.latches[nd.a].reg] = true
-		}
-	}
-	out := make([]string, 0, len(regSet))
-	for ri := range regSet {
-		out = append(out, c.regs[ri].Name)
-	}
-	sort.Strings(out)
-	c.supports[name] = out
 	return out, nil
 }
 
-// WarmSupports precomputes the 1-step COI of every register. Call once
-// before sharing the circuit across goroutines.
-func (c *Circuit) WarmSupports() {
-	for _, r := range c.regs {
-		c.RegSupport(r.Name) //nolint:errcheck // name is known-valid
-	}
-}
+// WarmSupports computes every register's 1-step cone of influence now
+// rather than on first use.
+func (c *Circuit) WarmSupports() { c.supOnce.Do(c.computeSupports) }

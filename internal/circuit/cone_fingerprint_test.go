@@ -118,15 +118,11 @@ func TestConeFingerprintPerturbations(t *testing.T) {
 	}
 }
 
-// TestDuplicateInheritsFingerprint is the regression test for the
-// fpState-lost-on-duplicate fix. A first replay normalizes node numbering
-// (registers, then inputs, then gates), so its cone table is recomputed —
-// deterministically. Once normalized, further pure replays are
-// node-identical and inherit the memoized cone table (memo, root hashes
-// and stream head) outright; post-replay builder mutations
-// disable the inheritance. Cone fingerprints are numbering-invariant, so
-// they transfer across every replay, prefixed or not.
-func TestDuplicateInheritsFingerprint(t *testing.T) {
+// TestDuplicateKeepsFingerprint: a replay through DuplicateInto renumbers
+// nodes (registers, then inputs, then gates), and cone fingerprints are
+// numbering-invariant, so they survive every replay, prefixed or not, while
+// a duplicate mutated after the replay keys differently.
+func TestDuplicateKeepsFingerprint(t *testing.T) {
 	src := buildEmbedded(t, true)
 	sup := []string{"a", "b"}
 	src.ConeFingerprint(sup) // warm the memo before duplicating
@@ -154,30 +150,17 @@ func TestDuplicateInheritsFingerprint(t *testing.T) {
 		t.Fatal("cone fingerprint not invariant to replay renumbering")
 	}
 
-	// Replay of a replay is node-identical: inheritance kicks in, observable
-	// as sharing — the cone memo table is the very same object.
+	// A replay of a replay is node-identical to it.
 	dup3 := replay(dup1)
-	if dup1.coneTab() != dup3.coneTab() {
-		t.Fatal("normalized pure duplicate did not inherit the cone memo table")
-	}
-	// The root hashes come with the table: dup1 computed them above, and
-	// dup3 holds that very table before its first key and keeps it after.
-	r1 := dup1.coneTab().roots
-	if r3 := dup3.coneTab().roots; len(r3) == 0 || &r3[0] != &r1[0] {
-		t.Fatal("normalized pure duplicate did not inherit the root hashes")
-	}
 	if dup3.ConeFingerprint([]string{"a"}) != dup1.ConeFingerprint([]string{"a"}) {
 		t.Fatal("duplicate and source disagree on a cone fingerprint")
-	}
-	if r3 := dup3.coneTab().roots; &r3[0] != &r1[0] {
-		t.Fatal("duplicate recomputed the inherited root hashes")
 	}
 	if got, want := allRegsCone(dup3), allRegsCone(dup1); got != want {
 		t.Fatalf("normalized replay fingerprint mismatch: %s vs %s", got.Hex(), want.Hex())
 	}
 
-	// Mutating the builder after the replay must fall back to recompute —
-	// and the recomputed fingerprint must differ (the circuit differs).
+	// Mutating the builder after the replay changes the circuit, and with
+	// it the fingerprint.
 	b2 := NewBuilder()
 	if err := DuplicateInto(b2, dup1, "", nil); err != nil {
 		t.Fatalf("DuplicateInto: %v", err)
@@ -189,7 +172,7 @@ func TestDuplicateInheritsFingerprint(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	if allRegsCone(mut) == allRegsCone(dup1) {
-		t.Fatal("mutated duplicate wrongly inherited the source fingerprint")
+		t.Fatal("mutated duplicate keys like its source")
 	}
 
 	// Prefixed miter-style replays: two independently built products of the

@@ -8,19 +8,6 @@ import "fmt"
 // are recreated with the prefix. This is the primitive underlying miter
 // (product-circuit) construction for relational 2-safety properties.
 func DuplicateInto(b *Builder, c *Circuit, prefix string, shared map[string]Word) error {
-	// A verbatim replay into an empty builder reproduces the source node
-	// for node (the builder's structural hashing is deterministic), so the
-	// result may inherit the source's memoized cone table.
-	// Record the provenance; Build re-verifies structural equality before
-	// adopting, so later builder mutations simply disable the inheritance.
-	pure := prefix == "" && len(shared) == 0 && len(b.nodes) == 1 &&
-		len(b.inputs) == 0 && len(b.regs) == 0 && len(b.wires) == 0
-	if pure {
-		b.dupSrc = c
-	} else {
-		b.dupSrc = nil
-	}
-
 	m := make([]Signal, len(c.nodes))
 	m[0] = False
 

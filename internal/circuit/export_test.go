@@ -1,7 +1,7 @@
 package circuit
 
-// Hooks for the external tests in cone_product_test.go, which fingerprint
-// real design products (internal/design imports this package, so those
+// Hooks for the external tests in cone_product_test.go, which slice and
+// fingerprint real design products (internal/design imports this package, so those
 // tests live in package circuit_test).
 
 // ConeOracle is the reference cone fingerprint (see coneOracle).
@@ -9,8 +9,7 @@ func ConeOracle(c *Circuit, support []string) ConeFP { return c.coneOracle(suppo
 
 // ResetConeTable gives c a cold cone table: no memoized fingerprints and no
 // root hashes. Not safe for concurrent use.
-func ResetConeTable(c *Circuit) { c.cones = &coneTable{m: make(map[string]ConeFP)} }
+func ResetConeTable(c *Circuit) { c.cones = coneTable{} }
 
-// SharesConeTable reports whether a and b share one cone table, and with it
-// the memo and the root hashes.
-func SharesConeTable(a, b *Circuit) bool { return a.coneTab() == b.coneTab() }
+// SupportOracle is the reference 1-step support (see regSupportOracle).
+func SupportOracle(c *Circuit, ri int) []string { return c.regSupportOracle(ri) }

@@ -9,20 +9,11 @@ import (
 // fpState is embedded in Circuit (see circuit.go); split out here so the
 // fingerprint machinery stays in one file.
 type fpState struct {
-	coneOnce sync.Once
-	cones    *coneTable
+	cones coneTable
 
 	inRefOnce sync.Once
 	inBitPort []int32 // global input-bit index → input port index
 	inBitOff  []int32 // global input-bit index → bit offset within the port
-}
-
-// adoptIdentity shares the memoized structural identity of an equal circuit:
-// the cone table (memo, root hashes and stream head). Only valid when the
-// two circuits are structurally identical (same node array, interface,
-// registers and wires) — callers must verify that first.
-func (c *Circuit) adoptIdentity(src *Circuit) {
-	c.coneOnce.Do(func() { c.cones = src.coneTab() })
 }
 
 // ConeFP is a 128-bit canonical fingerprint of a register fan-in cone. Two
@@ -56,26 +47,14 @@ func hexPut(dst []byte, v uint64) {
 
 // coneTable memoizes cone fingerprints per support set, together with the
 // per-circuit data every key reads: the structure hash of each register's
-// next-state roots and the stream state after the input interface. It is
-// shared between a circuit and its pure duplicates (see adoptIdentity):
-// register indices are identical across a pure replay, so all of it
-// transfers verbatim.
+// next-state roots and the stream state after the input interface.
 type coneTable struct {
 	mu sync.Mutex
-	m  map[string]ConeFP
+	m  map[string]ConeFP // nil until the first key is stored
 
 	structOnce sync.Once
 	roots      [][]ch128 // register index → structure hash of each next-state root
 	head       chWriter  // stream state after the header and input interface
-}
-
-func (c *Circuit) coneTab() *coneTable {
-	c.coneOnce.Do(func() {
-		if c.cones == nil {
-			c.cones = &coneTable{m: make(map[string]ConeFP)}
-		}
-	})
-	return c.cones
 }
 
 // structure returns the circuit's root hashes and stream head, computing
@@ -126,7 +105,7 @@ func canonSupport(support []string) (key string, names []string) {
 // concurrent use.
 func (c *Circuit) ConeFingerprint(support []string) ConeFP {
 	key, names := canonSupport(support)
-	t := c.coneTab()
+	t := &c.cones
 	t.mu.Lock()
 	fp, ok := t.m[key]
 	t.mu.Unlock()
@@ -161,6 +140,9 @@ func (c *Circuit) ConeFingerprint(support []string) ConeFP {
 	// A concurrent caller may have stored the same key meanwhile; the
 	// fingerprint is a pure function of the support, so either write wins.
 	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[string]ConeFP)
+	}
 	t.m[key] = fp
 	t.mu.Unlock()
 	return fp

@@ -114,10 +114,11 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 	}
 	var ckey string
 	if l.cache != nil {
-		var err error
-		if ckey, err = l.coneIdentFor(target); err != nil {
+		ts, err := l.sliceFor(target)
+		if err != nil {
 			return abductResult{}, err
 		}
+		ckey = ts.key
 		if res, fromDisk, ok := l.cache.lookup(ckey, target, cands); ok {
 			if res.ok {
 				atomic.AddInt64(&l.stats.CacheAbductHits, 1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -327,11 +328,10 @@ func (inv *Invariant) Contains(id string) bool {
 	return false
 }
 
-// Learner runs the H-Houdini algorithm over a system with pluggable
-// slicing and mining oracles.
+// Learner runs the H-Houdini algorithm over a system with a pluggable
+// mining oracle.
 type Learner struct {
 	sys   *System
-	slice SliceOracle
 	mine  MineOracle
 	opts  Options
 	stats *Stats
@@ -340,10 +340,10 @@ type Learner struct {
 	// the system is not cacheable (System.EnvKey), in which case every
 	// query is solved.
 	cache *VerifyCache
-	// coneIdents memoizes per-target cone cache keys (coneIdentFor) by
-	// predicate ID. Cone membership is a pure function of the predicate and
-	// the circuit, so the memo is sound for the learner's lifetime.
-	coneIdents sync.Map // pred ID → string
+	// sliceMemo memoizes each target's slice and cone key (sliceFor) by
+	// predicate ID. Both are pure functions of the predicate and the
+	// circuit, so the memo is sound for the learner's lifetime.
+	sliceMemo sync.Map // pred ID → *targetSlice
 	// pdb is the persistent proof store bound via Options.CacheDir (nil
 	// when persistence is off or the store is unusable). Learn flushes the
 	// cache into it at shutdown.
@@ -392,11 +392,10 @@ type entry struct {
 	chainIn time.Duration
 }
 
-// NewLearner builds a learner with the default COI slicing oracle.
+// NewLearner builds a learner over a system and a mining oracle.
 func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 	l := &Learner{
 		sys:     sys,
-		slice:   NewCOISlicer(sys.Circuit),
 		mine:    mine,
 		opts:    opts,
 		stats:   newStats(),
@@ -423,26 +422,49 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 	return l
 }
 
-// coneIdentFor derives (and memoizes) the cache key a target's query
-// answers live under: the canonical fingerprint of its cone
-// (System.ConeCacheKey). The cone's support is the target's slice — the
-// candidate universe of its abduction queries — unioned with its own
-// variables, so an equal key pins the structure every answer under it can
-// reference: the target's next-state cone, every candidate's registers
-// (names, widths, resets) and the input interface. Only called with a
-// cache bound, so the system is cacheable and the key always exists.
-func (l *Learner) coneIdentFor(target Pred) (string, error) {
-	if v, ok := l.coneIdents.Load(target.ID()); ok {
-		return v.(string), nil
+// targetSlice is what a target's queries are posed over: O_slice of
+// Algorithm 1 and, with a cache bound, the key their answers live under.
+type targetSlice struct {
+	// regs is the union of the 1-step supports of the target's variables
+	// (circuit.Support), sorted by name: the registers handed to the
+	// mining oracle.
+	regs []string
+	// key is the canonical fingerprint of the cone of regs ∪ Vars()
+	// (System.ConeCacheKey), or "" when no cache is bound. An equal key
+	// pins the structure every answer under it can reference: the target's
+	// next-state cone, every candidate's registers (names, widths, resets)
+	// and the input interface.
+	key string
+}
+
+// sliceFor derives (and memoizes) a target's slice and cone key.
+func (l *Learner) sliceFor(target Pred) (*targetSlice, error) {
+	if v, ok := l.sliceMemo.Load(target.ID()); ok {
+		return v.(*targetSlice), nil
 	}
-	slice, err := l.slice.Slice(target)
-	if err != nil {
-		return "", err
+	c := l.sys.Circuit
+	vars := target.Vars()
+	var idx []int32
+	for _, v := range vars {
+		ri := c.RegIndex(v)
+		if ri < 0 {
+			return nil, fmt.Errorf("circuit: unknown register %q", v)
+		}
+		idx = append(idx, c.Support(ri)...)
 	}
-	support := append(append([]string(nil), slice...), target.Vars()...)
-	key, _ := l.sys.ConeCacheKey(support)
-	l.coneIdents.Store(target.ID(), key)
-	return key, nil
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	ts := &targetSlice{regs: make([]string, len(idx))}
+	for k, ri := range idx {
+		ts.regs[k] = c.Regs()[ri].Name
+	}
+	sort.Strings(ts.regs)
+	if l.cache != nil {
+		// A bound cache implies a cacheable system, so the key exists.
+		ts.key, _ = l.sys.ConeCacheKey(append(slices.Clone(ts.regs), vars...))
+	}
+	l.sliceMemo.Store(target.ID(), ts)
+	return ts, nil
 }
 
 // Stats exposes the instrumentation collected during Learn.
@@ -725,11 +747,11 @@ func (l *Learner) solveOne(pred Pred) error {
 	}()
 	atomic.AddInt64(&l.stats.Tasks, 1)
 
-	slice, err := l.slice.Slice(pred)
+	ts, err := l.sliceFor(pred)
 	if err != nil {
 		return err
 	}
-	cands, err := l.mine.Mine(pred, slice)
+	cands, err := l.mine.Mine(pred, ts.regs)
 	if err != nil {
 		return err
 	}

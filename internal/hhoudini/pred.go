@@ -28,7 +28,8 @@ type Pred interface {
 	// Two predicates with equal IDs must be semantically identical.
 	ID() string
 	// Vars lists the circuit register names the predicate ranges over.
-	// The slicing oracle unions their 1-step cones of influence.
+	// The learner's slice is the union of their 1-step cones of influence
+	// (circuit.Support).
 	Vars() []string
 	// Encode returns a literal equivalent to the predicate evaluated on
 	// the current state (next == false) or on the successor state
@@ -40,44 +41,12 @@ type Pred interface {
 	String() string
 }
 
-// SliceOracle is O_slice of Algorithm 1: the state elements that can
-// influence the inductivity of a predicate within one step.
-type SliceOracle interface {
-	Slice(p Pred) ([]string, error)
-}
-
 // MineOracle is O_mine of Algorithm 1: it translates a slice into the
 // candidate predicates considered when synthesizing an abduct for the
 // target. Implementations must only return predicates consistent with all
 // positive examples (Contract 2); completeness of the returned set over
-// the slice gives Contract 1.
+// the slice gives Contract 1. The slice lists register names sorted; the
+// learner reuses it across a target's tasks, so it must not be modified.
 type MineOracle interface {
 	Mine(target Pred, slice []string) ([]Pred, error)
 }
-
-// coiSlicer is the default slicing oracle: the union of register-level
-// 1-step cones of influence of the predicate's variables.
-type coiSlicer struct {
-	c *circuit.Circuit
-}
-
-func (s coiSlicer) Slice(p Pred) ([]string, error) {
-	seen := make(map[string]bool)
-	var out []string
-	for _, v := range p.Vars() {
-		sup, err := s.c.RegSupport(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range sup {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
-}
-
-// NewCOISlicer returns the default slicing oracle for a circuit.
-func NewCOISlicer(c *circuit.Circuit) SliceOracle { return coiSlicer{c} }

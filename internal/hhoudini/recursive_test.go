@@ -52,11 +52,11 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 
 		for { // while not valid-solution (line 7)
 			atomic.AddInt64(&l.stats.Tasks, 1)
-			slice, err := l.slice.Slice(p)
+			ts, err := l.sliceFor(p)
 			if err != nil {
 				return false, err
 			}
-			cands, err := l.mine.Mine(p, slice)
+			cands, err := l.mine.Mine(p, ts.regs)
 			if err != nil {
 				return false, err
 			}

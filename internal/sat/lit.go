@@ -4,8 +4,8 @@
 // The solver is the decision-procedure substrate of this repository: the
 // paper performs its abduction queries with cvc5 over bit-level hardware;
 // here circuits are bit-blasted (package circuit) and every inductivity or
-// abduction query becomes a SAT call. Cores over assumption literals play
-// the role of cvc5's (locally minimal) unsat cores.
+// abduction query becomes a SAT call. Final-conflict cores over assumption
+// literals play the role of cvc5's unsat cores.
 //
 // The design follows MiniSat: two-watched-literal propagation, first-UIP
 // clause learning with recursive minimization, VSIDS variable activity,
