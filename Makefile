@@ -61,9 +61,9 @@ race-proofdb:
 # Chaos tier: fault-injection (internal/faultinject) and cancellation
 # robustness, race-enabled. The regex matches by prefix, so every
 # TestChaos* / TestCancel* / TestInterrupt* anywhere in the module joins
-# this tier automatically (currently: forced solver Unknowns and budget
-# escalation, injected worker panics, failed proof-store writes, stretched
-# queries, mid-Learn cancellation sweeps, the root-package OoO
+# this tier automatically (currently: forced solver Unknowns, solvers
+# sharing one stop flag, injected worker panics, failed proof-store writes,
+# stretched queries, mid-Learn cancellation sweeps, the root-package OoO
 # cancellation acceptance test, and the service layer's injected job
 # delays/failures and drain-mid-load acceptance). See DESIGN.md
 # "Robustness & fault isolation" and "Service layer".

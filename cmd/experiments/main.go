@@ -441,19 +441,15 @@ func ablations() {
 		} else {
 			size = res.Invariant.Size()
 		}
-		var diskHits, retries, abandons int64
+		var diskHits int64
 		if res.Stats != nil {
 			tasks, backtracks = res.Stats.Tasks, res.Stats.Backtracks
 			encClauses, solvers = res.Stats.EncodedClauses, res.Stats.SolverAllocs
 			diskHits = res.Stats.CacheDiskHits
-			retries, abandons = res.Stats.QueryRetries, res.Stats.QueryBudgetAbandons
 		}
 		extra := ""
 		if diskHits > 0 {
 			extra = fmt.Sprintf(" disk-hits=%d", diskHits)
-		}
-		if retries > 0 || abandons > 0 {
-			extra += fmt.Sprintf(" retries=%d abandons=%d", retries, abandons)
 		}
 		fmt.Printf("%-34s %-5s time=%8.2fs inv=%4d tasks=%5d backtracks=%5d solvers=%5d enc-clauses=%9d%s\n",
 			name, status, time.Since(start).Seconds(), size, tasks, backtracks, solvers, encClauses, extra)
@@ -461,17 +457,9 @@ func ablations() {
 
 	run("default", hh.DefaultAnalysisOptions())
 
-	// Budget-escalation row: a deliberately tiny first rung forces the
-	// retry ladder to engage on every nontrivial query (retries > 0 in the
-	// row output). The result must still be a valid invariant — escalation
-	// trades extra bounded probes for never hanging on a hard query.
-	o := hh.DefaultAnalysisOptions()
-	o.Learner.InitialSolverConflicts = 1
-	run("budget escalation (1-conflict rung)", o)
-
 	// Warm cache: verify once into a private cache, then measure a second,
 	// fully warmed verification of the same system.
-	o = hh.DefaultAnalysisOptions()
+	o := hh.DefaultAnalysisOptions()
 	o.Learner.Cache = hh.NewVerifyCache()
 	{
 		a, err := hh.NewAnalysis(tgt, o)

@@ -33,8 +33,8 @@ import (
 // hook site so chaos tests and production code cannot drift apart silently.
 const (
 	// SolverUnknown makes sat.Solver.Solve return Unknown without
-	// searching — the "solver gave up" event that drives the learner's
-	// budget-escalation ladder.
+	// searching — the "solver gave up" event, which fails a Learn with an
+	// error naming the query's target.
 	SolverUnknown = "sat.solve.unknown"
 	// ProofDBWrite fails the crash-safe atomic rewrite in
 	// internal/proofdb (temp-file write/fsync/rename path) with the armed

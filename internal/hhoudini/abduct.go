@@ -9,64 +9,6 @@ import (
 	"hhoudini/internal/sat"
 )
 
-// Escalation-ladder tuning (Options.InitialSolverConflicts documents the
-// user-facing semantics).
-const (
-	// defaultInitialConflicts is the first-attempt budget when
-	// Options.InitialSolverConflicts is <= 0. Small on purpose: H-Houdini's
-	// whole premise (§3.2.4) is that relative-induction queries are
-	// individually cheap, so the common case resolves on the first rung and
-	// the ladder only pays for the rare hard query.
-	defaultInitialConflicts = 2048
-	// escalationFactor multiplies the budget after each Unknown.
-	escalationFactor = 4
-	// escalationUnboundedAfter: once the next rung would exceed this many
-	// conflicts the final attempt runs unbounded — the pre-ladder behaviour
-	// of never giving up, just with bounded intermediate probes.
-	escalationUnboundedAfter = 1 << 21
-)
-
-// solveAbduction answers one abduction query under the budget-escalation
-// ladder: bounded attempts starting at the configured initial conflict
-// budget, escalating ×escalationFactor per sat.Unknown (Stats.QueryRetries)
-// until the query resolves, the learner is cancelled (errLearnInterrupted),
-// or the unbounded top rung itself returns Unknown (ErrBudgetExceeded,
-// Stats.QueryBudgetAbandons). Budgets are armed relative to the solver's
-// cumulative conflict count (sat.SetConflictBudget), so each rung grants
-// fresh effort on top of the rungs before it; an escalated re-solve is
-// never wasted work either, since the solver keeps the learnt clauses of
-// the abandoned attempt.
-func (l *Learner) solveAbduction(s *sat.Solver, assumps []sat.Lit, target Pred) (sat.Status, []sat.Lit, error) {
-	budget := l.opts.InitialSolverConflicts
-	if budget <= 0 {
-		budget = defaultInitialConflicts
-	}
-	for {
-		if l.stop.Load() {
-			return sat.Unknown, nil, errLearnInterrupted
-		}
-		s.SetConflictBudget(budget) // budget<0 ⇒ unbounded final attempt
-		st, core := s.SolveWithCore(assumps)
-		if st != sat.Unknown {
-			return st, core, nil
-		}
-		if l.stop.Load() || s.Interrupted() {
-			return st, nil, errLearnInterrupted
-		}
-		if budget < 0 {
-			// An unbounded Unknown with no interrupt is a solver give-up
-			// (in practice: an injected fault).
-			atomic.AddInt64(&l.stats.QueryBudgetAbandons, 1)
-			return st, nil, fmt.Errorf("abduction query for %s: %w", target, ErrBudgetExceeded)
-		}
-		atomic.AddInt64(&l.stats.QueryRetries, 1)
-		budget *= escalationFactor
-		if budget > escalationUnboundedAfter {
-			budget = -1 // final attempt unbounded
-		}
-	}
-}
-
 // abductResult is the outcome of one O_abduct invocation.
 type abductResult struct {
 	// preds is the synthesized abduct (empty = target is inductive under
@@ -142,20 +84,21 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 // Tseitin encoding of the target's cone, dropped when the query returns —
 // the paper's one solver per relative-induction check. p_target and
 // ¬p'_target are asserted as units; each candidate sits behind its own
-// selector so the UNSAT core names the abduct. The solver is registered for
-// cancellation while it lives, and its conflicts are charged to
-// Stats.SolverConflicts when it is dropped.
+// selector so the UNSAT core names the abduct. The query is one unbounded
+// solve on a solver that polls the learner's stop flag, so a cancelled
+// Learn interrupts it; its conflicts are charged to Stats.SolverConflicts
+// when it is dropped.
 func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 	enc, err := l.sys.newEncoder()
 	if err != nil {
 		return abductResult{}, err
 	}
+	enc.S.ShareStop(&l.stop)
 	atomic.AddInt64(&l.stats.SolverAllocs, 1)
-	l.trackSolver(enc.S)
 	defer func() {
-		l.untrackSolver(enc.S)
 		es := enc.Stats()
 		l.stats.addEncodeWork(es.Gates, es.Clauses)
+		atomic.AddInt64(&l.stats.SolverConflicts, enc.S.Stats.Conflicts)
 	}()
 	cur, err := target.Encode(enc, false)
 	if err != nil {
@@ -184,12 +127,16 @@ func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
 		bySel[s] = p
 	}
 
-	st, core, err := l.solveAbduction(enc.S, sels, target)
-	if err != nil {
-		return abductResult{}, err
-	}
-	if st == sat.Sat {
+	st, core := enc.S.SolveWithCore(sels)
+	switch {
+	case st == sat.Sat:
 		return abductResult{ok: false}, nil
+	case st == sat.Unknown && l.stop.Load():
+		return abductResult{}, errLearnInterrupted
+	case st == sat.Unknown:
+		// Unbounded and not stopped: the solver gave up (in practice, an
+		// injected sat.solve.unknown fault).
+		return abductResult{}, fmt.Errorf("hhoudini: abduction query for %s: solver returned Unknown", target)
 	}
 	out := make([]Pred, 0, len(core))
 	for _, s := range core {

@@ -34,10 +34,8 @@ func TestCancelBeforeLearn(t *testing.T) {
 // TestCancelMidLearnRepeated is the race sweep: many iterations at
 // Workers=4, each cancelled at a different point of the run, with injected
 // query latency widening the window. Every outcome must be either a clean
-// result (cancel arrived after the drain) or exactly context.Canceled, the
-// cancellation registry must drain to empty either way (a Learn keeps no
-// solver past its return), and the goroutine count must return to baseline
-// at the end.
+// result (cancel arrived after the drain) or exactly context.Canceled, and
+// the goroutine count must return to baseline at the end.
 func TestCancelMidLearnRepeated(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sys, universe, target := backtrackSystem(t)
@@ -66,12 +64,6 @@ func TestCancelMidLearnRepeated(t *testing.T) {
 			cancelled++
 		default:
 			t.Fatalf("iter %d: err = %v, want nil or context.Canceled", i, err)
-		}
-		l.mu.Lock()
-		live := len(l.solvers)
-		l.mu.Unlock()
-		if live != 0 {
-			t.Fatalf("iter %d: %d solvers still registered after LearnCtx returned", i, live)
 		}
 	}
 	t.Logf("iterations: %d cancelled, %d completed", cancelled, completed)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,63 +39,37 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// TestChaosForcedUnknownEscalates is the ISSUE's budget-escalation
-// acceptance: with the first N abduction solves forced to Unknown, the
-// learner must converge to the same invariant via the retry ladder.
-func TestChaosForcedUnknownEscalates(t *testing.T) {
-	sys, universe, target := backtrackSystem(t)
-
-	clean := NewLearner(sys, minerOf(universe...), coldOptions())
-	want, err := clean.Learn([]Pred{target})
-	if err != nil || want == nil {
-		t.Fatalf("clean run: inv=%v err=%v", want, err)
-	}
-
-	const forced = 3
-	faultinject.Arm(faultinject.SolverUnknown, faultinject.Spec{Count: forced})
-	defer faultinject.Reset()
-
-	l := NewLearner(sys, minerOf(universe...), coldOptions())
-	inv, err := l.Learn([]Pred{target})
-	if err != nil {
-		t.Fatalf("chaos run: %v", err)
-	}
-	if inv == nil {
-		t.Fatal("chaos run found no invariant")
-	}
-	if !reflect.DeepEqual(ids(inv), ids(want)) {
-		t.Fatalf("chaos invariant %v != clean invariant %v", ids(inv), ids(want))
-	}
-	if fired := faultinject.Fired(faultinject.SolverUnknown); fired != forced {
-		t.Fatalf("expected %d forced Unknowns, fired %d", forced, fired)
-	}
-	if got := l.Stats().QueryRetries; got < forced {
-		t.Fatalf("Stats.QueryRetries = %d, want >= %d (ladder must have escalated)", got, forced)
-	}
-	if got := l.Stats().QueryBudgetAbandons; got != 0 {
-		t.Fatalf("Stats.QueryBudgetAbandons = %d, want 0 (uncapped ladder never abandons)", got)
-	}
-}
-
-// TestChaosUnknownAtTopRungAbandons: with a forever-Unknown solver, the
-// ladder climbs to its unbounded top rung and, when that returns Unknown
-// too, abandons with the typed error rather than loop or hang.
-func TestChaosUnknownAtTopRungAbandons(t *testing.T) {
+// TestChaosSolverUnknownFailsLearn: an abduction query is one unbounded
+// solve, so a solver that gives up (sat.solve.unknown armed forever) fails
+// the Learn with an error naming the query's target — promptly, without an
+// invariant, and without leaving a worker behind.
+func TestChaosSolverUnknownFailsLearn(t *testing.T) {
+	before := runtime.NumGoroutine()
 	sys, universe, target := backtrackSystem(t)
 
 	faultinject.Arm(faultinject.SolverUnknown, faultinject.Spec{Count: -1})
 	defer faultinject.Reset()
 
-	o := coldOptions()
-	o.InitialSolverConflicts = 16
-	l := NewLearner(sys, minerOf(universe...), o)
-	inv, err := l.Learn([]Pred{target})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v (inv=%v), want ErrBudgetExceeded", err, inv)
+	for _, workers := range []int{1, 4} {
+		o := coldOptions()
+		o.Workers = workers
+		l := NewLearner(sys, minerOf(universe...), o)
+		start := time.Now()
+		inv, err := l.Learn([]Pred{target})
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("workers=%d: Learn took %v to fail", workers, d)
+		}
+		if err == nil || inv != nil {
+			t.Fatalf("workers=%d: inv=%v err=%v, want an error and no invariant", workers, inv, err)
+		}
+		if !strings.Contains(err.Error(), target.String()) {
+			t.Fatalf("workers=%d: err = %v, want it to name the target %s", workers, err, target)
+		}
+		if errors.Is(err, ErrBudgetExceeded) || errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want a solver failure, not a budget or cancel", workers, err)
+		}
 	}
-	if got := l.Stats().QueryBudgetAbandons; got == 0 {
-		t.Fatal("Stats.QueryBudgetAbandons = 0, want > 0")
-	}
+	checkNoGoroutineLeak(t, before)
 }
 
 // TestChaosWorkerPanicContained: an injected worker panic must fail that

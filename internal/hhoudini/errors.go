@@ -5,18 +5,16 @@ import (
 	"fmt"
 )
 
-// ErrBudgetExceeded is the typed verdict for a solver query that exhausted
-// its conflict budget without resolving. During learning it is an internal
-// signal consumed by the escalation ladder (solveAbduction) and only
-// escapes — wrapped with the query's context — when the ladder's unbounded
-// top rung still returns Unknown; Audit/AuditBudget return it when the
-// monolithic consecution check outgrows its budget. Callers test for it
-// with errors.Is and may retry with a larger budget: budget exhaustion is
-// a resource verdict, never a soundness one.
+// ErrBudgetExceeded is the typed verdict Audit/AuditBudget return when the
+// monolithic consecution check outgrows its conflict budget. Callers test
+// for it with errors.Is and may retry with a larger budget: budget
+// exhaustion is a resource verdict, never a soundness one. Learning never
+// returns it: an abduction query runs unbounded.
 var ErrBudgetExceeded = errors.New("hhoudini: solver conflict budget exceeded")
 
 // errLearnInterrupted is the internal marker a worker reports when it
-// observes the learner's stop flag (or its solver's interrupt) mid-task.
+// observes the learner's stop flag mid-task, directly or as its query
+// solver's Unknown.
 // LearnCtx's epilogue translates it into the context's own error, so
 // callers always see context.Canceled / context.DeadlineExceeded rather
 // than a package-private sentinel.

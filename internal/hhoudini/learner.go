@@ -14,7 +14,6 @@ import (
 
 	"hhoudini/internal/circuit"
 	"hhoudini/internal/faultinject"
-	"hhoudini/internal/sat"
 )
 
 // Options tune the learner.
@@ -37,15 +36,6 @@ type Options struct {
 	// cold start; they never fail the learner. CloseProofDBs is the
 	// process-exit hook.
 	CacheDir string
-	// InitialSolverConflicts seeds the budget-escalation ladder: every
-	// abduction query's first attempt runs under this many solver conflicts
-	// and each sat.Unknown verdict escalates the budget ×4 (counted by
-	// Stats.QueryRetries); once the next rung would exceed ~2M conflicts
-	// the final attempt runs unbounded. A query still Unknown there is
-	// abandoned with ErrBudgetExceeded (counted by
-	// Stats.QueryBudgetAbandons). A value <= 0 selects the default (2048
-	// conflicts).
-	InitialSolverConflicts int64
 }
 
 // DefaultOptions run the learner with one worker.
@@ -96,12 +86,9 @@ type Stats struct {
 	ShareImported   int64
 	SolverConflicts int64
 
-	// Budget-escalation counters (Options.InitialSolverConflicts): attempts
-	// re-issued with an escalated conflict budget after a sat.Unknown, and
-	// queries abandoned with ErrBudgetExceeded when the unbounded top rung
-	// returned Unknown.
-	QueryRetries        int64
-	QueryBudgetAbandons int64
+	// QueryRetries always reads 0: every abduction query is one solve. The
+	// field stays for callers that read it (the repository benchmark).
+	QueryRetries int64
 
 	// WallTime accumulates Learn wall-clock time. It is written under the
 	// Stats mutex (addWall) so Snapshot can observe it race-free while a
@@ -148,8 +135,7 @@ type StatsSnapshot struct {
 	ShareImported   int64 // always 0; see Stats.ShareImported
 	SolverConflicts int64
 
-	QueryRetries        int64
-	QueryBudgetAbandons int64
+	QueryRetries int64 // always 0; see Stats.QueryRetries
 
 	WallTime time.Duration
 	Span     time.Duration
@@ -185,8 +171,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ShareImported:   atomic.LoadInt64(&s.ShareImported),
 		SolverConflicts: atomic.LoadInt64(&s.SolverConflicts),
 
-		QueryRetries:        atomic.LoadInt64(&s.QueryRetries),
-		QueryBudgetAbandons: atomic.LoadInt64(&s.QueryBudgetAbandons),
+		QueryRetries: atomic.LoadInt64(&s.QueryRetries),
 	}
 	s.mu.Lock()
 	snap.WallTime = s.WallTime
@@ -356,9 +341,10 @@ type Learner struct {
 	initEval sync.Map // pred ID → bool
 
 	// stop is the cancellation flag: set once (by LearnCtx's watcher when
-	// the context fires), read on every worker iteration and between
-	// escalation-ladder attempts. It is never cleared — a Learner runs one
-	// Learn, so a stale stop can only make cancellation more prompt.
+	// the context fires), read on every worker iteration and polled by every
+	// query's solver (sat.Solver.ShareStop), so one store interrupts the
+	// in-flight searches. It is never cleared — a Learner runs one Learn, so
+	// a stale stop can only make cancellation more prompt.
 	stop atomic.Bool
 
 	mu      sync.Mutex
@@ -368,12 +354,6 @@ type Learner struct {
 	queue   []string
 	active  int
 	err     error
-	// solvers is the registry of the solvers of in-flight queries, at most
-	// one per worker. A cancellation interrupts every member so in-flight
-	// CDCL searches return Unknown within one interrupt-check interval
-	// instead of running to completion; on deregistration the solver's
-	// conflicts are folded into Stats.SolverConflicts.
-	solvers map[*sat.Solver]struct{}
 }
 
 type entry struct {
@@ -402,7 +382,6 @@ func NewLearner(sys *System, mine MineOracle, opts Options) *Learner {
 		init:    circuit.InitSnapshot(sys.Circuit),
 		entries: make(map[string]*entry),
 		failed:  make(map[string]bool),
-		solvers: make(map[*sat.Solver]struct{}),
 	}
 	if l.opts.Workers == 0 {
 		l.opts.Workers = runtime.GOMAXPROCS(0)
@@ -573,52 +552,18 @@ func (l *Learner) LearnCtx(ctx context.Context, targets []Pred) (*Invariant, err
 	return l.assembleLocked(targets)
 }
 
-// interrupt initiates the cancellation protocol: flag the stop bit (polled
-// by workers and the escalation ladder), record the interrupt marker so
-// cond-waiting workers exit, and interrupt every live solver so in-flight
-// CDCL searches abort at their next interrupt check. Solver interruption
-// happens outside l.mu — Interrupt is a plain atomic store, but keeping
-// foreign calls out of the critical section is this package's lock
-// discipline (hhlint lockscope).
+// interrupt initiates the cancellation protocol: flag the stop bit, which
+// the workers and every in-flight query's solver poll, so CDCL searches
+// abort at their next interrupt check; then record the interrupt marker so
+// cond-waiting workers exit.
 func (l *Learner) interrupt() {
 	l.stop.Store(true)
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = errLearnInterrupted
 	}
-	live := make([]*sat.Solver, 0, len(l.solvers))
-	for sv := range l.solvers {
-		live = append(live, sv)
-	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	for _, s := range live {
-		s.Interrupt()
-	}
-}
-
-// trackSolver registers a query's newly built solver with the cancellation
-// registry. If this learner has already stopped, the
-// solver is interrupted immediately to close the register/interrupt race.
-func (l *Learner) trackSolver(s *sat.Solver) {
-	l.mu.Lock()
-	l.solvers[s] = struct{}{}
-	l.mu.Unlock()
-	if l.stop.Load() {
-		s.Interrupt()
-	}
-}
-
-// untrackSolver removes a solver whose query has returned from the
-// cancellation registry, charging the conflicts it burned to
-// Stats.SolverConflicts.
-func (l *Learner) untrackSolver(s *sat.Solver) {
-	l.mu.Lock()
-	delete(l.solvers, s)
-	l.mu.Unlock()
-	// The solver is idle — its query has returned — so the plain read is
-	// safe.
-	atomic.AddInt64(&l.stats.SolverConflicts, s.Stats.Conflicts)
 }
 
 // finishPersist runs at Learn shutdown: it snapshots the cache's footprint

@@ -70,6 +70,13 @@ func (p *proofDB) appendDelta(s *proofdb.Snapshot) { p.db.Append(s) }
 // The outcome is also recorded for LastFlushErr, so callers that cannot
 // propagate (Learn's shutdown path) still leave the failure observable.
 func (p *proofDB) Flush() error {
+	p.mergeAttached()
+	return p.recordFlush(p.db.Flush())
+}
+
+// mergeAttached merges the contents of every attached cache into the
+// store's memory image.
+func (p *proofDB) mergeAttached() {
 	p.mu.Lock()
 	caches := append([]*VerifyCache(nil), p.attached...)
 	p.mu.Unlock()
@@ -77,7 +84,10 @@ func (p *proofDB) Flush() error {
 		p.db.Merge(vc.SnapshotData())
 		vc.noteDiskFlush()
 	}
-	err := p.db.Flush()
+}
+
+// recordFlush records a flush outcome for LastFlushErr and returns it.
+func (p *proofDB) recordFlush(err error) error {
 	p.mu.Lock()
 	p.flushErr = err
 	p.mu.Unlock()
@@ -101,10 +111,7 @@ func (p *proofDB) Persist() error {
 			vc.noteDiskFlush()
 		}
 	}
-	p.mu.Lock()
-	p.flushErr = err
-	p.mu.Unlock()
-	return err
+	return p.recordFlush(err)
 }
 
 // LastFlushErr reports the outcome of the most recent Flush or Persist
@@ -119,8 +126,9 @@ func (p *proofDB) LastFlushErr() error {
 // Stats returns the underlying store's counters.
 func (p *proofDB) Stats() proofdb.Stats { return p.db.Stats() }
 
-// Close performs a final flush and marks the binding closed. Safe to call
-// more than once.
+// Close merges the attached caches, closes the store — its one final
+// atomic rewrite and sync — and marks the binding closed. Safe to call more
+// than once.
 func (p *proofDB) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -134,11 +142,8 @@ func (p *proofDB) Close() error {
 	for _, unhook := range unhooks {
 		unhook()
 	}
-	err := p.Flush()
-	if cerr := p.db.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	p.mergeAttached()
+	return p.recordFlush(p.db.Close())
 }
 
 // abandon drops the binding without flushing anything: sinks are unhooked

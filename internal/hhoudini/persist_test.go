@@ -366,6 +366,36 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	}
 }
 
+// TestProofDBCloseRewritesOnce: closing a binding merges its caches and
+// rewrites the store file exactly once, and what it wrote reloads.
+func TestProofDBCloseRewritesOnce(t *testing.T) {
+	dir := t.TempDir()
+	cache := NewVerifyCache()
+	p := boundProofDB(dir, cache)
+	if p == nil {
+		t.Fatal("store did not open")
+	}
+	defer CloseProofDBs()
+	learnOnce(t, warmOptions(cache))
+	before := p.Stats().Flushes
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Flushes - before; got != 1 {
+		t.Fatalf("one Close rewrote the store %d times, want 1", got)
+	}
+	if err := p.LastFlushErr(); err != nil {
+		t.Fatalf("LastFlushErr after a clean Close = %v", err)
+	}
+	if err := CloseProofDBs(); err != nil {
+		t.Fatal(err)
+	}
+	st := boundProofDB(dir, NewVerifyCache()).Stats()
+	if st.VerdictsLoaded+st.AbductsLoaded == 0 {
+		t.Fatal("the store Close wrote reloads empty")
+	}
+}
+
 // TestBoundProofDBRegistry: one proofDB per directory per process, shared
 // by every learner that names it.
 func TestBoundProofDBRegistry(t *testing.T) {

@@ -70,9 +70,7 @@ func AuditBudget(sys *System, inv *Invariant, conflicts int64) error {
 	}
 	enc.S.AddClause(negNext...)
 	if conflicts > 0 {
-		enc.S.SetConflictBudget(conflicts)
-	} else {
-		enc.S.SetConflictBudget(-1)
+		enc.S.MaxConflicts = conflicts
 	}
 	switch enc.S.Solve() {
 	case sat.Sat:

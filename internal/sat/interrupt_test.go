@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,32 +78,57 @@ func TestInterruptIsSticky(t *testing.T) {
 	}
 }
 
-func TestSetConflictBudgetIsRelative(t *testing.T) {
-	s := New()
-	hardFormula(s, 7, 6)
-	s.SetConflictBudget(10)
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("10-conflict budget on PHP(7,6) = %v, want Unknown", st)
+// TestInterruptSharedStopFlag: solvers that share one stop flag are cancelled by a
+// single store to it. Set mid-search, it makes every sharing Solve return
+// Unknown; set before Solve, it stops a solver that shares it only later
+// without a single decision or conflict — no gap between building a solver
+// and cancelling it. A solver on its own flag is untouched.
+func TestInterruptSharedStopFlag(t *testing.T) {
+	var stop atomic.Bool
+	done := make(chan Status, 2)
+	solvers := make([]*Solver, 2)
+	for i := range solvers {
+		s := New()
+		hardFormula(s, 12, 11)
+		s.ShareStop(&stop)
+		solvers[i] = s
+		go func() { done <- s.Solve() }()
 	}
-	spent := s.Stats.Conflicts
-	if spent == 0 {
-		t.Fatal("no conflicts recorded")
+	time.Sleep(20 * time.Millisecond)
+	stop.Store(true)
+	for range solvers {
+		select {
+		case st := <-done:
+			if st != Unknown {
+				t.Fatalf("shared-flag Solve on PHP(12,11) = %v, want Unknown", st)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Solve did not return after the shared flag was set")
+		}
 	}
-	// A fresh relative budget must grant new effort even though the
-	// cumulative counter already exceeds the old absolute bound.
-	s.SetConflictBudget(10)
-	if s.MaxConflicts <= spent {
-		t.Fatalf("budget not rebased: MaxConflicts=%d, spent=%d", s.MaxConflicts, spent)
+	for i, s := range solvers {
+		if !s.Interrupted() {
+			t.Fatalf("solver %d: Interrupted() = false with the shared flag set", i)
+		}
 	}
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("second bounded attempt = %v, want Unknown", st)
+
+	late := New()
+	a, b := late.NewVar(), late.NewVar()
+	late.AddClause(PosLit(a), PosLit(b))
+	late.ShareStop(&stop)
+	if st := late.Solve(); st != Unknown {
+		t.Fatalf("Solve under an already-set shared flag = %v, want Unknown", st)
 	}
-	s.SetConflictBudget(-1)
-	if s.MaxConflicts != -1 {
-		t.Fatalf("negative budget must mean unbounded, got %d", s.MaxConflicts)
+	if late.Stats.Decisions != 0 || late.Stats.Conflicts != 0 {
+		t.Fatalf("pre-stopped Solve searched: %d decisions, %d conflicts",
+			late.Stats.Decisions, late.Stats.Conflicts)
 	}
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("unbounded PHP(7,6) = %v, want Unsat", st)
+
+	own := New()
+	c := own.NewVar()
+	own.AddClause(PosLit(c))
+	if st := own.Solve(); st != Sat || own.Interrupted() {
+		t.Fatalf("solver on its own flag: Solve = %v, Interrupted = %v; want Sat, false", st, own.Interrupted())
 	}
 }
 

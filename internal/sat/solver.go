@@ -97,21 +97,21 @@ type Solver struct {
 	// check (see Solve).
 	lastCollect int64
 
-	// MaxConflicts bounds the search effort per Solve call; <0 means
-	// unlimited. When the budget is exhausted Solve returns Unknown.
-	// Note the comparison is against the cumulative Stats.Conflicts
-	// counter: a caller that solves more than once on one solver should use
-	// SetConflictBudget, which expresses a budget relative to the work
-	// already done.
+	// MaxConflicts bounds the search effort; <0 means unlimited. When the
+	// budget is exhausted Solve returns Unknown. The comparison is against
+	// the cumulative Stats.Conflicts counter, so set it on a fresh solver.
 	MaxConflicts int64
 
-	// interrupted is the cooperative cancellation flag: Interrupt (callable
-	// from any goroutine — the only concurrency-safe entry point on a
-	// Solver) sets it, and the CDCL search loop polls it once per
-	// decision/conflict iteration, abandoning the Solve call with Unknown.
-	// The flag is sticky: a cancellation that lands between two Solve calls
-	// still stops the next one.
-	interrupted atomic.Bool
+	// stop is the cooperative cancellation flag: Interrupt (callable from
+	// any goroutine — the only concurrency-safe entry point on a Solver)
+	// sets it, and the CDCL search loop polls it once per decision/conflict
+	// iteration, abandoning the Solve call with Unknown. The flag is
+	// sticky: a cancellation that lands between two Solve calls still stops
+	// the next one. It is ownStop unless ShareStop installed another (see
+	// stopFlag; a pointer to ownStop stored in the solver would force every
+	// solver onto the heap).
+	stop    *atomic.Bool
+	ownStop atomic.Bool
 
 	Stats Stats
 }
@@ -763,26 +763,25 @@ func (s *Solver) locked(cr clauseRef) bool {
 // the next interrupt check: the search loop polls the flag once per
 // decision/conflict iteration, so an in-flight query returns Unknown within
 // one such interval. Interrupt is safe to call from any goroutine — it is
-// the one concurrency-safe entry point on a Solver — which is what lets a
-// cancelled Learn stop workers' queries without owning their solvers.
-func (s *Solver) Interrupt() { s.interrupted.Store(true) }
+// the one concurrency-safe entry point on a Solver. It sets the shared flag
+// when ShareStop installed one, and so stops every solver sharing it.
+func (s *Solver) Interrupt() { s.stopFlag().Store(true) }
 
-// Interrupted reports whether Interrupt has been called.
-func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
+// Interrupted reports whether the solver's stop flag is set.
+func (s *Solver) Interrupted() bool { return s.stopFlag().Load() }
 
-// SetConflictBudget bounds the *next* search effort to n more conflicts,
-// independent of how many conflicts this solver has already spent: it
-// rebases MaxConflicts on the cumulative Stats.Conflicts counter. n < 0
-// removes the bound. This is the per-attempt budget primitive behind the
-// learner's Unknown-escalation ladder, whose rungs solve repeatedly on one
-// solver; such callers must use it instead of assigning MaxConflicts
-// directly.
-func (s *Solver) SetConflictBudget(n int64) {
-	if n < 0 {
-		s.MaxConflicts = -1
-		return
+// ShareStop makes the solver poll flag instead of its own stop flag, so
+// whoever owns flag cancels every solver sharing it with one store, and a
+// flag set before Solve stops it before it searches. Call it before Solve,
+// from the goroutine that owns the solver.
+func (s *Solver) ShareStop(flag *atomic.Bool) { s.stop = flag }
+
+// stopFlag returns the flag the solver polls.
+func (s *Solver) stopFlag() *atomic.Bool {
+	if s.stop != nil {
+		return s.stop
 	}
-	s.MaxConflicts = s.Stats.Conflicts + n
+	return &s.ownStop
 }
 
 // search runs CDCL until a model is found, the formula is refuted, the
@@ -791,7 +790,7 @@ func (s *Solver) SetConflictBudget(n int64) {
 func (s *Solver) search(nofConflicts int64) Status {
 	conflictC := int64(0)
 	for {
-		if s.interrupted.Load() {
+		if s.stopFlag().Load() {
 			return Unknown
 		}
 		confl := s.propagate()
@@ -914,7 +913,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		budget := int64(luby(2.0, restart) * restartFirst)
 		status = s.search(budget)
 		s.Stats.Restarts++
-		if status == Unknown && s.interrupted.Load() {
+		if status == Unknown && s.stopFlag().Load() {
 			// A cancelled query stays Unknown: do not restart. A Sat/Unsat
 			// verdict that raced the interrupt is still valid and kept.
 			break

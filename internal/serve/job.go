@@ -323,8 +323,7 @@ type StatsView struct {
 	CacheAbductHits  int64 `json:"cache_abduct_hits"`
 	CacheDiskHits    int64 `json:"cache_disk_hits"`
 
-	QueryRetries        int64 `json:"query_retries"`
-	QueryBudgetAbandons int64 `json:"query_budget_abandons"`
+	QueryRetries int64 `json:"query_retries"` // always 0; see hhoudini.Stats.QueryRetries
 
 	WallTimeMS int64 `json:"wall_time_ms"`
 
@@ -352,8 +351,7 @@ func statsView(s *core.StatsSnapshot) *StatsView {
 		CacheAbductHits:  s.CacheAbductHits,
 		CacheDiskHits:    s.CacheDiskHits,
 
-		QueryRetries:        s.QueryRetries,
-		QueryBudgetAbandons: s.QueryBudgetAbandons,
+		QueryRetries: s.QueryRetries,
 
 		WallTimeMS: s.WallTime.Milliseconds(),
 	}

@@ -17,7 +17,7 @@ import (
 // Options configure a VeloCT analysis.
 type Options struct {
 	// Learner configures H-Houdini (workers, the answer cache and its
-	// proof store, solver budgets).
+	// proof store).
 	Learner hhoudini.Options
 	// Examples configures positive example generation.
 	Examples ExampleConfig
