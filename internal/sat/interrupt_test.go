@@ -39,12 +39,14 @@ func hardFormula(s *Solver, pigeons, holes int) {
 }
 
 func TestInterruptStopsSolve(t *testing.T) {
+	var stop atomic.Bool
 	s := New()
 	hardFormula(s, 12, 11)
+	s.ShareStop(&stop)
 	done := make(chan Status, 1)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		s.Interrupt()
+		stop.Store(true)
 	}()
 	start := time.Now()
 	go func() { done <- s.Solve() }()
@@ -58,10 +60,10 @@ func TestInterruptStopsSolve(t *testing.T) {
 			}
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Solve did not return after Interrupt")
+		t.Fatal("Solve did not return after the stop flag was set")
 	}
-	if !s.Interrupted() {
-		t.Fatal("Interrupted() must report the sticky flag")
+	if !s.stopped() {
+		t.Fatal("stopped() must report the sticky flag")
 	}
 }
 
@@ -69,7 +71,9 @@ func TestInterruptIsSticky(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(PosLit(a), PosLit(b))
-	s.Interrupt()
+	var stop atomic.Bool
+	stop.Store(true)
+	s.ShareStop(&stop)
 	if st := s.Solve(); st != Unknown {
 		t.Fatalf("pre-interrupted Solve = %v, want Unknown", st)
 	}
@@ -82,7 +86,7 @@ func TestInterruptIsSticky(t *testing.T) {
 // single store to it. Set mid-search, it makes every sharing Solve return
 // Unknown; set before Solve, it stops a solver that shares it only later
 // without a single decision or conflict — no gap between building a solver
-// and cancelling it. A solver on its own flag is untouched.
+// and cancelling it. A solver with no flag is untouched.
 func TestInterruptSharedStopFlag(t *testing.T) {
 	var stop atomic.Bool
 	done := make(chan Status, 2)
@@ -107,8 +111,8 @@ func TestInterruptSharedStopFlag(t *testing.T) {
 		}
 	}
 	for i, s := range solvers {
-		if !s.Interrupted() {
-			t.Fatalf("solver %d: Interrupted() = false with the shared flag set", i)
+		if !s.stopped() {
+			t.Fatalf("solver %d: stopped() = false with the shared flag set", i)
 		}
 	}
 
@@ -124,11 +128,11 @@ func TestInterruptSharedStopFlag(t *testing.T) {
 			late.Stats.Decisions, late.Stats.Conflicts)
 	}
 
-	own := New()
-	c := own.NewVar()
-	own.AddClause(PosLit(c))
-	if st := own.Solve(); st != Sat || own.Interrupted() {
-		t.Fatalf("solver on its own flag: Solve = %v, Interrupted = %v; want Sat, false", st, own.Interrupted())
+	unshared := New()
+	c := unshared.NewVar()
+	unshared.AddClause(PosLit(c))
+	if st := unshared.Solve(); st != Sat || unshared.stopped() {
+		t.Fatalf("solver with no stop flag: Solve = %v, stopped = %v; want Sat, false", st, unshared.stopped())
 	}
 }
 

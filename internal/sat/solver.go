@@ -102,16 +102,12 @@ type Solver struct {
 	// the cumulative Stats.Conflicts counter, so set it on a fresh solver.
 	MaxConflicts int64
 
-	// stop is the cooperative cancellation flag: Interrupt (callable from
-	// any goroutine — the only concurrency-safe entry point on a Solver)
-	// sets it, and the CDCL search loop polls it once per decision/conflict
-	// iteration, abandoning the Solve call with Unknown. The flag is
-	// sticky: a cancellation that lands between two Solve calls still stops
-	// the next one. It is ownStop unless ShareStop installed another (see
-	// stopFlag; a pointer to ownStop stored in the solver would force every
-	// solver onto the heap).
-	stop    *atomic.Bool
-	ownStop atomic.Bool
+	// stop is the cooperative cancellation flag ShareStop installs; nil
+	// means the solver is never stopped. The CDCL search loop polls it once
+	// per decision/conflict iteration and abandons the Solve call with
+	// Unknown once it is set. The flag is sticky: one set before Solve stops
+	// it before it searches.
+	stop *atomic.Bool
 
 	Stats Stats
 }
@@ -759,38 +755,24 @@ func (s *Solver) locked(cr clauseRef) bool {
 	return s.valueLit(l0) == lTrue && s.reason[l0.Var()] == cr
 }
 
-// Interrupt asks the solver to abandon the current (or next) Solve call at
-// the next interrupt check: the search loop polls the flag once per
-// decision/conflict iteration, so an in-flight query returns Unknown within
-// one such interval. Interrupt is safe to call from any goroutine — it is
-// the one concurrency-safe entry point on a Solver. It sets the shared flag
-// when ShareStop installed one, and so stops every solver sharing it.
-func (s *Solver) Interrupt() { s.stopFlag().Store(true) }
-
-// Interrupted reports whether the solver's stop flag is set.
-func (s *Solver) Interrupted() bool { return s.stopFlag().Load() }
-
-// ShareStop makes the solver poll flag instead of its own stop flag, so
-// whoever owns flag cancels every solver sharing it with one store, and a
-// flag set before Solve stops it before it searches. Call it before Solve,
-// from the goroutine that owns the solver.
+// ShareStop makes the solver poll flag, so whoever owns flag cancels
+// every solver sharing it with one store: an in-flight Solve returns
+// Unknown within one decision/conflict iteration, and a flag set before
+// Solve stops it before it searches. The store may come from any
+// goroutine; call ShareStop itself before Solve, from the goroutine that
+// owns the solver.
 func (s *Solver) ShareStop(flag *atomic.Bool) { s.stop = flag }
 
-// stopFlag returns the flag the solver polls.
-func (s *Solver) stopFlag() *atomic.Bool {
-	if s.stop != nil {
-		return s.stop
-	}
-	return &s.ownStop
-}
+// stopped reports whether the solver's stop flag is set.
+func (s *Solver) stopped() bool { return s.stop != nil && s.stop.Load() }
 
 // search runs CDCL until a model is found, the formula is refuted, the
 // restart budget (nofConflicts) is exhausted, the global conflict budget
-// runs out, or the solver is interrupted.
+// runs out, or its stop flag is set.
 func (s *Solver) search(nofConflicts int64) Status {
 	conflictC := int64(0)
 	for {
-		if s.stopFlag().Load() {
+		if s.stopped() {
 			return Unknown
 		}
 		confl := s.propagate()
@@ -913,9 +895,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		budget := int64(luby(2.0, restart) * restartFirst)
 		status = s.search(budget)
 		s.Stats.Restarts++
-		if status == Unknown && s.stopFlag().Load() {
+		if status == Unknown && s.stopped() {
 			// A cancelled query stays Unknown: do not restart. A Sat/Unsat
-			// verdict that raced the interrupt is still valid and kept.
+			// verdict that raced the stop is still valid and kept.
 			break
 		}
 		if s.MaxConflicts >= 0 && s.Stats.Conflicts >= s.MaxConflicts && status == Unknown {
