@@ -44,11 +44,13 @@ race:
 # concurrent snapshot/flush paths in the core engine. The regex matches by
 # prefix so every TestConcurrent* under internal/... joins this tier
 # automatically (currently: TestConcurrentSnapshotWhileLearn and
-# TestConcurrentAttachFlushLastErr — Persist racing Flush, Attach and
-# LastFlushErr — in internal/hhoudini/persist_test.go,
-# TestConcurrentMonotoneMemo — memo stores and lookups racing
-# SnapshotData/Restore — in internal/hhoudini/cache_test.go,
-# TestConcurrentMergeFlushSnapshot in internal/proofdb, the multi-session
+# TestConcurrentAttachFlushLastErr — Persist racing Flush, late binds and
+# DB.LastErr — in internal/hhoudini/persist_test.go,
+# TestConcurrentMonotoneMemo — memo stores, lookups, appends and touches
+# racing the bound store's Snapshot through Restore — in
+# internal/hhoudini/cache_test.go, TestConcurrentMergeFlushSnapshot —
+# Append, Touch and Snapshot racing Flush and LastErr — in
+# internal/proofdb, the multi-session
 # service-shape tests TestConcurrentMultiSession* in
 # internal/hhoudini/multisession_test.go, TestConcurrentConeFingerprint
 # and TestConcurrentRegSupport — the first use of the support table raced

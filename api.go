@@ -247,22 +247,25 @@ func SharedVerifyCache() *VerifyCache { return core.SharedCache() }
 
 // A learner binds its cache to a versioned on-disk proof store through
 // LearnerOptions.CacheDir: the first learner to name a directory opens the
-// store (proof.db) and restores its memos — proven abducts and Sat
-// candidate sets, keyed by cone fingerprint and environment key — into the
-// cache; every learner streams new answers into the file as they land and
-// makes them durable at Learn shutdown, so separate process invocations
-// share warm starts. Corrupt or version-mismatched stores are never an
-// error — they load colder — and an unusable directory degrades to the
-// in-memory cache alone.
+// store (proof.db), and binding a cache restores the store's memos — proven
+// abducts and Sat candidate sets, keyed by cone fingerprint and environment
+// key — into it once. Each new answer is appended to the file once, as it
+// lands, and made durable at Learn shutdown, so separate process
+// invocations share warm starts. The store owns the file and every record;
+// the cache holds a bounded working set of them. A record no query used
+// for proofdb.DefaultMaxAge (two weeks) is evicted. Corrupt or
+// version-mismatched stores are never an error — they load colder — and
+// an unusable directory degrades to the in-memory cache alone.
 
 // DefaultCacheDir is the conventional on-disk cache directory tools use
 // when persistence is requested without an explicit path (.gitignored).
 const DefaultCacheDir = proofdb.DefaultDir
 
-// CloseProofDBs flushes and closes every proof store opened implicitly via
-// LearnerOptions.CacheDir. Call it before process exit (each Learn already
-// flushed at shutdown, so this is a final-durability convenience, not a
-// correctness requirement).
+// CloseProofDBs closes every proof store opened implicitly via
+// LearnerOptions.CacheDir: one final rewrite each, which also records when
+// restored answers were last used. Call it before process exit (each Learn
+// already made its answers durable at shutdown, so this is a
+// final-durability convenience, not a correctness requirement).
 func CloseProofDBs() error { return core.CloseProofDBs() }
 
 // Audit monolithically verifies a learned invariant (initiation,

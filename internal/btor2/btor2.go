@@ -90,9 +90,6 @@ func Parse(r io.Reader) (*Design, error) {
 	return p.finish()
 }
 
-// ParseString is a convenience wrapper over Parse.
-func ParseString(s string) (*Design, error) { return Parse(strings.NewReader(s)) }
-
 type parser struct {
 	b      *circuit.Builder
 	sorts  map[int64]int          // sort id → bit width

@@ -25,7 +25,7 @@ const counterModel = `
 `
 
 func TestParseCounter(t *testing.T) {
-	d, err := ParseString(counterModel)
+	d, err := Parse(strings.NewReader(counterModel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestParseAllOperators(t *testing.T) {
 47 const 1 1010
 48 output 45 allones
 `
-	d, err := ParseString(model)
+	d, err := Parse(strings.NewReader(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestParseErrors(t *testing.T) {
 		"bad slice":         "1 sort bitvec 2\n2 input 1\n3 slice 1 2 9 0\n",
 	}
 	for name, model := range cases {
-		if _, err := ParseString(model); err == nil {
+		if _, err := Parse(strings.NewReader(model)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
 func TestParseUninitializedStateDefaultsZero(t *testing.T) {
-	d, err := ParseString("1 sort bitvec 3\n2 state 1 s\n3 next 1 2 2\n")
+	d, err := Parse(strings.NewReader("1 sort bitvec 3\n2 state 1 s\n3 next 1 2 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 
 func TestParseComments(t *testing.T) {
 	model := "; leading comment\n1 sort bitvec 1 ; trailing\n\n2 input 1 x\n"
-	if _, err := ParseString(model); err != nil {
+	if _, err := Parse(strings.NewReader(model)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -93,9 +93,6 @@ func (c *Circuit) Wire(name string) (Word, bool) {
 // WireNames returns the declared wire names, sorted.
 func (c *Circuit) WireNames() []string { return sortedNames(c.wires) }
 
-// RegNames returns all register names, sorted.
-func (c *Circuit) RegNames() []string { return sortedNames(c.regIdx) }
-
 // String summarizes the circuit.
 func (c *Circuit) String() string {
 	return fmt.Sprintf("circuit{regs: %d, state bits: %d, input bits: %d, nodes: %d}",

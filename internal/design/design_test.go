@@ -182,7 +182,10 @@ func TestInOrderSafeOpsAreConstantTime(t *testing.T) {
 	safe := []string{"add", "sub", "xor", "and", "or", "sll", "srl", "sra",
 		"slt", "sltu", "addi", "xori", "lui", "auipc", "slli"}
 	for _, mn := range safe {
-		word := tgt.EncodeOrDie(mn, rng)
+		word, err := tgt.Encode(mn, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s1 := map[string]uint64{}
 		s2 := map[string]uint64{}
 		for _, r := range tgt.SecretRegs {
@@ -316,7 +319,10 @@ func TestOoOSafeOpsConstantTime(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	for _, mn := range []string{"add", "sub", "xor", "sll", "sltu", "addi", "lui", "mul", "mulhu"} {
-		word := tgt.EncodeOrDie(mn, rng)
+		word, err := tgt.Encode(mn, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s1, s2 := map[string]uint64{}, map[string]uint64{}
 		for _, r := range tgt.SecretRegs {
 			s1[r] = rng.Uint64() & 0xffff

@@ -19,7 +19,6 @@
 package design
 
 import (
-	"fmt"
 	"math/rand"
 
 	"hhoudini/internal/circuit"
@@ -99,13 +98,4 @@ func (t *Target) HasOp(mn string) bool {
 		}
 	}
 	return false
-}
-
-// EncodeOrDie wraps Encode for tests and examples with known-good inputs.
-func (t *Target) EncodeOrDie(mn string, rng *rand.Rand) uint64 {
-	w, err := t.Encode(mn, rng)
-	if err != nil {
-		panic(fmt.Sprintf("design %s: %v", t.Name, err))
-	}
-	return w
 }

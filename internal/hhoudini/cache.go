@@ -3,7 +3,6 @@ package hhoudini
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +30,10 @@ import (
 //     candidates, so it answers "no abduct" for every subset of itself.
 //
 // Memory is bounded: each half is capped per target, and whole keys are
-// evicted LRU beyond maxKeys. The same records are what internal/proofdb
-// persists (SnapshotData / Restore / delta sinks).
+// evicted LRU beyond maxKeys. The cache is the bounded working set; a bound
+// proof store (bind) holds the full record image: it is restored once,
+// hears each new record once (store), and is touched when a query reuses a
+// restored record (lookup).
 type VerifyCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -55,26 +56,15 @@ type VerifyCache struct {
 	abductHits    int64
 
 	// Persistence counters (internal/proofdb wiring): records restored
-	// from a disk snapshot, hits answered by restored memos, and flushes of
-	// this cache into a proof store.
+	// from a disk snapshot and hits answered by restored memos.
 	diskVerdictsLoaded int64
 	diskVerdictHits    int64
-	diskFlushes        int64
 
-	// sinks receive the delta of every live mutation (new abduct, new Sat
-	// set) — the write-ahead feed a bound proof store journals as the facts
-	// land, so the crash-loss window is the sync policy's, not the flush
-	// interval's. Registered under vc.mu; invoked strictly outside it (a
-	// sink appends to a store whose own lock ordering must stay independent
-	// of the cache's).
-	sinks   []deltaSink
-	sinkSeq int64
-}
-
-// deltaSink is one registered delta consumer.
-type deltaSink struct {
-	id int64
-	fn func(*proofdb.Snapshot)
+	// db is the bound proof store (nil when none): every new record is
+	// appended to it as it lands, so the crash-loss window is the sync
+	// policy's. Set under vc.mu; called strictly outside it (the store's
+	// lock ordering stays independent of the cache's).
+	db *proofdb.DB
 }
 
 // Default sizing.
@@ -144,7 +134,6 @@ type CacheCounters struct {
 	// Persistence counters (zero unless a proof store is attached).
 	DiskVerdictsLoaded int64 // abducts and Sat sets restored from a disk snapshot
 	DiskVerdictHits    int64 // hits answered by restored records
-	DiskFlushes        int64 // snapshots of this cache merged into a store
 
 	// Introspection (see Len and Bytes; maintained incrementally).
 	Entries     int64 // records held: abducts + Sat sets
@@ -166,7 +155,6 @@ func (vc *VerifyCache) Counters() CacheCounters {
 
 		DiskVerdictsLoaded: atomic.LoadInt64(&vc.diskVerdictsLoaded),
 		DiskVerdictHits:    atomic.LoadInt64(&vc.diskVerdictHits),
-		DiskFlushes:        atomic.LoadInt64(&vc.diskFlushes),
 
 		Entries:        int64(entries),
 		ApproxBytes:    bytes,
@@ -230,9 +218,8 @@ func (vc *VerifyCache) String() string {
 	s := fmt.Sprintf(
 		"verify-cache{negative hits %d, abduct hits %d, misses %d, key evictions %d, entries %d (~%dB)",
 		c.VerdictHits, c.AbductHits, c.VerdictMisses, c.KeyEvictions, c.Entries, c.ApproxBytes)
-	if c.DiskVerdictsLoaded+c.DiskVerdictHits+c.DiskFlushes > 0 {
-		s += fmt.Sprintf(", disk loaded %d hits %d flushes %d",
-			c.DiskVerdictsLoaded, c.DiskVerdictHits, c.DiskFlushes)
+	if c.DiskVerdictsLoaded+c.DiskVerdictHits > 0 {
+		s += fmt.Sprintf(", disk loaded %d hits %d", c.DiskVerdictsLoaded, c.DiskVerdictHits)
 	}
 	return s + "}"
 }
@@ -339,7 +326,7 @@ func subsetOf(a, b []string) bool {
 // equal sizes go to the lowest signature, so a memo restored from disk
 // answers exactly as the live one it was written from. ok is false when
 // neither half answers; fromDisk reports that the answering record was
-// restored from a persistent proof store.
+// restored from a persistent proof store, whose copy is then touched.
 func (vc *VerifyCache) lookup(key string, target Pred, cands []Pred) (res abductResult, fromDisk, ok bool) {
 	tid := target.ID()
 	ids := candidateIDs(tid, cands)
@@ -385,10 +372,14 @@ func (vc *VerifyCache) lookup(key string, target Pred, cands []Pred) (res abduct
 	}
 	members := slices.Clone(best.ids)
 	fromDisk = best.fromDisk
+	db := vc.db
 	vc.mu.Unlock()
 
 	if fromDisk {
 		atomic.AddInt64(&vc.diskVerdictHits, 1)
+		if db != nil {
+			db.Touch(key, tid, sat, members)
+		}
 	}
 	if sat {
 		atomic.AddInt64(&vc.verdictHits, 1)
@@ -409,7 +400,7 @@ func (vc *VerifyCache) lookup(key string, target Pred, cands []Pred) (res abduct
 
 // store records one solver answer for target: its abduct, or — when no
 // abduct exists — its candidate set as a Sat set. A record the memo did not
-// already imply is delivered to the delta sinks.
+// already imply is appended to the bound proof store.
 func (vc *VerifyCache) store(key string, target Pred, cands []Pred, res abductResult) {
 	tid := target.ID()
 	var ids []string
@@ -423,13 +414,10 @@ func (vc *VerifyCache) store(key string, target Pred, cands []Pred, res abductRe
 	}
 	vc.mu.Lock()
 	added := vc.addLocked(vc.entryLocked(key), tid, !res.ok, ids, false)
-	var sinks []func(*proofdb.Snapshot)
-	if added {
-		sinks = vc.sinksLocked()
-	}
+	db := vc.db
 	vc.mu.Unlock()
 
-	if len(sinks) == 0 {
+	if !added || db == nil {
 		return
 	}
 	kr := proofdb.KeyRecord{Key: key}
@@ -438,7 +426,7 @@ func (vc *VerifyCache) store(key string, target Pred, cands []Pred, res abductRe
 	} else {
 		kr.Negsets = []proofdb.Negset{{Target: tid, Cands: ids}}
 	}
-	emitDelta(sinks, kr)
+	db.Append(&proofdb.Snapshot{Keys: []proofdb.KeyRecord{kr}})
 }
 
 // addLocked installs one record for targetID under e, credits the
@@ -493,45 +481,17 @@ func (vc *VerifyCache) addLocked(e *cacheEntry, targetID string, sat bool, ids [
 
 // --- Persistence (internal/proofdb exchange) --------------------------------
 
-// SnapshotData exports the memo as a portable proofdb snapshot: keys,
-// targets and each target's records in sorted order, so equal cache
-// contents serialize identically. Safe to call concurrently with learners
-// using the cache: the snapshot is assembled under the cache lock.
-func (vc *VerifyCache) SnapshotData() *proofdb.Snapshot {
+// bind makes db the store this cache's new records are appended to and,
+// unless db is already the bound store, restores db's records into the
+// cache. Restored records are not appended back: db already holds them.
+func (vc *VerifyCache) bind(db *proofdb.DB) {
 	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	keys := make([]string, 0, len(vc.entries))
-	for k := range vc.entries {
-		keys = append(keys, k)
+	same := vc.db == db
+	vc.db = db
+	vc.mu.Unlock()
+	if !same {
+		vc.Restore(db.Snapshot())
 	}
-	sort.Strings(keys)
-	snap := &proofdb.Snapshot{}
-	for _, k := range keys {
-		e := vc.entries[k]
-		kr := proofdb.KeyRecord{Key: k}
-		tids := make([]string, 0, len(e.targets))
-		for tid := range e.targets {
-			tids = append(tids, tid)
-		}
-		sort.Strings(tids)
-		for _, tid := range tids {
-			m := e.targets[tid]
-			abducts := slices.Clone(m.abducts)
-			sort.Slice(abducts, func(i, j int) bool { return abducts[i].sig < abducts[j].sig })
-			for _, r := range abducts {
-				kr.Abducts = append(kr.Abducts, proofdb.Abduct{Target: tid, Preds: slices.Clone(r.ids)})
-			}
-			sats := slices.Clone(m.satSets)
-			sort.Slice(sats, func(i, j int) bool { return slices.Compare(sats[i].ids, sats[j].ids) < 0 })
-			for _, r := range sats {
-				kr.Negsets = append(kr.Negsets, proofdb.Negset{Target: tid, Cands: slices.Clone(r.ids)})
-			}
-		}
-		if len(kr.Abducts)+len(kr.Negsets) > 0 {
-			snap.Keys = append(snap.Keys, kr)
-		}
-	}
-	return snap
 }
 
 // Restore merges a proofdb snapshot into the cache: abducts and Sat sets
@@ -568,53 +528,4 @@ func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (records int) {
 	vc.mu.Unlock()
 	atomic.AddInt64(&vc.diskVerdictsLoaded, int64(records))
 	return records
-}
-
-// noteDiskFlush counts one merge of this cache into a persistent store.
-func (vc *VerifyCache) noteDiskFlush() { atomic.AddInt64(&vc.diskFlushes, 1) }
-
-// addDeltaSink registers fn to receive every future delta and returns its
-// removal function. Restores from disk are not replayed into
-// sinks (the store already holds them); only live derivations flow.
-func (vc *VerifyCache) addDeltaSink(fn func(*proofdb.Snapshot)) (remove func()) {
-	vc.mu.Lock()
-	vc.sinkSeq++
-	id := vc.sinkSeq
-	vc.sinks = append(vc.sinks, deltaSink{id: id, fn: fn})
-	vc.mu.Unlock()
-	return func() {
-		vc.mu.Lock()
-		for i, s := range vc.sinks {
-			if s.id == id {
-				vc.sinks = append(vc.sinks[:i], vc.sinks[i+1:]...)
-				break
-			}
-		}
-		vc.mu.Unlock()
-	}
-}
-
-// sinksLocked snapshots the registered sink functions (nil when none).
-// Caller holds vc.mu; the returned copy is safe to invoke after unlocking.
-func (vc *VerifyCache) sinksLocked() []func(*proofdb.Snapshot) {
-	if len(vc.sinks) == 0 {
-		return nil
-	}
-	fns := make([]func(*proofdb.Snapshot), len(vc.sinks))
-	for i, s := range vc.sinks {
-		fns[i] = s.fn
-	}
-	return fns
-}
-
-// emitDelta delivers one key's delta to the given sinks. Must be called
-// with vc.mu released: sinks do I/O and take their own locks.
-func emitDelta(sinks []func(*proofdb.Snapshot), kr proofdb.KeyRecord) {
-	if len(sinks) == 0 {
-		return
-	}
-	s := &proofdb.Snapshot{Keys: []proofdb.KeyRecord{kr}}
-	for _, fn := range sinks {
-		fn(s)
-	}
 }

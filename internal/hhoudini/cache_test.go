@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hhoudini/internal/circuit"
+	"hhoudini/internal/proofdb"
 )
 
 // coldOptions is a single-worker learner over a private, empty cache: every
@@ -482,11 +483,13 @@ func TestMemoTieBreakMemoryMatchesDisk(t *testing.T) {
 	target, query := regEq{reg: "T", val: 1}, regs("A B C")
 	for _, order := range []string{"B A|C A", "C A|B A"} {
 		live := NewVerifyCache()
+		db := openTestStore(t)
+		live.bind(db)
 		for _, ab := range strings.Split(order, "|") {
 			live.store("k", target, query, abductResult{preds: regs(ab), ok: true})
 		}
 		restored := NewVerifyCache()
-		restored.Restore(live.SnapshotData())
+		restored.Restore(db.Snapshot())
 		for name, vc := range map[string]*VerifyCache{"live": live, "restored": restored} {
 			res, _, ok := vc.lookup("k", target, query)
 			if got := answer(res, ok); got != "B A" {
@@ -497,14 +500,17 @@ func TestMemoTieBreakMemoryMatchesDisk(t *testing.T) {
 }
 
 // TestConcurrentMonotoneMemo races learners storing and looking up abducts
-// and Sat sets against SnapshotData/Restore round trips into the same cache
-// and a scratch one (the -race tier for the memo). Sat sets are drawn from
+// and Sat sets against round trips of the bound store's Snapshot through
+// Restore into the same cache and a scratch one (the -race tier for the
+// memo and its appends and touches). Sat sets are drawn from
 // A–D and every abduct contains E, so a consistent memo never answers "no
 // abduct" for a query holding E, never answers an abduct it does not
 // contain, and ends with each target's Sat sets a capped antichain and its
 // footprint counters equal to a recount.
 func TestConcurrentMonotoneMemo(t *testing.T) {
 	vc := NewVerifyCache()
+	db := openTestStore(t)
+	vc.bind(db)
 	universe := regs("A B C D E F G H")
 	pick := func(rng *rand.Rand, from []Pred) []Pred {
 		var out []Pred
@@ -526,7 +532,7 @@ func TestConcurrentMonotoneMemo(t *testing.T) {
 				return
 			default:
 			}
-			snap := vc.SnapshotData()
+			snap := db.Snapshot()
 			scratch.Restore(snap)
 			vc.Restore(snap)
 		}
@@ -605,4 +611,14 @@ func checkMemoAnswer(cands []Pred, res abductResult, ok bool) error {
 		}
 	}
 	return nil
+}
+
+// openTestStore opens a proof store without appends in a fresh directory.
+func openTestStore(t *testing.T) *proofdb.DB {
+	t.Helper()
+	db, err := proofdb.Open(t.TempDir(), proofdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }

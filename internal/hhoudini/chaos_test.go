@@ -145,14 +145,14 @@ func TestChaosProofDBWriteFailure(t *testing.T) {
 	// fail: Learn's shutdown Persist fsyncs the journal and succeeds, so no
 	// flush error is recorded yet. The rewrite failure surfaces at Close,
 	// whose final full flush is the first snapshot write of the run.
-	if got := l.pdb.LastFlushErr(); got != nil {
+	if got := l.pdb.LastErr(); got != nil {
 		t.Fatalf("journal-backed shutdown persist failed: %v", got)
 	}
 	if err := CloseProofDBs(); !errors.Is(err, injected) {
 		t.Fatalf("Close must surface the failed final flush; got %v", err)
 	}
-	if got := l.pdb.LastFlushErr(); !errors.Is(got, injected) {
-		t.Fatalf("LastFlushErr = %v, want the injected error", got)
+	if got := l.pdb.LastErr(); !errors.Is(got, injected) {
+		t.Fatalf("LastErr = %v, want the injected error", got)
 	}
 
 	after, err := os.ReadFile(path)

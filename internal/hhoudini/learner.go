@@ -14,6 +14,7 @@ import (
 
 	"hhoudini/internal/circuit"
 	"hhoudini/internal/faultinject"
+	"hhoudini/internal/proofdb"
 )
 
 // Options tune the learner.
@@ -28,10 +29,12 @@ type Options struct {
 	// only engages for cacheable systems (see System.EnvKey).
 	Cache *VerifyCache
 	// CacheDir, when non-empty (for a cacheable system), binds the cache to
-	// a persistent proof store in that directory: the first Learner to name
-	// the directory restores the store's verdict and abduct memos into the
-	// cache, and every Learn persists the cache back at shutdown — so
-	// separate process invocations over the same design share warm starts.
+	// a persistent proof store in that directory: the store's abducts and
+	// Sat sets are restored into the cache when it is first bound there,
+	// each record the cache derives is appended to the store as it lands,
+	// and every Learn makes those appends durable at shutdown — so separate
+	// process invocations over the same design share warm starts. A cache
+	// bound to another directory moves to it.
 	// Unusable stores (corrupt, version-mismatched, unwritable) degrade to a
 	// cold start; they never fail the learner. CloseProofDBs is the
 	// process-exit hook.
@@ -330,9 +333,9 @@ type Learner struct {
 	// circuit, so the memo is sound for the learner's lifetime.
 	sliceMemo sync.Map // pred ID → *targetSlice
 	// pdb is the persistent proof store bound via Options.CacheDir (nil
-	// when persistence is off or the store is unusable). Learn flushes the
-	// cache into it at shutdown.
-	pdb *proofDB
+	// when persistence is off or the store is unusable). The cache appends
+	// to it as answers land; Learn persists it at shutdown.
+	pdb *proofdb.DB
 
 	// init is the reset-state snapshot, computed once per learner;
 	// initEval memoizes per-predicate init-state evaluation by pred ID

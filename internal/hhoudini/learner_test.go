@@ -394,20 +394,6 @@ func TestAuditRejectsBadInitiation(t *testing.T) {
 	}
 }
 
-func TestCheckExamples(t *testing.T) {
-	sys := andGateSystem(t)
-	p := regEq{reg: "A", val: 1}
-	inv := &Invariant{Preds: []Pred{p}, Targets: []Pred{p}}
-	good := circuit.Snapshot{1, 1, 1, 1, 1}
-	bad := circuit.Snapshot{0, 1, 1, 1, 1}
-	if err := CheckExamples(sys, inv, []circuit.Snapshot{good}); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckExamples(sys, inv, []circuit.Snapshot{good, bad}); err == nil {
-		t.Fatal("expected rejection")
-	}
-}
-
 func TestStatsPercentiles(t *testing.T) {
 	s := &Stats{}
 	if s.MedianQueryTime() != 0 {

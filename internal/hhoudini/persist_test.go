@@ -32,22 +32,27 @@ func learnOnce(t *testing.T, opts Options) (*Learner, *Invariant) {
 	return l, inv
 }
 
+// TestSnapshotRestoreRoundTrip: the records a bound cache appends to its
+// store restore into a fresh cache that then answers every query of a
+// repeat Learn from them.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	cache := NewVerifyCache()
+	db := boundProofDB(t.TempDir(), cache)
+	if db == nil {
+		t.Fatal("store did not open")
+	}
+	defer CloseProofDBs()
 	learnOnce(t, warmOptions(cache))
 
-	snap := cache.SnapshotData()
+	snap := db.Snapshot()
 	if snap.Len() == 0 {
 		t.Fatal("Learn populated nothing durable")
 	}
 
 	fresh := NewVerifyCache()
 	verdicts := fresh.Restore(snap)
-	if verdicts != snap.Len() {
+	if verdicts == 0 || verdicts > snap.Len() {
 		t.Fatalf("Restore admitted %d records, snapshot had %d", verdicts, snap.Len())
-	}
-	if got := fresh.SnapshotData(); !reflect.DeepEqual(got, snap) {
-		t.Fatalf("restore round trip mismatch:\n got %+v\nwant %+v", got, snap)
 	}
 	if fresh.Len() != cache.Len() {
 		t.Fatalf("Len: restored %d, original %d", fresh.Len(), cache.Len())
@@ -59,6 +64,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Restore is idempotent: everything is already present.
 	if again := fresh.Restore(snap); again != 0 {
 		t.Fatalf("second Restore admitted %d records", again)
+	}
+	l, _ := learnOnce(t, warmOptions(fresh))
+	if s := l.Stats(); s.Queries == 0 || s.CacheDiskHits != s.Queries || s.SolverAllocs != 0 {
+		t.Fatalf("restored cache answered %d of %d queries and built %d solvers", s.CacheDiskHits, s.Queries, s.SolverAllocs)
 	}
 }
 
@@ -277,11 +286,17 @@ func TestCacheDirUnusableDirectoryDegrades(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotWhileLearn hammers SnapshotData/Restore/Len/Bytes
-// from a background goroutine while a multi-worker Learn mutates the same
-// cache — the -race tier for the persistence read path.
+// TestConcurrentSnapshotWhileLearn hammers the bound store's Snapshot and
+// Restore/Len/Bytes from a background goroutine while a multi-worker Learn
+// appends to the store and mutates the same cache — the -race tier for the
+// persistence read path.
 func TestConcurrentSnapshotWhileLearn(t *testing.T) {
 	cache := NewVerifyCache()
+	db := boundProofDB(t.TempDir(), cache)
+	if db == nil {
+		t.Fatal("store did not open")
+	}
+	defer CloseProofDBs()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -293,7 +308,7 @@ func TestConcurrentSnapshotWhileLearn(t *testing.T) {
 				return
 			default:
 			}
-			snap := cache.SnapshotData()
+			snap := db.Snapshot()
 			scratch.Restore(snap)
 			_ = cache.Len()
 			_ = cache.Bytes()
@@ -310,9 +325,9 @@ func TestConcurrentSnapshotWhileLearn(t *testing.T) {
 }
 
 // TestConcurrentAttachFlushLastErr races Persist against explicit Flush
-// calls, late Attach of fresh caches, and LastFlushErr polls: the binding's
-// lock discipline must hold under the race detector, and a healthy store
-// must never report a flush error.
+// calls, late binds of fresh caches, and LastErr polls: the store's lock
+// discipline must hold under the race detector, and a healthy store must
+// never report a flush error.
 func TestConcurrentAttachFlushLastErr(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewVerifyCache()
@@ -336,7 +351,7 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 30; i++ {
 			late := NewVerifyCache()
-			p.Attach(late)
+			boundProofDB(dir, late)
 			if err := p.Flush(); err != nil {
 				t.Errorf("Flush: %v", err)
 			}
@@ -344,8 +359,8 @@ func TestConcurrentAttachFlushLastErr(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		if err := p.LastFlushErr(); err != nil {
-			t.Errorf("LastFlushErr on a healthy store: %v", err)
+		if err := p.LastErr(); err != nil {
+			t.Errorf("LastErr on a healthy store: %v", err)
 		}
 	}
 	<-done
@@ -384,8 +399,8 @@ func TestProofDBCloseRewritesOnce(t *testing.T) {
 	if got := p.Stats().Flushes - before; got != 1 {
 		t.Fatalf("one Close rewrote the store %d times, want 1", got)
 	}
-	if err := p.LastFlushErr(); err != nil {
-		t.Fatalf("LastFlushErr after a clean Close = %v", err)
+	if err := p.LastErr(); err != nil {
+		t.Fatalf("LastErr after a clean Close = %v", err)
 	}
 	if err := CloseProofDBs(); err != nil {
 		t.Fatal(err)
@@ -396,7 +411,56 @@ func TestProofDBCloseRewritesOnce(t *testing.T) {
 	}
 }
 
-// TestBoundProofDBRegistry: one proofDB per directory per process, shared
+// TestMaxAgeEvictsRecordsNoQueryUsed: a store's MaxAge counts from a
+// record's last use. Three records are written on day 0; on day 13 a fresh
+// cache is bound to the store, one query hits one restored record, and the
+// store is closed. On day 27, under a 14-day MaxAge, only the record hit on
+// day 13 loads: binding and closing do not refresh what no query used.
+func TestMaxAgeEvictsRecordsNoQueryUsed(t *testing.T) {
+	dir := t.TempDir()
+	day0 := time.Unix(1_700_000_000, 0)
+	open := func(day int) *proofdb.DB {
+		t.Helper()
+		now := day0.Add(time.Duration(day) * 24 * time.Hour)
+		db, err := proofdb.Open(dir, proofdb.Options{MaxAge: 14 * 24 * time.Hour, Now: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	tA, tB, tC := regEq{reg: "T", val: 1}, regEq{reg: "U", val: 1}, regEq{reg: "V", val: 1}
+
+	db := open(0)
+	cache := NewVerifyCache()
+	cache.bind(db)
+	cache.store("k", tA, regs("A B"), abductResult{preds: regs("A"), ok: true})
+	cache.store("k", tB, regs("A B"), abductResult{preds: regs("B"), ok: true})
+	cache.store("k", tC, regs("C"), abductResult{ok: false})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = open(13)
+	cache = NewVerifyCache()
+	cache.bind(db)
+	if res, fromDisk, ok := cache.lookup("k", tA, regs("A C")); !ok || !fromDisk || answer(res, ok) != "A" {
+		t.Fatalf("day-13 query answered %q (fromDisk=%v), want the restored abduct A", answer(res, ok), fromDisk)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = open(27)
+	snap := db.Snapshot()
+	if snap.Len() != 1 || len(snap.Keys[0].Abducts) != 1 || snap.Keys[0].Abducts[0].Target != tA.ID() {
+		t.Fatalf("day 27 loaded %+v, want only the abduct of %s", snap.Keys, tA.ID())
+	}
+	if got := db.Stats().ExpiredSkipped; got != 2 {
+		t.Fatalf("ExpiredSkipped = %d, want the 2 records no query used since day 0", got)
+	}
+}
+
+// TestBoundProofDBRegistry: one store per directory per process, shared
 // by every learner that names it.
 func TestBoundProofDBRegistry(t *testing.T) {
 	dir := t.TempDir()
@@ -407,7 +471,7 @@ func TestBoundProofDBRegistry(t *testing.T) {
 	}
 	other := boundProofDB(t.TempDir(), NewVerifyCache())
 	if other == p1 {
-		t.Fatal("distinct directories share a proofDB")
+		t.Fatal("distinct directories share a store")
 	}
 	if err := CloseProofDBs(); err != nil {
 		t.Fatal(err)
@@ -525,9 +589,14 @@ func TestVerdictRecordStoreWarmsFromAbducts(t *testing.T) {
 		return l, inv
 	}
 	cold := NewVerifyCache()
+	coldDB, err := proofdb.Open(t.TempDir(), proofdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.bind(coldDB)
 	_, inv1 := learn(cold)
 
-	old := cold.SnapshotData()
+	old := coldDB.Snapshot()
 	abducts := old.Len()
 	for i := range old.Keys {
 		kr := &old.Keys[i]
@@ -540,7 +609,7 @@ func TestVerdictRecordStoreWarmsFromAbducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Merge(old)
+	db.Append(old)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

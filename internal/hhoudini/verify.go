@@ -80,20 +80,3 @@ func AuditBudget(sys *System, inv *Invariant, conflicts int64) error {
 	}
 	return nil
 }
-
-// CheckExamples verifies the P-S premise on a set of example states: every
-// predicate of the invariant must admit every positive example.
-func CheckExamples(sys *System, inv *Invariant, examples []circuit.Snapshot) error {
-	for _, e := range examples {
-		for _, p := range inv.Preds {
-			ok, err := p.Eval(sys.Circuit, e)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("hhoudini: predicate %s rejects a positive example", p)
-			}
-		}
-	}
-	return nil
-}

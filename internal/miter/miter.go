@@ -89,42 +89,3 @@ func (p *Product) BaseRegs() []string {
 	}
 	return out
 }
-
-// PairedSnapshot assembles a product snapshot from separate left and right
-// base-circuit snapshots.
-func (p *Product) PairedSnapshot(l, r circuit.Snapshot) (circuit.Snapshot, error) {
-	baseRegs := p.Base.Regs()
-	if len(l) != len(baseRegs) || len(r) != len(baseRegs) {
-		return nil, fmt.Errorf("miter: snapshot sizes %d/%d, want %d", len(l), len(r), len(baseRegs))
-	}
-	out := make(circuit.Snapshot, len(p.Circuit.Regs()))
-	for i, br := range baseRegs {
-		li, ri, err := p.RegPair(br.Name)
-		if err != nil {
-			return nil, err
-		}
-		out[li] = l[i]
-		out[ri] = r[i]
-	}
-	return out, nil
-}
-
-// SplitSnapshot decomposes a product snapshot into left and right base
-// snapshots.
-func (p *Product) SplitSnapshot(s circuit.Snapshot) (l, r circuit.Snapshot, err error) {
-	if len(s) != len(p.Circuit.Regs()) {
-		return nil, nil, fmt.Errorf("miter: snapshot size %d, want %d", len(s), len(p.Circuit.Regs()))
-	}
-	baseRegs := p.Base.Regs()
-	l = make(circuit.Snapshot, len(baseRegs))
-	r = make(circuit.Snapshot, len(baseRegs))
-	for i, br := range baseRegs {
-		li, ri, err := p.RegPair(br.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		l[i] = s[li]
-		r[i] = s[ri]
-	}
-	return l, r, nil
-}

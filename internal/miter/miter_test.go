@@ -65,10 +65,19 @@ func TestProductCopiesRunIndependently(t *testing.T) {
 	simL.LoadSnapshot(lSnap)
 	simR.LoadSnapshot(rSnap)
 
+	// pairs[i] are the product indices of base register i's two copies.
+	var pairs [][2]int
+	for _, name := range p.BaseRegs() {
+		li, ri, err := p.RegPair(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, [2]int{li, ri})
+	}
 	simP := circuit.NewSim(p.Circuit)
-	paired, err := p.PairedSnapshot(lSnap, rSnap)
-	if err != nil {
-		t.Fatal(err)
+	paired := make(circuit.Snapshot, len(p.Circuit.Regs()))
+	for i, pr := range pairs {
+		paired[pr[0]], paired[pr[1]] = lSnap[i], rSnap[i]
 	}
 	simP.LoadSnapshot(paired)
 
@@ -79,9 +88,10 @@ func TestProductCopiesRunIndependently(t *testing.T) {
 		simR.Step(in)
 		simP.Step(in)
 
-		gotL, gotR, err := p.SplitSnapshot(simP.Snapshot())
-		if err != nil {
-			t.Fatal(err)
+		snap := simP.Snapshot()
+		gotL, gotR := make(circuit.Snapshot, len(pairs)), make(circuit.Snapshot, len(pairs))
+		for i, pr := range pairs {
+			gotL[i], gotR[i] = snap[pr[0]], snap[pr[1]]
 		}
 		if !gotL.Equal(simL.Snapshot()) {
 			t.Fatalf("cycle %d: left copy diverged: %v vs %v", cycle, gotL, simL.Snapshot())
@@ -122,12 +132,6 @@ func TestRegPairAndErrors(t *testing.T) {
 	}
 	if _, _, err := p.RegPair("ghost"); err == nil {
 		t.Fatal("expected error for unknown base register")
-	}
-	if _, err := p.PairedSnapshot(circuit.Snapshot{1}, circuit.Snapshot{1, 2}); err == nil {
-		t.Fatal("expected size error")
-	}
-	if _, _, err := p.SplitSnapshot(circuit.Snapshot{1}); err == nil {
-		t.Fatal("expected size error")
 	}
 	regs := p.BaseRegs()
 	if len(regs) != 2 || regs[0] != "x" || regs[1] != "y" {

@@ -52,7 +52,7 @@ const (
 type JournalOptions struct {
 	// Enable turns appends on. Off by default: a bare proofdb.Open keeps
 	// deltas in memory until Flush; the hhoudini persistence layer enables
-	// appends for its CacheDir bindings.
+	// appends for the stores Options.CacheDir opens.
 	Enable bool
 	// Sync is the durability policy for appended records.
 	Sync SyncPolicy
@@ -107,12 +107,13 @@ func (db *DB) faultLocked() {
 	}
 }
 
-// Append is the write-ahead delta path: it folds s into the model exactly
-// like Merge and, when appends are on, writes every record it carries to
-// the end of the store file, so the delta survives a crash without waiting
-// for the next rewrite. It never returns an error — I/O failures feed the
-// degradation ladder (Stats.JournalDegraded) and the caller's data stays
-// safe in the model for the next Flush.
+// Append is the write-ahead delta path: it folds s into the model, stamping
+// every record it carries with the current time as its last use, and, when
+// appends are on, writes those records to the end of the store file, so the
+// delta survives a crash without waiting for the next rewrite. It never
+// returns an error — I/O failures feed the degradation ladder
+// (Stats.JournalDegraded) and the caller's data stays safe in the model for
+// the next Flush. On a closed store it does nothing.
 func (db *DB) Append(s *Snapshot) {
 	recs := s.records(db.opts.Now().Unix())
 	if len(recs) == 0 {
@@ -128,6 +129,9 @@ func (db *DB) Append(s *Snapshot) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return
+	}
 	for i := range recs {
 		db.putLocked(&recs[i])
 	}
@@ -201,6 +205,9 @@ func (db *DB) Persist() error {
 	if !escalate {
 		err := db.syncLocked()
 		escalate = err != nil || db.stats.BytesOnDisk > 2*db.rewriteBytes
+	}
+	if !escalate {
+		db.lastErr = nil
 	}
 	db.mu.Unlock()
 	if escalate {

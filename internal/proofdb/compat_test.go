@@ -39,7 +39,7 @@ func TestConeRecordsKeepV1Header(t *testing.T) {
 // permuted member order is one record.
 func TestConeAbductPermutationDedups(t *testing.T) {
 	db := mustOpen(t, t.TempDir(), Options{})
-	db.Merge(&Snapshot{Keys: []KeyRecord{{
+	db.Append(&Snapshot{Keys: []KeyRecord{{
 		Key: "cone:k|",
 		Abducts: []Abduct{
 			{Target: "t", Preds: []string{"a", "b"}},
@@ -90,7 +90,7 @@ func TestMixedStoreAgingEvictsConeRecords(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_700_000_000, 0)
 	db := mustOpen(t, dir, Options{Now: func() time.Time { return now }})
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	db.opts.Now = func() time.Time { return now.Add(DefaultMaxAge + time.Hour) }
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestMixedStoreAgingEvictsConeRecords(t *testing.T) {
 func TestNegsetRecords(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpen(t, dir, Options{})
-	db.Merge(&Snapshot{Keys: []KeyRecord{{
+	db.Append(&Snapshot{Keys: []KeyRecord{{
 		Key:     "cone:k|",
 		Abducts: []Abduct{{Target: "t", Preds: []string{"a", "b"}}},
 		Negsets: []Negset{

@@ -66,9 +66,9 @@ func FuzzProofDBRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		db.Merge(want)
-		// Merge must be idempotent.
-		db.Merge(want)
+		db.Append(want)
+		// Append must be idempotent.
+		db.Append(want)
 		if err := db.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -84,7 +84,7 @@ func FuzzProofDBRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db3.Merge(want)
+		db3.Append(want)
 		if canon := db3.Snapshot(); !reflect.DeepEqual(got, canon) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, canon)
 		}

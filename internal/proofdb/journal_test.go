@@ -191,7 +191,7 @@ func TestJournalPersistIsCheapDurabilityPoint(t *testing.T) {
 	// A base rewrite of 16 records, then 8 appends: the file stays under
 	// twice the size of its last rewrite.
 	for i := uint64(1); i <= 16; i++ {
-		db.Merge(verdictDelta(i))
+		db.Append(verdictDelta(i))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestJournalPersistEscalatesWhenOversized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 4; i++ {
-		db.Merge(verdictDelta(i))
+		db.Append(verdictDelta(i))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,14 @@
 // leaves the old file or the new one, never a torn one. Open reads every
 // line, newest record wins per identity; corrupt lines are skipped and
 // counted, a torn final line is truncated, and a mismatched version header
-// rejects the file — never an error, only a colder start. Records unused
-// for MaxAge are evicted, and each rewrite LRU-compacts to MaxBytes.
+// rejects the file — never an error, only a colder start.
+//
+// DB owns the file and the full record image; a verification cache appends
+// each record it derives once and calls Touch when a query reuses a
+// restored one. A record's last use is its latest Append or Touch: records
+// unused for MaxAge are evicted, and each rewrite LRU-compacts to MaxBytes.
+// LastErr keeps the outcome of the last Flush, Persist or Close for callers
+// that cannot propagate it.
 package proofdb
 
 import (
@@ -84,8 +90,9 @@ type Stats struct {
 }
 
 // Snapshot is the portable in-memory image of a store (also the exchange
-// type with the verification cache: the cache exports/imports Snapshots
-// without knowing anything about files).
+// type with the verification cache: the cache restores a Snapshot and
+// appends its new records as one-key Snapshots, without knowing anything
+// about files).
 type Snapshot struct {
 	Keys []KeyRecord
 }
@@ -164,7 +171,7 @@ func (s *Snapshot) records(at int64) []record {
 }
 
 // DB is an open store: an in-memory model of the on-disk records plus the
-// machinery to merge, evict, append and atomically persist them. All
+// machinery to fold in, evict, append and atomically persist them. All
 // methods are safe for concurrent use.
 type DB struct {
 	mu    sync.Mutex
@@ -182,6 +189,12 @@ type DB struct {
 	faults       int  // consecutive append/sync failures
 	degraded     bool
 	rewriteBytes int64
+
+	// closed is set by Close and Abandon: later Appends and rewrites are
+	// ignored. lastErr is the outcome of the last Flush, Persist or Close
+	// (LastErr), for callers that cannot propagate it.
+	closed  bool
+	lastErr error
 }
 
 // recID is a record's identity in the model: its key and type plus either
@@ -321,7 +334,7 @@ func (db *DB) load() (usable bool, err error) {
 
 // putLocked folds one valid record into the model. A record at least as
 // recent as the one it meets replaces it, so the newest line wins at load
-// and a merge refreshes the last-use time.
+// and an Append refreshes the last-use time.
 func (db *DB) putLocked(r *record) {
 	id := idOf(r)
 	if prev, dup := db.model[id]; !dup || r.At >= prev.At {
@@ -329,16 +342,23 @@ func (db *DB) putLocked(r *record) {
 	}
 }
 
-// Merge folds a snapshot into the model, refreshing the last-use time of
-// every record it carries: a record present in a live cache snapshot was
-// (re)derived or retained this run, which is exactly the LRU signal.
-func (db *DB) Merge(s *Snapshot) {
+// Touch refreshes the last-use time of the record the model holds for
+// key and target — the Sat set ids when sat, else the abduct ids — which
+// is the LRU signal MaxAge and the byte budget evict by. A record the model
+// does not hold stays absent; nothing is written until the next rewrite.
+func (db *DB) Touch(key, target string, sat bool, ids []string) {
+	r := record{T: recConeAbduct, Key: key, Preds: append([]string{target}, ids...)}
+	if sat {
+		r.T = recNegset
+	}
+	id := idOf(&r)
 	// Read the clock before taking db.mu (user-supplied callback; see Flush).
-	recs := s.records(db.opts.Now().Unix())
+	at := db.opts.Now().Unix()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for i := range recs {
-		db.putLocked(&recs[i])
+	if prev, ok := db.model[id]; ok && prev.At < at {
+		prev.At = at
+		db.model[id] = prev
 	}
 }
 
@@ -405,7 +425,19 @@ func (db *DB) Flush() error {
 	now := db.opts.Now()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.rewriteLocked(now, db.opts.Journal.Enable && !db.degraded)
+	if db.closed {
+		return nil
+	}
+	db.lastErr = db.rewriteLocked(now, db.opts.Journal.Enable && !db.degraded)
+	return db.lastErr
+}
+
+// LastErr returns the outcome of the most recent Flush, Persist or Close:
+// nil when none has failed since the last success.
+func (db *DB) LastErr() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.lastErr
 }
 
 // rewriteLocked is Flush under db.mu; reopen says whether to reopen the
@@ -457,22 +489,26 @@ func (db *DB) rewriteLocked(now time.Time, reopen bool) error {
 
 // Abandon drops the store without flushing or syncing anything — the
 // simulated `kill -9` for in-process crash tests. On-disk state is left
-// exactly as the last completed write left it; the DB must not be used
-// afterwards.
+// exactly as the last completed write left it, and the store is closed.
 func (db *DB) Abandon() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.closeAppendLocked()
-	db.degraded = true
+	db.closed = true
 }
 
-// Close rewrites the store one last time and closes the append handle. It
-// is the final durability point. If the rewrite fails, the appended lines
-// are synced instead, and the rewrite error is returned.
+// Close rewrites the store one last time, closes the append handle and
+// marks the store closed. It is the final durability point. If the rewrite
+// fails, the appended lines are synced instead, and the rewrite error is
+// returned. Closing a closed store returns nil and writes nothing.
 func (db *DB) Close() error {
 	now := db.opts.Now()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return nil
+	}
+	db.closed = true
 	err := db.rewriteLocked(now, false)
 	if db.f != nil {
 		if serr := db.syncLocked(); err == nil {
@@ -480,6 +516,7 @@ func (db *DB) Close() error {
 		}
 		db.closeAppendLocked()
 	}
+	db.lastErr = err
 	return err
 }
 

@@ -51,7 +51,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *DB {
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpen(t, dir, Options{})
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	want := db.Snapshot() // canonical (fingerprint-sorted) form
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -98,7 +98,7 @@ func storeFile(t *testing.T, dir string) (string, []byte) {
 func populate(t *testing.T, dir string) {
 	t.Helper()
 	db := mustOpen(t, dir, Options{})
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestWrongVersionHeaderRejectsWholeFile(t *testing.T) {
 		t.Fatalf("version-mismatched file still loaded %d records", n)
 	}
 	// The next flush rewrites the file under the current version.
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close after header rejection: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestAgeEvictionAtLoadAndFlush(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
 	db := mustOpen(t, dir, Options{Now: clock})
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestAgeEvictionAtLoadAndFlush(t *testing.T) {
 
 	// Flush-side eviction: records go stale while the DB is open.
 	db3 := mustOpen(t, dir, Options{Now: func() time.Time { return later }})
-	db3.Merge(testSnapshot())
+	db3.Append(testSnapshot())
 	db3.opts.Now = func() time.Time { return later.Add(DefaultMaxAge + time.Hour) }
 	if err := db3.Flush(); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestNegativeMaxAgeDisablesEviction(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_700_000_000, 0)
 	db := mustOpen(t, dir, Options{MaxAge: -1, Now: func() time.Time { return now }})
-	db.Merge(testSnapshot())
+	db.Append(testSnapshot())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +259,63 @@ func TestNegativeMaxAgeDisablesEviction(t *testing.T) {
 	db2 := mustOpen(t, dir, Options{MaxAge: -1, Now: func() time.Time { return far }})
 	if db2.Snapshot().Len() != testSnapshot().Len() {
 		t.Fatal("records evicted despite MaxAge < 0")
+	}
+}
+
+// TestTouchRefreshesLastUse: a Touch moves a held record's last use to now,
+// so it outlives MaxAge counted from its Append; a Touch of a record the
+// model does not hold adds nothing.
+func TestTouchRefreshesLastUse(t *testing.T) {
+	dir := t.TempDir()
+	day0 := time.Unix(1_700_000_000, 0)
+	at := func(day int) Options {
+		now := day0.Add(time.Duration(day) * 24 * time.Hour)
+		return Options{Now: func() time.Time { return now }}
+	}
+	db := mustOpen(t, dir, at(0))
+	db.Append(testSnapshot())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, dir, at(10))
+	db.Touch("cone:00c0ffee|env0", "t0", false, []string{"p2", "p1"})
+	db.Touch("cone:00c0ffee|env0", "t0", true, []string{"p1"}) // not held
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, dir, at(20))
+	snap := db.Snapshot()
+	if snap.Len() != 1 || len(snap.Keys[0].Abducts) != 1 || snap.Keys[0].Abducts[0].Target != "t0" {
+		t.Fatalf("day 20 loaded %+v, want only the touched abduct of t0", snap.Keys)
+	}
+	if got, want := db.Stats().ExpiredSkipped, int64(testSnapshot().Len()-1); got != want {
+		t.Fatalf("ExpiredSkipped = %d, want %d", got, want)
+	}
+}
+
+// TestCloseIsFinal: Close rewrites once; a second Close, a Flush and an
+// Append after it change nothing.
+func TestCloseIsFinal(t *testing.T) {
+	db := mustOpen(t, t.TempDir(), Options{Journal: JournalOptions{Enable: true}})
+	db.Append(testSnapshot())
+	before := db.Stats().Flushes
+	for i := 0; i < 2; i++ {
+		if err := db.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("Flush after Close: %v", err)
+	}
+	if got := db.Stats().Flushes - before; got != 1 {
+		t.Fatalf("Close, Close and Flush rewrote the store %d times, want 1", got)
+	}
+	db.Append(&Snapshot{Keys: []KeyRecord{{Key: "late", Abducts: []Abduct{{Target: "t"}}}}})
+	if got := db.Snapshot().Len(); got != testSnapshot().Len() {
+		t.Fatalf("Append after Close changed the model to %d records", got)
+	}
+	if got := db.Stats().JournalAppends; got != int64(testSnapshot().Len()) {
+		t.Fatalf("Append after Close wrote to the file: %d appends", got)
 	}
 }
 
@@ -273,14 +330,14 @@ func TestByteBudgetLRUCompaction(t *testing.T) {
 	for i, n := range []string{"o1", "o2", "o3", "o4"} {
 		old.Keys[0].Verdicts = append(old.Keys[0].Verdicts, Verdict{A: uint64(i + 1), OK: true, Preds: []string{n}})
 	}
-	db.Merge(old)
+	db.Append(old)
 
 	db.opts.Now = func() time.Time { return now.Add(time.Hour) }
 	fresh := &Snapshot{Keys: []KeyRecord{{Key: "k"}}}
 	for i, n := range []string{"n1", "n2", "n3", "n4"} {
 		fresh.Keys[0].Verdicts = append(fresh.Keys[0].Verdicts, Verdict{A: uint64(i + 5), OK: true, Preds: []string{n}})
 	}
-	db.Merge(fresh)
+	db.Append(fresh)
 
 	// Budget: header + 4 record lines (every record line here has the same
 	// length by construction).
@@ -382,13 +439,17 @@ func TestConcurrentMergeFlushSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			db.Merge(testSnapshot())
+			db.Append(testSnapshot())
+			db.Touch("cone:00c0ffee|env0", "t0", false, []string{"p2", "p1"})
 			db.Snapshot()
 		}
 	}()
 	for i := 0; i < 20; i++ {
 		if err := db.Flush(); err != nil {
 			t.Errorf("Flush: %v", err)
+		}
+		if err := db.LastErr(); err != nil {
+			t.Errorf("LastErr: %v", err)
 		}
 	}
 	<-done

@@ -32,7 +32,7 @@ func hardFormula(s *Solver, pigeons, holes int) {
 	for h := 0; h < holes; h++ {
 		for p1 := 0; p1 < pigeons; p1++ {
 			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(NegLit(vars[p1][h]), NegLit(vars[p2][h]))
+				s.AddClause(PosLit(vars[p1][h]).Not(), PosLit(vars[p2][h]).Not())
 			}
 		}
 	}

@@ -37,9 +37,6 @@ func MkLit(v Var, neg bool) Lit {
 // PosLit returns the positive literal of v.
 func PosLit(v Var) Lit { return Lit(v << 1) }
 
-// NegLit returns the negative literal of v.
-func NegLit(v Var) Lit { return Lit(v<<1) | 1 }
-
 // Var returns the variable underlying l.
 func (l Lit) Var() Var { return Var(l >> 1) }
 

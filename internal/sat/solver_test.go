@@ -9,7 +9,7 @@ func lit(n int) Lit {
 		panic("lit(0)")
 	}
 	if n < 0 {
-		return NegLit(Var(-n - 1))
+		return PosLit(Var(-n - 1)).Not()
 	}
 	return PosLit(Var(n - 1))
 }
@@ -23,7 +23,7 @@ func addVars(s *Solver, n int) {
 
 func TestLitEncoding(t *testing.T) {
 	v := Var(7)
-	p, n := PosLit(v), NegLit(v)
+	p, n := PosLit(v), PosLit(v).Not()
 	if p.Var() != v || n.Var() != v {
 		t.Fatalf("Var() mismatch: %v %v", p.Var(), n.Var())
 	}

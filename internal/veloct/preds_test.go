@@ -35,11 +35,16 @@ func tinyProduct(t *testing.T) *miter.Product {
 // snapWith builds a product snapshot with given left/right values for x, y.
 func snapWith(t *testing.T, p *miter.Product, lx, rx, ly, ry uint64) circuit.Snapshot {
 	t.Helper()
-	l := circuit.Snapshot{lx, ly}
-	r := circuit.Snapshot{rx, ry}
-	s, err := p.PairedSnapshot(l, r)
-	if err != nil {
-		t.Fatal(err)
+	s := make(circuit.Snapshot, len(p.Circuit.Regs()))
+	for _, v := range []struct {
+		reg  string
+		l, r uint64
+	}{{"x", lx, rx}, {"y", ly, ry}} {
+		li, ri, err := p.RegPair(v.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s[li], s[ri] = v.l, v.r
 	}
 	return s
 }

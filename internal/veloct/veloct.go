@@ -201,9 +201,11 @@ func (a *Analysis) VerifyCtx(ctx context.Context, safe []string) (*Result, error
 	return res, nil
 }
 
-// Audit monolithically re-verifies a learned invariant (initiation,
-// consecution, property), plus the P-S premise against the example set —
-// the paper's independent check of the Rocketchip invariant (§6.4).
+// Audit monolithically re-verifies a learned invariant — initiation,
+// consecution and property, through hhoudini.Audit — the paper's
+// independent check of the Rocketchip invariant (§6.4). It does not check
+// the P-S premise against examples: the example set is dropped once
+// mining has built the predicate table.
 func (a *Analysis) Audit(res *Result) error {
 	if res.Invariant == nil {
 		return fmt.Errorf("veloct: nothing to audit (no invariant)")

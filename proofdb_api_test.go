@@ -135,7 +135,7 @@ func TestProofDBUpgradesOldConeKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Merge(&proofdb.Snapshot{Keys: v1ConeKeyRecords})
+	db.Append(&proofdb.Snapshot{Keys: v1ConeKeyRecords})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
