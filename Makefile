@@ -1,11 +1,12 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + hhlint + the
 # tier-1 tests at three core counts + the race, chaos and crash tiers + a
 # 20-second fuzz smoke + a 1-iteration smoke run of every go-test
-# benchmark + a short traced run of the repository benchmark (bench/).
+# benchmark + a run of every example program + a short traced run of the
+# repository benchmark (bench/).
 
 GO ?= go
 
-.PHONY: all fmt vet build lint test race race-proofdb chaos crash fuzz-smoke bench-smoke bench loc ci
+.PHONY: all fmt vet build lint test race race-proofdb chaos crash fuzz-smoke bench-smoke examples-smoke bench loc ci
 
 all: build
 
@@ -43,7 +44,9 @@ race:
 # Focused race tier for the persistence layer: the proofdb package plus the
 # concurrent snapshot/flush paths in the core engine. The regex matches by
 # prefix so every TestConcurrent* under internal/... joins this tier
-# automatically (currently: TestConcurrentSnapshotWhileLearn and
+# automatically (currently: TestConcurrentStatsSnapshot — Stats.Snapshot
+# polled while two workers learn SmallOoO — in
+# internal/hhoudini/snapshot_test.go, TestConcurrentSnapshotWhileLearn and
 # TestConcurrentAttachFlushLastErr — Persist racing Flush, late binds and
 # DB.LastErr — in internal/hhoudini/persist_test.go,
 # TestConcurrentMonotoneMemo — memo stores, lookups, appends and touches
@@ -99,14 +102,24 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# Build and run the five example programs (examples/README.md); each exits
+# non-zero when a step fails. `go build ./...` only compiles them.
+EXAMPLES = quickstart execstage safeset btor2roundtrip certify
+
+examples-smoke:
+	@for e in $(EXAMPLES); do \
+		echo "go run ./examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
+
 # The repository benchmark (bench/README.md): the four workloads, one child
 # process each, every verdict answer-checked and audited.
 bench:
 	$(GO) run ./bench -all
 
 # Non-test Go lines — the number ROADMAP aim 2 tracks — and the share of it
-# in the six packages the simplicity work shrinks.
-LOC_PKGS = hhoudini proofdb sat circuit analysis veloct
+# in the seven packages the simplicity work shrinks.
+LOC_PKGS = hhoudini proofdb sat circuit analysis veloct serve
 
 loc:
 	@printf 'non-test Go lines:          '
@@ -122,7 +135,7 @@ loc:
 # own answer checks, the audit and >= 0.95 span coverage (~40 s). `lint`
 # runs after `build`, so the export data its `go list -export` call needs is
 # already in the build cache; keep that order.
-ci: fmt vet build lint race race-proofdb chaos crash fuzz-smoke bench-smoke
+ci: fmt vet build lint race race-proofdb chaos crash fuzz-smoke bench-smoke examples-smoke
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...

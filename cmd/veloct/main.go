@@ -288,8 +288,11 @@ func report(a *hh.Analysis, res *hh.Result, elapsed time.Duration) {
 		if err != nil {
 			die(err)
 		}
-		defer f.Close()
-		if err := a.ExportCertificate(f, res); err != nil {
+		err = a.ExportCertificate(f, res)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			die(err)
 		}
 		if err := a.CheckCertificate(res); err != nil {
@@ -359,13 +362,17 @@ func reportBtor2(path string) {
 }
 
 // dumpTraceVCD replays a counterexample on the simulator with a waveform
-// recorder attached.
-func dumpTraceVCD(path string, c *hh.Circuit, tr *hh.MCTrace) error {
+// recorder attached. The file's Close error is returned like any other.
+func dumpTraceVCD(path string, c *hh.Circuit, tr *hh.MCTrace) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	sim := hh.NewSim(c)
 	if err := sim.LoadSnapshot(tr.States[0]); err != nil {
 		return err

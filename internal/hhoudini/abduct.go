@@ -2,7 +2,6 @@ package hhoudini
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"hhoudini/internal/faultinject"
@@ -46,8 +45,9 @@ type abductResult struct {
 // dropping candidates cannot make a satisfiable query Unsat.
 func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 	start := time.Now()
+	var ans queryAnswer
 	defer func() {
-		l.stats.recordQuery(time.Since(start))
+		l.stats.recordQuery(time.Since(start), ans)
 	}()
 	if faultinject.Enabled() {
 		// Chaos tier: stretch the query to widen the cancellation races the
@@ -62,18 +62,11 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 		}
 		ckey = ts.key
 		if res, fromDisk, ok := l.cache.lookup(ckey, target, cands); ok {
-			if res.ok {
-				atomic.AddInt64(&l.stats.CacheAbductHits, 1)
-			} else {
-				atomic.AddInt64(&l.stats.CacheVerdictHits, 1)
-			}
-			if fromDisk {
-				atomic.AddInt64(&l.stats.CacheDiskHits, 1)
-			}
+			ans = queryAnswer{abductHit: res.ok, verdictHit: !res.ok, diskHit: fromDisk}
 			return res, nil
 		}
 	}
-	res, err := l.solveQuery(target, cands)
+	res, err := l.solveQuery(target, cands, &ans)
 	if err == nil && l.cache != nil {
 		l.cache.store(ckey, target, cands, res)
 	}
@@ -86,19 +79,16 @@ func (l *Learner) abduct(target Pred, cands []Pred) (abductResult, error) {
 // ¬p'_target are asserted as units; each candidate sits behind its own
 // selector so the UNSAT core names the abduct. The query is one unbounded
 // solve on a solver that polls the learner's stop flag, so a cancelled
-// Learn interrupts it; its conflicts are charged to Stats.SolverConflicts
-// when it is dropped.
-func (l *Learner) solveQuery(target Pred, cands []Pred) (abductResult, error) {
+// Learn interrupts it. Once the solver exists, ans records it with its
+// encode work and conflicts, whatever the query's outcome.
+func (l *Learner) solveQuery(target Pred, cands []Pred, ans *queryAnswer) (abductResult, error) {
 	enc, err := l.sys.newEncoder()
 	if err != nil {
 		return abductResult{}, err
 	}
 	enc.S.ShareStop(&l.stop)
-	atomic.AddInt64(&l.stats.SolverAllocs, 1)
 	defer func() {
-		es := enc.Stats()
-		l.stats.addEncodeWork(es.Gates, es.Clauses)
-		atomic.AddInt64(&l.stats.SolverConflicts, enc.S.Stats.Conflicts)
+		*ans = queryAnswer{solver: true, enc: enc.Stats(), conflicts: enc.S.Stats.Conflicts}
 	}()
 	cur, err := target.Encode(enc, false)
 	if err != nil {

@@ -16,6 +16,12 @@ import (
 // veloct.Analysis.Verify hands to hhoudini.
 func smallOoOLearner(t *testing.T) (*hhoudini.System, *hhoudini.Learner, []hhoudini.Pred) {
 	t.Helper()
+	return smallOoOLearnerWith(t, 1)
+}
+
+// smallOoOLearnerWith is smallOoOLearner with the given worker count.
+func smallOoOLearnerWith(t *testing.T, workers int) (*hhoudini.System, *hhoudini.Learner, []hhoudini.Pred) {
+	t.Helper()
 	tgt, err := design.NewOoO(design.SmallOoO)
 	if err != nil {
 		t.Fatal(err)
@@ -23,6 +29,7 @@ func smallOoOLearner(t *testing.T) (*hhoudini.System, *hhoudini.Learner, []hhoud
 	opts := veloct.DefaultOptions()
 	opts.Examples.Seed = 1
 	opts.Learner.Cache = hhoudini.NewVerifyCache()
+	opts.Learner.Workers = workers
 	a, err := veloct.New(tgt, opts)
 	if err != nil {
 		t.Fatal(err)

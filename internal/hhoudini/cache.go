@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hhoudini/internal/proofdb"
 )
@@ -39,26 +38,11 @@ type VerifyCache struct {
 	entries map[string]*cacheEntry
 	useSeq  uint64 // global LRU clock
 
-	// curRecords/curBytes are the cache's footprint (abducts, Sat sets),
-	// maintained incrementally by every mutation under vc.mu so Len/Bytes
-	// are O(1); bytesHighWater tracks the largest curBytes ever observed
-	// (never reset — the capacity-planning gauge the service reports).
-	curRecords     int
-	curBytes       int64
-	bytesHighWater int64
-
 	maxKeys int
 
-	// Process-lifetime counters (atomics; see Counters).
-	keyEvictions  int64
-	verdictHits   int64
-	verdictMisses int64
-	abductHits    int64
-
-	// Persistence counters (internal/proofdb wiring): records restored
-	// from a disk snapshot and hits answered by restored memos.
-	diskVerdictsLoaded int64
-	diskVerdictHits    int64
+	// counters are the cache's process-lifetime counters and footprint,
+	// maintained under vc.mu by every lookup and mutation.
+	counters CacheCounters
 
 	// db is the bound proof store (nil when none): every new record is
 	// appended to it as it lands, so the crash-loss window is the sync
@@ -123,7 +107,7 @@ var sharedCache = NewVerifyCache()
 // SharedCache returns the process-global verification cache.
 func SharedCache() *VerifyCache { return sharedCache }
 
-// CacheCounters is a snapshot of cache effectiveness counters. Every
+// CacheCounters are the cache's effectiveness counters and footprint. Every
 // memo lookup is exactly one of a verdict hit, an abduct hit or a miss.
 type CacheCounters struct {
 	KeyEvictions  int64 // whole keys dropped by key-LRU pressure
@@ -135,49 +119,32 @@ type CacheCounters struct {
 	DiskVerdictsLoaded int64 // abducts and Sat sets restored from a disk snapshot
 	DiskVerdictHits    int64 // hits answered by restored records
 
-	// Introspection (see Len and Bytes; maintained incrementally).
+	// Footprint (see Len and Bytes).
 	Entries     int64 // records held: abducts + Sat sets
 	ApproxBytes int64 // approximate heap bytes of the memo
-	// BytesHighWater is the largest ApproxBytes this cache ever reached —
-	// eviction keeps the live figure bounded, so capacity planning needs
-	// the peak, not the current value.
+	// BytesHighWater is the largest ApproxBytes this cache ever reached
+	// (never reset) — eviction keeps the live figure bounded, so capacity
+	// planning needs the peak, not the current value.
 	BytesHighWater int64
 }
 
-// Counters returns a point-in-time snapshot of the cache counters.
+// Counters returns a copy of the cache counters, all from one moment.
 func (vc *VerifyCache) Counters() CacheCounters {
-	entries, bytes, hw := vc.footprint()
-	return CacheCounters{
-		KeyEvictions:  atomic.LoadInt64(&vc.keyEvictions),
-		VerdictHits:   atomic.LoadInt64(&vc.verdictHits),
-		VerdictMisses: atomic.LoadInt64(&vc.verdictMisses),
-		AbductHits:    atomic.LoadInt64(&vc.abductHits),
-
-		DiskVerdictsLoaded: atomic.LoadInt64(&vc.diskVerdictsLoaded),
-		DiskVerdictHits:    atomic.LoadInt64(&vc.diskVerdictHits),
-
-		Entries:        int64(entries),
-		ApproxBytes:    bytes,
-		BytesHighWater: hw,
-	}
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	return vc.counters
 }
 
 // Len returns the number of records the cache currently holds — proven
 // abducts and Sat sets across every key. O(1): the figure is maintained
 // incrementally by every mutation.
-func (vc *VerifyCache) Len() int {
-	n, _, _ := vc.footprint()
-	return n
-}
+func (vc *VerifyCache) Len() int { return int(vc.Counters().Entries) }
 
 // Bytes returns an approximation of the heap footprint of the memo. The
 // estimate counts string payloads plus fixed per-record overheads; it
 // exists so eviction behavior is observable, not as an accounting
 // guarantee. O(1).
-func (vc *VerifyCache) Bytes() int64 {
-	_, b, _ := vc.footprint()
-	return b
-}
+func (vc *VerifyCache) Bytes() int64 { return vc.Counters().ApproxBytes }
 
 // recordOverhead is the fixed per-record share of the byte estimate (see
 // Bytes): the memoRec header plus its slice slot.
@@ -192,24 +159,16 @@ func recBytes(r memoRec) int64 {
 	return b
 }
 
-// footprint reads the incrementally maintained aggregates under the lock.
-func (vc *VerifyCache) footprint() (int, int64, int64) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	return vc.curRecords, vc.curBytes, vc.bytesHighWater
-}
-
 // creditLocked charges a footprint delta to an entry and the cache-wide
 // aggregates, advancing the high-water mark on growth. Caller holds vc.mu.
 // Deltas are negative when a record is replaced.
 func (vc *VerifyCache) creditLocked(e *cacheEntry, records int, bytes int64) {
 	e.records += records
 	e.bytes += bytes
-	vc.curRecords += records
-	vc.curBytes += bytes
-	if vc.curBytes > vc.bytesHighWater {
-		vc.bytesHighWater = vc.curBytes
-	}
+	c := &vc.counters
+	c.Entries += int64(records)
+	c.ApproxBytes += bytes
+	c.BytesHighWater = max(c.BytesHighWater, c.ApproxBytes)
 }
 
 // String renders the counters for tool output.
@@ -231,7 +190,7 @@ func (vc *VerifyCache) Reset() {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	vc.entries = make(map[string]*cacheEntry)
-	vc.curRecords, vc.curBytes = 0, 0
+	vc.counters.Entries, vc.counters.ApproxBytes = 0, 0
 }
 
 // entryLocked returns (creating if needed) the entry for key and touches
@@ -264,9 +223,9 @@ func (vc *VerifyCache) evictKeysLocked() {
 				oldest, victim, victimE = e.lastUse, k, e
 			}
 		}
-		atomic.AddInt64(&vc.keyEvictions, 1)
-		vc.curRecords -= victimE.records
-		vc.curBytes -= victimE.bytes
+		vc.counters.KeyEvictions++
+		vc.counters.Entries -= int64(victimE.records)
+		vc.counters.ApproxBytes -= victimE.bytes
 		delete(vc.entries, victim)
 	}
 }
@@ -366,26 +325,29 @@ func (vc *VerifyCache) lookup(key string, target Pred, cands []Pred) (res abduct
 		}
 	}
 	if best == nil {
+		vc.counters.VerdictMisses++
 		vc.mu.Unlock()
-		atomic.AddInt64(&vc.verdictMisses, 1)
 		return abductResult{}, false, false
 	}
 	members := slices.Clone(best.ids)
 	fromDisk = best.fromDisk
+	if fromDisk {
+		vc.counters.DiskVerdictHits++
+	}
+	if sat {
+		vc.counters.VerdictHits++
+	} else {
+		vc.counters.AbductHits++
+	}
 	db := vc.db
 	vc.mu.Unlock()
 
-	if fromDisk {
-		atomic.AddInt64(&vc.diskVerdictHits, 1)
-		if db != nil {
-			db.Touch(key, tid, sat, members)
-		}
+	if fromDisk && db != nil {
+		db.Touch(key, tid, sat, members)
 	}
 	if sat {
-		atomic.AddInt64(&vc.verdictHits, 1)
 		return abductResult{ok: false}, fromDisk, true
 	}
-	atomic.AddInt64(&vc.abductHits, 1)
 	byID := make(map[string]Pred, len(cands)+1)
 	for _, c := range cands {
 		byID[c.ID()] = c
@@ -525,7 +487,7 @@ func (vc *VerifyCache) Restore(s *proofdb.Snapshot) (records int) {
 			}
 		}
 	}
+	vc.counters.DiskVerdictsLoaded += int64(records)
 	vc.mu.Unlock()
-	atomic.AddInt64(&vc.diskVerdictsLoaded, int64(records))
 	return records
 }

@@ -262,9 +262,9 @@ func checkFootprintLocked(t *testing.T, vc *VerifyCache) {
 		records += n
 		bytes += b
 	}
-	if vc.curRecords != records || vc.curBytes != bytes {
+	if c := vc.counters; c.Entries != int64(records) || c.ApproxBytes != bytes {
 		t.Fatalf("footprint counters %d records / %d bytes, recount %d / %d",
-			vc.curRecords, vc.curBytes, records, bytes)
+			c.Entries, c.ApproxBytes, records, bytes)
 	}
 }
 

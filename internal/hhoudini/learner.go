@@ -46,56 +46,63 @@ func DefaultOptions() Options {
 	return Options{Workers: 1}
 }
 
-// Stats aggregates the instrumentation behind the paper's Figures 4 and 5.
-//
-// The counter fields are updated with atomic operations on the hot path
-// (no lock); read them only after Learn returns, or via atomic loads.
-type Stats struct {
-	Tasks      int64 // H-Houdini task bodies executed (Fig. 5 x-axis)
-	Backtracks int64 // re-syntheses caused by failed predicates (Fig. 5)
-	Queries    int64 // SMT (SAT) queries issued
+// Counters are the learner's event counts behind the paper's Figures 4 and 5,
+// the memo and encode-work accounting, and the proof-store footprint. Stats
+// keeps one Counters under its mutex; StatsSnapshot and the service's wire
+// view copy it whole. The JSON names are the service's wire names.
+type Counters struct {
+	Tasks      int64 `json:"tasks"`      // H-Houdini task bodies executed (Fig. 5 x-axis)
+	Backtracks int64 `json:"backtracks"` // re-syntheses caused by failed predicates (Fig. 5)
+	Queries    int64 `json:"queries"`    // SMT (SAT) queries issued
 
 	// Encode-work counters: what the per-query solvers were built from. Every
 	// solved query builds one solver, so on a cold run SolverAllocs equals
 	// Queries. PoolReuses always reads 0: no solver outlives its query. The
 	// field stays for callers that read it.
-	EncodedGates   int64 // Tseitin gate variables introduced across all queries
-	EncodedClauses int64 // clauses pushed into solvers across all queries
-	SolverAllocs   int64 // solver/encoder pairs constructed
-	PoolReuses     int64
+	EncodedGates   int64 `json:"encoded_gates"`   // Tseitin gate variables introduced across all queries
+	EncodedClauses int64 `json:"encoded_clauses"` // clauses pushed into solvers across all queries
+	SolverAllocs   int64 `json:"solver_allocs"`   // solver/encoder pairs constructed
+	PoolReuses     int64 `json:"pool_reuses"`
 
 	// Memo counters, as seen by this learner (VerifyCache.lookup): queries
 	// answered "no abduct" because their candidates are a subset of a set
 	// proven Sat, and queries answered by a proven abduct their candidates
-	// contain. Neither builds a solver; their sum is the memo hit count.
-	CacheVerdictHits int64
-	CacheAbductHits  int64
+	// contain. Neither builds a solver, so every query is exactly one of a
+	// solver, a verdict hit or an abduct hit.
+	CacheVerdictHits int64 `json:"cache_verdict_hits"`
+	CacheAbductHits  int64 `json:"cache_abduct_hits"`
 
 	// Persistent-proof-store counters (Options.CacheDir).
 	// CacheDiskHits counts abduction queries answered by a memo record
 	// restored from disk (the warm-process acceptance metric); the others
-	// snapshot the store/cache state at Learn shutdown: records restored
-	// at open, flushes of this learner's cache, and the cache's footprint
-	// (VerifyCache.Len / Bytes).
-	CacheDiskHits    int64
-	CacheDiskLoads   int64
-	CacheDiskFlushes int64
-	CacheEntries     int64
-	CacheBytes       int64
+	// are set at Learn shutdown: records restored at open, flushes of this
+	// learner's store, and the cache's footprint (VerifyCache.Len / Bytes).
+	CacheDiskHits    int64 `json:"cache_disk_hits"`
+	CacheDiskLoads   int64 `json:"cache_disk_loads"`
+	CacheDiskFlushes int64 `json:"cache_disk_flushes"`
+	CacheEntries     int64 `json:"cache_entries"`
+	CacheBytes       int64 `json:"cache_bytes"`
 
 	// SolverConflicts totals CDCL conflicts across every solver the learner
 	// owned. ShareImported always reads 0: solvers share no clauses inside
 	// a Learn. The field stays for callers that read it.
-	ShareImported   int64
-	SolverConflicts int64
+	ShareImported   int64 `json:"share_imported"`
+	SolverConflicts int64 `json:"solver_conflicts"`
 
 	// QueryRetries always reads 0: every abduction query is one solve. The
 	// field stays for callers that read it (the repository benchmark).
-	QueryRetries int64
+	QueryRetries int64 `json:"query_retries"`
+}
 
-	// WallTime accumulates Learn wall-clock time. It is written under the
-	// Stats mutex (addWall) so Snapshot can observe it race-free while a
-	// Learn is still running; plain reads remain fine once Learn returns.
+// Stats aggregates the instrumentation behind the paper's Figures 4 and 5.
+//
+// mu guards every field: the learner writes them under it, and Snapshot
+// copies them under it. Read the fields directly only after Learn returns;
+// a reader that observes a running Learn calls Snapshot.
+type Stats struct {
+	Counters
+
+	// WallTime accumulates Learn wall-clock time.
 	WallTime time.Duration
 
 	mu         sync.Mutex
@@ -107,86 +114,32 @@ type Stats struct {
 	span time.Duration
 }
 
-// StatsSnapshot is an atomic, copy-out view of a Stats instrument set. It
-// exists for readers that observe a *live* learner — the service layer
-// reports per-job and global counters while Learn is still running — where
-// plain reads of the counter fields would race the workers' atomic.Adds.
-// Every counter is captured with an atomic load and the lock-guarded
-// aggregates (wall time, span, query/task totals) under the Stats mutex, so
-// a snapshot is internally consistent enough for reporting: each field is a
-// value the learner really published, though fields may be skewed by the
-// work that happened between loads.
+// StatsSnapshot is one locked copy of a Stats: the counters and the
+// aggregates of the time series, all from the same moment, so a snapshot
+// of a running Learn is consistent with itself (Queries equals
+// SolverAllocs + CacheVerdictHits + CacheAbductHits, for instance).
 type StatsSnapshot struct {
-	Tasks      int64
-	Backtracks int64
-	Queries    int64
-
-	EncodedGates   int64
-	EncodedClauses int64
-	SolverAllocs   int64
-	PoolReuses     int64 // always 0; see Stats.PoolReuses
-
-	CacheVerdictHits int64
-	CacheAbductHits  int64
-
-	CacheDiskHits    int64
-	CacheDiskLoads   int64
-	CacheDiskFlushes int64
-	CacheEntries     int64
-	CacheBytes       int64
-
-	ShareImported   int64 // always 0; see Stats.ShareImported
-	SolverConflicts int64
-
-	QueryRetries int64 // always 0; see Stats.QueryRetries
-
+	Counters
 	WallTime time.Duration
 	Span     time.Duration
 	// TotalQueryTime / TotalTaskTime are the summed per-query and per-task
-	// durations at snapshot time (the Stats accessor methods, frozen).
+	// durations at snapshot time.
 	TotalQueryTime time.Duration
 	TotalTaskTime  time.Duration
 }
 
-// Snapshot captures every counter with atomic loads and the lock-guarded
-// aggregates under the mutex. Safe to call at any time, including while
-// Learn is running on other goroutines.
+// Snapshot copies the counters and aggregates under the mutex. Safe to call
+// at any time, including while Learn is running on other goroutines.
 func (s *Stats) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Tasks:      atomic.LoadInt64(&s.Tasks),
-		Backtracks: atomic.LoadInt64(&s.Backtracks),
-		Queries:    atomic.LoadInt64(&s.Queries),
-
-		EncodedGates:   atomic.LoadInt64(&s.EncodedGates),
-		EncodedClauses: atomic.LoadInt64(&s.EncodedClauses),
-		SolverAllocs:   atomic.LoadInt64(&s.SolverAllocs),
-		PoolReuses:     atomic.LoadInt64(&s.PoolReuses),
-
-		CacheVerdictHits: atomic.LoadInt64(&s.CacheVerdictHits),
-		CacheAbductHits:  atomic.LoadInt64(&s.CacheAbductHits),
-
-		CacheDiskHits:    atomic.LoadInt64(&s.CacheDiskHits),
-		CacheDiskLoads:   atomic.LoadInt64(&s.CacheDiskLoads),
-		CacheDiskFlushes: atomic.LoadInt64(&s.CacheDiskFlushes),
-		CacheEntries:     atomic.LoadInt64(&s.CacheEntries),
-		CacheBytes:       atomic.LoadInt64(&s.CacheBytes),
-
-		ShareImported:   atomic.LoadInt64(&s.ShareImported),
-		SolverConflicts: atomic.LoadInt64(&s.SolverConflicts),
-
-		QueryRetries: atomic.LoadInt64(&s.QueryRetries),
-	}
 	s.mu.Lock()
-	snap.WallTime = s.WallTime
-	snap.Span = s.span
-	for _, d := range s.queryTimes {
-		snap.TotalQueryTime += d
+	defer s.mu.Unlock()
+	return StatsSnapshot{
+		Counters:       s.Counters,
+		WallTime:       s.WallTime,
+		Span:           s.span,
+		TotalQueryTime: total(s.queryTimes),
+		TotalTaskTime:  total(s.taskTimes),
 	}
-	for _, d := range s.taskTimes {
-		snap.TotalTaskTime += d
-	}
-	s.mu.Unlock()
-	return snap
 }
 
 // statsPrealloc is the initial capacity of the per-query/per-task time
@@ -202,53 +155,90 @@ func newStats() *Stats {
 }
 
 // Span returns the critical-path estimate accumulated during Learn.
-func (s *Stats) Span() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.span
-}
+func (s *Stats) Span() time.Duration { return s.Snapshot().Span }
 
 // TotalTaskTime sums all task durations (the total parallelizable work).
-func (s *Stats) TotalTaskTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total time.Duration
-	for _, d := range s.taskTimes {
-		total += d
-	}
-	return total
-}
+func (s *Stats) TotalTaskTime() time.Duration { return s.Snapshot().TotalTaskTime }
 
-// addWall folds one Learn's wall time into WallTime under the mutex, so a
-// concurrent Snapshot never races the write.
+// TotalQueryTime sums all query durations (CPU time spent in the solver).
+func (s *Stats) TotalQueryTime() time.Duration { return s.Snapshot().TotalQueryTime }
+
+// addWall folds one Learn's wall time into WallTime.
 func (s *Stats) addWall(d time.Duration) {
 	s.mu.Lock()
 	s.WallTime += d
 	s.mu.Unlock()
 }
 
-func (s *Stats) recordQuery(d time.Duration) {
-	atomic.AddInt64(&s.Queries, 1)
-	s.mu.Lock()
-	s.queryTimes = append(s.queryTimes, d)
-	s.mu.Unlock()
+// queryAnswer is what answered one abduction query: a memo record (an
+// abduct or a Sat set, restored from disk or not), or the solver
+// solveQuery built, whose encode work and conflicts it carries. The zero
+// value is a query that failed before either answered.
+type queryAnswer struct {
+	abductHit, verdictHit, diskHit bool
+
+	solver    bool
+	enc       circuit.EncoderStats
+	conflicts int64
 }
 
-// recordTask records one task body duration and folds its dependency-chain
-// completion time into the span estimate under a single lock acquisition.
+// recordQuery counts one abduction query, its time and what answered it,
+// in one critical section.
+func (s *Stats) recordQuery(d time.Duration, a queryAnswer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Queries++
+	s.queryTimes = append(s.queryTimes, d)
+	switch {
+	case a.solver:
+		s.SolverAllocs++
+		s.EncodedGates += a.enc.Gates
+		s.EncodedClauses += a.enc.Clauses
+		s.SolverConflicts += a.conflicts
+	case a.abductHit:
+		s.CacheAbductHits++
+	case a.verdictHit:
+		s.CacheVerdictHits++
+	}
+	if a.diskHit {
+		s.CacheDiskHits++
+	}
+}
+
+// recordTask counts one task body, records its duration and folds its
+// dependency-chain completion time into the span estimate.
 func (s *Stats) recordTask(d, chainOut time.Duration) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Tasks++
 	s.taskTimes = append(s.taskTimes, d)
-	if chainOut > s.span {
-		s.span = chainOut
-	}
+	s.span = max(s.span, chainOut)
+}
+
+// backtrack counts one re-synthesis caused by a failed predicate.
+func (s *Stats) backtrack() {
+	s.mu.Lock()
+	s.Backtracks++
 	s.mu.Unlock()
 }
 
-// addEncodeWork charges encode-work deltas from one query.
-func (s *Stats) addEncodeWork(gates, clauses int64) {
-	atomic.AddInt64(&s.EncodedGates, gates)
-	atomic.AddInt64(&s.EncodedClauses, clauses)
+// quantile returns the p-quantile (0..1) of ds, or 0 when ds is empty.
+func quantile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	ts := slices.Clone(ds)
+	slices.Sort(ts)
+	return ts[int(p*float64(len(ts)-1))]
+}
+
+// total sums ds.
+func total(ds []time.Duration) time.Duration {
+	var t time.Duration
+	for _, d := range ds {
+		t += d
+	}
+	return t
 }
 
 // TaskTimePercentile returns the p-quantile (0..1) of per-task times (all
@@ -257,13 +247,7 @@ func (s *Stats) addEncodeWork(gates, clauses int64) {
 func (s *Stats) TaskTimePercentile(p float64) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.taskTimes) == 0 {
-		return 0
-	}
-	ts := append([]time.Duration(nil), s.taskTimes...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	idx := int(p * float64(len(ts)-1))
-	return ts[idx]
+	return quantile(s.taskTimes, p)
 }
 
 // MedianTaskTime is the Fig. 4 companion metric to MedianQueryTime.
@@ -273,28 +257,11 @@ func (s *Stats) MedianTaskTime() time.Duration { return s.TaskTimePercentile(0.5
 func (s *Stats) QueryTimePercentile(p float64) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queryTimes) == 0 {
-		return 0
-	}
-	ts := append([]time.Duration(nil), s.queryTimes...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	idx := int(p * float64(len(ts)-1))
-	return ts[idx]
+	return quantile(s.queryTimes, p)
 }
 
 // MedianQueryTime is the Fig. 4 metric.
 func (s *Stats) MedianQueryTime() time.Duration { return s.QueryTimePercentile(0.5) }
-
-// TotalQueryTime sums all query durations (CPU time spent in the solver).
-func (s *Stats) TotalQueryTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total time.Duration
-	for _, d := range s.queryTimes {
-		total += d
-	}
-	return total
-}
 
 // Invariant is a learned inductive invariant: the conjunction of Preds. It
 // proves each predicate in Targets (which are members of Preds).
@@ -569,25 +536,30 @@ func (l *Learner) interrupt() {
 	l.mu.Unlock()
 }
 
-// finishPersist runs at Learn shutdown: it snapshots the cache's footprint
-// into Stats and, when a proof store is bound, persists the run's deltas.
-// With a journal the deltas were appended as they landed, so this is a cheap
-// fsync; the store escalates to a full snapshot rewrite on its own when the
-// journal is disabled, degraded, or oversized.
+// finishPersist runs at Learn shutdown: it persists the run's appends when
+// a proof store is bound, then sets the cache's footprint and the store's
+// counters in Stats. The records were appended as they landed, so Persist
+// is a cheap fsync; the store escalates to a full rewrite on its own when
+// appends are disabled, degraded, or oversized.
 func (l *Learner) finishPersist() {
 	if l.cache == nil {
 		return
 	}
-	atomic.StoreInt64(&l.stats.CacheEntries, int64(l.cache.Len()))
-	atomic.StoreInt64(&l.stats.CacheBytes, l.cache.Bytes())
-	if l.pdb == nil {
-		return
+	var flushes, loads int64
+	if l.pdb != nil {
+		if err := l.pdb.Persist(); err == nil {
+			flushes = 1
+		}
+		st := l.pdb.Stats()
+		loads = st.ClausesLoaded + st.VerdictsLoaded + st.AbductsLoaded
 	}
-	if err := l.pdb.Persist(); err == nil {
-		atomic.AddInt64(&l.stats.CacheDiskFlushes, 1)
-	}
-	st := l.pdb.Stats()
-	atomic.StoreInt64(&l.stats.CacheDiskLoads, st.ClausesLoaded+st.VerdictsLoaded+st.AbductsLoaded)
+	c := l.cache.Counters()
+	s := l.stats
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.CacheEntries, s.CacheBytes = c.Entries, c.ApproxBytes
+	s.CacheDiskFlushes += flushes
+	s.CacheDiskLoads = loads
 }
 
 func (l *Learner) getOrCreateLocked(p Pred) *entry {
@@ -693,7 +665,6 @@ func (l *Learner) solveOne(pred Pred) error {
 		d := time.Since(taskStart)
 		l.stats.recordTask(d, chainIn+d)
 	}()
-	atomic.AddInt64(&l.stats.Tasks, 1)
 
 	ts, err := l.sliceFor(pred)
 	if err != nil {
@@ -731,7 +702,7 @@ func (l *Learner) solveOne(pred Pred) error {
 	// (the soln ∩ P_fail check of Algorithm 1, line 3).
 	for _, m := range res.preds {
 		if l.failed[m.ID()] {
-			atomic.AddInt64(&l.stats.Backtracks, 1)
+			l.stats.backtrack()
 			l.enqueueLocked(id)
 			return nil
 		}
@@ -808,7 +779,7 @@ func (l *Learner) failLocked(id string) {
 		if uses {
 			d.solved = false
 			d.abduct = nil
-			atomic.AddInt64(&l.stats.Backtracks, 1)
+			l.stats.backtrack()
 			l.enqueueLocked(depID)
 		}
 	}

@@ -400,7 +400,7 @@ func TestStatsPercentiles(t *testing.T) {
 		t.Fatal("empty stats should report zero")
 	}
 	for i := 1; i <= 100; i++ {
-		s.recordQuery(time.Duration(i) * time.Millisecond)
+		s.recordQuery(time.Duration(i)*time.Millisecond, queryAnswer{})
 	}
 	med := s.MedianQueryTime()
 	if med < 45*time.Millisecond || med > 55*time.Millisecond {

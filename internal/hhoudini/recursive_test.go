@@ -1,9 +1,5 @@
 package hhoudini
 
-import (
-	"sync/atomic"
-)
-
 // LearnRecursive is the tests' Algorithm 1 oracle: a direct
 // transliteration of the paper's sequential depth-first recursion with
 // memoization, a global P_fail set and partial backtracking. It computes the
@@ -44,14 +40,14 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 			}
 			e.solved = false
 			e.abduct = nil
-			atomic.AddInt64(&l.stats.Backtracks, 1)
+			l.stats.backtrack()
 		}
 		e := l.getOrCreateLocked(p)
 		inProgress[id] = true
 		defer delete(inProgress, id)
 
 		for { // while not valid-solution (line 7)
-			atomic.AddInt64(&l.stats.Tasks, 1)
+			l.stats.recordTask(0, 0) // counts the task; the oracle keeps no task times
 			ts, err := l.sliceFor(p)
 			if err != nil {
 				return false, err
@@ -91,7 +87,7 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 				e.solved = true
 				return true, nil
 			}
-			atomic.AddInt64(&l.stats.Backtracks, 1)
+			l.stats.backtrack()
 		}
 	}
 
@@ -117,7 +113,7 @@ func (l *Learner) LearnRecursive(targets []Pred) (*Invariant, error) {
 				if l.failed[m.ID()] {
 					e.solved = false
 					e.abduct = nil
-					atomic.AddInt64(&l.stats.Backtracks, 1)
+					l.stats.backtrack()
 					ok, err := solve(e.pred)
 					if err != nil {
 						return nil, err

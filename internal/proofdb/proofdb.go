@@ -70,23 +70,23 @@ type Stats struct {
 	// ClausesLoaded always reads 0: learnt-clause records from older
 	// stores are skipped at Open. The field stays for callers that sum
 	// the Loaded counters.
-	ClausesLoaded  int64
-	VerdictsLoaded int64 // negset and verdict records restored from disk at Open
-	AbductsLoaded  int64 // cone-abduct records restored from disk at Open
-	CorruptSkipped int64 // records dropped for framing/CRC/JSON/validity
-	ExpiredSkipped int64 // records dropped at load for exceeding MaxAge
-	HeaderRejected bool  // whole file rejected: missing/mismatched version
-	Flushes        int64 // successful atomic rewrites
-	AgeEvicted     int64 // records evicted at flush for exceeding MaxAge
-	BudgetEvicted  int64 // records LRU-evicted at flush for the byte budget
-	BytesOnDisk    int64 // current size of the store file
+	ClausesLoaded  int64 `json:"clauses_loaded"`
+	VerdictsLoaded int64 `json:"verdicts_loaded"` // negset and verdict records restored from disk at Open
+	AbductsLoaded  int64 `json:"abducts_loaded"`  // cone-abduct records restored from disk at Open
+	CorruptSkipped int64 `json:"corrupt_skipped"` // records dropped for framing/CRC/JSON/validity
+	ExpiredSkipped int64 `json:"expired_skipped"` // records dropped at load for exceeding MaxAge
+	HeaderRejected bool  `json:"header_rejected"` // whole file rejected: missing/mismatched version
+	Flushes        int64 `json:"flushes"`         // successful atomic rewrites
+	AgeEvicted     int64 `json:"age_evicted"`     // records evicted at flush for exceeding MaxAge
+	BudgetEvicted  int64 `json:"budget_evicted"`  // records LRU-evicted at flush for the byte budget
+	BytesOnDisk    int64 `json:"bytes_on_disk"`   // current size of the store file
 
 	// Append counters (append.go).
-	JournalAppends   int64 // records appended to the file
-	JournalSyncs     int64 // fsyncs of the append handle (durability points)
-	JournalReplayed  int64 // record lines Open applied to the model
-	JournalTornTails int64 // torn final lines truncated at Open
-	JournalDegraded  bool  // appends abandoned after persistent I/O errors
+	JournalAppends   int64 `json:"journal_appends"`    // records appended to the file
+	JournalSyncs     int64 `json:"journal_syncs"`      // fsyncs of the append handle (durability points)
+	JournalReplayed  int64 `json:"journal_replayed"`   // record lines Open applied to the model
+	JournalTornTails int64 `json:"journal_torn_tails"` // torn final lines truncated at Open
+	JournalDegraded  bool  `json:"journal_degraded"`   // appends abandoned after persistent I/O errors
 }
 
 // Snapshot is the portable in-memory image of a store (also the exchange

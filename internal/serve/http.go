@@ -9,6 +9,7 @@ import (
 	"time"
 
 	core "hhoudini/internal/hhoudini"
+	"hhoudini/internal/proofdb"
 )
 
 // maxBodyBytes bounds a job-spec body; specs are small JSON objects and an
@@ -77,61 +78,33 @@ type ServerStats struct {
 
 	Draining bool `json:"draining"`
 
-	JobsQueued   int   `json:"jobs_queued"`
-	JobsRunning  int   `json:"jobs_running"`
-	JobsDone     int64 `json:"jobs_done"`
-	JobsFailed   int64 `json:"jobs_failed"`
-	JobsCanceled int64 `json:"jobs_canceled"`
-
-	Accepted     int64 `json:"accepted"`
-	RejectedBusy int64 `json:"rejected_busy"` // 429s
-	RejectedGone int64 `json:"rejected_gone"` // 503s while draining
+	JobCounters
 
 	Workers int `json:"workers"`
 
 	// QueueDepth maps each tenant with queued work to its sub-queue depth.
 	QueueDepth map[string]int `json:"queue_depth,omitempty"`
 
-	// Cache is the shared verification cache's counter snapshot (hits,
-	// evictions, durable footprint, bytes high-water).
+	// Cache is the shared verification cache's counters (hits, evictions,
+	// footprint, bytes high-water).
 	Cache core.CacheCounters `json:"cache"`
 
-	// ProofDB surfaces the bound persistent store's snapshot and
-	// append-path health; nil when the server runs without a
-	// CacheDir (or the store failed to open and the cache degraded to
-	// memory-only).
-	ProofDB *ProofDBStats `json:"proofdb,omitempty"`
-}
-
-// ProofDBStats is the /v1/stats projection of proofdb.Stats: durability
-// gauges for dashboards (are appends keeping up? have they degraded?) and
-// the crash-restart assertions in the tests.
-type ProofDBStats struct {
-	Flushes     int64 `json:"flushes"`
-	BytesOnDisk int64 `json:"bytes_on_disk"`
-
-	JournalAppends   int64 `json:"journal_appends"`
-	JournalSyncs     int64 `json:"journal_syncs"`
-	JournalReplayed  int64 `json:"journal_replayed"`
-	JournalTornTails int64 `json:"journal_torn_tails"`
-	JournalDegraded  bool  `json:"journal_degraded"`
+	// ProofDB is the bound persistent store's counters: durability gauges
+	// for dashboards (are appends keeping up? have they degraded?) and the
+	// crash-restart assertions in the tests. nil when the server runs
+	// without a CacheDir (or the store failed to open and the cache
+	// degraded to memory-only).
+	ProofDB *proofdb.Stats `json:"proofdb,omitempty"`
 }
 
 // StatsPayload assembles the gauge snapshot (also used by tests directly).
 func (s *Server) StatsPayload() ServerStats {
 	s.mu.Lock()
 	st := ServerStats{
-		UptimeMS:     time.Since(s.start).Milliseconds(),
-		Draining:     s.draining,
-		JobsQueued:   s.queued,
-		JobsRunning:  s.running,
-		JobsDone:     s.done,
-		JobsFailed:   s.failed,
-		JobsCanceled: s.canceled,
-		Accepted:     s.accepted,
-		RejectedBusy: s.rejectedBusy,
-		RejectedGone: s.rejectedGone,
-		Workers:      s.cfg.Workers,
+		UptimeMS:    time.Since(s.start).Milliseconds(),
+		Draining:    s.draining,
+		JobCounters: s.counts,
+		Workers:     s.cfg.Workers,
 	}
 	if len(s.queues) > 0 {
 		st.QueueDepth = make(map[string]int, len(s.queues))
@@ -144,15 +117,7 @@ func (s *Server) StatsPayload() ServerStats {
 	st.Cache = s.cache.Counters()
 	if s.cfg.CacheDir != "" {
 		if db, ok := core.ProofDBStatsFor(s.cfg.CacheDir); ok {
-			st.ProofDB = &ProofDBStats{
-				Flushes:          db.Flushes,
-				BytesOnDisk:      db.BytesOnDisk,
-				JournalAppends:   db.JournalAppends,
-				JournalSyncs:     db.JournalSyncs,
-				JournalReplayed:  db.JournalReplayed,
-				JournalTornTails: db.JournalTornTails,
-				JournalDegraded:  db.JournalDegraded,
-			}
+			st.ProofDB = &db
 		}
 	}
 	return st

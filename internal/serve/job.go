@@ -92,7 +92,7 @@ type Job struct {
 	doneAt    time.Time
 	err       error
 	result    *JobResult
-	stats     *core.StatsSnapshot
+	stats     *StatsView
 }
 
 // newJob validates a spec into a Job (not yet admitted: the server assigns
@@ -156,7 +156,7 @@ type jobOutcome struct {
 	state  string
 	err    error
 	result *JobResult
-	stats  *core.StatsSnapshot
+	stats  *StatsView
 }
 
 // resolve publishes a terminal state. First writer wins: a job the drain
@@ -215,7 +215,7 @@ func (s *Server) execute(j *Job) {
 		s.finish(j, jobOutcome{
 			state:  StateDone,
 			result: resultView(j.kind, res, nil),
-			stats:  snapshotOf(res.Stats),
+			stats:  statsView(res.Stats),
 		})
 	case KindSynthesize:
 		syn, err := a.SynthesizeCtx(ctx)
@@ -223,11 +223,11 @@ func (s *Server) execute(j *Job) {
 			s.finish(j, outcomeForError(ctx, err))
 			return
 		}
-		var stats *core.StatsSnapshot
+		var stats *StatsView
 		var res *veloct.Result
 		if syn.Result != nil {
 			res = syn.Result
-			stats = snapshotOf(syn.Result.Stats)
+			stats = statsView(syn.Result.Stats)
 		}
 		s.finish(j, jobOutcome{
 			state:  StateDone,
@@ -247,14 +247,6 @@ func outcomeForError(ctx context.Context, err error) jobOutcome {
 		return jobOutcome{state: StateCanceled, err: err}
 	}
 	return jobOutcome{state: StateFailed, err: err}
-}
-
-func snapshotOf(st *core.Stats) *core.StatsSnapshot {
-	if st == nil {
-		return nil
-	}
-	snap := st.Snapshot()
-	return &snap
 }
 
 // --- Wire views --------------------------------------------------------------
@@ -306,24 +298,10 @@ func resultView(kind string, res *veloct.Result, syn *veloct.Synthesis) *JobResu
 	return out
 }
 
-// StatsView is the per-job learner instrumentation on the wire, derived
-// from an atomic StatsSnapshot (never from plain Stats reads — the job may
-// still be running when a client polls).
+// StatsView is the per-job learner instrumentation on the wire: the
+// learner's counters, copied once when the job resolves.
 type StatsView struct {
-	Tasks      int64 `json:"tasks"`
-	Backtracks int64 `json:"backtracks"`
-	Queries    int64 `json:"queries"`
-
-	SolverAllocs int64 `json:"solver_allocs"`
-	PoolReuses   int64 `json:"pool_reuses"` // always 0; see hhoudini.Stats.PoolReuses
-
-	EncodedClauses int64 `json:"encoded_clauses"`
-
-	CacheVerdictHits int64 `json:"cache_verdict_hits"`
-	CacheAbductHits  int64 `json:"cache_abduct_hits"`
-	CacheDiskHits    int64 `json:"cache_disk_hits"`
-
-	QueryRetries int64 `json:"query_retries"` // always 0; see hhoudini.Stats.QueryRetries
+	core.Counters
 
 	WallTimeMS int64 `json:"wall_time_ms"`
 
@@ -333,30 +311,14 @@ type StatsView struct {
 	WarmFraction float64 `json:"warm_fraction"`
 }
 
-func statsView(s *core.StatsSnapshot) *StatsView {
-	if s == nil {
+func statsView(st *core.Stats) *StatsView {
+	if st == nil {
 		return nil
 	}
-	v := &StatsView{
-		Tasks:      s.Tasks,
-		Backtracks: s.Backtracks,
-		Queries:    s.Queries,
-
-		SolverAllocs: s.SolverAllocs,
-		PoolReuses:   s.PoolReuses,
-
-		EncodedClauses: s.EncodedClauses,
-
-		CacheVerdictHits: s.CacheVerdictHits,
-		CacheAbductHits:  s.CacheAbductHits,
-		CacheDiskHits:    s.CacheDiskHits,
-
-		QueryRetries: s.QueryRetries,
-
-		WallTimeMS: s.WallTime.Milliseconds(),
-	}
-	if s.Queries > 0 {
-		v.WarmFraction = float64(s.CacheVerdictHits+s.CacheAbductHits) / float64(s.Queries)
+	snap := st.Snapshot()
+	v := &StatsView{Counters: snap.Counters, WallTimeMS: snap.WallTime.Milliseconds()}
+	if snap.Queries > 0 {
+		v.WarmFraction = float64(snap.CacheVerdictHits+snap.CacheAbductHits) / float64(snap.Queries)
 	}
 	return v
 }
@@ -390,7 +352,7 @@ func (j *Job) view() JobView {
 		State:    j.state,
 		QueuedAt: j.queuedAt.UTC().Format(time.RFC3339Nano),
 		Result:   j.result,
-		Stats:    statsView(j.stats),
+		Stats:    j.stats,
 	}
 	if !j.startedAt.IsZero() {
 		v.StartedAt = j.startedAt.UTC().Format(time.RFC3339Nano)

@@ -119,13 +119,15 @@ type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals queue activity and lifecycle changes
 
-	jobs    map[string]*Job
-	queues  map[string][]*Job // tenant → FIFO sub-queue
-	ring    []string          // round-robin order over tenants with queued work
-	rrNext  int
-	queued  int
-	running int
-	seq     int64
+	jobs   map[string]*Job
+	queues map[string][]*Job // tenant → FIFO sub-queue
+	ring   []string          // round-robin order over tenants with queued work
+	rrNext int
+	seq    int64
+
+	// counts are the admission and lifecycle counters (read via
+	// StatsPayload).
+	counts JobCounters
 
 	// cancels holds the CancelFunc of every in-flight job so drain can
 	// cut the grace period short. (The contexts themselves are never
@@ -135,14 +137,6 @@ type Server struct {
 	draining bool
 	closed   bool
 
-	// Admission / lifecycle counters (under mu; read via StatsPayload).
-	accepted     int64
-	rejectedBusy int64 // 429
-	rejectedGone int64 // 503 (draining/closed)
-	done         int64
-	failed       int64
-	canceled     int64
-
 	// analyses caches one base Analysis per design name: the miter product
 	// is read-only at learning time, so tenant-specific copies (differing
 	// only in Options) all share it.
@@ -150,6 +144,20 @@ type Server struct {
 	analyses   map[string]*veloct.Analysis
 
 	wg sync.WaitGroup
+}
+
+// JobCounters are a server's admission and lifecycle counters, kept under
+// its mutex: the queue and pool gauges, and per-outcome totals.
+type JobCounters struct {
+	JobsQueued   int   `json:"jobs_queued"`
+	JobsRunning  int   `json:"jobs_running"`
+	JobsDone     int64 `json:"jobs_done"`
+	JobsFailed   int64 `json:"jobs_failed"`
+	JobsCanceled int64 `json:"jobs_canceled"`
+
+	Accepted     int64 `json:"accepted"`
+	RejectedBusy int64 `json:"rejected_busy"` // 429s
+	RejectedGone int64 `json:"rejected_gone"` // 503s while draining
 }
 
 // New builds a Server and starts its executor pool.
@@ -188,15 +196,15 @@ func (s *Server) submit(spec JobSpec) (*Job, *admissionError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
-		s.rejectedGone++
+		s.counts.RejectedGone++
 		return nil, &admissionError{status: 503, msg: "server is draining"}
 	}
-	if s.queued >= s.cfg.MaxQueued {
-		s.rejectedBusy++
+	if s.counts.JobsQueued >= s.cfg.MaxQueued {
+		s.counts.RejectedBusy++
 		return nil, &admissionError{status: 429, msg: "job queue is full", retryAfter: s.cfg.RetryAfter}
 	}
 	if len(s.queues[j.tenant]) >= s.cfg.MaxQueuedPerTenant {
-		s.rejectedBusy++
+		s.counts.RejectedBusy++
 		return nil, &admissionError{
 			status:     429,
 			msg:        fmt.Sprintf("tenant %q queue is full", j.tenant),
@@ -212,8 +220,8 @@ func (s *Server) submit(spec JobSpec) (*Job, *admissionError) {
 		s.ring = append(s.ring, j.tenant)
 	}
 	s.queues[j.tenant] = append(s.queues[j.tenant], j)
-	s.queued++
-	s.accepted++
+	s.counts.JobsQueued++
+	s.counts.Accepted++
 	s.cond.Signal()
 	return j, nil
 }
@@ -242,7 +250,7 @@ func (s *Server) popLocked() *Job {
 		} else {
 			s.rrNext++
 		}
-		s.queued--
+		s.counts.JobsQueued--
 		return j
 	}
 	return nil
@@ -286,7 +294,7 @@ func (s *Server) next() *Job {
 			j.state = StateRunning
 			j.startedAt = time.Now()
 			j.mu.Unlock()
-			s.running++
+			s.counts.JobsRunning++
 			return j
 		}
 		if s.draining {
@@ -300,14 +308,14 @@ func (s *Server) next() *Job {
 func (s *Server) finish(j *Job, outcome jobOutcome) {
 	j.resolve(outcome)
 	s.mu.Lock()
-	s.running--
+	s.counts.JobsRunning--
 	switch outcome.state {
 	case StateDone:
-		s.done++
+		s.counts.JobsDone++
 	case StateCanceled:
-		s.canceled++
+		s.counts.JobsCanceled++
 	default:
-		s.failed++
+		s.counts.JobsFailed++
 	}
 	s.cond.Broadcast() // wake Drain waiters and idle workers
 	s.mu.Unlock()
@@ -417,7 +425,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// Phase 1: grace. Wait for the backlog to resolve on its own.
 	for {
 		s.mu.Lock()
-		idle := s.queued == 0 && s.running == 0
+		idle := s.counts.JobsQueued == 0 && s.counts.JobsRunning == 0
 		s.mu.Unlock()
 		if idle {
 			break
@@ -429,7 +437,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			// solvers), so this wait terminates; poll until the pool is idle.
 			for {
 				s.mu.Lock()
-				idle := s.queued == 0 && s.running == 0
+				idle := s.counts.JobsQueued == 0 && s.counts.JobsRunning == 0
 				s.mu.Unlock()
 				if idle {
 					break
@@ -471,7 +479,7 @@ func (s *Server) cancelBacklog() {
 	for _, c := range s.cancels {
 		cancels = append(cancels, c)
 	}
-	s.canceled += int64(len(stranded))
+	s.counts.JobsCanceled += int64(len(stranded))
 	s.mu.Unlock()
 
 	for _, j := range stranded {
